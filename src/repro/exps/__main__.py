@@ -45,7 +45,7 @@ from .fig13_outcomes import OUTCOME_ORDER, run_fig13
 from .ladder import run_ladder
 from .reporting import format_series, format_table
 from .retiming_comparison import run_retiming_comparison
-from .runner import ExperimentRunner
+from .runner import ExperimentRunner, RunnerConfig
 from .sensitivity import run_sensitivity
 from .table2_accuracy import run_table2
 
@@ -100,6 +100,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = Settings.from_args(args, base=env_defaults)
+        RunnerConfig.from_settings(settings)  # a bad scale fails here
     except ValueError as exc:
         parser.error(str(exc))
     settings.configure()

@@ -154,10 +154,11 @@ def _point_runspec(point: SweepPoint) -> RunSpec:
     return RunSpec(environments=(env,), modes=(mode,), workloads=workloads)
 
 
-def _build_runner(
+def _runner_args(
     settings: Settings, runner_params: Mapping[str, Any]
-) -> ExperimentRunner:
-    """One runner for a runner-tier binding (scale/seed/phi/pe_max)."""
+) -> Dict[str, Any]:
+    """Runner config and calibration for a runner-tier binding
+    (scale/seed/phi/pe_max); raises ``ValueError`` on a bad scale."""
     overrides = {
         _CONFIG_FIELDS[name]: value
         for name, value in runner_params.items()
@@ -166,11 +167,10 @@ def _build_runner(
     calib = DEFAULT_CALIBRATION
     if "pe_max" in runner_params:
         calib = dataclasses.replace(calib, pe_max=runner_params["pe_max"])
-    return ExperimentRunner.from_settings(
-        settings,
-        config=RunnerConfig.from_settings(settings, **overrides),
-        calib=calib,
-    )
+    return {
+        "config": RunnerConfig.from_settings(settings, **overrides),
+        "calib": calib,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +301,14 @@ def run_sweep(
             for point in unique:
                 key = tuple(sorted(point.runner_params().items()))
                 groups.setdefault(key, []).append(point)
+            # Every group's scale is checked before any group computes.
+            runner_args = {
+                key: _runner_args(settings, dict(key)) for key in groups
+            }
             for key, group_points in groups.items():
-                runner = _build_runner(settings, dict(key))
+                runner = ExperimentRunner.from_settings(
+                    settings, **runner_args[key]
+                )
                 log.info(
                     "dse runner group %s: %d points",
                     dict(key) or "(default)", len(group_points),

@@ -58,6 +58,7 @@ from ..microarch.simulator import (
 from ..microarch.workloads import WorkloadProfile, spec2000_like_suite
 from ..mitigation.base import TechniqueState
 from ..ml.bank import ControllerBank, get_bank
+from ..ml.training import DEFAULT_N_RULES
 from ..timing.speculation import performance
 from .. import variation
 from ..variation.maps import ChipSample
@@ -97,6 +98,13 @@ class RunnerConfig:
             raise ValueError("need >=1 chip and 1..4 cores per chip")
         if self.phi is not None and self.phi <= 0.0:
             raise ValueError("phi must be positive")
+        if self.n_instructions < 1:
+            raise ValueError("n_instructions must be >= 1")
+        # Each FC seeds one rule per example before it trains (App. A).
+        if self.fuzzy_examples < DEFAULT_N_RULES:
+            raise ValueError(f"fuzzy_examples must be >= {DEFAULT_N_RULES}")
+        if self.fuzzy_epochs < 1:
+            raise ValueError("fuzzy_epochs must be >= 1")
 
     @classmethod
     def from_settings(cls, settings, **overrides) -> "RunnerConfig":
@@ -366,9 +374,9 @@ class ExperimentRunner:
 
         Disk hits are served per request; the misses go through one
         :func:`~repro.microarch.simulator.measure_suite_batched` call —
-        one trace walk per distinct profile, all of its configuration
-        variants advancing together — and are written back.  Results are
-        bit-identical to measuring each request on its own.
+        one trace per distinct profile, generated and decoded once for
+        all of its configuration variants — and are written back.
+        Results are bit-identical to measuring each request on its own.
         """
         out: List[Optional[WorkloadMeasurement]] = [None] * len(requests)
         missing: List[int] = []

@@ -26,12 +26,13 @@ memory-boundedness).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from .isa import Uop
 from .trace import SyntheticTrace
 
@@ -80,8 +81,16 @@ class CoreConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.extra_exec_stage < 0:
-            raise ValueError("extra_exec_stage cannot be negative")
+        for name in (
+            "extra_exec_stage",
+            "frontend_depth",
+            "branch_penalty",
+            "l1_latency",
+            "l2_latency",
+            "mem_latency",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
         if not 0.0 <= self.prefetch_accuracy <= 1.0:
             raise ValueError("prefetch_accuracy must be in [0, 1]")
 
@@ -135,26 +144,24 @@ class SimResult:
         return self.instructions / self.cycles
 
 
-# Functional-unit groups: kind -> (group name, latency attr handled below).
-_FU_GROUP = {
-    int(Uop.INT_ALU): "int_alu",
-    int(Uop.BRANCH): "int_alu",
-    int(Uop.INT_MUL): "int_mul",
-    int(Uop.FP_ADD): "fp_add",
-    int(Uop.FP_MUL): "fp_mul",
-    int(Uop.LOAD): "mem",
-    int(Uop.STORE): "mem",
+# Functional-unit group and issue queue of each uop kind.  Groups:
+# 0 int ALU (branches resolve there too), 1 int mul, 2 FP add, 3 FP mul,
+# 4 memory ports.  Queues: 0 int, 1 FP, 2 memory.
+_GROUP_AND_QUEUE = {
+    Uop.INT_ALU: (0, 0),
+    Uop.BRANCH: (0, 0),
+    Uop.INT_MUL: (1, 0),
+    Uop.FP_ADD: (2, 1),
+    Uop.FP_MUL: (3, 1),
+    Uop.LOAD: (4, 2),
+    Uop.STORE: (4, 2),
 }
+# Lookup tables indexed by Uop code.
+_FU_GROUP = np.array([_GROUP_AND_QUEUE[kind][0] for kind in Uop])
+_QUEUE_OF = np.array([_GROUP_AND_QUEUE[kind][1] for kind in Uop])
 
-_QUEUE_OF = {
-    int(Uop.INT_ALU): "int",
-    int(Uop.BRANCH): "int",
-    int(Uop.INT_MUL): "int",
-    int(Uop.FP_ADD): "fp",
-    int(Uop.FP_MUL): "fp",
-    int(Uop.LOAD): "mem",
-    int(Uop.STORE): "mem",
-}
+#: A cycle earlier than any real one: the occupant of a still-empty slot.
+_EMPTY_SLOT = -(1 << 62)
 
 
 def simulate(
@@ -172,346 +179,203 @@ def simulate(
             twice (with and without) separates ``CPIcomp`` from the memory
             stall term of Eq 5.
     """
-    n = len(trace)
-    kinds = trace.kinds
-    dep1 = trace.dep1
-    dep2 = trace.dep2
-
-    exec_latency = {
-        int(Uop.INT_ALU): 1,
-        int(Uop.BRANCH): 1,
-        int(Uop.INT_MUL): 3,
-        int(Uop.FP_ADD): 4,
-        int(Uop.FP_MUL): 4,
-        int(Uop.STORE): 1,
-        int(Uop.LOAD): config.l1_latency,
-    }
-
-    fu_free = {
-        "int_alu": [0] * config.n_int_alu,
-        "int_mul": [0] * config.n_int_mul,
-        "fp_add": [0] * config.n_fp_add,
-        "fp_mul": [0] * config.n_fp_mul,
-        "mem": [0] * config.n_mem_ports,
-    }
-    queue_size = {
-        "int": config.int_queue_size,
-        "fp": config.fp_queue_size,
-        "mem": config.mem_queue_size,
-    }
-    # Issue times of previously dispatched, same-queue instructions, in
-    # dispatch order (FIFO occupancy approximation).
-    queue_issue_log: Dict[str, list] = {"int": [], "fp": [], "mem": []}
-
-    completion = np.zeros(n, dtype=np.int64)
-    retire_log: list = []  # retirement cycles in program order
-
-    issued_in_cycle: Dict[int, int] = defaultdict(int)
-    fetched_in_cycle: Dict[int, int] = defaultdict(int)
-
-    fetch_ready = 0  # earliest cycle the next instruction may fetch
-    kind_counts: Dict[int, int] = defaultdict(int)
-    l1_misses = l2_misses = branch_flushes = 0
-    int_queue_waits = fp_queue_waits = 0
-    frontend = config.frontend_depth + config.extra_exec_stage
-
-    for i in range(n):
-        kind = int(kinds[i])
-        kind_counts[kind] += 1
-
-        # ---------------- fetch ----------------
-        t_fetch = fetch_ready
-        if trace.icache_miss[i]:
-            # Instruction fetch stalls for an L2 refill of the I-line.
-            t_fetch += config.l2_latency
-        while fetched_in_cycle[t_fetch] >= config.fetch_width:
-            t_fetch += 1
-        fetched_in_cycle[t_fetch] += 1
-        fetch_ready = t_fetch
-
-        # ---------------- dispatch (rename + queue entry) --------------
-        dispatch = t_fetch + frontend
-        # ROB occupancy: the (i - rob_size)-th instruction must retire.
-        if i >= config.rob_size:
-            dispatch = max(dispatch, retire_log[i - config.rob_size])
-        # Issue-queue occupancy (FIFO approximation).
-        qname = _QUEUE_OF[kind]
-        log = queue_issue_log[qname]
-        if len(log) >= queue_size[qname]:
-            blocker = log[len(log) - queue_size[qname]]
-            if blocker > dispatch:
-                dispatch = blocker
-                if qname == "int":
-                    int_queue_waits += 1
-                elif qname == "fp":
-                    fp_queue_waits += 1
-
-        # ---------------- issue ----------------
-        ready = dispatch
-        if dep1[i]:
-            ready = max(ready, completion[i - dep1[i]])
-        if dep2[i]:
-            ready = max(ready, completion[i - dep2[i]])
-
-        group = _FU_GROUP[kind]
-        units = fu_free[group]
-        t_issue = ready
-        while True:
-            while issued_in_cycle[t_issue] >= config.issue_width:
-                t_issue += 1
-            unit = min(range(len(units)), key=units.__getitem__)
-            if units[unit] > t_issue:
-                t_issue = units[unit]
-                continue
-            break
-        issued_in_cycle[t_issue] += 1
-        units[unit] = t_issue + 1  # fully pipelined (initiation interval 1)
-        log.append(t_issue)
-
-        # ---------------- execute / memory ----------------
-        latency = exec_latency[kind]
-        if kind == int(Uop.LOAD) or kind == int(Uop.STORE):
-            if trace.l1_miss[i]:
-                l1_misses += 1
-                covered = (
-                    config.prefetch_accuracy > 0.0
-                    and (i * 2654435761) % 1000 < config.prefetch_accuracy * 1000
-                )
-                if trace.l2_miss[i] and not suppress_l2_misses and not covered:
-                    l2_misses += 1
-                    latency += config.mem_latency
-                else:
-                    latency += config.l2_latency
-        completion[i] = t_issue + latency
-
-        # ---------------- retire (in order) ----------------
-        t_retire = completion[i]
-        if retire_log:
-            t_retire = max(t_retire, retire_log[-1])
-            # Retire-width: the retire slot frees when the instruction
-            # retire_width places earlier has retired.
-            if len(retire_log) >= config.retire_width:
-                t_retire = max(
-                    t_retire, retire_log[len(retire_log) - config.retire_width] + 1
-                )
-        retire_log.append(t_retire)
-
-        # ---------------- branch misprediction ----------------
-        if kind == int(Uop.BRANCH) and trace.branch_mispredict[i]:
-            branch_flushes += 1
-            redirect = completion[i] + config.branch_penalty + config.extra_exec_stage
-            if redirect > fetch_ready:
-                fetch_ready = redirect
-
-    cycles = int(retire_log[-1]) + 1
-    return SimResult(
-        instructions=n,
-        cycles=cycles,
-        kind_counts=dict(kind_counts),
-        l1_misses=l1_misses,
-        l2_misses=l2_misses,
-        branch_flushes=branch_flushes,
-        int_queue_waits=int_queue_waits,
-        fp_queue_waits=fp_queue_waits,
-    )
-
-
-class _PipelineState:
-    """Mutable machine state of one :func:`simulate_batch` variant.
-
-    Exactly the loop-carried state of :func:`simulate`, hoisted into an
-    object so K variants can advance through one shared trace walk.
-    """
-
-    __slots__ = (
-        "config", "suppress", "exec_latency", "fu_free", "queue_size",
-        "queue_issue_log", "completion", "retire_log", "issued_in_cycle",
-        "fetched_in_cycle", "fetch_ready", "l1_misses", "l2_misses",
-        "branch_flushes", "int_queue_waits", "fp_queue_waits", "frontend",
-    )
-
-    def __init__(self, n: int, config: CoreConfig, suppress: bool):
-        self.config = config
-        self.suppress = suppress
-        self.exec_latency = {
-            int(Uop.INT_ALU): 1,
-            int(Uop.BRANCH): 1,
-            int(Uop.INT_MUL): 3,
-            int(Uop.FP_ADD): 4,
-            int(Uop.FP_MUL): 4,
-            int(Uop.STORE): 1,
-            int(Uop.LOAD): config.l1_latency,
-        }
-        self.fu_free = {
-            "int_alu": [0] * config.n_int_alu,
-            "int_mul": [0] * config.n_int_mul,
-            "fp_add": [0] * config.n_fp_add,
-            "fp_mul": [0] * config.n_fp_mul,
-            "mem": [0] * config.n_mem_ports,
-        }
-        self.queue_size = {
-            "int": config.int_queue_size,
-            "fp": config.fp_queue_size,
-            "mem": config.mem_queue_size,
-        }
-        self.queue_issue_log: Dict[str, list] = {"int": [], "fp": [], "mem": []}
-        self.completion = [0] * n
-        self.retire_log: list = []
-        self.issued_in_cycle: Dict[int, int] = defaultdict(int)
-        self.fetched_in_cycle: Dict[int, int] = defaultdict(int)
-        self.fetch_ready = 0
-        self.l1_misses = self.l2_misses = self.branch_flushes = 0
-        self.int_queue_waits = self.fp_queue_waits = 0
-        self.frontend = config.frontend_depth + config.extra_exec_stage
+    return simulate_batch(trace, [(config, suppress_l2_misses)])[0]
 
 
 def simulate_batch(
     trace: SyntheticTrace,
     variants: Sequence[Tuple[CoreConfig, bool]],
 ) -> List[SimResult]:
-    """Run K independent ``(config, suppress_l2_misses)`` variants in one
-    trace walk.
+    """Run K independent ``(config, suppress_l2_misses)`` variants.
 
-    The per-instruction trace reads (kind, dependence distances, miss and
-    misprediction flags) are shared across all variants — the point of
-    batching this interpreter-bound model — while each variant advances
-    its own machine state through exactly the :func:`simulate` loop body.
-    The model is pure integer arithmetic, so ``simulate_batch(trace,
-    [(c, s), ...])[k] == simulate(trace, c_k, suppress_l2_misses=s_k)``
-    holds bit-for-bit; the golden suite asserts it.
+    The per-instruction trace columns (kind, queue, FU group, dependence
+    distances, miss and misprediction flags) are decoded once and shared;
+    each variant then takes its own :func:`_walk` over them.
     """
     if not variants:
         return []
     n = len(trace)
-    kinds = trace.kinds.tolist()
-    dep1 = trace.dep1.tolist()
-    dep2 = trace.dep2.tolist()
-    branch_misp = trace.branch_mispredict.tolist()
-    l1_miss = trace.l1_miss.tolist()
-    l2_miss = trace.l2_miss.tolist()
-    icache_miss = trace.icache_miss.tolist()
-
-    states = [
-        _PipelineState(n, config, suppress) for config, suppress in variants
-    ]
-    load = int(Uop.LOAD)
-    store = int(Uop.STORE)
-    branch = int(Uop.BRANCH)
-    kind_counts: Dict[int, int] = defaultdict(int)
-
-    for i in range(n):
-        kind = kinds[i]
-        kind_counts[kind] += 1
-        d1 = dep1[i]
-        d2 = dep2[i]
-        qname = _QUEUE_OF[kind]
-        group = _FU_GROUP[kind]
-        icm = icache_miss[i]
-        is_mem = kind == load or kind == store
-        misses_l1 = is_mem and l1_miss[i]
-        misses_l2 = misses_l1 and l2_miss[i]
-        flushes = kind == branch and branch_misp[i]
-
-        for s in states:
-            config = s.config
-
-            # ---------------- fetch ----------------
-            t_fetch = s.fetch_ready
-            if icm:
-                t_fetch += config.l2_latency
-            fetched = s.fetched_in_cycle
-            while fetched[t_fetch] >= config.fetch_width:
-                t_fetch += 1
-            fetched[t_fetch] += 1
-            s.fetch_ready = t_fetch
-
-            # ---------------- dispatch (rename + queue entry) ----------
-            dispatch = t_fetch + s.frontend
-            if i >= config.rob_size:
-                dispatch = max(dispatch, s.retire_log[i - config.rob_size])
-            log = s.queue_issue_log[qname]
-            qsize = s.queue_size[qname]
-            if len(log) >= qsize:
-                blocker = log[len(log) - qsize]
-                if blocker > dispatch:
-                    dispatch = blocker
-                    if qname == "int":
-                        s.int_queue_waits += 1
-                    elif qname == "fp":
-                        s.fp_queue_waits += 1
-
-            # ---------------- issue ----------------
-            ready = dispatch
-            completion = s.completion
-            if d1:
-                ready = max(ready, completion[i - d1])
-            if d2:
-                ready = max(ready, completion[i - d2])
-            units = s.fu_free[group]
-            issued = s.issued_in_cycle
-            t_issue = ready
-            while True:
-                while issued[t_issue] >= config.issue_width:
-                    t_issue += 1
-                unit = min(range(len(units)), key=units.__getitem__)
-                if units[unit] > t_issue:
-                    t_issue = units[unit]
-                    continue
-                break
-            issued[t_issue] += 1
-            units[unit] = t_issue + 1
-            log.append(t_issue)
-
-            # ---------------- execute / memory ----------------
-            latency = s.exec_latency[kind]
-            if misses_l1:
-                s.l1_misses += 1
-                covered = (
-                    config.prefetch_accuracy > 0.0
-                    and (i * 2654435761) % 1000
-                    < config.prefetch_accuracy * 1000
-                )
-                if misses_l2 and not s.suppress and not covered:
-                    s.l2_misses += 1
-                    latency += config.mem_latency
-                else:
-                    latency += config.l2_latency
-            completion[i] = t_issue + latency
-
-            # ---------------- retire (in order) ----------------
-            t_retire = completion[i]
-            retire_log = s.retire_log
-            if retire_log:
-                t_retire = max(t_retire, retire_log[-1])
-                if len(retire_log) >= config.retire_width:
-                    t_retire = max(
-                        t_retire,
-                        retire_log[len(retire_log) - config.retire_width] + 1,
-                    )
-            retire_log.append(t_retire)
-
-            # ---------------- branch misprediction ----------------
-            if flushes:
-                s.branch_flushes += 1
-                redirect = (
-                    completion[i]
-                    + config.branch_penalty
-                    + config.extra_exec_stage
-                )
-                if redirect > s.fetch_ready:
-                    s.fetch_ready = redirect
-
-    counts = dict(kind_counts)
+    kinds = trace.kinds.astype(np.int64)
+    queues = _QUEUE_OF[kinds]
+    misses_l1 = (queues == 2) & trace.l1_miss
+    columns = (
+        queues.tolist(),
+        _FU_GROUP[kinds].tolist(),
+        trace.dep1.tolist(),
+        trace.dep2.tolist(),
+        trace.icache_miss.tolist(),
+        misses_l1.tolist(),
+        (misses_l1 & trace.l2_miss).tolist(),
+        ((kinds == int(Uop.BRANCH)) & trace.branch_mispredict).tolist(),
+    )
+    kind_list = kinds.tolist()
+    counts = dict(Counter(kind_list))  # first-appearance order
+    with obs.span("microarch.simulate", variants=len(variants)):
+        results = [
+            _walk(kind_list, columns, config, suppress)
+            for config, suppress in variants
+        ]
+    obs.inc("microarch.sim_instructions", float(n * len(variants)))
     return [
         SimResult(
             instructions=n,
-            cycles=int(s.retire_log[-1]) + 1,
+            cycles=cycles,
             kind_counts=dict(counts),
-            l1_misses=s.l1_misses,
-            l2_misses=s.l2_misses,
-            branch_flushes=s.branch_flushes,
-            int_queue_waits=s.int_queue_waits,
-            fp_queue_waits=s.fp_queue_waits,
+            l1_misses=l1_misses,
+            l2_misses=l2_misses,
+            branch_flushes=branch_flushes,
+            int_queue_waits=int_waits,
+            fp_queue_waits=fp_waits,
         )
-        for s in states
+        for cycles, l1_misses, l2_misses, branch_flushes, int_waits, fp_waits
+        in results
     ]
+
+
+def _walk(
+    kinds: List[int], columns: Tuple[List, ...], config: CoreConfig,
+    suppress: bool,
+) -> Tuple[int, int, int, int, int, int]:
+    """One pass of the timing model over decoded trace columns.
+
+    Returns ``(cycles, l1_misses, l2_misses, branch_flushes,
+    int_queue_waits, fp_queue_waits)``.  All machine state lives in
+    local variables.  The in-order logs (retirement, per-queue issue
+    times) start with :data:`_EMPTY_SLOT` sentinels, one per slot of the
+    window they are read through, so ``log[-size]`` is the occupant that
+    must leave before an instruction may enter, and a sentinel never
+    binds.
+    """
+    fetch_width = config.fetch_width
+    issue_width = config.issue_width
+    rob_size = config.rob_size
+    retire_width = config.retire_width
+    frontend = config.frontend_depth + config.extra_exec_stage
+    l2_latency = config.l2_latency
+    mem_latency = config.mem_latency
+    redirect_penalty = config.branch_penalty + config.extra_exec_stage
+    prefetch = config.prefetch_accuracy > 0.0
+    prefetch_cut = config.prefetch_accuracy * 1000
+    latency_of = [0] * len(Uop)
+    for kind, latency in (
+        (Uop.INT_ALU, 1), (Uop.BRANCH, 1), (Uop.INT_MUL, 3),
+        (Uop.FP_ADD, 4), (Uop.FP_MUL, 4), (Uop.STORE, 1),
+        (Uop.LOAD, config.l1_latency),
+    ):
+        latency_of[kind] = latency
+    fu_free = [
+        [0] * config.n_int_alu,
+        [0] * config.n_int_mul,
+        [0] * config.n_fp_add,
+        [0] * config.n_fp_mul,
+        [0] * config.n_mem_ports,
+    ]
+    other_units = [range(1, len(units)) for units in fu_free]
+    queue_size = (config.int_queue_size, config.fp_queue_size,
+                  config.mem_queue_size)
+    queue_log = [[_EMPTY_SLOT] * size for size in queue_size]
+    queue_waits = [0, 0, 0]
+    retire_log = [_EMPTY_SLOT] * max(rob_size, retire_width)
+    completion: List[int] = []
+    issued_in_cycle: Dict[int, int] = {}
+    fetch_cycle = _EMPTY_SLOT  # fetch cycles never decrease: one pair
+    fetch_count = 0
+    fetch_ready = 0
+    l1_misses = l2_misses = branch_flushes = 0
+
+    for i, kind, queue, group, d1, d2, icache, miss1, miss2, flush in zip(
+        range(len(kinds)), kinds, *columns
+    ):
+        # ---------------- fetch ----------------
+        t_fetch = fetch_ready
+        if icache:
+            # Instruction fetch stalls for an L2 refill of the I-line.
+            t_fetch += l2_latency
+        if t_fetch != fetch_cycle:
+            fetch_cycle = t_fetch
+            fetch_count = 1
+        elif fetch_count < fetch_width:
+            fetch_count += 1
+        else:
+            t_fetch += 1
+            fetch_cycle = t_fetch
+            fetch_count = 1
+        fetch_ready = t_fetch
+
+        # ---------------- dispatch (rename + queue entry) --------------
+        dispatch = t_fetch + frontend
+        # ROB occupancy: the instruction rob_size places back must retire.
+        blocker = retire_log[-rob_size]
+        if blocker > dispatch:
+            dispatch = blocker
+        # Issue-queue occupancy (FIFO approximation).
+        log = queue_log[queue]
+        blocker = log[-queue_size[queue]]
+        if blocker > dispatch:
+            dispatch = blocker
+            queue_waits[queue] += 1
+
+        # ---------------- issue ----------------
+        ready = dispatch
+        if d1:
+            done = completion[-d1]
+            if done > ready:
+                ready = done
+        if d2:
+            done = completion[-d2]
+            if done > ready:
+                ready = done
+        # First free unit of the group (first minimum), fully pipelined.
+        units = fu_free[group]
+        unit = 0
+        free = units[0]
+        for other in other_units[group]:
+            if units[other] < free:
+                free = units[other]
+                unit = other
+        t_issue = ready if ready > free else free
+        taken = issued_in_cycle.get(t_issue, 0)
+        while taken >= issue_width:
+            t_issue += 1
+            taken = issued_in_cycle.get(t_issue, 0)
+        issued_in_cycle[t_issue] = taken + 1
+        units[unit] = t_issue + 1
+        log.append(t_issue)
+
+        # ---------------- execute / memory ----------------
+        done = t_issue + latency_of[kind]
+        if miss1:
+            l1_misses += 1
+            if (
+                miss2
+                and not suppress
+                and not (prefetch and (i * 2654435761) % 1000 < prefetch_cut)
+            ):
+                l2_misses += 1
+                done += mem_latency
+            else:
+                done += l2_latency
+        completion.append(done)
+
+        # ---------------- retire (in order) ----------------
+        # Retire-width: the retire slot frees when the instruction
+        # retire_width places earlier has retired.
+        t_retire = retire_log[-1]
+        if done > t_retire:
+            t_retire = done
+        slot = retire_log[-retire_width] + 1
+        if slot > t_retire:
+            t_retire = slot
+        retire_log.append(t_retire)
+
+        # ---------------- branch misprediction ----------------
+        if flush:
+            branch_flushes += 1
+            redirect = done + redirect_penalty
+            if redirect > fetch_ready:
+                fetch_ready = redirect
+
+    return (
+        retire_log[-1] + 1, l1_misses, l2_misses, branch_flushes,
+        queue_waits[0], queue_waits[1],
+    )

@@ -28,7 +28,7 @@ import numpy as np
 from .. import obs
 from ..chip.floorplan import Floorplan, default_floorplan
 from .activity import activity_factors, rho_vector
-from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, simulate, simulate_batch
+from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, simulate_batch
 from .trace import generate_trace
 from .workloads import WorkloadProfile
 
@@ -148,44 +148,10 @@ def measure_workload(
         mem_latency_cycles: Override of the L2-miss round trip used to
             derive the overlap factor (defaults to the config's).
     """
-    floorplan = floorplan or _default_floorplan_singleton()
-    key = (
-        _profile_key(profile),
-        config,
-        n_instructions,
-        seed,
-        tuple(floorplan.names),
-    )
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-
-    trace = generate_trace(profile, n_instructions, seed)
-    full = simulate(trace, config)
-    comp = simulate(trace, config, suppress_l2_misses=True)
-
-    mr = trace.l2_misses_per_instruction
-    latency = mem_latency_cycles or config.mem_latency
-    if mr > 0.0:
-        overlap = (full.cpi - comp.cpi) / (mr * latency)
-        overlap = float(np.clip(overlap, 0.05, 1.0))
-    else:
-        overlap = 1.0  # irrelevant: no misses
-
-    measurement = WorkloadMeasurement(
-        name=profile.name,
-        phase=profile.phases[0].name if profile.phases else "",
-        domain=profile.domain,
-        cpi_comp=comp.cpi,
-        cpi_total=full.cpi,
-        l2_miss_rate=mr,
-        overlap_factor=overlap,
-        activity=activity_factors(trace, full, floorplan),
-        rho=rho_vector(trace, floorplan),
-        ipc=full.ipc,
-    )
-    _cache_put(key, measurement)
-    return measurement
+    return measure_suite_batched(
+        [(profile, config)], n_instructions, seed, floorplan,
+        mem_latency_cycles,
+    )[0]
 
 
 def measure_suite_batched(
@@ -197,15 +163,12 @@ def measure_suite_batched(
 ) -> List[WorkloadMeasurement]:
     """Measure many (profile, config) pairs with batched trace walks.
 
-    The serial path regenerates the trace and re-runs :func:`simulate`
-    twice for every request; here each distinct profile generates its
-    trace once and all of its configuration variants (full and
-    L2-suppressed) advance through one
-    :func:`~repro.microarch.pipeline.simulate_batch` walk, with the
-    CPI/overlap extraction applied per lane afterwards.  Returns the
-    measurements in request order, bit-identical to calling
-    :func:`measure_workload` per request (the two share the LRU cache,
-    so mixing the paths is safe).
+    Each distinct profile generates its trace once and all of its
+    configuration variants (full and L2-suppressed) share one
+    :func:`~repro.microarch.pipeline.simulate_batch` call, with the
+    CPI/overlap extraction applied per variant afterwards.  Returns the
+    measurements in request order, bit-identical to measuring each
+    request on its own.
     """
     floorplan = floorplan or _default_floorplan_singleton()
     floorplan_names = tuple(floorplan.names)
@@ -279,9 +242,9 @@ def measure_suite(
 ):
     """Measure a list of profiles; returns them in input order.
 
-    Routed through :func:`measure_suite_batched` so a cold suite costs
-    one trace walk per profile instead of two simulations each; results
-    are bit-identical to the per-profile path.
+    Routed through :func:`measure_suite_batched`, so each profile's
+    trace is generated and decoded once for its full and L2-suppressed
+    walks.
     """
     return measure_suite_batched(
         [(profile, config) for profile in profiles], n_instructions, seed

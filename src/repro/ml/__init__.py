@@ -25,6 +25,7 @@ from .training import (
     DEFAULT_N_RULES,
     TrainingReport,
     train_fuzzy_controller,
+    train_fuzzy_controllers,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "save_bank",
     "train_controller_bank",
     "train_fuzzy_controller",
+    "train_fuzzy_controllers",
 ]

@@ -36,7 +36,7 @@ from ..mitigation.base import (
 )
 from .dataset import TrainingRequest, generate_training_datasets
 from .fuzzy import FuzzyController
-from .training import DEFAULT_N_RULES, train_fuzzy_controller
+from .training import DEFAULT_N_RULES, train_fuzzy_controllers
 
 FCKey = Tuple[int, str]  # (subsystem index, variant)
 
@@ -235,23 +235,27 @@ def train_controller_bank(
     ]
     with obs.span("ml.label_generation", jobs=len(requests)):
         datasets = generate_training_datasets(core, spec, requests)
-    for (index, variant), data in zip(jobs, datasets):
-        freq_x, f_ghz, power_x, vdd_t, vbb_t = data
-        fc, report = train_fuzzy_controller(
-            freq_x, f_ghz, n_rules=n_rules, epochs=epochs, seed=seed + index
-        )
-        bank.freq_fcs[(index, variant)] = fc
-        bank.freq_rmse[(index, variant)] = report.final_rmse
-        if len(spec.vdd_levels) > 1:
-            fc_vdd, _ = train_fuzzy_controller(
-                power_x, vdd_t, n_rules=n_rules, epochs=epochs, seed=seed + index
+    seeds = [seed + index for index, _ in jobs]
+    freq = train_fuzzy_controllers(
+        [(data[0], data[1]) for data in datasets],
+        n_rules=n_rules, epochs=epochs, seeds=seeds,
+    )
+    for job, (fc, report) in zip(jobs, freq):
+        bank.freq_fcs[job] = fc
+        bank.freq_rmse[job] = report.final_rmse
+    # The Power FCs share inputs (demand, alpha) but keep only the
+    # feasible rows, so their datasets differ in length.
+    for table, column, levels in (
+        (bank.vdd_fcs, 3, spec.vdd_levels),
+        (bank.vbb_fcs, 4, spec.vbb_levels),
+    ):
+        if len(levels) > 1:
+            trained = train_fuzzy_controllers(
+                [(data[2], data[column]) for data in datasets],
+                n_rules=n_rules, epochs=epochs, seeds=seeds,
             )
-            bank.vdd_fcs[(index, variant)] = fc_vdd
-        if len(spec.vbb_levels) > 1:
-            fc_vbb, _ = train_fuzzy_controller(
-                power_x, vbb_t, n_rules=n_rules, epochs=epochs, seed=seed + index
-            )
-            bank.vbb_fcs[(index, variant)] = fc_vbb
+            for job, (fc, _) in zip(jobs, trained):
+                table[job] = fc
     return bank
 
 

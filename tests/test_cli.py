@@ -31,6 +31,15 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["area", "--jobs", "0"])
 
+    def test_rejects_bad_training_scale_before_compute(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig10", "--chips", "1", "--fc-examples", "10",
+                  "--no-cache"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "fuzzy_examples must be >= 25" in captured.err
+        assert "=== fig10 ===" not in captured.out
+
 
 class TestCLISettings:
     def test_metrics_out_writes_valid_json(self, tmp_path, capsys):

@@ -254,6 +254,23 @@ def tiny_sweep_result(sweep_cache):
 
 
 class TestRunSweep:
+    def test_bad_training_scale_fails_before_any_group_computes(
+        self, monkeypatch
+    ):
+        from repro.exps.dse import drive
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a runner was built before validation")
+
+        monkeypatch.setattr(drive.ExperimentRunner, "from_settings", no_compute)
+        spec = SweepSpec(
+            axes=(Axis.of("fc_examples", [300, 10]),),
+            base={"chips": 1, "n_instructions": 1500, "environment": "TS",
+                  "mode": "Fuzzy-Dyn"},
+        )
+        with pytest.raises(ValueError, match="fuzzy_examples must be >= 25"):
+            run_sweep(spec, Settings(jobs=1))
+
     def test_rows_in_expansion_order_with_metrics(self, tiny_sweep_result):
         spec, _settings, result = tiny_sweep_result
         assert [row["point"] for row in result.rows] == [

@@ -61,6 +61,18 @@ class TestRunner:
         with pytest.raises(ValueError):
             RunnerConfig(cores_per_chip=5)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("fuzzy_examples", 24, "fuzzy_examples must be >= 25"),
+        ("fuzzy_epochs", 0, "fuzzy_epochs must be >= 1"),
+        ("n_instructions", 0, "n_instructions must be >= 1"),
+    ])
+    def test_scale_validation(self, field, value, message):
+        """A bad training or trace scale fails at construction, not at
+        the first Fuzzy-Dyn unit of a campaign."""
+        with pytest.raises(ValueError, match=message):
+            RunnerConfig(**{field: value})
+        RunnerConfig(**{field: value + 1})
+
     def test_core_cache(self, tiny_runner):
         assert tiny_runner.core(0, 0) is tiny_runner.core(0, 0)
 

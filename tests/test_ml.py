@@ -1,5 +1,7 @@
 """Fuzzy controllers: inference (Eqs 10-12), training (Eq 13), banks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.ml import (
     generate_training_data,
     sample_inputs,
     train_fuzzy_controller,
+    train_fuzzy_controllers,
 )
 from repro.ml.dataset import (
     TrainingRequest,
@@ -15,6 +18,7 @@ from repro.ml.dataset import (
     generate_training_datasets,
     _batch_arrays,
 )
+from tests import golden
 
 
 def _simple_fc():
@@ -246,3 +250,106 @@ class TestBank:
             core, 0, "base", spec.t_heatsink, 0.5, 0.5, 4.8e9
         )
         assert high_vdd >= low_vdd
+
+
+class TestLockstepTraining:
+    """train_fuzzy_controllers == each controller trained alone, bit for bit,
+    and both == the per-controller trainer it replaced (pinned digests)."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        fc_a, report_a = a
+        fc_b, report_b = b
+        for name in ("mu", "sigma", "y", "input_mean", "input_std"):
+            assert np.array_equal(getattr(fc_a, name), getattr(fc_b, name)), name
+        assert report_a == report_b
+
+    def test_lockstep_equals_alone(self):
+        datasets = golden.trainer_datasets()
+        seeds = [case[2] for case in golden.TRAINER_CASES]
+        together = train_fuzzy_controllers(
+            datasets, epochs=golden.TRAINER_EPOCHS, seeds=seeds
+        )
+        alone = golden.train_trainer_cases_alone()
+        assert len(together) == len(alone) == len(datasets)
+        for a, b in zip(together, alone):
+            self._assert_same(a, b)
+        assert [r.n_examples for _, r in together] == [
+            case[1] for case in golden.TRAINER_CASES
+        ]
+
+    def test_order_and_grouping_do_not_matter(self):
+        datasets = golden.trainer_datasets()
+        seeds = [case[2] for case in golden.TRAINER_CASES]
+        forward = train_fuzzy_controllers(datasets, epochs=2, seeds=seeds)
+        backward = train_fuzzy_controllers(
+            datasets[::-1], epochs=2, seeds=seeds[::-1]
+        )
+        for a, b in zip(forward, backward[::-1]):
+            self._assert_same(a, b)
+
+    def test_outlier_fires_no_rule(self):
+        """The outlier case really exercises the skipped-row path."""
+        datasets = golden.trainer_datasets()
+        for case, (inputs, _), (fc, _) in zip(
+            golden.TRAINER_CASES, datasets, golden.train_trainer_cases_alone()
+        ):
+            if case[3] is not None:
+                x_std = fc.standardise(inputs[case[3]])
+                assert fc.rule_strengths(x_std).sum() < 1e-30
+
+    def test_results_are_copies(self):
+        (fc_a, _), (fc_b, _) = train_fuzzy_controllers(
+            golden.trainer_datasets()[:2], epochs=1, seeds=[0, 1]
+        )
+        for fc in (fc_a, fc_b):
+            for name in ("mu", "sigma", "y"):
+                array = getattr(fc, name)
+                assert array.base is None and array.flags.c_contiguous
+
+    def test_trainer_matches_pinned_parent(self):
+        doc = json.loads(golden.BANK_FIXTURE.read_text())
+        alone = golden.train_trainer_cases_alone()
+        rmse = [report.final_rmse for _, report in alone]
+        if doc["platform"] == golden.platform_tag():
+            assert golden.controllers_digest(fc for fc, _ in alone) == (
+                doc["trainer_sha256"]
+            )
+            assert rmse == doc["trainer_rmse"]
+        else:  # another numpy/libm: the last bits of exp/pow may differ
+            assert np.allclose(rmse, doc["trainer_rmse"], rtol=1e-6)
+
+    def test_bank_matches_pinned_parent(self):
+        doc = json.loads(golden.BANK_FIXTURE.read_text())
+        bank = golden.train_pinned_bank()
+        if doc["platform"] == golden.platform_tag():
+            assert golden.bank_digest(bank) == doc["sha256"]
+        summary = golden.bank_summary(bank)
+        assert summary.keys() == doc["summary"].keys()
+        for key, values in doc["summary"].items():
+            assert np.allclose(summary[key], values, rtol=1e-6), key
+
+    def test_validation(self):
+        X = np.zeros((40, 2))
+        with pytest.raises(ValueError, match="epochs"):
+            train_fuzzy_controller(X, X[:, 0], epochs=0)
+        with pytest.raises(ValueError, match="one seed per dataset"):
+            train_fuzzy_controllers([(X, X[:, 0])], seeds=[1, 2])
+        assert train_fuzzy_controllers([], seeds=[]) == []
+        _, report = train_fuzzy_controller(X, X[:, 0], epochs=3)
+        assert report.epochs == 3
+
+    def test_counters_and_span(self):
+        from repro import obs
+        from repro.obs import MetricsRegistry
+
+        with obs.scoped(MetricsRegistry()) as registry:
+            train_fuzzy_controllers(
+                golden.trainer_datasets(), epochs=1,
+                seeds=[case[2] for case in golden.TRAINER_CASES],
+            )
+        doc = registry.to_dict()
+        assert doc["counters"]["ml.fcs_trained"] == len(golden.TRAINER_CASES)
+        histograms = doc["histograms"]
+        assert histograms["ml.train_seconds"]["count"] == len(golden.TRAINER_CASES)
+        assert histograms["span.ml.train_seconds"]["count"] == 2  # 2 widths
