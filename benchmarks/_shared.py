@@ -62,7 +62,7 @@ def shared_ladder():
 
 
 #: Extra machine-readable blocks benchmarks attach to the baseline file
-#: (e.g. the serial-vs-batched comparison of ``bench_phase_opt``).
+#: (e.g. the per-kernel breakdown of ``bench_kernels``).
 _BENCH_SECTIONS: Dict[str, Any] = {}
 
 #: Metric-name prefixes worth keeping in the perf-baseline file.
@@ -101,7 +101,6 @@ def write_phase_baseline(path: "str | None" = None) -> str:
     payload = {
         "version": __version__,
         "scale": {"chips": cfg.chips, "cores": cfg.cores, "jobs": cfg.jobs},
-        "batch_phases": cfg.batch_phases,
         "counters": {
             name: value
             for name, value in document["counters"].items()

@@ -206,7 +206,6 @@ def test_kernel_breakdown(benchmark):
     payload = {
         "grid": list(GRID),
         "impl": kernels.active_impl("thermal_step"),
-        "numba_available": kernels.NUMBA_AVAILABLE,
         "workspace_cached_bytes": kernels.workspace_pool().cached_bytes(),
         "kernels": sections,
         "counters": counters,

@@ -11,7 +11,7 @@ optimisation algorithms can operate fully vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -170,6 +170,30 @@ class Core:
         return pdyn + psta
 
 
+def stackable(cores: Sequence[Core]) -> bool:
+    """Whether the cores share the context that lets them stack into lanes.
+
+    Lanes of one stack share one calibration, delay-parameter and
+    Vt-sensitivity object, one mean Vt and one floorplan; only the
+    per-subsystem arrays differ.  The NoVar core, whose calibration
+    disables the random tail, never stacks with variation cores.
+    """
+    if not cores:
+        return True
+    first = cores[0]
+    return all(
+        core is first
+        or (
+            core.calib is first.calib
+            and core.delay_params is first.delay_params
+            and core.vt_sens is first.vt_sens
+            and core.vt_mean == first.vt_mean
+            and core.floorplan.names == first.floorplan.names
+        )
+        for core in cores[1:]
+    )
+
+
 #: Per-subsystem arrays stacked along the lane axis in :class:`CoreLanes`.
 _LANE_FIELDS = (
     "vt0_timing",
@@ -199,10 +223,7 @@ class CoreLanes:
     ``i`` of any result is bit-identical to calling the same method on
     ``cores[i]`` alone.
 
-    Only cores sharing calibration/physics context may stack (the same
-    rule ``SubsystemArrays.stack`` enforces) — in particular the NoVar
-    core, whose calibration disables the random tail, never stacks with
-    variation cores.
+    Only cores that are :func:`stackable` together may share a stack.
     """
 
     floorplan: Floorplan
@@ -245,21 +266,12 @@ class CoreLanes:
         """Stack cores along the lane axis, enforcing shared context."""
         if not cores:
             raise ValueError("need at least one core to stack")
+        if not stackable(cores):
+            raise ValueError(
+                "cores must share calibration/delay/sensitivity objects, "
+                "vt_mean and floorplan to stack into lanes"
+            )
         first = cores[0]
-        for member in cores[1:]:
-            if (
-                member.calib is not first.calib
-                or member.delay_params is not first.delay_params
-                or member.vt_sens is not first.vt_sens
-            ):
-                raise ValueError(
-                    "cores must share calibration/delay/sensitivity objects "
-                    "to stack into lanes"
-                )
-            if member.vt_mean != first.vt_mean:
-                raise ValueError("cores must share vt_mean to stack")
-            if member.floorplan.names != first.floorplan.names:
-                raise ValueError("cores must share a floorplan to stack")
         kwargs = {
             name: np.stack([getattr(core, name) for core in cores])
             for name in _LANE_FIELDS

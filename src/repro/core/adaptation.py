@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend import get_backend
-from ..chip.chip import Core, CoreLanes
+from ..chip.chip import Core, CoreLanes, stackable
 from ..microarch.simulator import WorkloadMeasurement
 from ..mitigation.base import (
     BASE,
@@ -43,11 +43,10 @@ from .environments import AdaptationMode, Environment
 from .optimizer import (
     OptimizationSpec,
     SubsystemArrays,
-    core_subsystem_arrays,
     freq_algorithm,
     power_algorithm,
 )
-from .retuning import Outcome, RetuningResult, retune, retune_batched
+from .retuning import Outcome, retune_batched
 from .state import (
     Configuration,
     EvaluatedState,
@@ -108,21 +107,25 @@ def _fuzzy_variant(
     return BASE
 
 
-def _subsystem_fmax(
-    core: Core,
+def _lane_fmax(
+    cores: Sequence[Core],
     env: Environment,
     spec: OptimizationSpec,
-    technique: TechniqueState,
-    meas: WorkloadMeasurement,
+    techniques: Sequence[TechniqueState],
+    measurements: Sequence[WorkloadMeasurement],
     mode: AdaptationMode,
     bank: "Optional[ControllerBank]",
 ) -> np.ndarray:
-    """Per-subsystem max frequency under one technique state."""
+    """Per-lane, per-subsystem max frequency under each lane's technique.
+
+    Fuzzy-Dyn asks the bank's Freq FCs one subsystem at a time; every
+    other mode runs one stacked exhaustive ``freq_algorithm`` sweep.
+    """
     if mode is AdaptationMode.FUZZY_DYN:
         if bank is None:
             raise ValueError("Fuzzy-Dyn requires a trained controller bank")
         th = spec.t_heatsink
-        return np.array(
+        return np.array([
             [
                 bank.predict_fmax(
                     core,
@@ -134,255 +137,217 @@ def _subsystem_fmax(
                 )
                 for i in range(core.n_subsystems)
             ]
-        )
-    subs = core_subsystem_arrays(
-        core,
-        meas.activity,
-        meas.rho,
-        technique.stage_modifiers(core),
-        technique.power_factors(core),
-    )
-    return freq_algorithm(subs, spec).f_max
+            for core, technique, meas in zip(cores, techniques, measurements)
+        ])
+    stack = _stacked_phase_arrays(cores, techniques, measurements)
+    return freq_algorithm(stack, spec).f_max
 
 
 def _freq_stage(
-    core: Core,
+    cores: Sequence[Core],
     env: Environment,
     spec: OptimizationSpec,
-    meas: WorkloadMeasurement,
+    measurements: Sequence[WorkloadMeasurement],
     mode: AdaptationMode,
     bank: "Optional[ControllerBank]",
     queue_full: bool,
-) -> "tuple[TechniqueState, float]":
-    """Freq algorithm + the Figure 4 FU-replication decision."""
-    technique = TechniqueState(
-        queue_full=queue_full, lowslope=False, domain=meas.domain
-    )
-    fmax = _subsystem_fmax(core, env, spec, technique, meas, mode, bank)
+) -> "Tuple[List[TechniqueState], List[float]]":
+    """Freq algorithm + the Figure 4 FU-replication decision, per lane."""
+    techniques = [
+        TechniqueState(queue_full=queue_full, lowslope=False, domain=m.domain)
+        for m in measurements
+    ]
+    fmax = _lane_fmax(cores, env, spec, techniques, measurements, mode, bank)
     if env.fu:
-        fu_idx = core.floorplan.index_of(technique.fu_name)
-        lowslope_state = replace(technique, lowslope=True)
-        fmax_ls = _subsystem_fmax(
-            core, env, spec, lowslope_state, meas, mode, bank
+        lowslope = [replace(t, lowslope=True) for t in techniques]
+        fmax_ls = _lane_fmax(
+            cores, env, spec, lowslope, measurements, mode, bank
         )
-        rest = np.delete(fmax, fu_idx)
-        decision = choose_fu_implementation(
-            f_normal=float(fmax[fu_idx]),
-            f_lowslope=float(fmax_ls[fu_idx]),
-            f_rest=float(rest.min()),
+        # Per-lane inputs to the Figure 4 rule, gathered in one shot:
+        # masking the FU column to +inf leaves min() over exactly the
+        # subsystems other than the FU.
+        index_of = cores[0].floorplan.index_of
+        lanes_ix = np.arange(len(techniques))
+        fu_idx = np.array(
+            [index_of(t.fu_name) for t in techniques], dtype=np.intp
         )
-        if decision.use_lowslope:
-            technique = lowslope_state
-            fmax = fmax_ls
-    f_core = spec.knob_ranges.clamp_frequency(float(fmax.min()))
-    return technique, f_core
+        f_fu = fmax[lanes_ix, fu_idx]
+        f_fu_ls = fmax_ls[lanes_ix, fu_idx]
+        rest = fmax.copy()
+        rest[lanes_ix, fu_idx] = np.inf
+        f_rest = rest.min(axis=1)
+        for lane in range(len(techniques)):
+            decision = choose_fu_implementation(
+                f_normal=float(f_fu[lane]),
+                f_lowslope=float(f_fu_ls[lane]),
+                f_rest=float(f_rest[lane]),
+            )
+            if decision.use_lowslope:
+                techniques[lane] = lowslope[lane]
+                fmax[lane] = fmax_ls[lane]
+    f_core = [
+        spec.knob_ranges.clamp_frequency(float(f))
+        for f in fmax.min(axis=1)
+    ]
+    return techniques, f_core
 
 
 def _power_stage(
-    core: Core,
+    cores: Sequence[Core],
     env: Environment,
     spec: OptimizationSpec,
-    technique: TechniqueState,
-    meas: WorkloadMeasurement,
-    f_core: float,
+    techniques: Sequence[TechniqueState],
+    measurements: Sequence[WorkloadMeasurement],
+    freqs: Sequence[float],
     mode: AdaptationMode,
     bank: "Optional[ControllerBank]",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-subsystem (Vdd, Vbb) minimising power at ``f_core``."""
-    n = core.n_subsystems
+) -> "Tuple[List[np.ndarray], List[np.ndarray]]":
+    """Per-lane (Vdd, Vbb) minimising power at each lane's frequency.
+
+    Without ASV or ABB the voltages are nominal; Fuzzy-Dyn asks the
+    bank's Power FCs per subsystem; every other mode runs one stacked
+    exhaustive ``power_algorithm`` sweep.
+    """
     if not env.asv and not env.abb:
         return (
-            np.full(n, core.calib.vdd_nominal),
-            np.zeros(n),
+            [np.full(c.n_subsystems, c.calib.vdd_nominal) for c in cores],
+            [np.zeros(c.n_subsystems) for c in cores],
         )
     if mode is AdaptationMode.FUZZY_DYN:
-        vdd = np.empty(n)
-        vbb = np.empty(n)
-        for i in range(n):
-            vdd[i], vbb[i] = bank.predict_voltages(
-                core,
-                i,
-                _fuzzy_variant(core, i, env, technique),
-                spec.t_heatsink,
-                float(meas.activity[i]),
-                float(meas.rho[i]),
-                f_core,
-            )
+        vdd, vbb = [], []
+        for core, technique, meas, f_core in zip(
+            cores, techniques, measurements, freqs
+        ):
+            pairs = [
+                bank.predict_voltages(
+                    core,
+                    i,
+                    _fuzzy_variant(core, i, env, technique),
+                    spec.t_heatsink,
+                    float(meas.activity[i]),
+                    float(meas.rho[i]),
+                    f_core,
+                )
+                for i in range(core.n_subsystems)
+            ]
+            vdd.append(np.array([v for v, _ in pairs]))
+            vbb.append(np.array([b for _, b in pairs]))
         return vdd, vbb
-    subs = core_subsystem_arrays(
-        core,
-        meas.activity,
-        meas.rho,
-        technique.stage_modifiers(core),
-        technique.power_factors(core),
-    )
-    result = power_algorithm(subs, f_core, spec)
-    return result.vdd, result.vbb
+    stack = _stacked_phase_arrays(cores, techniques, measurements)
+    power = power_algorithm(stack, np.array(freqs), spec)
+    return list(power.vdd), list(power.vbb)
 
 
-def optimize_phase(
-    core: Core,
-    env: Environment,
-    meas_full: WorkloadMeasurement,
-    meas_resized: Optional[WorkloadMeasurement] = None,
-    mode: AdaptationMode = AdaptationMode.EXH_DYN,
-    bank: "Optional[ControllerBank]" = None,
-    *,
-    spec: Optional[OptimizationSpec] = None,
-    retune_enabled: bool = True,
-) -> AdaptationResult:
-    """Run one full adaptation for a phase (Section 4.2 procedure).
-
-    Args:
-        core: The physical core.
-        env: The capability environment (Table 1).
-        meas_full: Phase measurement with the full-size issue queue (and
-            the replication pipeline stage if ``env.fu``).
-        meas_resized: Phase measurement with the 3/4 queue; required when
-            ``env.queue``.
-        mode: Static / Fuzzy-Dyn / Exh-Dyn.  (For Static, pass the
-            aggregated worst-case measurement as ``meas_full``.)
-        bank: Trained fuzzy controllers (Fuzzy-Dyn only).
-        spec: Optional pre-built optimisation spec (else derived from the
-            environment).
-        retune_enabled: Disable to study the raw controller output (the
-            retuning ablation).
-    """
-    if env.queue and meas_resized is None:
-        raise ValueError(f"{env.name} resizes queues: meas_resized required")
-    spec = spec or env.optimization_spec(core.n_subsystems, core.calib)
-
-    technique_full, f_full = _freq_stage(
-        core, env, spec, meas_full, mode, bank, queue_full=True
-    )
-    chosen_technique, chosen_meas, f_core = technique_full, meas_full, f_full
-
-    if env.queue:
-        technique_rs, f_rs = _freq_stage(
-            core, env, spec, meas_resized, mode, bank, queue_full=False
-        )
-        pe_target = core.calib.pe_max if env.checker else 0.0
-        decision = choose_queue_size(
-            f_full,
-            perf_params_from_measurement(meas_full, core),
-            f_rs,
-            perf_params_from_measurement(meas_resized, core),
-            pe_target,
-        )
-        if not decision.use_full:
-            chosen_technique, chosen_meas, f_core = (
-                technique_rs,
-                meas_resized,
-                f_rs,
-            )
-
-    vdd, vbb = _power_stage(
-        core, env, spec, chosen_technique, chosen_meas, f_core, mode, bank
-    )
-    return _finish_phase(
-        core, env, spec, chosen_technique, chosen_meas, f_core, vdd, vbb,
-        mode, bank, retune_enabled,
-    )
-
-
-def _finish_phase(
-    core: Core,
+def _finish(
+    cores: Sequence[Core],
     env: Environment,
     spec: OptimizationSpec,
-    technique: TechniqueState,
-    meas: WorkloadMeasurement,
-    f_core: float,
-    vdd: np.ndarray,
-    vbb: np.ndarray,
     mode: AdaptationMode,
     bank: "Optional[ControllerBank]",
+    techniques: Sequence[TechniqueState],
+    meas: Sequence[WorkloadMeasurement],
+    f: List[float],
+    vdd: List[np.ndarray],
+    vbb: List[np.ndarray],
     retune_enabled: bool,
-) -> AdaptationResult:
-    """Power-budget enforcement + retuning + result assembly (one phase).
+) -> List[AdaptationResult]:
+    """Power-budget enforcement, retuning and result assembly per lane.
 
-    The batched entry point runs the same logic lane-masked across all
-    phases at once (:func:`_finish_phases_batched`); the two produce
-    bit-identical results.
+    Each round of constraint checks across the still-active lanes is one
+    :func:`~repro.core.state.evaluate_configurations` call and each
+    Power-stage re-run one :func:`_power_stage` call; lanes retire from
+    each loop exactly when they would alone.  ``f``, ``vdd`` and ``vbb``
+    are updated in place.
     """
+    knobs = spec.knob_ranges
+    step = knobs.f_step
+    n_lanes = len(cores)
+    shared = all(c is cores[0] for c in cores)
+    lanes_view = None if shared else CoreLanes.stack(list(cores))
+
+    def configuration(i: int) -> Configuration:
+        return Configuration(
+            f_core=f[i], vdd=vdd[i], vbb=vbb[i], technique=techniques[i]
+        )
+
+    def check(lanes: List[int]) -> List[EvaluatedState]:
+        node = (
+            cores[0]
+            if shared
+            else lanes_view.lane_subset(np.asarray(lanes, dtype=int))
+        )
+        return evaluate_configurations(
+            node,
+            [configuration(i) for i in lanes],
+            [meas[i].activity for i in lanes],
+            [meas[i].rho for i in lanes],
+            spec.t_heatsink,
+            checker=env.checker,
+        )
+
     # Section 4.2's final check: overall processor power below PMAX.  The
     # controller models power with the same Eq 6-9 constants it senses, so
     # on a violation it lowers the core frequency and re-runs the Power
     # stage (which relaxes per-subsystem voltages) until the budget fits.
-    step = spec.knob_ranges.f_step
-    while f_core - 2 * step >= spec.knob_ranges.f_min:
-        trial = Configuration(
-            f_core=f_core, vdd=vdd, vbb=vbb, technique=technique
-        )
-        estimate = evaluate_configuration(
-            core,
-            trial,
-            meas.activity,
-            meas.rho,
-            spec.t_heatsink,
-            checker=env.checker,
-        )
-        if estimate.total_power <= core.calib.p_max:
+    active = [i for i in range(n_lanes) if f[i] - 2 * step >= knobs.f_min]
+    while active:
+        over = [
+            i for i, state in zip(active, check(active))
+            if state.total_power > cores[i].calib.p_max
+        ]
+        if not over:
             break
-        f_core -= 2 * step
-        vdd, vbb = _power_stage(
-            core, env, spec, technique, meas, f_core, mode, bank
+        for i in over:
+            f[i] -= 2 * step
+        new_vdd, new_vbb = _power_stage(
+            [cores[i] for i in over], env, spec,
+            [techniques[i] for i in over], [meas[i] for i in over],
+            [f[i] for i in over], mode, bank,
         )
-    config = Configuration(
-        f_core=f_core, vdd=vdd, vbb=vbb, technique=technique
-    )
+        for i, lane_vdd, lane_vbb in zip(over, new_vdd, new_vbb):
+            vdd[i], vbb[i] = lane_vdd, lane_vbb
+        active = [i for i in over if f[i] - 2 * step >= knobs.f_min]
 
-    pe_limit = core.calib.pe_max if env.checker else 1e-12
+    configs = [configuration(i) for i in range(n_lanes)]
     if retune_enabled:
-        result: RetuningResult = retune(
-            core,
-            config,
-            meas.activity,
-            meas.rho,
-            pe_max=pe_limit,
+        # Section 4.3.3 retuning cycles, lane-masked (see retune_batched()).
+        retuned = retune_batched(
+            cores,
+            configs,
+            [m.activity for m in meas],
+            [m.rho for m in meas],
+            pe_max=cores[0].calib.pe_max if env.checker else 1e-12,
             checker=env.checker,
-            knob_ranges=spec.knob_ranges,
+            knob_ranges=knobs,
             t_heatsink=spec.t_heatsink,
         )
-        config, state, outcome = result.config, result.state, result.outcome
+        settled = [(r.config, r.state, r.outcome) for r in retuned]
     else:
-        state = evaluate_configuration(
-            core,
-            config,
-            meas.activity,
-            meas.rho,
-            spec.t_heatsink,
-            checker=env.checker,
+        settled = [
+            (config, state, Outcome.NO_CHANGE)
+            for config, state in zip(configs, check(list(range(n_lanes))))
+        ]
+
+    results = []
+    for i, (config, state, outcome) in enumerate(settled):
+        params = perf_params_from_measurement(meas[i], cores[i])
+        pe_effective = state.pe_total if env.checker else 0.0
+        perf = float(performance(config.f_core, pe_effective, params))
+        if env.checker:
+            perf = float(CheckerConfig().cap_performance(perf))
+        results.append(
+            AdaptationResult(
+                environment=env,
+                mode=mode,
+                config=config,
+                state=state,
+                outcome=outcome,
+                f_controller=f[i],
+                measurement=meas[i],
+                performance_ips=perf,
+            )
         )
-        outcome = Outcome.NO_CHANGE
-
-    params = perf_params_from_measurement(meas, core)
-    pe_effective = state.pe_total if env.checker else 0.0
-    perf = float(performance(config.f_core, pe_effective, params))
-    if env.checker:
-        perf = float(CheckerConfig().cap_performance(perf))
-    return AdaptationResult(
-        environment=env,
-        mode=mode,
-        config=config,
-        state=state,
-        outcome=outcome,
-        f_controller=f_core,
-        measurement=meas,
-        performance_ips=perf,
-    )
-
-
-def _phase_arrays(
-    core: Core, technique: TechniqueState, meas: WorkloadMeasurement
-) -> SubsystemArrays:
-    """The optimiser view of one phase under one technique state."""
-    return core_subsystem_arrays(
-        core,
-        meas.activity,
-        meas.rho,
-        technique.stage_modifiers(core),
-        technique.power_factors(core),
-    )
+    return results
 
 
 #: Core array fields copied straight into a :class:`SubsystemArrays`
@@ -404,8 +369,9 @@ def _stacked_phase_arrays(
 ) -> SubsystemArrays:
     """One ``(B, n)`` optimiser stack built without per-lane assembly.
 
-    Bit-identical to ``SubsystemArrays.stack([_phase_arrays(c, t, m)
-    ...])``: gathering rows through distinct-object tables copies
+    Bit-identical to stacking one
+    :func:`~repro.core.optimizer.core_subsystem_arrays` view per lane:
+    gathering rows through distinct-object tables copies
     exactly the values ``np.stack`` would have copied, and the
     technique scaling below runs the same elementwise operations in the
     same order as :func:`~repro.core.optimizer.core_subsystem_arrays`,
@@ -415,12 +381,6 @@ def _stacked_phase_arrays(
     tables stay tiny while lanes number in the hundreds — this
     construction is what lets the population-tier batch amortise
     instead of paying O(lanes) object assembly.
-
-    Array assembly routes through the active :mod:`repro.backend`
-    namespace (like ``evaluate_configurations``), so a device backend
-    stacks the same tables in device memory; the physics the stack
-    feeds — ``p_static``, the thermal fixed point, the error CDF — is
-    resolved per call through ``backend.kernel(...)``.
     """
     xp = get_backend().xp
     first = cores[0]
@@ -432,19 +392,11 @@ def _stacked_phase_arrays(
     for lane, core in enumerate(cores):
         slot = core_slots.get(id(core))
         if slot is None:
-            if core is not first and not (
-                core.calib is calib
-                and core.delay_params is first.delay_params
-                and core.vt_sens is first.vt_sens
-                and core.vt_mean == first.vt_mean
-                and core.floorplan.names == first.floorplan.names
-            ):
-                raise ValueError(
-                    "stacked batches must share calibration and parameters"
-                )
             slot = core_slots[id(core)] = len(distinct_cores)
             distinct_cores.append(core)
         core_index[lane] = slot
+    if not stackable(distinct_cores):
+        raise ValueError("stacked batches must share calibration and parameters")
 
     def gather(field: str) -> np.ndarray:
         table = xp.stack([getattr(core, field) for core in distinct_cores])
@@ -505,60 +457,90 @@ def _stacked_phase_arrays(
     )
 
 
-def _freq_stage_batched(
-    cores: Sequence[Core],
+def optimize_units_batched(
+    units: Sequence[
+        "Tuple[Core, Sequence[Tuple[WorkloadMeasurement, Optional[WorkloadMeasurement]]]]"
+    ],
     env: Environment,
-    spec: OptimizationSpec,
-    measurements: Sequence[WorkloadMeasurement],
-    queue_full: bool,
-) -> "Tuple[List[TechniqueState], List[float]]":
-    """The Freq stage of :func:`_freq_stage` for a stack of phase lanes.
+    mode: AdaptationMode = AdaptationMode.EXH_DYN,
+    bank: "Optional[ControllerBank]" = None,
+    *,
+    spec: Optional[OptimizationSpec] = None,
+    retune_enabled: bool = True,
+) -> List[List[AdaptationResult]]:
+    """Run the Section 4.2 adaptation for every phase of many units.
 
-    ``cores`` carries one core per lane — all the same object for the
-    phase-matrix case, or a (chip, core) population for the unit-batched
-    case.  One ``freq_algorithm`` call sweeps every lane (two calls when
-    the environment replicates FUs — normal and low-slope stacks); the
-    Figure 4 FU decision is then applied per lane exactly as the serial
-    stage does, so the chosen technique states and clamped core
-    frequencies are bit-identical.
+    The one implementation of the adaptation procedure.  ``units`` is a
+    sequence of ``(core, phases)`` pairs, where ``phases`` lists
+    ``(meas_full, meas_resized)`` measurement pairs (``meas_resized``
+    may be ``None`` when the environment does not resize queues).  All
+    phases of all units are flattened onto one lane axis, and each stage
+    runs once for every lane: Freq over the full queue, Freq over the
+    resized queue, the Figure 4 FU rule and the queue decision per lane,
+    Power at the chosen frequencies, then the PMAX loop and the retuning
+    cycles.  Each lane follows exactly the decision sequence it would
+    follow alone.
+
+    ``mode`` selects the controller: Fuzzy-Dyn asks the trained ``bank``,
+    every other mode sweeps exhaustively (Static is Exh-Dyn on the
+    aggregated measurement).  ``retune_enabled=False`` keeps the raw
+    controller output (the retuning ablation).  A population whose cores
+    cannot share lanes (see :func:`~repro.chip.chip.stackable`, e.g. a
+    NoVar core next to a varied core) runs the same program once per
+    unit.  Returns one result list per unit, in phase order.
     """
-    techniques = [
-        TechniqueState(queue_full=queue_full, lowslope=False, domain=m.domain)
-        for m in measurements
-    ]
-    stack = _stacked_phase_arrays(cores, techniques, measurements)
-    fmax = freq_algorithm(stack, spec).f_max
-    if env.fu:
-        lowslope = [replace(t, lowslope=True) for t in techniques]
-        stack_ls = _stacked_phase_arrays(cores, lowslope, measurements)
-        fmax_ls = freq_algorithm(stack_ls, spec).f_max
-        # Per-lane inputs to the Figure 4 rule, gathered in one shot:
-        # masking the FU column to +inf leaves min() over exactly the
-        # subsystems np.delete() would have kept.
-        index_of = cores[0].floorplan.index_of
-        lanes_ix = np.arange(len(techniques))
-        fu_idx = np.array(
-            [index_of(t.fu_name) for t in techniques], dtype=np.intp
+    units = [(core, list(phases)) for core, phases in units]
+    if not stackable([core for core, _ in units]):
+        return [
+            optimize_units_batched(
+                [unit], env, mode, bank, spec=spec,
+                retune_enabled=retune_enabled,
+            )[0]
+            for unit in units
+        ]
+    cores = [core for core, phases in units for _ in phases]
+    pairs = [pair for _, phases in units for pair in phases]
+    if not pairs:
+        return [[] for _ in units]
+    if env.queue and any(resized is None for _, resized in pairs):
+        raise ValueError(f"{env.name} resizes queues: meas_resized required")
+    spec = spec or env.optimization_spec(cores[0].n_subsystems, cores[0].calib)
+
+    full = [meas for meas, _ in pairs]
+    techniques, f = _freq_stage(
+        cores, env, spec, full, mode, bank, queue_full=True
+    )
+    meas = list(full)
+    if env.queue:
+        resized = [meas_resized for _, meas_resized in pairs]
+        techniques_rs, f_rs = _freq_stage(
+            cores, env, spec, resized, mode, bank, queue_full=False
         )
-        f_fu = fmax[lanes_ix, fu_idx]
-        f_fu_ls = fmax_ls[lanes_ix, fu_idx]
-        rest = fmax.copy()
-        rest[lanes_ix, fu_idx] = np.inf
-        f_rest = rest.min(axis=1)
-        for lane in range(len(techniques)):
-            decision = choose_fu_implementation(
-                f_normal=float(f_fu[lane]),
-                f_lowslope=float(f_fu_ls[lane]),
-                f_rest=float(f_rest[lane]),
+        pe_target = cores[0].calib.pe_max if env.checker else 0.0
+        for lane, core in enumerate(cores):
+            decision = choose_queue_size(
+                f[lane],
+                perf_params_from_measurement(full[lane], core),
+                f_rs[lane],
+                perf_params_from_measurement(resized[lane], core),
+                pe_target,
             )
-            if decision.use_lowslope:
-                techniques[lane] = lowslope[lane]
-                fmax[lane] = fmax_ls[lane]
-    f_core = [
-        spec.knob_ranges.clamp_frequency(float(f))
-        for f in fmax.min(axis=1)
-    ]
-    return techniques, f_core
+            if not decision.use_full:
+                techniques[lane] = techniques_rs[lane]
+                meas[lane] = resized[lane]
+                f[lane] = f_rs[lane]
+
+    vdd, vbb = _power_stage(cores, env, spec, techniques, meas, f, mode, bank)
+    flat = _finish(
+        cores, env, spec, mode, bank, techniques, meas, f, vdd, vbb,
+        retune_enabled,
+    )
+    results: List[List[AdaptationResult]] = []
+    position = 0
+    for _, phases in units:
+        results.append(flat[position:position + len(phases)])
+        position += len(phases)
+    return results
 
 
 def optimize_phases_batched(
@@ -573,400 +555,47 @@ def optimize_phases_batched(
     spec: Optional[OptimizationSpec] = None,
     retune_enabled: bool = True,
 ) -> List[AdaptationResult]:
-    """Adapt many phases of one (core, environment) in batched kernels.
-
-    ``phases`` is a sequence of ``(meas_full, meas_resized)`` pairs as
-    accepted by :func:`optimize_phase` (``meas_resized`` may be ``None``
-    when the environment does not resize queues).  The per-phase
-    ``SubsystemArrays`` are stacked once and each optimiser stage — Freq
-    over the full queue, Freq over the resized queue, Power at the chosen
-    per-lane frequencies — runs as a single vectorised sweep, with
-    results identical bit-for-bit to calling :func:`optimize_phase` per
-    phase.  Modes whose controllers are inherently scalar (Fuzzy-Dyn)
-    fall back to the per-phase loop.
-    """
-    phases = list(phases)
-    spec = spec or env.optimization_spec(core.n_subsystems, core.calib)
-    if mode is not AdaptationMode.EXH_DYN or len(phases) <= 1:
-        return [
-            optimize_phase(
-                core, env, meas_full, meas_resized, mode=mode, bank=bank,
-                spec=spec, retune_enabled=retune_enabled,
-            )
-            for meas_full, meas_resized in phases
-        ]
-    if env.queue and any(resized is None for _, resized in phases):
-        raise ValueError(f"{env.name} resizes queues: meas_resized required")
-
-    lane_cores = [core] * len(phases)
-    full_meas = [meas for meas, _ in phases]
-    techniques_full, f_full = _freq_stage_batched(
-        lane_cores, env, spec, full_meas, queue_full=True
-    )
-    chosen: List[Tuple[TechniqueState, WorkloadMeasurement, float]] = list(
-        zip(techniques_full, full_meas, f_full)
-    )
-    if env.queue:
-        resized_meas = [resized for _, resized in phases]
-        techniques_rs, f_rs = _freq_stage_batched(
-            lane_cores, env, spec, resized_meas, queue_full=False
-        )
-        pe_target = core.calib.pe_max if env.checker else 0.0
-        for lane, (meas_full, meas_resized) in enumerate(phases):
-            decision = choose_queue_size(
-                f_full[lane],
-                perf_params_from_measurement(meas_full, core),
-                f_rs[lane],
-                perf_params_from_measurement(meas_resized, core),
-                pe_target,
-            )
-            if not decision.use_full:
-                chosen[lane] = (techniques_rs[lane], meas_resized, f_rs[lane])
-
-    if env.asv or env.abb:
-        stack = _stacked_phase_arrays(
-            lane_cores,
-            [t for t, _, _ in chosen],
-            [m for _, m, _ in chosen],
-        )
-        f_lanes = np.array([f for _, _, f in chosen])
-        power = power_algorithm(stack, f_lanes, spec)
-        voltages = [(power.vdd[lane], power.vbb[lane])
-                    for lane in range(len(chosen))]
-    else:
-        n = core.n_subsystems
-        voltages = [
-            (np.full(n, core.calib.vdd_nominal), np.zeros(n))
-            for _ in chosen
-        ]
-
-    if retune_enabled:
-        return _finish_phases_batched(
-            lane_cores, env, spec, chosen, voltages, mode, bank
-        )
-    return [
-        _finish_phase(
-            core, env, spec, technique, meas, f_core, vdd, vbb, mode, bank,
-            retune_enabled,
-        )
-        for (technique, meas, f_core), (vdd, vbb) in zip(chosen, voltages)
-    ]
+    """Adapt many phases of one core: the one-unit
+    :func:`optimize_units_batched` call."""
+    return optimize_units_batched(
+        [(core, phases)], env, mode, bank, spec=spec,
+        retune_enabled=retune_enabled,
+    )[0]
 
 
-def _finish_phases_batched(
-    cores: Sequence[Core],
+def optimize_phase(
+    core: Core,
     env: Environment,
-    spec: OptimizationSpec,
-    chosen: "Sequence[Tuple[TechniqueState, WorkloadMeasurement, float]]",
-    voltages: "Sequence[Tuple[np.ndarray, np.ndarray]]",
-    mode: AdaptationMode,
-    bank: "Optional[ControllerBank]",
-) -> List[AdaptationResult]:
-    """Power-budget enforcement + retuning for all lanes, masked-batched.
-
-    ``cores`` carries one core per lane — all the same object for the
-    phase-matrix case, or a (chip, core) population for the unit-batched
-    case.  Mirrors :func:`_finish_phase` lane-for-lane: every constraint
-    check a lane would make serially is made at the same frequency with
-    the same elementwise physics — only grouped, so each round of checks
-    across the still-active lanes is a single
-    :func:`~repro.core.state.evaluate_configurations` call, and each
-    power-stage re-run a single batched Power sweep.  The Section 4.3.3
-    retuning tail delegates to
-    :func:`~repro.core.retuning.retune_batched`, which applies the same
-    lane-masking discipline, which is what makes the results
-    bit-identical.
-    """
-    knobs = spec.knob_ranges
-    step = knobs.f_step
-    n_lanes = len(chosen)
-    cores = list(cores)
-    techniques = [technique for technique, _, _ in chosen]
-    meas = [measurement for _, measurement, _ in chosen]
-    f = [float(f_core) for _, _, f_core in chosen]
-    vdd = [v for v, _ in voltages]
-    vbb = [b for _, b in voltages]
-
-    shared = all(c is cores[0] for c in cores)
-    lanes_view = None if shared else CoreLanes.stack(cores)
-
-    def check(lanes, freqs) -> List[EvaluatedState]:
-        node = (
-            cores[0]
-            if shared
-            else lanes_view.lane_subset(np.asarray(lanes, dtype=int))
-        )
-        return evaluate_configurations(
-            node,
-            [
-                Configuration(
-                    f_core=freq, vdd=vdd[i], vbb=vbb[i],
-                    technique=techniques[i],
-                )
-                for i, freq in zip(lanes, freqs)
-            ],
-            [meas[i].activity for i in lanes],
-            [meas[i].rho for i in lanes],
-            spec.t_heatsink,
-            checker=env.checker,
-        )
-
-    # Section 4.2's PMAX loop: lanes stay active while over budget and
-    # above the frequency floor; each re-run of the Power stage batches
-    # all still-violating lanes into one sweep.
-    active = [i for i in range(n_lanes) if f[i] - 2 * step >= knobs.f_min]
-    while active:
-        states = check(active, [f[i] for i in active])
-        over = [
-            i for i, state in zip(active, states)
-            if state.total_power > cores[i].calib.p_max
-        ]
-        if not over:
-            break
-        for i in over:
-            f[i] -= 2 * step
-        if (env.asv or env.abb) and mode is not AdaptationMode.FUZZY_DYN:
-            stack = _stacked_phase_arrays(
-                [cores[i] for i in over],
-                [techniques[i] for i in over],
-                [meas[i] for i in over],
-            )
-            power = power_algorithm(
-                stack, np.array([f[i] for i in over]), spec
-            )
-            for lane, i in enumerate(over):
-                vdd[i], vbb[i] = power.vdd[lane], power.vbb[lane]
-        else:
-            for i in over:
-                vdd[i], vbb[i] = _power_stage(
-                    cores[i], env, spec, techniques[i], meas[i], f[i], mode,
-                    bank,
-                )
-        active = [i for i in over if f[i] - 2 * step >= knobs.f_min]
-
-    # Section 4.3.3 retuning cycles, lane-masked (see retune_batched()).
-    pe_limit = cores[0].calib.pe_max if env.checker else 1e-12
-    f_entry = list(f)  # the controller frequency each lane retunes from
-    configs = [
-        Configuration(
-            f_core=f[i], vdd=vdd[i], vbb=vbb[i], technique=techniques[i]
-        )
-        for i in range(n_lanes)
-    ]
-    retuned = retune_batched(
-        cores,
-        configs,
-        [m.activity for m in meas],
-        [m.rho for m in meas],
-        pe_max=pe_limit,
-        checker=env.checker,
-        knob_ranges=knobs,
-        t_heatsink=spec.t_heatsink,
-    )
-
-    results = []
-    for i, result in enumerate(retuned):
-        params = perf_params_from_measurement(meas[i], cores[i])
-        pe_effective = result.state.pe_total if env.checker else 0.0
-        perf = float(
-            performance(result.config.f_core, pe_effective, params)
-        )
-        if env.checker:
-            perf = float(CheckerConfig().cap_performance(perf))
-        results.append(
-            AdaptationResult(
-                environment=env,
-                mode=mode,
-                config=result.config,
-                state=result.state,
-                outcome=result.outcome,
-                f_controller=f_entry[i],
-                measurement=meas[i],
-                performance_ips=perf,
-            )
-        )
-    return results
-
-
-def _population_stackable(cores: Sequence[Core]) -> bool:
-    """Whether the cores share enough context to stack into lanes."""
-    first = cores[0]
-    return all(
-        c is first
-        or (
-            c.calib is first.calib
-            and c.delay_params is first.delay_params
-            and c.vt_sens is first.vt_sens
-            and c.vt_mean == first.vt_mean
-            and c.floorplan.names == first.floorplan.names
-        )
-        for c in cores
-    )
-
-
-def optimize_units_batched(
-    units: Sequence[
-        "Tuple[Core, Sequence[Tuple[WorkloadMeasurement, Optional[WorkloadMeasurement]]]]"
-    ],
-    env: Environment,
+    meas_full: WorkloadMeasurement,
+    meas_resized: Optional[WorkloadMeasurement] = None,
     mode: AdaptationMode = AdaptationMode.EXH_DYN,
     bank: "Optional[ControllerBank]" = None,
     *,
     spec: Optional[OptimizationSpec] = None,
     retune_enabled: bool = True,
-) -> List[List[AdaptationResult]]:
-    """Adapt the phases of a whole (chip, core) population in one program.
+) -> AdaptationResult:
+    """Run one full adaptation for a phase: the one-lane
+    :func:`optimize_units_batched` call.
 
-    ``units`` is a sequence of ``(core, phases)`` pairs where ``phases``
-    is the ``(meas_full, meas_resized)`` list :func:`optimize_phases_batched`
-    accepts.  All units' phase lanes are flattened onto one lane axis —
-    their cores stacked into a :class:`~repro.chip.chip.CoreLanes`
-    tensor where the batched kernels need per-lane physics — so the Freq
-    sweep, the Power sweep, the PMAX loop and the retuning cycles each
-    run once for the entire population instead of once per unit.
-
-    Every lane follows exactly the decision sequence
-    :func:`optimize_phase` applies to it alone, so the returned
-    per-unit result lists are bit-identical to calling the serial (or
-    phase-batched) path unit by unit.  Fuzzy-Dyn keeps its inherently
-    scalar controller stages serial per lane but batches the
-    finish/retune tail; Static falls back entirely (it adapts once per
-    unit already).  Populations whose cores cannot stack (mixed
-    calibrations, e.g. a NoVar core) also fall back to the per-unit
-    path.
+    Args:
+        core: The physical core.
+        env: The capability environment (Table 1).
+        meas_full: Phase measurement with the full-size issue queue (and
+            the replication pipeline stage if ``env.fu``).
+        meas_resized: Phase measurement with the 3/4 queue; required when
+            ``env.queue``.
+        mode: Static / Fuzzy-Dyn / Exh-Dyn.  (For Static, pass the
+            aggregated worst-case measurement as ``meas_full``.)
+        bank: Trained fuzzy controllers (Fuzzy-Dyn only).
+        spec: Optional pre-built optimisation spec (else derived from the
+            environment).
+        retune_enabled: Disable to study the raw controller output (the
+            retuning ablation).
     """
-    units = [(core, list(phases)) for core, phases in units]
-    if not units:
-        return []
-
-    def serial() -> List[List[AdaptationResult]]:
-        return [
-            optimize_phases_batched(
-                core, env, phases, mode=mode, bank=bank, spec=spec,
-                retune_enabled=retune_enabled,
-            )
-            for core, phases in units
-        ]
-
-    counts = [len(phases) for _, phases in units]
-    lane_cores = [core for core, phases in units for _ in phases]
-    lane_pairs = [pair for _, phases in units for pair in phases]
-    total = len(lane_pairs)
-    if (
-        total <= 1
-        or mode not in (AdaptationMode.EXH_DYN, AdaptationMode.FUZZY_DYN)
-        or not _population_stackable([core for core, _ in units])
-    ):
-        return serial()
-    if env.queue and any(resized is None for _, resized in lane_pairs):
-        raise ValueError(f"{env.name} resizes queues: meas_resized required")
-
-    first_core = units[0][0]
-    spec = spec or env.optimization_spec(
-        first_core.n_subsystems, first_core.calib
-    )
-
-    if mode is AdaptationMode.EXH_DYN:
-        full_meas = [meas for meas, _ in lane_pairs]
-        techniques_full, f_full = _freq_stage_batched(
-            lane_cores, env, spec, full_meas, queue_full=True
-        )
-        chosen: List[Tuple[TechniqueState, WorkloadMeasurement, float]] = (
-            list(zip(techniques_full, full_meas, f_full))
-        )
-        if env.queue:
-            resized_meas = [resized for _, resized in lane_pairs]
-            techniques_rs, f_rs = _freq_stage_batched(
-                lane_cores, env, spec, resized_meas, queue_full=False
-            )
-            pe_target = first_core.calib.pe_max if env.checker else 0.0
-            for lane, (meas_full, meas_resized) in enumerate(lane_pairs):
-                decision = choose_queue_size(
-                    f_full[lane],
-                    perf_params_from_measurement(meas_full, lane_cores[lane]),
-                    f_rs[lane],
-                    perf_params_from_measurement(
-                        meas_resized, lane_cores[lane]
-                    ),
-                    pe_target,
-                )
-                if not decision.use_full:
-                    chosen[lane] = (
-                        techniques_rs[lane], meas_resized, f_rs[lane]
-                    )
-
-        if env.asv or env.abb:
-            stack = _stacked_phase_arrays(
-                lane_cores,
-                [t for t, _, _ in chosen],
-                [m for _, m, _ in chosen],
-            )
-            f_lanes = np.array([f for _, _, f in chosen])
-            power = power_algorithm(stack, f_lanes, spec)
-            voltages = [
-                (power.vdd[lane], power.vbb[lane])
-                for lane in range(len(chosen))
-            ]
-        else:
-            voltages = [
-                (
-                    np.full(c.n_subsystems, c.calib.vdd_nominal),
-                    np.zeros(c.n_subsystems),
-                )
-                for c in lane_cores
-            ]
-    else:  # FUZZY_DYN: scalar controller stages, batched finish tail.
-        chosen = []
-        voltages = []
-        for core, (meas_full, meas_resized) in zip(lane_cores, lane_pairs):
-            technique_full, f_lane = _freq_stage(
-                core, env, spec, meas_full, mode, bank, queue_full=True
-            )
-            technique, lane_meas = technique_full, meas_full
-            if env.queue:
-                technique_rs, f_rs_lane = _freq_stage(
-                    core, env, spec, meas_resized, mode, bank,
-                    queue_full=False,
-                )
-                pe_target = core.calib.pe_max if env.checker else 0.0
-                decision = choose_queue_size(
-                    f_lane,
-                    perf_params_from_measurement(meas_full, core),
-                    f_rs_lane,
-                    perf_params_from_measurement(meas_resized, core),
-                    pe_target,
-                )
-                if not decision.use_full:
-                    technique, lane_meas, f_lane = (
-                        technique_rs, meas_resized, f_rs_lane
-                    )
-            voltages.append(
-                _power_stage(
-                    core, env, spec, technique, lane_meas, f_lane, mode, bank
-                )
-            )
-            chosen.append((technique, lane_meas, f_lane))
-
-    if retune_enabled:
-        flat = _finish_phases_batched(
-            lane_cores, env, spec, chosen, voltages, mode, bank
-        )
-    else:
-        flat = [
-            _finish_phase(
-                lane_cores[lane], env, spec, technique, lane_meas, f_lane,
-                vdd, vbb, mode, bank, retune_enabled,
-            )
-            for lane, ((technique, lane_meas, f_lane), (vdd, vbb)) in
-            enumerate(zip(chosen, voltages))
-        ]
-
-    results: List[List[AdaptationResult]] = []
-    position = 0
-    for count in counts:
-        results.append(flat[position:position + count])
-        position += count
-    return results
+    return optimize_phases_batched(
+        core, env, [(meas_full, meas_resized)], mode, bank, spec=spec,
+        retune_enabled=retune_enabled,
+    )[0]
 
 
 def aggregate_static_measurement(

@@ -174,11 +174,9 @@ def evaluate_configurations(
 
     ``core`` may be a single :class:`Core` (all lanes share its physics)
     or a :class:`~repro.chip.chip.CoreLanes` population whose lane axis
-    matches ``configs`` — the population-tier batched paths use the
-    latter to settle every (chip, core) unit of a block in one pass.
-    Array assembly routes through the active
-    :mod:`repro.backend` namespace so a cupy/jax backend batches the
-    same program on device memory.
+    matches ``configs`` — the adaptation pipeline uses the latter to
+    settle every (chip, core) unit of a block in one pass.  Array
+    assembly routes through the active :mod:`repro.backend` namespace.
     """
     xp = get_backend().xp
     calib = core.calib

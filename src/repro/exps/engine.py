@@ -121,14 +121,14 @@ def run_units_guarded(
 ):
     """Run a same-cell block of units, failures precisely attributed.
 
-    The block goes through the population-batched path
-    (:meth:`~repro.exps.runner.ExperimentRunner.run_units_batched`);
-    any failure degrades to the per-unit serial loop — bit-identical by
+    The block runs as one program
+    (:meth:`~repro.exps.runner.ExperimentRunner.run_units_batched`); a
+    failure is retried one unit at a time — the same rows by
     construction — so the :class:`UnitExecutionError` finally raised
     names the exact (chip, core) unit that is broken, not the block.
     """
     units = list(units)
-    if runner.batch_units and units:
+    if units:
         try:
             return runner.run_units_batched(
                 env, mode, units, workloads, bank=bank
@@ -136,7 +136,7 @@ def run_units_guarded(
         except Exception:
             log.warning(
                 "batched unit block (env=%s, mode=%s, %d units) failed; "
-                "retrying serially",
+                "retrying per unit",
                 env.name, mode.value, len(units), exc_info=True,
             )
     return [
@@ -279,7 +279,7 @@ _WORKER_SHM = None
 
 def _init_worker(
     config, calib, core_config, workloads, cache_root, bank_cache_root,
-    obs_enabled, batch_phases=True, batch_units=True, shm_handle=None,
+    obs_enabled, shm_handle=None,
 ) -> None:
     """Build this worker's private runner (population, cores, caches).
 
@@ -330,32 +330,15 @@ def _init_worker(
         workloads=workloads,
         core_config=core_config,
         cache=cache,
-        batch_phases=batch_phases,
-        batch_units=batch_units,
         population=population,
     )
-
-
-def _run_unit(env, mode, chip_index, core_index):
-    """Run one (environment, mode, chip, core) unit.
-
-    Returns the :class:`PhaseResult` record dicts plus this worker's
-    metric *delta* since the previous unit — the parent merges the deltas
-    into the campaign registry, giving fleet-wide totals.
-    """
-    bank = None
-    if mode is AdaptationMode.FUZZY_DYN and _WORKER_BANK_CACHE is not None:
-        bank = _WORKER_RUNNER.bank_for(env, cache=_WORKER_BANK_CACHE)
-    rows = _WORKER_RUNNER.run_unit(env, mode, chip_index, core_index, bank=bank)
-    return [row.to_dict() for row in rows], obs.metrics_registry().drain()
 
 
 def _run_unit_block(env, mode, units):
     """Run one contiguous block of same-cell units in a pool worker.
 
-    The block rides the population-batched path; a batched failure
-    degrades to the bit-identical per-unit loop inside the worker (plain
-    exceptions only — :class:`UnitExecutionError` never crosses the
+    A failure of the whole block is retried one unit at a time inside
+    the worker, for error attribution (plain exceptions only — :class:`UnitExecutionError` never crosses the
     process boundary, the parent re-wraps).  Returns each unit's record
     dicts, in unit order, plus the worker's metric delta.
     """
@@ -368,7 +351,7 @@ def _run_unit_block(env, mode, units):
     except Exception:
         log.warning(
             "batched unit block (env=%s, mode=%s, %d units) failed in "
-            "worker; retrying serially",
+            "worker; retrying per unit",
             env.name, mode.value, len(units), exc_info=True,
         )
         unit_rows = [
@@ -474,8 +457,7 @@ def execute(runner, spec: RunSpec) -> RunResult:
                 per_cell: Dict[Tuple[str, str], List[PhaseResult]] = {}
                 for env, mode, _ in pending:
                     # One block per cell: all of its (chip, core) units
-                    # advance through one population-batched program
-                    # (per-unit loop when ``runner.batch_units`` is off).
+                    # advance through one population-batched program.
                     cell_units = [
                         (chip_index, core_index)
                         for chip_index in range(runner.config.n_chips)
@@ -521,8 +503,8 @@ class SupervisedExecutor:
 
     Owns a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
     are initialised from a runner's light specs (:func:`_init_worker`),
-    submits ``_run_unit`` shards, and reassembles results in submission
-    order.  A worker exception is re-raised as
+    submits ``_run_unit_block`` shards, and reassembles results in
+    submission order.  A worker exception is re-raised as
     :class:`UnitExecutionError` carrying the failing unit's identity
     instead of a bare pool traceback; worker metric deltas are merged
     into the campaign registry so ``--jobs N`` totals stay fleet-wide.
@@ -548,8 +530,6 @@ class SupervisedExecutor:
                 str(cache.root) if cache is not None else None,
                 str(transport.root),
                 obs.enabled(),
-                runner.batch_phases,
-                runner.batch_units,
                 shm_handle,
             ),
         )
@@ -563,33 +543,6 @@ class SupervisedExecutor:
     def shutdown(self) -> None:
         self._pool.shutdown()
 
-    def run_units(
-        self,
-        units: Sequence[Tuple[Environment, AdaptationMode, int, int]],
-        campaign: obs.MetricsRegistry,
-    ) -> List[List["PhaseResult"]]:
-        """Execute units concurrently; return each unit's rows, in order."""
-        from .runner import PhaseResult
-
-        futures = {
-            self._pool.submit(_run_unit, *unit): index
-            for index, unit in enumerate(units)
-        }
-        unit_rows: List[Optional[List[PhaseResult]]] = [None] * len(units)
-        for future, index in futures.items():
-            env, mode, chip_index, core_index = units[index]
-            try:
-                records, metrics_delta = future.result()
-            except Exception as exc:
-                raise UnitExecutionError(
-                    env.name, mode.value, chip_index, core_index, cause=exc
-                ) from exc
-            unit_rows[index] = [
-                PhaseResult.from_dict(record) for record in records
-            ]
-            campaign.merge_dict(metrics_delta)
-        return unit_rows
-
     def run_unit_blocks(
         self,
         blocks: Sequence[
@@ -601,7 +554,7 @@ class SupervisedExecutor:
 
         A failing block is reported as a :class:`UnitExecutionError`
         naming the block's first unit (the worker already logged — and
-        serially retried — the precise unit before giving up).
+        retried per unit — the precise unit before giving up).
         """
         from .runner import PhaseResult
 
@@ -664,9 +617,8 @@ def _execute_parallel(
         # Honour the requested parallelism (the caller knows the machine);
         # never spin up more workers than there are units to run.
         max_workers = min(spec.parallelism, len(units))
-        # Each cell's unit list is cut into contiguous blocks — one per
-        # worker when population batching is on, one per unit when it is
-        # off — so every worker amortises its share of the population
+        # Each cell's unit list is cut into contiguous blocks, one per
+        # worker, so every worker amortises its share of the population
         # into one batched program.  Blocks are generated (and their
         # results concatenated) in cell-then-unit order, which is what
         # keeps parallel results bit-identical to the serial loop.
@@ -679,11 +631,7 @@ def _execute_parallel(
                 for chip_index in range(runner.config.n_chips)
                 for core_index in range(runner.config.cores_per_chip)
             ]
-            if runner.batch_units:
-                chunks = _chunk_units(cell_units, max_workers)
-            else:
-                chunks = [[unit] for unit in cell_units]
-            for chunk in chunks:
+            for chunk in _chunk_units(cell_units, max_workers):
                 blocks.append((env, mode, chunk))
         log.debug(
             "sharding %d units (%d blocks) across %d workers",

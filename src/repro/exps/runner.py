@@ -38,10 +38,11 @@ from ..core.adaptation import (
     AdaptationResult,
     aggregate_static_measurement,
     evaluate_at_fixed_config,
-    optimize_phase,
-    optimize_phases_batched,
     optimize_units_batched,
 )
+# Not called here: imported so the perfbench tracer can bind its
+# ``core.optimize`` group to these names in this module.
+from ..core.adaptation import optimize_phase, optimize_phases_batched  # noqa: F401
 from ..core.environments import (
     NOVAR,
     AdaptationMode,
@@ -75,9 +76,8 @@ class RunnerConfig:
     Every field here is *physics-relevant* and therefore hashed into the
     content-addressed cache keys (:func:`repro.exps.cache.summary_key`):
     changing any of them can change results, so it must change the key.
-    Pure execution strategy (``batch_phases``, parallelism, transport)
-    lives on :class:`ExperimentRunner` / :class:`~repro.exps.engine.
-    RunSpec` instead.
+    Pure execution strategy (parallelism, transport) lives on
+    :class:`~repro.exps.engine.RunSpec` instead.
     """
 
     n_chips: int = 20
@@ -229,8 +229,6 @@ class ExperimentRunner:
         core_config: CoreConfig = DEFAULT_CORE_CONFIG,
         *,
         cache: Optional[ExperimentCache] = None,
-        batch_phases: bool = True,
-        batch_units: bool = True,
         population: Optional[Sequence[ChipSample]] = None,
     ):
         self.config = config
@@ -238,15 +236,6 @@ class ExperimentRunner:
         self.workloads = list(workloads) if workloads is not None else spec2000_like_suite()
         self.core_config = core_config
         self.cache = cache
-        # Execution strategy, not physics: routing Exh-Dyn phase loops
-        # through the batched optimizer kernels is bit-identical to the
-        # per-phase loop, so it deliberately lives outside RunnerConfig
-        # (whose fields are hashed into summary cache keys).
-        self.batch_phases = bool(batch_phases)
-        # Same contract, one tier up: whole (chip, core) unit blocks run
-        # as one tensor program (``run_units_batched``), bit-identical to
-        # the per-unit loop.
-        self.batch_units = bool(batch_units)
         if cache is not None:
             # Give the process-wide factor memo durable storage, so a
             # cold process (or pool worker) loads the Cholesky factor
@@ -286,7 +275,7 @@ class ExperimentRunner:
 
         The one sanctioned ``Settings`` → runner mapping (scale knobs via
         :meth:`RunnerConfig.from_settings`, ``cache`` via
-        :meth:`~repro.config.Settings.build_cache`, ``batch_phases``),
+        :meth:`~repro.config.Settings.build_cache`),
         shared by the exps CLI, the service daemon, the DSE sweep driver
         and the benchmark harness.  ``overrides`` are passed through to
         the constructor (``config=``, ``calib=``, ``workloads=``, ...).
@@ -294,8 +283,6 @@ class ExperimentRunner:
         fields = dict(
             config=RunnerConfig.from_settings(settings),
             cache=settings.build_cache(),
-            batch_phases=settings.batch_phases,
-            batch_units=settings.batch_units,
         )
         fields.update(overrides)
         return cls(**fields)
@@ -500,101 +487,12 @@ class ExperimentRunner:
         core_index: int,
         workloads: Optional[Sequence[WorkloadProfile]] = None,
         bank: Optional[ControllerBank] = None,
-        *,
-        batch_phases: Optional[bool] = None,
     ) -> List[PhaseResult]:
-        """Run one (environment, mode, chip, core) unit of work.
-
-        This is the engine's shard: both the serial loop and the pool
-        workers call exactly this function, which is what makes parallel
-        runs bit-identical to serial ones.  Exh-Dyn units route every
-        phase of the suite through one stack of batched optimizer kernels
-        (:func:`~repro.core.adaptation.optimize_phases_batched`) unless
-        ``batch_phases`` (default: the runner's setting) disables it; the
-        two paths produce bit-identical :class:`PhaseResult` rows.
-        """
-        workloads = list(workloads) if workloads is not None else self.workloads
-        use_batch = (
-            self.batch_phases if batch_phases is None else bool(batch_phases)
-        )
-        with obs.span("engine.unit", env=env.name, mode=mode.value,
-                      chip=chip_index, core=core_index):
-            core = self.core(chip_index, core_index)
-            if mode is AdaptationMode.FUZZY_DYN and bank is None:
-                bank = self.bank_for(env)
-            static_config = (
-                self._static_configuration(core, env, workloads)
-                if mode is AdaptationMode.STATIC
-                else None
-            )
-            if mode is AdaptationMode.EXH_DYN and use_batch:
-                return self._run_unit_batched(core, env, mode, workloads, bank)
-            results: List[PhaseResult] = []
-            for workload in workloads:
-                for profile, weight in self.phase_profiles(workload):
-                    with obs.span("runner.phase", workload=workload.name,
-                                  env=env.name):
-                        meas_full, meas_resized = self.measurements(
-                            profile, env
-                        )
-                        if mode is AdaptationMode.STATIC:
-                            result = evaluate_at_fixed_config(
-                                core, env, static_config, meas_full
-                            )
-                        else:
-                            result = optimize_phase(
-                                core,
-                                env,
-                                meas_full,
-                                meas_resized,
-                                mode=mode,
-                                bank=bank,
-                            )
-                    results.append(
-                        self._to_phase_result(
-                            core, env, mode, workload, profile, weight, result
-                        )
-                    )
-        return results
-
-    def _run_unit_batched(
-        self,
-        core: Core,
-        env: Environment,
-        mode: AdaptationMode,
-        workloads: Sequence[WorkloadProfile],
-        bank: Optional[ControllerBank],
-    ) -> List[PhaseResult]:
-        """One unit's whole phase matrix through the batched kernels.
-
-        Measurements are gathered in exactly the serial iteration order
-        (preserving the memoisation/caching behaviour), then every phase
-        is adapted by one :func:`optimize_phases_batched` call.
-        """
-        entries = []
-        for workload in workloads:
-            for profile, weight in self.phase_profiles(workload):
-                meas_full, meas_resized = self.measurements(profile, env)
-                entries.append(
-                    (workload, profile, weight, meas_full, meas_resized)
-                )
-        with obs.span("runner.phases_batched", env=env.name,
-                      lanes=len(entries)):
-            adapted = optimize_phases_batched(
-                core,
-                env,
-                [(full, resized) for _, _, _, full, resized in entries],
-                mode=mode,
-                bank=bank,
-            )
-        return [
-            self._to_phase_result(
-                core, env, mode, workload, profile, weight, result
-            )
-            for (workload, profile, weight, _, _), result in zip(
-                entries, adapted
-            )
-        ]
+        """Run one (environment, mode, chip, core) unit of work: the
+        one-unit :meth:`run_units_batched` call."""
+        return self.run_units_batched(
+            env, mode, [(chip_index, core_index)], workloads, bank=bank
+        )[0]
 
     def run_units_batched(
         self,
@@ -603,48 +501,25 @@ class ExperimentRunner:
         units: Sequence[Tuple[int, int]],
         workloads: Optional[Sequence[WorkloadProfile]] = None,
         bank: Optional[ControllerBank] = None,
-        *,
-        batch_units: Optional[bool] = None,
     ) -> List[List[PhaseResult]]:
         """Run a block of same-cell ``(chip, core)`` units as one program.
 
-        The population tier of the lane-axis idiom: every unit of the
-        block contributes its phase lanes to a single stack, and one
-        :func:`~repro.core.adaptation.optimize_units_batched` call
-        adapts all of them — the retuning rounds, thermal solves and
-        error-rate evaluations of the whole population amortise into a
-        handful of array ops.  Per-unit rows come back in unit order and
-        are bit-identical to calling :meth:`run_unit` per unit.
-
-        ``batch_units`` (default: the runner's setting, i.e. the
-        ``--serial-units`` / ``EVAL_REPRO_SERIAL_UNITS`` opt-out) routes
-        through the per-unit loop instead; so does Static mode, which
-        has nothing to batch.  Single-unit blocks stay on the batched
-        path on purpose: the metric structure a run emits must depend
-        on the strategy knob, never on how the engine happened to chunk
-        units across workers (``tests/test_obs.py`` pins serial ==
-        parallel structure).
+        This is the engine's shard: the serial loop, the pool workers and
+        the campaign service all call it (directly or through
+        :meth:`run_unit`).  Every unit of the block contributes its phase
+        lanes to one :func:`~repro.core.adaptation.optimize_units_batched`
+        call, so the retuning rounds, thermal solves and error-rate
+        evaluations of the whole population amortise into a handful of
+        array ops.  Static adapts once per unit, on the aggregated
+        measurement, and evaluates every phase at that configuration.
+        Per-unit rows come back in unit order.
         """
         units = [(int(chip), int(core)) for chip, core in units]
         workloads = list(workloads) if workloads is not None else self.workloads
-        use_batch = (
-            self.batch_units if batch_units is None else bool(batch_units)
-        )
-        if (
-            not use_batch
-            or not units
-            or mode not in (AdaptationMode.EXH_DYN, AdaptationMode.FUZZY_DYN)
-        ):
-            return [
-                self.run_unit(env, mode, chip, core, workloads, bank=bank)
-                for chip, core in units
-            ]
         with obs.span("engine.units_batched", env=env.name, mode=mode.value,
                       units=len(units)):
             obs.inc("engine.batched_units", float(len(units)))
             cores = [self.core(chip, core) for chip, core in units]
-            if mode is AdaptationMode.FUZZY_DYN and bank is None:
-                bank = self.bank_for(env)
             entries = []
             for workload in workloads:
                 for profile, weight in self.phase_profiles(workload):
@@ -652,10 +527,23 @@ class ExperimentRunner:
                     entries.append(
                         (workload, profile, weight, meas_full, meas_resized)
                     )
-            pairs = [(full, resized) for _, _, _, full, resized in entries]
-            adapted = optimize_units_batched(
-                [(core, pairs) for core in cores], env, mode=mode, bank=bank
-            )
+            if mode is AdaptationMode.STATIC:
+                configs = self._static_configurations(cores, env, workloads)
+                adapted = [
+                    [
+                        evaluate_at_fixed_config(core, env, config, full)
+                        for _, _, _, full, _ in entries
+                    ]
+                    for core, config in zip(cores, configs)
+                ]
+            else:
+                if mode is AdaptationMode.FUZZY_DYN and bank is None:
+                    bank = self.bank_for(env)
+                pairs = [(full, resized) for _, _, _, full, resized in entries]
+                adapted = optimize_units_batched(
+                    [(core, pairs) for core in cores], env, mode=mode,
+                    bank=bank,
+                )
         return [
             [
                 self._to_phase_result(
@@ -700,13 +588,17 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
-    def _static_configuration(
+    def _static_configurations(
         self,
-        core: Core,
+        cores: Sequence[Core],
         env: Environment,
         workloads: Sequence[WorkloadProfile],
-    ) -> Configuration:
-        """One conservative per-chip configuration (the Static bars)."""
+    ) -> List[Configuration]:
+        """One conservative configuration per core (the Static bars).
+
+        Each core adapts once, Exh-Dyn, to the worst-case aggregate of
+        the suite's phase measurements.
+        """
         with obs.span("runner.static_config", env=env.name):
             measurements = []
             for workload in workloads:
@@ -714,14 +606,13 @@ class ExperimentRunner:
                     meas_full, _ = self.measurements(profile, env)
                     measurements.append(meas_full)
             worst = aggregate_static_measurement(measurements)
-            result = optimize_phase(
-                core,
+            phases = [(worst, worst if env.queue else None)]
+            adapted = optimize_units_batched(
+                [(core, phases) for core in cores],
                 env,
-                worst,
-                worst if env.queue else None,
                 mode=AdaptationMode.EXH_DYN,
             )
-            return result.config
+            return [unit[0].config for unit in adapted]
 
     def _to_phase_result(
         self,
@@ -762,6 +653,3 @@ def summarise(results: List[PhaseResult]) -> SuiteSummary:
         results=results,
     )
 
-
-#: Backwards-compatible alias (pre-engine name).
-_summarise = summarise

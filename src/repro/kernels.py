@@ -29,19 +29,12 @@ Every kernel ships multiple *implementations*:
     written through ``out=`` parameters into buffers borrowed from a
     per-thread :class:`WorkspacePool`, so the only steady-state
     allocations are the results themselves.
-``numba``
-    ``@njit(cache=True, fastmath=False)`` loops for the arithmetic
-    stages, registered only when numba imports.  Transcendentals
-    (``exp``, ``ndtr``) are deliberately evaluated *outside* the jitted
-    code with the same numpy/scipy ufuncs the other implementations
-    use, so bit-identity holds by construction rather than by hoping
-    two libm builds agree.
 
 The bit-identity contract: every implementation performs the same IEEE
 double operations in the same association order as the seed leaf
 functions, so results are *bitwise* equal, not merely close.  Selection
-is ``EVAL_REPRO_KERNELS`` ∈ {``auto`` (default: numba if importable,
-else numpy), ``reference``, ``numpy``, ``numba``}; :func:`use_impl`
+is ``EVAL_REPRO_KERNELS`` ∈ {``auto`` (default: numpy), ``reference``,
+``numpy``}; :func:`use_impl`
 forces one for a scope (tests and benchmarks), and
 :func:`repro.backend.reset_backend` re-reads the environment.
 
@@ -68,14 +61,6 @@ from .circuits.knobs import VtSensitivities, threshold_voltage
 from .circuits.leakage import IDEALITY_FACTOR, static_power
 from .numerics import norm_sf
 from .units import Q_OVER_K
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the container default
-    njit = None
-    NUMBA_AVAILABLE = False
 
 _ENV_VAR = "EVAL_REPRO_KERNELS"
 
@@ -350,146 +335,6 @@ def _numpy_timing_error_cdf(freq, mean, sigma, rho):
 
 
 # ----------------------------------------------------------------------
-# Numba implementations (registered only when numba imports).  The
-# jitted stages fuse the pure-arithmetic chains into single loops; the
-# transcendental evaluations stay on the exact numpy/scipy ufuncs the
-# other implementations use, so every element sees the same sequence of
-# correctly-rounded IEEE operations and results stay bitwise identical.
-# ----------------------------------------------------------------------
-if NUMBA_AVAILABLE:  # pragma: no cover - needs numba (CI parity leg)
-
-    @njit(cache=True, fastmath=False)
-    def _nb_vt(vt0, temp, vdd, vbb, k1, k2, k3, t_ref, vdd_ref):
-        return vt0 + k1 * (temp - t_ref) + k2 * (vdd - vdd_ref) + k3 * vbb
-
-    @njit(cache=True, fastmath=False)
-    def _nb_exp_arg(vt, temp, neg_q_over_k, ideality):
-        return neg_q_over_k * vt / (ideality * temp)
-
-    @njit(cache=True, fastmath=False)
-    def _nb_prefactor(ksta, vdd, temp):
-        return ksta * vdd * (temp * temp)
-
-    @njit(cache=True, fastmath=False)
-    def _nb_neg_z(freq, mean, sigma):
-        return -((1.0 / freq - mean) / sigma)
-
-    def _numba_vt_and_static_power(
-        vt0,
-        vdd,
-        vbb,
-        temp,
-        ksta,
-        sens: VtSensitivities,
-        ideality: float = IDEALITY_FACTOR,
-        power_factor=None,
-    ):
-        vt0 = np.asarray(vt0, dtype=float)
-        vdd = np.asarray(vdd, dtype=float)
-        vbb = np.asarray(vbb, dtype=float)
-        temp = np.asarray(temp, dtype=float)
-        ksta = np.asarray(ksta, dtype=float)
-        vt = _nb_vt(
-            vt0, temp, vdd, vbb,
-            sens.k1, sens.k2, sens.k3, sens.t_ref, sens.vdd_ref,
-        )
-        exp_term = _nb_exp_arg(vt, temp, -Q_OVER_K, ideality)
-        np.exp(exp_term, out=exp_term)
-        prefactor = _nb_prefactor(ksta, vdd, temp)
-        shapes = [exp_term.shape, prefactor.shape]
-        if power_factor is not None:
-            power_factor = np.asarray(power_factor, dtype=float)
-            shapes.append(power_factor.shape)
-        shape = np.broadcast_shapes(*shapes)
-        p_sta = np.empty(shape)
-        np.multiply(
-            np.broadcast_to(prefactor, shape),
-            np.broadcast_to(exp_term, shape),
-            out=p_sta,
-        )
-        if power_factor is not None:
-            np.multiply(p_sta, np.broadcast_to(power_factor, shape), out=p_sta)
-        return vt, p_sta
-
-    def _numba_thermal_step(
-        vt0_leak,
-        vdd,
-        vbb,
-        temp,
-        ksta,
-        rth,
-        p_dyn,
-        t_heatsink,
-        sens: VtSensitivities,
-        ideality: float = IDEALITY_FACTOR,
-        power_factor=None,
-        t_runaway: float = _T_RUNAWAY_DEFAULT,
-        compute_delta: bool = False,
-        out: Optional[np.ndarray] = None,
-    ):
-        vt0_leak = np.asarray(vt0_leak, dtype=float)
-        vdd = np.asarray(vdd, dtype=float)
-        vbb = np.asarray(vbb, dtype=float)
-        temp = np.asarray(temp, dtype=float)
-        ksta = np.asarray(ksta, dtype=float)
-        rth = np.asarray(rth, dtype=float)
-        p_dyn = np.asarray(p_dyn, dtype=float)
-        vt = _nb_vt(
-            vt0_leak, temp, vdd, vbb,
-            sens.k1, sens.k2, sens.k3, sens.t_ref, sens.vdd_ref,
-        )
-        exp_term = _nb_exp_arg(vt, temp, -Q_OVER_K, ideality)
-        np.exp(exp_term, out=exp_term)
-        prefactor = _nb_prefactor(ksta, vdd, temp)
-        shapes = [exp_term.shape, prefactor.shape, rth.shape, p_dyn.shape]
-        if power_factor is not None:
-            power_factor = np.asarray(power_factor, dtype=float)
-            shapes.append(power_factor.shape)
-        shape = np.broadcast_shapes(*shapes)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape:
-            raise ValueError(
-                f"thermal_step out buffer has shape {out.shape}, "
-                f"expected {shape}"
-            )
-        delta = None
-        with _POOL.borrow(shape, 2) as (p, ws):
-            np.multiply(
-                np.broadcast_to(prefactor, shape),
-                np.broadcast_to(exp_term, shape),
-                out=p,
-            )
-            if power_factor is not None:
-                np.multiply(p, np.broadcast_to(power_factor, shape), out=p)
-            np.add(np.broadcast_to(p_dyn, shape), p, out=p)
-            np.multiply(np.broadcast_to(rth, shape), p, out=p)
-            np.add(p, t_heatsink, out=p)
-            np.minimum(p, t_runaway, out=out)
-            if compute_delta:
-                np.subtract(out, np.broadcast_to(temp, shape), out=ws)
-                np.abs(ws, out=ws)
-                delta = ws.max(axis=-1)
-        return out, delta
-
-    def _numba_timing_error_cdf(freq, mean, sigma, rho):
-        freq = np.asarray(freq, dtype=float)
-        mean = np.asarray(mean, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        neg_z = _nb_neg_z(freq, mean, sigma)
-        _scipy_ndtr(neg_z, out=neg_z)
-        shape = np.broadcast_shapes(neg_z.shape, rho.shape)
-        pe = np.empty(shape)
-        np.multiply(
-            np.broadcast_to(rho, shape),
-            np.broadcast_to(neg_z, shape),
-            out=pe,
-        )
-        return pe
-
-
-# ----------------------------------------------------------------------
 # Registry, selection and per-kernel instrumentation.
 # ----------------------------------------------------------------------
 _IMPLS: Dict[str, Dict[str, Callable[..., Any]]] = {}
@@ -539,16 +384,9 @@ def _pick_impl(kernel: str, backend: str, choice: str) -> str:
         # routes its special functions through the active backend.
         if backend != "numpy":
             return "reference"
-        if NUMBA_AVAILABLE and "numba" in impls:
-            return "numba"
         if "numpy" in impls:
             return "numpy"
         return "reference"
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError(
-            "kernel impl 'numba' requested but numba is not installed; "
-            "install numba or select EVAL_REPRO_KERNELS=auto"
-        )
     if choice not in impls:
         raise ValueError(
             f"unknown kernel impl {choice!r} for {kernel!r}; "
@@ -628,9 +466,3 @@ register_kernel_impl("thermal_step", "reference", _reference_thermal_step)
 register_kernel_impl("thermal_step", "numpy", _numpy_thermal_step)
 register_kernel_impl("timing_error_cdf", "reference", _reference_timing_error_cdf)
 register_kernel_impl("timing_error_cdf", "numpy", _numpy_timing_error_cdf)
-if NUMBA_AVAILABLE:  # pragma: no cover - needs numba (CI parity leg)
-    register_kernel_impl(
-        "vt_and_static_power", "numba", _numba_vt_and_static_power
-    )
-    register_kernel_impl("thermal_step", "numba", _numba_thermal_step)
-    register_kernel_impl("timing_error_cdf", "numba", _numba_timing_error_cdf)

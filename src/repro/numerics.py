@@ -7,7 +7,7 @@ the fuzzy bank's demand feature (:mod:`repro.ml.bank`) — and the forward
 survival function ``Q(z)`` sits in the innermost loop of the error-rate
 evaluation.  Defining them once here, on top of
 :func:`repro.backend.get_backend`, keeps the SciPy dependency surface
-small and makes swapping the array backend (cupy/jax) a no-op for every
+small and makes swapping the array backend a no-op for every
 caller: they keep importing ``ndtri``/``norm_sf`` from this module.
 """
 

@@ -1,9 +1,15 @@
-"""Pinned reference outputs of the trace walk and the fuzzy trainer.
+"""Pinned reference outputs of the trace walk, the fuzzy trainer and
+the adaptation pipeline.
 
-The fixtures under ``tests/data/`` were written by the code *before* the
-locals-only trace walk and the lockstep fuzzy trainer replaced their
-per-state / per-controller predecessors, so the golden tests check the
-current code against the old one rather than only against itself.
+The fixtures under ``tests/data/`` were written by the code *before* a
+refactor replaced the implementation they pin: the SimResult and bank
+fixtures predate the locals-only trace walk and the lockstep fuzzy
+trainer, and the adaptation fixture (ladder rows, unit-level
+``optimize_phase`` results with retuning on and off, and one core's
+``run_timeline`` events) predates the single lane pipeline that replaced
+the scalar, phase-batched and population-batched adaptation paths.  The
+golden tests therefore check the current code against the old one rather
+than only against itself.
 
 Regenerate (only in a change that deliberately alters the model's
 semantics, and say so in its notes) from the repository root with::
@@ -26,6 +32,7 @@ import numpy as np
 DATA = Path(__file__).resolve().parent / "data"
 PIPELINE_FIXTURE = DATA / "pipeline_golden.json"
 BANK_FIXTURE = DATA / "bank_golden.json"
+ADAPTATION_FIXTURE = DATA / "adaptation_golden.json"
 
 #: Trace length and seed of the SimResult fixtures.
 TRACE_INSTRUCTIONS = 3000
@@ -181,6 +188,149 @@ def train_pinned_bank():
     )
 
 
+#: Scale of the adaptation fixture: 2 chips x 1 core, short traces and a
+#: small fuzzy-controller bank.
+LADDER_SCALE = dict(
+    n_chips=2, cores_per_chip=1, n_instructions=3000, fuzzy_examples=100,
+    fuzzy_epochs=1, seed=7,
+)
+
+#: Workload phases of the unit-level cases: (workload index, phase index)
+#: into the suite, one integer and one floating-point phase.
+UNIT_PHASES = ((0, 0), (5, 1))
+
+#: The phase stream of the timeline case (workload index, length, seed).
+TIMELINE_STREAM = (5, 1200.0, 5)
+
+
+def ladder_runner():
+    """The runner every adaptation case is built from."""
+    from repro.exps.runner import ExperimentRunner, RunnerConfig
+
+    return ExperimentRunner(RunnerConfig(**LADDER_SCALE))
+
+
+def rows_digest(rows) -> str:
+    """sha256 over the canonical JSON of a cell's ``PhaseResult`` rows."""
+    text = json.dumps([row.to_dict() for row in rows], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def ladder_cells(runner) -> Dict[str, Dict]:
+    """Every Fig 10-12 cell: row digest plus (f_rel, perf_rel, power).
+
+    The six adaptive environments under Static / Fuzzy-Dyn / Exh-Dyn,
+    plus the Baseline and NoVar anchors, without the artifact cache.
+    """
+    from repro.core.environments import (
+        ADAPTIVE_ENVIRONMENTS,
+        BASELINE,
+        NOVAR,
+        AdaptationMode,
+    )
+    from repro.exps.engine import RunSpec
+    from repro.exps.ladder import MODES
+
+    grid = runner.run(RunSpec(
+        environments=tuple(ADAPTIVE_ENVIRONMENTS), modes=MODES,
+        use_cache=False,
+    ))
+    anchors = runner.run(RunSpec(
+        environments=(BASELINE, NOVAR), modes=(AdaptationMode.EXH_DYN,),
+        use_cache=False,
+    ))
+    summaries = dict(grid.summaries)
+    summaries.update(anchors.summaries)
+    return {
+        f"{env}/{mode}": {
+            "sha256": rows_digest(summary.results),
+            "triple": [summary.f_rel, summary.perf_rel, summary.power],
+        }
+        for (env, mode), summary in sorted(summaries.items())
+    }
+
+
+def adaptation_doc(result) -> Dict:
+    """The unit-level fields of an :class:`AdaptationResult`."""
+    technique = result.config.technique
+    return {
+        "f_core": result.f_core,
+        "f_controller": result.f_controller,
+        "performance_ips": result.performance_ips,
+        "outcome": result.outcome.value,
+        "queue_full": technique.queue_full,
+        "lowslope": technique.lowslope,
+        "domain": technique.domain,
+        "vdd": [float(v) for v in result.config.vdd],
+        "vbb": [float(v) for v in result.config.vbb],
+        "total_power": result.state.total_power,
+        "pe_total": result.state.pe_total,
+        "temperature": [float(t) for t in result.state.temperature],
+        "measurement": result.measurement.name,
+    }
+
+
+def adaptation_cases(runner) -> List[Dict]:
+    """``optimize_phase`` per (env, chip, phase, mode, retune on/off)."""
+    from repro.core.adaptation import optimize_phase
+    from repro.core.environments import ADAPTIVE_ENVIRONMENTS, AdaptationMode
+
+    suite = runner.workloads
+    cases = []
+    for env in ADAPTIVE_ENVIRONMENTS:
+        bank = runner.bank_for(env)
+        for chip in range(LADDER_SCALE["n_chips"]):
+            core = runner.core(chip, 0)
+            for workload, phase in UNIT_PHASES:
+                profile = suite[workload].phase_profile(
+                    suite[workload].phases[phase]
+                )
+                meas_full, meas_resized = runner.measurements(profile, env)
+                for mode in (AdaptationMode.EXH_DYN, AdaptationMode.FUZZY_DYN):
+                    for retune in (True, False):
+                        result = optimize_phase(
+                            core, env, meas_full, meas_resized, mode=mode,
+                            bank=bank, retune_enabled=retune,
+                        )
+                        cases.append({
+                            "env": env.name,
+                            "chip": chip,
+                            "phase": profile.name,
+                            "mode": mode.value,
+                            "retune": retune,
+                            "result": adaptation_doc(result),
+                        })
+    return cases
+
+
+def timeline_events(runner) -> List[Dict]:
+    """One core's ``run_timeline`` events on TS+ASV+Q (queue resizing)."""
+    from dataclasses import asdict
+
+    from repro.core.environments import TS_ASV_Q
+    from repro.core.timeline import run_timeline
+    from repro.microarch import generate_phase_stream
+
+    workload, total_ms, seed = TIMELINE_STREAM
+    stream = generate_phase_stream(
+        runner.workloads[workload], total_ms=total_ms, seed=seed
+    )
+    result = run_timeline(runner.core(0, 0), TS_ASV_Q, stream, seed=seed)
+    return [asdict(event) for event in result.events]
+
+
+def adaptation_fixture() -> Dict:
+    """Everything :data:`ADAPTATION_FIXTURE` pins, computed now."""
+    runner = ladder_runner()
+    return {
+        "platform": platform_tag(),
+        "scale": LADDER_SCALE,
+        "ladder": ladder_cells(runner),
+        "units": adaptation_cases(runner),
+        "timeline": timeline_events(runner),
+    }
+
+
 def _write() -> None:
     DATA.mkdir(exist_ok=True)
     PIPELINE_FIXTURE.write_text(json.dumps({
@@ -197,6 +347,9 @@ def _write() -> None:
         "trainer_sha256": controllers_digest(fc for fc, _ in alone),
         "trainer_rmse": [report.final_rmse for _, report in alone],
     }, indent=1) + "\n")
+    ADAPTATION_FIXTURE.write_text(
+        json.dumps(adaptation_fixture(), indent=1) + "\n"
+    )
 
 
 if __name__ == "__main__":

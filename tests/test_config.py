@@ -53,12 +53,6 @@ class TestFromEnv:
         assert not Settings.from_env({"EVAL_REPRO_NO_CACHE": "1"}).cache_enabled
         assert Settings.from_env({}).cache_enabled
 
-    def test_serial_phases_variable(self):
-        assert Settings.from_env({}).batch_phases
-        assert not Settings.from_env(
-            {"EVAL_REPRO_SERIAL_PHASES": "1"}
-        ).batch_phases
-
     def test_shared_mem_variable(self):
         assert Settings.from_env({}).shared_mem
         for raw in ("0", "false", "no", "off", "False", " OFF "):
@@ -91,14 +85,6 @@ class TestFromArgs:
     def test_no_cache_flag(self):
         assert not self._parse(["--no-cache"]).cache_enabled
         assert self._parse([]).cache_enabled
-
-    def test_serial_phases_flag(self):
-        assert self._parse([]).batch_phases
-        assert not self._parse(["--serial-phases"]).batch_phases
-        # The env variable and the flag each independently force serial.
-        env = {"EVAL_REPRO_SERIAL_PHASES": "1"}
-        assert not self._parse([], env).batch_phases
-        assert not self._parse(["--serial-phases"], env).batch_phases
 
     def test_shared_mem_flag_beats_env_beats_default(self):
         assert self._parse([]).shared_mem  # default on

@@ -321,7 +321,13 @@ def _assert_results_identical(batched, serial):
 
 
 class TestOptimizePhasesBatched:
-    """Golden tests: the batched path reproduces the per-phase loop."""
+    """Lane independence: many phases in one call equal one call each.
+
+    A multi-phase call stacks its lanes into one Freq/Power sweep and one
+    set of lane-masked PMAX and retuning rounds; each lane must come out
+    exactly as its one-lane :func:`optimize_phase` call does.  The
+    cross-version oracle is ``tests/test_adaptation_golden.py``.
+    """
 
     def test_matches_serial_ts_asv(self, core, int_measurement, fp_measurement):
         phases = [(int_measurement, None), (fp_measurement, None)]
@@ -384,14 +390,7 @@ class TestOptimizePhasesBatched:
                 [(int_measurement, None), (int_measurement, None)],
             )
 
-    def test_single_phase_falls_back_to_serial(self, core, int_measurement):
-        serial = optimize_phase(core, TS_ASV, int_measurement)
-        (batched,) = optimize_phases_batched(
-            core, TS_ASV, [(int_measurement, None)]
-        )
-        _assert_results_identical([batched], [serial])
-
-    def test_fuzzy_mode_falls_back_to_serial(self, core, int_measurement, tiny_bank):
+    def test_fuzzy_matches_one_lane_calls(self, core, int_measurement, tiny_bank):
         phases = [(int_measurement, None), (int_measurement, None)]
         serial = [
             optimize_phase(

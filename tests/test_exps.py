@@ -15,7 +15,7 @@ from repro.exps import (
     run_fig9,
     run_ladder,
 )
-from repro.exps.runner import ExperimentRunner, RunnerConfig
+from repro.exps.runner import RunnerConfig
 
 from tests.conftest import run_env
 
@@ -77,26 +77,16 @@ class TestRunner:
         assert tiny_runner.core(0, 0) is tiny_runner.core(0, 0)
 
     def test_batched_unit_matches_serial(self, tiny_runner):
-        serial = tiny_runner.run_unit(
-            TS_ASV, AdaptationMode.EXH_DYN, 0, 0, batch_phases=False
+        """A block of every unit equals one run_unit call per unit."""
+        units = [(chip, 0) for chip in range(tiny_runner.config.n_chips)]
+        batched = tiny_runner.run_units_batched(
+            TS_ASV, AdaptationMode.EXH_DYN, units
         )
-        batched = tiny_runner.run_unit(
-            TS_ASV, AdaptationMode.EXH_DYN, 0, 0, batch_phases=True
-        )
+        serial = [
+            tiny_runner.run_unit(TS_ASV, AdaptationMode.EXH_DYN, chip, core)
+            for chip, core in units
+        ]
         assert batched == serial
-
-    def test_batch_phases_is_runner_strategy_not_config(self, tiny_runner):
-        # Execution strategy must not leak into the hashed RunnerConfig.
-        assert tiny_runner.batch_phases
-        assert not hasattr(RunnerConfig(), "batch_phases")
-        runner = ExperimentRunner(
-            RunnerConfig(
-                n_chips=1, cores_per_chip=1, n_instructions=2000,
-                fuzzy_examples=300, fuzzy_epochs=1,
-            ),
-            batch_phases=False,
-        )
-        assert not runner.batch_phases
 
 
 class TestLadder:

@@ -137,12 +137,6 @@ class TestArtifactStores:
         shared = ExperimentCache(store=SharedDirStore(tmp_path))
         assert isinstance(shared.store, SharedDirStore)
 
-    def test_path_shim_is_deprecated(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        with pytest.warns(DeprecationWarning):
-            path = cache._path("summaries", "k", ".json")
-        assert path == tmp_path / "summaries" / "k.json"
-
     def test_factor_store_accepts_bare_artifact_store(self, tmp_path):
         import numpy as np
 

@@ -1,22 +1,22 @@
-"""Golden parity for population-tier batching (PR: one tensor program
-per (chip, core) population).
+"""Lane independence of the population-tier programs.
 
-Every batched tier must be bit-identical to its serial counterpart:
+Every program that stacks many lanes must give each lane exactly what a
+one-lane call gives it:
 
 * ``measure_suite_batched`` over many requests vs one request at a time,
-* ``retune_batched`` vs per-core ``retune``,
-* ``run_timelines_batched`` vs per-core ``run_timeline`` (RNG streams
-  included),
-* ``ExperimentRunner.run_units_batched`` vs per-unit ``run_unit`` rows
-  across (environment x mode x workload) combinations,
+* ``retune_batched`` over many cores vs ``retune`` per core,
+* ``run_timelines_batched`` over many cores vs ``run_timeline`` per core
+  (RNG streams included),
+* ``optimize_units_batched`` over a population vs one call per unit,
+  including a population whose cores cannot share lanes,
+* ``ExperimentRunner.run_units_batched`` over a block vs ``run_unit``
+  per unit, across (environment x mode x workload) combinations,
 
-plus the strategy knob (``--serial-units`` / ``EVAL_REPRO_SERIAL_UNITS``),
-the backend shim, the measurement LRU, and the content-hash cache key.
+plus the backend shim, the measurement LRU, and the content-hash cache
+key.  The cross-version oracle is ``tests/test_adaptation_golden.py``.
 """
 
 from __future__ import annotations
-
-import argparse
 
 import numpy as np
 import pytest
@@ -25,13 +25,14 @@ from repro import obs
 from repro.backend import available_backends, get_backend, set_backend
 from repro.obs import MetricsRegistry
 from repro.chip.chip import CoreLanes, build_core, build_novar_core
-from repro.config import Settings
 from repro.core import TS, TS_ASV, TS_ASV_Q_FU, AdaptationMode
+from repro.core.adaptation import optimize_units_batched
+from repro.core.optimizer import core_subsystem_arrays
 from repro.core.retuning import retune, retune_batched
 from repro.core.state import Configuration
 from repro.core.timeline import run_timeline, run_timelines_batched
 from repro.exps.runner import ExperimentRunner, RunnerConfig
-from repro.microarch.phases import generate_phase_stream
+from repro.microarch.phases import PhaseDetector, generate_phase_stream
 from repro.microarch.pipeline import DEFAULT_CORE_CONFIG
 from repro.microarch.simulator import (
     clear_measurement_cache,
@@ -52,14 +53,12 @@ UNIT_CONFIG = RunnerConfig(
 )
 
 
-def _runner(batch_units, workloads):
-    return ExperimentRunner(
-        UNIT_CONFIG, workloads=list(workloads), batch_units=batch_units
-    )
+def _runner(workloads):
+    return ExperimentRunner(UNIT_CONFIG, workloads=list(workloads))
 
 
 # ----------------------------------------------------------------------
-# Tentpole: batched unit execution == serial unit execution, bit for bit.
+# A block of units == one run_unit call per unit, bit for bit.
 # ----------------------------------------------------------------------
 class TestRunUnitsBatchedParity:
     @pytest.mark.parametrize(
@@ -68,91 +67,21 @@ class TestRunUnitsBatchedParity:
             (TS, AdaptationMode.EXH_DYN, 0, 2),
             (TS_ASV_Q_FU, AdaptationMode.EXH_DYN, 2, 4),
             (TS_ASV, AdaptationMode.FUZZY_DYN, 4, 6),
+            (TS, AdaptationMode.STATIC, 0, 2),
         ],
-        ids=["TS-exh", "TS+ASV+Q+FU-exh", "TS+ASV-fuzzy"],
+        ids=["TS-exh", "TS+ASV+Q+FU-exh", "TS+ASV-fuzzy", "TS-static"],
     )
     def test_rows_bit_identical(self, suite, env, mode, first, last):
-        """Batched == serial rows across env x mode x workload combos."""
+        """Block rows == per-unit rows across env x mode x workloads."""
         workloads = suite[first:last]
         units = [(chip, 0) for chip in range(UNIT_CONFIG.n_chips)]
-        batched = _runner(True, workloads).run_units_batched(env, mode, units)
-        serial_runner = _runner(False, workloads)
+        batched = _runner(workloads).run_units_batched(env, mode, units)
+        serial_runner = _runner(workloads)
         serial = [
             serial_runner.run_unit(env, mode, chip, core)
             for chip, core in units
         ]
         assert batched == serial
-
-    def test_static_mode_falls_back_to_serial(self, suite):
-        """Static has a per-chip aggregation step: always per-unit."""
-        workloads = suite[:2]
-        units = [(chip, 0) for chip in range(UNIT_CONFIG.n_chips)]
-        batched = _runner(True, workloads).run_units_batched(
-            TS, AdaptationMode.STATIC, units
-        )
-        serial_runner = _runner(False, workloads)
-        serial = [
-            serial_runner.run_unit(TS, AdaptationMode.STATIC, chip, core)
-            for chip, core in units
-        ]
-        assert batched == serial
-
-    def test_opt_out_knob_routes_serially(self, suite, monkeypatch):
-        """``batch_units=False`` must not enter the batched kernels."""
-        import repro.exps.runner as runner_mod
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("batched kernel entered with knob off")
-
-        monkeypatch.setattr(runner_mod, "optimize_units_batched", forbidden)
-        runner = _runner(False, suite[:1])
-        units = [(chip, 0) for chip in range(UNIT_CONFIG.n_chips)]
-        rows = runner.run_units_batched(TS, AdaptationMode.EXH_DYN, units)
-        assert len(rows) == len(units)
-
-    def test_single_unit_block_matches_run_unit(self, suite):
-        """A 1-unit block stays on the batched path (uniform metric
-        structure regardless of chunking) and still matches run_unit."""
-        runner = _runner(True, suite[:1])
-        [rows] = runner.run_units_batched(
-            TS, AdaptationMode.EXH_DYN, [(0, 0)]
-        )
-        assert rows == runner.run_unit(TS, AdaptationMode.EXH_DYN, 0, 0)
-
-
-class TestBatchUnitsKnobPlumbing:
-    def test_env_opt_out(self):
-        assert Settings.from_env({}).batch_units is True
-        assert (
-            Settings.from_env({"EVAL_REPRO_SERIAL_UNITS": "1"}).batch_units
-            is False
-        )
-
-    def test_cli_opt_out(self):
-        parser = argparse.ArgumentParser()
-        Settings.add_cli_arguments(parser, Settings.from_env({}))
-        args = parser.parse_args(["--serial-units"])
-        assert Settings.from_args(args, Settings.from_env({})).batch_units \
-            is False
-        args = parser.parse_args([])
-        assert Settings.from_args(args, Settings.from_env({})).batch_units \
-            is True
-
-    def test_from_settings_reaches_the_runner(self):
-        runner = ExperimentRunner.from_settings(
-            Settings(chips=2, batch_units=False),
-            config=RunnerConfig(n_chips=2),
-        )
-        assert runner.batch_units is False
-        assert ExperimentRunner.from_settings(
-            Settings(chips=2), config=RunnerConfig(n_chips=2)
-        ).batch_units is True
-
-    def test_not_in_hashed_runner_config(self):
-        """Strategy, not physics: must stay out of the cache-key config."""
-        assert "batch_units" not in {
-            f.name for f in RunnerConfig.__dataclass_fields__.values()
-        }
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +158,13 @@ class TestRetuneBatchedParity:
 
 
 class TestTimelineBatchedParity:
+    def test_detectors_must_match_lanes(self, population, suite):
+        cores = [build_core(chip, 0) for chip in population[:2]]
+        stream = generate_phase_stream(suite[0], total_ms=300.0, seed=3)
+        for detectors in ([PhaseDetector()], [None, None, None]):
+            with pytest.raises(ValueError, match="one detector per core"):
+                run_timelines_batched(cores, TS, stream, detectors=detectors)
+
     def test_lockstep_rng_streams(self, population, suite):
         cores = [build_core(chip, 0) for chip in population[:3]]
         stream = generate_phase_stream(suite[0], total_ms=700.0, seed=11)
@@ -257,6 +193,34 @@ class TestTimelineBatchedParity:
         )
         for one, many in zip(serial, batched):
             assert one.events == many.events
+
+
+class TestOptimizeUnitsBatched:
+    def test_non_stackable_population_runs_per_unit(
+        self, population, novar_core, int_measurement, fp_measurement
+    ):
+        """A NoVar core next to varied cores cannot share lanes; the
+        call must still equal one call per unit."""
+        cores = [build_core(population[0], 0), novar_core,
+                 build_core(population[1], 0)]
+        phases = [(int_measurement, None), (fp_measurement, None)]
+        units = [(core, phases) for core in cores]
+        together = optimize_units_batched(units, TS_ASV)
+        alone = [optimize_units_batched([unit], TS_ASV)[0] for unit in units]
+        assert len(together) == len(alone) == len(units)
+        for got_unit, want_unit in zip(together, alone):
+            for got, want in zip(got_unit, want_unit):
+                assert got.config.f_core == want.config.f_core
+                assert got.f_controller == want.f_controller
+                assert got.outcome == want.outcome
+                assert got.performance_ips == want.performance_ips
+                assert np.array_equal(got.config.vdd, want.config.vdd)
+                assert np.array_equal(got.config.vbb, want.config.vbb)
+                assert got.state.total_power == want.state.total_power
+
+    def test_empty_units_and_phases(self, core):
+        assert optimize_units_batched([], TS) == []
+        assert optimize_units_batched([(core, [])], TS) == [[]]
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +313,10 @@ class TestBackendShim:
         """The acceptance check: same rows with the backend pinned."""
         set_backend("numpy")
         units = [(chip, 0) for chip in range(UNIT_CONFIG.n_chips)]
-        batched = _runner(True, suite[:1]).run_units_batched(
+        batched = _runner(suite[:1]).run_units_batched(
             TS_ASV, AdaptationMode.EXH_DYN, units
         )
-        serial_runner = _runner(False, suite[:1])
+        serial_runner = _runner(suite[:1])
         serial = [
             serial_runner.run_unit(TS_ASV, AdaptationMode.EXH_DYN, chip, core)
             for chip, core in units
@@ -366,7 +330,7 @@ class TestBackendShim:
 class TestStackedPhaseArrays:
     def test_matches_per_lane_stack(self, population, int_measurement,
                                     fp_measurement):
-        from repro.core.adaptation import _phase_arrays, _stacked_phase_arrays
+        from repro.core.adaptation import _stacked_phase_arrays
         from repro.core.optimizer import _ARRAY_FIELDS, SubsystemArrays
 
         cores = [build_core(chip, 0) for chip in population[:3]]
@@ -378,7 +342,11 @@ class TestStackedPhaseArrays:
             for lane, meas in enumerate(measurements)
         ]
         reference = SubsystemArrays.stack([
-            _phase_arrays(core, technique, meas)
+            core_subsystem_arrays(
+                core, meas.activity, meas.rho,
+                technique.stage_modifiers(core),
+                technique.power_factors(core),
+            )
             for core, technique, meas in zip(
                 lane_cores, techniques, measurements
             )
