@@ -27,6 +27,7 @@ import numpy as np
 
 from ..backend import get_backend
 from ..chip.chip import Core, CoreLanes, stackable
+from ..chip.floorplan import Floorplan
 from ..microarch.simulator import WorkloadMeasurement
 from ..mitigation.base import (
     BASE,
@@ -92,10 +93,11 @@ def perf_params_from_measurement(
 
 
 def _fuzzy_variant(
-    core: Core, index: int, env: Environment, technique: TechniqueState
+    floorplan: Floorplan, index: int, env: Environment,
+    technique: TechniqueState,
 ) -> str:
     """Which FC variant applies at a subsystem for a technique state."""
-    sub = core.floorplan.subsystems[index]
+    sub = floorplan.subsystems[index]
     if sub.resizable:
         if env.queue and sub.domain == technique.domain and not technique.queue_full:
             return QUEUE_RESIZED
@@ -105,6 +107,57 @@ def _fuzzy_variant(
             return FU_LOWSLOPE
         return FU_NORMAL
     return BASE
+
+
+def _distinct(items: Sequence, key=id) -> "Tuple[list, np.ndarray]":
+    """The distinct items, in first-seen order, and each item's slot.
+
+    A unit block repeats each core across its phases and each
+    (technique, measurement) across its units, so per-lane tables are
+    built once per distinct entry and gathered through the slots.
+    """
+    slots: Dict = {}
+    distinct: list = []
+    index = np.empty(len(items), dtype=np.intp)
+    for lane, item in enumerate(items):
+        slot = slots.setdefault(key(item), len(distinct))
+        if slot == len(distinct):
+            distinct.append(item)
+        index[lane] = slot
+    return distinct, index
+
+
+def _fuzzy_inputs(
+    cores: Sequence[Core],
+    env: Environment,
+    techniques: Sequence[TechniqueState],
+    measurements: Sequence[WorkloadMeasurement],
+) -> "Tuple[CoreLanes, np.ndarray, np.ndarray, np.ndarray]":
+    """The bank's lane inputs: the core stack and ``(lanes, n)`` variant,
+    activity and rho arrays."""
+    distinct_cores, core_index = _distinct(cores)
+    lanes = CoreLanes.stack(distinct_cores).lane_subset(core_index)
+    floorplan = lanes.floorplan
+    distinct_techniques, tech_index = _distinct(
+        techniques, key=lambda technique: technique
+    )
+    variants = np.array([
+        [_fuzzy_variant(floorplan, i, env, technique)
+         for i in range(len(floorplan))]
+        for technique in distinct_techniques
+    ])[tech_index]
+    return (lanes, variants) + _lane_measurements(measurements)
+
+
+def _lane_measurements(
+    measurements: Sequence[WorkloadMeasurement],
+) -> "Tuple[np.ndarray, np.ndarray]":
+    """``(lanes, n)`` activity and rho, stacked once per distinct
+    measurement."""
+    distinct, index = _distinct(measurements)
+    alpha = np.stack([np.asarray(m.activity, dtype=float) for m in distinct])
+    rho = np.stack([np.asarray(m.rho, dtype=float) for m in distinct])
+    return alpha[index], rho[index]
 
 
 def _lane_fmax(
@@ -118,27 +171,17 @@ def _lane_fmax(
 ) -> np.ndarray:
     """Per-lane, per-subsystem max frequency under each lane's technique.
 
-    Fuzzy-Dyn asks the bank's Freq FCs one subsystem at a time; every
-    other mode runs one stacked exhaustive ``freq_algorithm`` sweep.
+    Fuzzy-Dyn makes one lane-shaped ``bank.predict_fmax`` call over all
+    lanes and subsystems; every other mode runs one stacked exhaustive
+    ``freq_algorithm`` sweep.
     """
     if mode is AdaptationMode.FUZZY_DYN:
         if bank is None:
             raise ValueError("Fuzzy-Dyn requires a trained controller bank")
-        th = spec.t_heatsink
-        return np.array([
-            [
-                bank.predict_fmax(
-                    core,
-                    i,
-                    _fuzzy_variant(core, i, env, technique),
-                    th,
-                    float(meas.activity[i]),
-                    float(meas.rho[i]),
-                )
-                for i in range(core.n_subsystems)
-            ]
-            for core, technique, meas in zip(cores, techniques, measurements)
-        ])
+        lanes, variants, alpha, rho = _fuzzy_inputs(
+            cores, env, techniques, measurements
+        )
+        return bank.predict_fmax(lanes, variants, spec.t_heatsink, alpha, rho)
     stack = _stacked_phase_arrays(cores, techniques, measurements)
     return freq_algorithm(stack, spec).f_max
 
@@ -204,9 +247,10 @@ def _power_stage(
 ) -> "Tuple[List[np.ndarray], List[np.ndarray]]":
     """Per-lane (Vdd, Vbb) minimising power at each lane's frequency.
 
-    Without ASV or ABB the voltages are nominal; Fuzzy-Dyn asks the
-    bank's Power FCs per subsystem; every other mode runs one stacked
-    exhaustive ``power_algorithm`` sweep.
+    Without ASV or ABB the voltages are nominal; Fuzzy-Dyn makes one
+    lane-shaped ``bank.predict_voltages`` call over all lanes and
+    subsystems; every other mode runs one stacked exhaustive
+    ``power_algorithm`` sweep.
     """
     if not env.asv and not env.abb:
         return (
@@ -214,25 +258,13 @@ def _power_stage(
             [np.zeros(c.n_subsystems) for c in cores],
         )
     if mode is AdaptationMode.FUZZY_DYN:
-        vdd, vbb = [], []
-        for core, technique, meas, f_core in zip(
-            cores, techniques, measurements, freqs
-        ):
-            pairs = [
-                bank.predict_voltages(
-                    core,
-                    i,
-                    _fuzzy_variant(core, i, env, technique),
-                    spec.t_heatsink,
-                    float(meas.activity[i]),
-                    float(meas.rho[i]),
-                    f_core,
-                )
-                for i in range(core.n_subsystems)
-            ]
-            vdd.append(np.array([v for v, _ in pairs]))
-            vbb.append(np.array([b for _, b in pairs]))
-        return vdd, vbb
+        lanes, variants, alpha, rho = _fuzzy_inputs(
+            cores, env, techniques, measurements
+        )
+        vdd, vbb = bank.predict_voltages(
+            lanes, variants, spec.t_heatsink, alpha, rho, np.array(freqs)
+        )
+        return list(vdd), list(vbb)
     stack = _stacked_phase_arrays(cores, techniques, measurements)
     power = power_algorithm(stack, np.array(freqs), spec)
     return list(power.vdd), list(power.vbb)
@@ -386,15 +418,7 @@ def _stacked_phase_arrays(
     first = cores[0]
     calib = first.calib
 
-    core_slots: Dict[int, int] = {}
-    distinct_cores: List[Core] = []
-    core_index = np.empty(len(cores), dtype=np.intp)
-    for lane, core in enumerate(cores):
-        slot = core_slots.get(id(core))
-        if slot is None:
-            slot = core_slots[id(core)] = len(distinct_cores)
-            distinct_cores.append(core)
-        core_index[lane] = slot
+    distinct_cores, core_index = _distinct(cores)
     if not stackable(distinct_cores):
         raise ValueError("stacked batches must share calibration and parameters")
 
@@ -402,37 +426,18 @@ def _stacked_phase_arrays(
         table = xp.stack([getattr(core, field) for core in distinct_cores])
         return table[core_index]
 
-    meas_slots: Dict[int, int] = {}
-    alpha_rows: List[np.ndarray] = []
-    rho_rows: List[np.ndarray] = []
-    meas_index = np.empty(len(measurements), dtype=np.intp)
-    for lane, meas in enumerate(measurements):
-        slot = meas_slots.get(id(meas))
-        if slot is None:
-            slot = meas_slots[id(meas)] = len(alpha_rows)
-            alpha_rows.append(np.asarray(meas.activity, dtype=float))
-            rho_rows.append(np.asarray(meas.rho, dtype=float))
-        meas_index[lane] = slot
+    alpha, rho = _lane_measurements(measurements)
 
     # Technique modifiers depend only on the floorplan and calibration,
     # which the stackability checks above pin as shared — one build per
     # distinct state covers every lane using it.
-    tech_slots: Dict[TechniqueState, int] = {}
-    delay_rows: List[np.ndarray] = []
-    sigma_rows: List[np.ndarray] = []
-    power_rows: List[np.ndarray] = []
-    tech_index = np.empty(len(techniques), dtype=np.intp)
-    for lane, technique in enumerate(techniques):
-        slot = tech_slots.get(technique)
-        if slot is None:
-            modifiers = technique.stage_modifiers(first)
-            slot = tech_slots[technique] = len(delay_rows)
-            delay_rows.append(modifiers.delay_scale)
-            sigma_rows.append(modifiers.sigma_scale)
-            power_rows.append(technique.power_factors(first))
-        tech_index[lane] = slot
-    delay_scale = xp.stack(delay_rows)[tech_index]
-    sigma_scale = xp.stack(sigma_rows)[tech_index]
+    distinct_techniques, tech_index = _distinct(
+        techniques, key=lambda technique: technique
+    )
+    modifiers = [t.stage_modifiers(first) for t in distinct_techniques]
+    delay_scale = xp.stack([m.delay_scale for m in modifiers])[tech_index]
+    sigma_scale = xp.stack([m.sigma_scale for m in modifiers])[tech_index]
+    power_rows = [t.power_factors(first) for t in distinct_techniques]
 
     mean = gather("stage_mean_rel") + gather("tail_rel")
     sigma = gather("stage_sigma_rel")
@@ -444,8 +449,8 @@ def _stacked_phase_arrays(
 
     arrays = {name: gather(name) for name in _CORE_PASSTHROUGH_FIELDS}
     return SubsystemArrays(
-        alpha=xp.stack(alpha_rows)[meas_index],
-        rho=xp.stack(rho_rows)[meas_index],
+        alpha=alpha,
+        rho=rho,
         stage_mean_rel=mean,
         stage_sigma_rel=sigma,
         power_factor=xp.stack(power_rows)[tech_index],

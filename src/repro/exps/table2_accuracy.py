@@ -14,24 +14,21 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..chip.chip import CoreLanes
 from ..core.environments import (
     CONTROLLER_STUDY_ENVIRONMENTS,
     Environment,
 )
 from ..core.optimizer import core_subsystem_arrays, freq_algorithm, power_algorithm
-from ..mitigation.base import BASE, FU_NORMAL, QUEUE_FULL
 from .runner import ExperimentRunner, RunnerConfig
 
 KINDS = ("memory", "mixed", "logic")
 
 
-def _default_variant(core, index: int) -> str:
-    spec = core.floorplan.subsystems[index]
-    if spec.resizable:
-        return QUEUE_FULL
-    if spec.replicable:
-        return FU_NORMAL
-    return BASE
+def _kind_mean(diffs: np.ndarray, mask: np.ndarray) -> np.floating:
+    """Mean over one kind's subsystems, in (core, workload, subsystem)
+    order."""
+    return np.mean(diffs[:, :, mask].ravel())
 
 
 @dataclass
@@ -77,45 +74,58 @@ def run_table2(
     vdd_mv: Dict[str, Dict[str, float]] = {}
     vbb_mv: Dict[str, Dict[str, float]] = {}
 
+    cores = list(runner.cores())
+    lanes = CoreLanes.stack(cores)
+    kinds = np.array(cores[0].kinds)
     for env in environments:
         bank = runner.bank_for(env)
         spec = env.optimization_spec(15, runner.calib)
-        diffs_f = {kind: [] for kind in KINDS}
-        diffs_vdd = {kind: [] for kind in KINDS}
-        diffs_vbb = {kind: [] for kind in KINDS}
-        for core in runner.cores():
-            kinds = core.kinds
-            for workload in workloads:
-                meas, _ = runner.measurements(workload, env)
+        variants = np.tile(
+            [bank.variants_for(cores[0], i)[0] for i in range(len(kinds))],
+            (len(cores), 1),
+        )
+        # (cores, workloads, subsystems) |FC - Exhaustive| differences.
+        diff_f, diff_vdd, diff_vbb = (
+            np.empty((len(cores), len(workloads), len(kinds)))
+            for _ in range(3)
+        )
+        for w, workload in enumerate(workloads):
+            meas, _ = runner.measurements(workload, env)
+            alpha = np.tile(meas.activity, (len(cores), 1))
+            rho = np.tile(meas.rho, (len(cores), 1))
+            exh_f, exh_vdd, exh_vbb, f_core = [], [], [], []
+            for core in cores:
                 subs = core_subsystem_arrays(core, meas.activity, meas.rho)
                 exh = freq_algorithm(subs, spec)
-                f_core = exh.core_frequency(spec.knob_ranges)
-                power = power_algorithm(subs, f_core, spec)
-                for i in range(core.n_subsystems):
-                    variant = _default_variant(core, i)
-                    fc_f = bank.predict_fmax(
-                        core, i, variant, spec.t_heatsink,
-                        float(meas.activity[i]), float(meas.rho[i]),
-                    )
-                    diffs_f[kinds[i]].append(abs(fc_f - exh.f_max[i]))
-                    fc_vdd, fc_vbb = bank.predict_voltages(
-                        core, i, variant, spec.t_heatsink,
-                        float(meas.activity[i]), float(meas.rho[i]), f_core,
-                    )
-                    if env.asv:
-                        diffs_vdd[kinds[i]].append(abs(fc_vdd - power.vdd[i]))
-                    if env.abb:
-                        diffs_vbb[kinds[i]].append(abs(fc_vbb - power.vbb[i]))
+                f_core.append(exh.core_frequency(spec.knob_ranges))
+                power = power_algorithm(subs, f_core[-1], spec)
+                exh_f.append(exh.f_max)
+                exh_vdd.append(power.vdd)
+                exh_vbb.append(power.vbb)
+            fc_f = bank.predict_fmax(
+                lanes, variants, spec.t_heatsink, alpha, rho
+            )
+            fc_vdd, fc_vbb = bank.predict_voltages(
+                lanes, variants, spec.t_heatsink, alpha, rho,
+                np.array(f_core),
+            )
+            diff_f[:, w] = np.abs(fc_f - np.array(exh_f))
+            diff_vdd[:, w] = np.abs(fc_vdd - np.array(exh_vdd))
+            diff_vbb[:, w] = np.abs(fc_vbb - np.array(exh_vbb))
+
         freq_mhz[env.name] = {
-            kind: float(np.mean(diffs_f[kind]) / 1e6) for kind in KINDS
+            kind: float(_kind_mean(diff_f, kinds == kind) / 1e6)
+            for kind in KINDS
         }
         if env.asv:
             vdd_mv[env.name] = {
-                kind: float(np.mean(diffs_vdd[kind]) * 1e3) for kind in KINDS
+                kind: float(_kind_mean(diff_vdd, kinds == kind) * 1e3)
+                for kind in KINDS
             }
         if env.abb:
             vbb_mv[env.name] = {
-                kind: float(np.mean(diffs_vbb[kind]) * 1e3) for kind in KINDS
+                kind: float(_kind_mean(diff_vbb, kinds == kind) * 1e3)
+                for kind in KINDS
             }
     return Table2Result(
         freq_mhz=freq_mhz,

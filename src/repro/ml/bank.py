@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .. import obs
-from ..chip.chip import Core
+from ..chip.chip import Core, CoreLanes
 from ..numerics import ndtri
 from ..core.optimizer import OptimizationSpec
 from ..mitigation.base import (
@@ -73,90 +73,143 @@ class ControllerBank:
         return len(self.spec.vbb_levels) > 1
 
     def predict_fmax(
-        self, core: Core, index: int, variant: str, th: float, alpha: float,
-        rho: float,
-    ) -> float:
-        """FC estimate of a subsystem's max frequency, in hertz."""
+        self,
+        lanes: CoreLanes,
+        variants: np.ndarray,
+        th: float,
+        alpha: np.ndarray,
+        rho: np.ndarray,
+    ) -> np.ndarray:
+        """Freq-FC estimates of every lane's per-subsystem max frequency.
+
+        ``variants``, ``alpha`` and ``rho`` are ``(lanes, subsystems)``
+        arrays over the lane stack; returns hertz in the same shape.
+        Each ``(subsystem, variant)`` FC runs once, over the lanes that
+        use it, and every entry equals the one-lane, one-subsystem
+        estimate.
+        """
         start = time.perf_counter()
-        fc = self.freq_fcs[(index, variant)]
-        slowness = self.demand(
-            core, index, variant, th, rho, core.calib.f_nominal
+        variants, alpha, rho = _lane_arrays(
+            lanes, variants=variants, alpha=alpha, rho=rho
         )
-        inputs = np.array([slowness, alpha, rho, th, core.vt0_leak[index]])
-        ghz = fc.predict(inputs)
-        ghz += self.optimism * self.freq_rmse.get((index, variant), 0.0)
-        obs.inc("ml.inference_calls")
+        slowness = self.demand(
+            lanes, variants, th, rho,
+            np.full(lanes.batch_size, lanes.calib.f_nominal),
+        )
+        ghz = np.empty(variants.shape)
+        for index, variant, rows in _fc_groups(variants):
+            inputs = np.column_stack([
+                slowness[rows, index],
+                alpha[rows, index],
+                rho[rows, index],
+                np.full(len(rows), th),
+                lanes.vt0_leak[rows, index],
+            ])
+            fc = self._fc(self.freq_fcs, index, variant)
+            bias = self.optimism * self.freq_rmse.get((index, variant), 0.0)
+            ghz[rows, index] = fc.predict_rows(inputs) + bias
+        obs.inc("ml.inference_calls", variants.size)
         obs.inc("ml.inference_seconds", time.perf_counter() - start)
-        return float(
-            np.clip(ghz * 1e9, self.spec.knob_ranges.f_min, self.spec.knob_ranges.f_max)
+        return np.clip(
+            ghz * 1e9, self.spec.knob_ranges.f_min, self.spec.knob_ranges.f_max
         )
 
     def demand(
         self,
-        core: Core,
-        index: int,
-        variant: str,
+        lanes: CoreLanes,
+        variants: np.ndarray,
         th: float,
-        rho: float,
-        f_core: float,
-    ) -> float:
+        rho: np.ndarray,
+        f_core: np.ndarray,
+    ) -> np.ndarray:
         """The Power-FC *demand* feature, computed like the training set.
 
-        Mirrors :func:`repro.ml.dataset.demand_feature` for a real core:
+        Mirrors :func:`repro.ml.dataset.demand_feature` for real cores:
         required speed-up ratio at nominal knobs and a typical local
-        temperature rise above the heat sink.
+        temperature rise above the heat sink.  ``f_core`` is one core
+        frequency per lane; returns ``(lanes, subsystems)``.
         """
         from .dataset import DEMAND_TEMP_RISE  # local to avoid a cycle
 
-        calib = core.calib
-        mean = float(core.stage_mean_rel[index] + core.tail_rel[index])
-        sigma = float(core.stage_sigma_rel[index])
-        if variant == QUEUE_RESIZED:
-            factor = calib.queue_resize_delay_factor
-            mean, sigma = mean * factor, sigma * factor
-        elif variant == FU_LOWSLOPE:
-            free = mean + calib.z_free * sigma
-            sigma = sigma * calib.lowslope_sigma_factor
-            mean = free - calib.z_free * sigma
+        variants, rho, f_core = _lane_arrays(
+            lanes, variants=variants, rho=rho, f_core=f_core
+        )
+        calib = lanes.calib
+        mean = lanes.stage_mean_rel + lanes.tail_rel
+        sigma = lanes.stage_sigma_rel
+        resized = variants == QUEUE_RESIZED
+        factor = calib.queue_resize_delay_factor
+        mean = np.where(resized, mean * factor, mean)
+        sigma = np.where(resized, sigma * factor, sigma)
+        lowslope = variants == FU_LOWSLOPE
+        free = mean + calib.z_free * sigma
+        sigma_ls = sigma * calib.lowslope_sigma_factor
+        mean = np.where(lowslope, free - calib.z_free * sigma_ls, mean)
+        sigma = np.where(lowslope, sigma_ls, sigma)
         if self.spec.pe_budget <= 0.0:
             z = calib.z_free
         else:
-            quantile = min(self.spec.pe_budget / max(rho, 1e-12), 0.5)
-            z = float(np.clip(ndtri(1.0 - quantile), 0.0, calib.z_free))
-        d = float(
-            core.delay_factor(
-                calib.vdd_nominal, 0.0, th + DEMAND_TEMP_RISE
-            )[index]
-        )
-        return f_core / calib.f_nominal * d * (mean + z * sigma)
+            quantile = np.minimum(
+                self.spec.pe_budget / np.maximum(rho, 1e-12), 0.5
+            )
+            z = np.clip(ndtri(1.0 - quantile), 0.0, calib.z_free)
+        d = lanes.delay_factor(calib.vdd_nominal, 0.0, th + DEMAND_TEMP_RISE)
+        return f_core[:, None] / calib.f_nominal * d * (mean + z * sigma)
 
     def predict_voltages(
         self,
-        core: Core,
-        index: int,
-        variant: str,
+        lanes: CoreLanes,
+        variants: np.ndarray,
         th: float,
-        alpha: float,
-        rho: float,
-        f_core: float,
-    ) -> Tuple[float, float]:
-        """FC estimates of (Vdd, Vbb), snapped to the legal level grids."""
+        alpha: np.ndarray,
+        rho: np.ndarray,
+        f_core: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Power-FC estimates of (Vdd, Vbb), snapped to the level grids.
+
+        Lane-shaped like :meth:`predict_fmax`, with one core frequency
+        per lane in ``f_core``; returns two ``(lanes, subsystems)``
+        arrays.
+        """
         start = time.perf_counter()
-        demand = self.demand(core, index, variant, th, rho, f_core)
-        inputs = np.array([demand, alpha])
-        if self.has_vdd:
-            raw_vdd = self.vdd_fcs[(index, variant)].predict(inputs)
-            vdd = _snap(raw_vdd + self.vdd_caution, self.spec.vdd_levels)
-        else:
-            vdd = float(self.spec.vdd_levels[0])
-        if self.has_vbb:
-            raw_vbb = self.vbb_fcs[(index, variant)].predict(inputs)
-            vbb = _snap(raw_vbb, self.spec.vbb_levels)
-        else:
-            vbb = float(self.spec.vbb_levels[0])
-        obs.inc("ml.inference_calls")
+        variants, alpha, rho, f_core = _lane_arrays(
+            lanes, variants=variants, alpha=alpha, rho=rho, f_core=f_core
+        )
+        demand = self.demand(lanes, variants, th, rho, f_core)
+        vdd = np.full(variants.shape, float(self.spec.vdd_levels[0]))
+        vbb = np.full(variants.shape, float(self.spec.vbb_levels[0]))
+        if self.has_vdd or self.has_vbb:
+            for index, variant, rows in _fc_groups(variants):
+                inputs = np.column_stack(
+                    [demand[rows, index], alpha[rows, index]]
+                )
+                if self.has_vdd:
+                    raw = self._fc(self.vdd_fcs, index, variant).predict_rows(
+                        inputs
+                    )
+                    vdd[rows, index] = _snap(
+                        raw + self.vdd_caution, self.spec.vdd_levels
+                    )
+                if self.has_vbb:
+                    raw = self._fc(self.vbb_fcs, index, variant).predict_rows(
+                        inputs
+                    )
+                    vbb[rows, index] = _snap(raw, self.spec.vbb_levels)
+        obs.inc("ml.inference_calls", variants.size)
         obs.inc("ml.inference_seconds", time.perf_counter() - start)
         return vdd, vbb
+
+    @staticmethod
+    def _fc(
+        table: Dict[FCKey, FuzzyController], index: int, variant: str
+    ) -> FuzzyController:
+        try:
+            return table[(index, variant)]
+        except KeyError:
+            raise ValueError(
+                f"no fuzzy controller for variant {variant!r} at "
+                f"subsystem {index}"
+            ) from None
 
     def variants_for(self, core: Core, index: int) -> Tuple[str, ...]:
         """The variants this bank has FCs for, at a given subsystem."""
@@ -168,9 +221,42 @@ class ControllerBank:
         return (BASE,)
 
 
-def _snap(value: float, levels: np.ndarray) -> float:
-    """Snap a raw FC output to the nearest legal actuation level."""
-    return float(levels[np.argmin(np.abs(levels - value))])
+def _snap(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Snap raw FC outputs to the nearest legal actuation level.
+
+    Ties go to the first level.
+    """
+    return levels[np.argmin(np.abs(levels - values[:, None]), axis=1)]
+
+
+def _lane_arrays(
+    lanes: CoreLanes, **arrays: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """The named inputs as arrays, checked against the lane stack.
+
+    ``f_core`` is per lane; every other input is ``(lanes, subsystems)``.
+    """
+    checked = []
+    for name, value in arrays.items():
+        value = np.asarray(value)
+        expected = (lanes.batch_size,)
+        if name != "f_core":
+            expected += (lanes.n_subsystems,)
+        if value.shape != expected:
+            raise ValueError(
+                f"{name} must have shape {expected} to match the lane "
+                f"stack, got {value.shape}"
+            )
+        checked.append(value)
+    return tuple(checked)
+
+
+def _fc_groups(variants: np.ndarray):
+    """``(subsystem, variant, lane rows)`` for every FC a variant matrix uses."""
+    for index in range(variants.shape[1]):
+        column = variants[:, index]
+        for variant in np.unique(column):
+            yield index, str(variant), np.flatnonzero(column == variant)
 
 
 def _variant_kwargs(core: Core, variant: str) -> Dict[str, float]:

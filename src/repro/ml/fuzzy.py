@@ -68,29 +68,61 @@ class FuzzyController:
         return (np.asarray(x, dtype=float) - self.input_mean) / self.input_std
 
     def rule_strengths(self, x_std: np.ndarray) -> np.ndarray:
-        """Eqs 10-11: firing strength of each rule for one input."""
+        """Eqs 10-11: firing strength of each rule.
+
+        ``x_std`` is one standardised input, or rows of them shaped
+        ``(n, 1, n_inputs)`` for an ``(n, rules)`` result.
+        """
         w = np.exp(-(((x_std - self.mu) / self.sigma) ** 2))
-        return w.prod(axis=1)
+        return w.prod(axis=-1)
 
     def predict(self, x: np.ndarray) -> float:
-        """Eq 12: the defuzzified output for one raw input vector."""
+        """Eq 12: the defuzzified output for one raw input vector.
+
+        The one-row call of :meth:`predict_rows`, the one inference
+        formula.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_inputs,):
             raise ValueError(
                 f"input must have shape ({self.n_inputs},), got {x.shape}"
             )
-        w = self.rule_strengths(self.standardise(x))
-        total = w.sum()
-        if total < _STRENGTH_FLOOR:
-            # No rule fires: fall back to the nearest rule's output.
-            nearest = int(
-                np.argmin((((self.standardise(x) - self.mu) / self.sigma) ** 2).sum(1))
+        return float(self.predict_rows(x[None])[0])
+
+    def predict_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Eqs 10-12 for every row of ``xs``, shape ``(n, n_inputs)``.
+
+        The inference path: each row's output is computed in exactly the
+        per-rule order of the scalar formula (``exp`` per input, then the
+        product over inputs, then the rule sums), so a row's value does
+        not depend on which other rows share the call.  A row where no
+        rule fires takes the nearest rule's output.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"xs must have shape (n, {self.n_inputs}), got {xs.shape}"
             )
-            return float(self.y[nearest])
-        return float((w * self.y).sum() / total)
+        x_std = self.standardise(xs)[:, None, :]
+        w = self.rule_strengths(x_std)
+        total = w.sum(axis=1)
+        out = np.empty(len(xs))
+        fired = total >= _STRENGTH_FLOOR
+        out[fired] = (w[fired] * self.y).sum(axis=1) / total[fired]
+        if not fired.all():
+            # No rule fires: fall back to the nearest rule's output.
+            z2 = (((x_std[~fired] - self.mu) / self.sigma) ** 2).sum(axis=2)
+            out[~fired] = self.y[np.argmin(z2, axis=1)]
+        return out
 
     def predict_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`predict` over rows of ``xs``."""
+        """Training-side :meth:`predict_rows`: one ``exp`` of summed logs.
+
+        Used only for the training RMSE.  ``exp(-sum)`` rounds differently
+        from the product of per-input ``exp`` terms, so its outputs can
+        differ from :meth:`predict_rows` in the last bits; the trained
+        banks' ``freq_rmse`` values come from this form.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.n_inputs:
             raise ValueError(f"xs must have shape (n, {self.n_inputs})")

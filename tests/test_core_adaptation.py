@@ -24,8 +24,12 @@ from repro.core import (
     optimize_phases_batched,
     retune,
 )
+from repro import obs
+from repro.chip import build_core
+from repro.core.adaptation import _fuzzy_inputs, optimize_units_batched
 from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
 from repro.mitigation import TechniqueState
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,17 @@ def fu_measurements(int_workload):
         measure_workload(int_workload, base, 8000, seed=0),
         measure_workload(
             int_workload, base.with_resized_queue("int"), 8000, seed=0
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def fp_fu_measurements(fp_workload):
+    base = DEFAULT_CORE_CONFIG.with_fu_replication()
+    return (
+        measure_workload(fp_workload, base, 8000, seed=0),
+        measure_workload(
+            fp_workload, base.with_resized_queue("fp"), 8000, seed=0
         ),
     )
 
@@ -404,3 +419,64 @@ class TestOptimizePhasesBatched:
             mode=AdaptationMode.FUZZY_DYN, bank=tiny_bank,
         )
         _assert_results_identical(batched, serial)
+
+    def test_fuzzy_mixed_variants_match_one_lane_calls(
+        self, population, core, other_core, fu_measurements,
+        fp_fu_measurements, tiny_bank,
+    ):
+        """Int and FP phases on three cores: the resized-queue and
+        low-slope stages put both variants in one subsystem column, and
+        the bank groups lanes by FC; each lane must still equal its
+        one-lane call."""
+        cores = [core, other_core, build_core(population[1], 0)]
+        phases = [fu_measurements, fp_fu_measurements]
+        # Precondition: the lowslope/resized stage mixes variants within
+        # the IntQ and IntALU columns.
+        _, variants, _, _ = _fuzzy_inputs(
+            [c for c in cores for _ in phases], TS_ASV_Q_FU,
+            [
+                TechniqueState(queue_full=False, lowslope=True,
+                               domain=full.domain)
+                for _ in cores for full, _ in phases
+            ],
+            [resized for _ in cores for _, resized in phases],
+        )
+        fp = core.floorplan
+        assert set(variants[:, fp.index_of("IntQ")]) == {"full", "resized"}
+        assert set(variants[:, fp.index_of("IntALU")]) == {
+            "normal", "lowslope"
+        }
+        batched = optimize_units_batched(
+            [(c, phases) for c in cores], TS_ASV_Q_FU,
+            AdaptationMode.FUZZY_DYN, tiny_bank,
+        )
+        for which, results in zip(cores, batched):
+            serial = [
+                optimize_phase(
+                    which, TS_ASV_Q_FU, full, resized,
+                    mode=AdaptationMode.FUZZY_DYN, bank=tiny_bank,
+                )
+                for full, resized in phases
+            ]
+            _assert_results_identical(results, serial)
+
+    def test_fuzzy_inference_counter_per_estimate(
+        self, core, int_measurement, fp_measurement, tiny_bank
+    ):
+        """``ml.inference_calls`` counts one per (lane, subsystem)
+        estimate, not one per bank call: this two-phase unit makes
+        165."""
+        registry = MetricsRegistry()
+        was_enabled = obs.enabled()
+        obs.enable()
+        try:
+            with obs.scoped(registry):
+                optimize_phases_batched(
+                    core, TS_ASV,
+                    [(int_measurement, None), (fp_measurement, None)],
+                    mode=AdaptationMode.FUZZY_DYN, bank=tiny_bank,
+                )
+        finally:
+            if not was_enabled:
+                obs.disable()
+        assert registry.counters["ml.inference_calls"].value == 165

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.chip import CMP, schedule_applications
+from repro.chip.chip import CoreLanes
 from repro.core import TS_ASV, optimize_phase
 from repro.exps import run_sensitivity
 from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
@@ -24,28 +25,41 @@ class TestBankPersistence:
         save_bank(tiny_bank, path)
         loaded = load_bank(path)
         spec = tiny_bank.spec
-        for index in (0, 5, 7):
-            variant = tiny_bank.variants_for(core, index)[0]
-            original = tiny_bank.predict_fmax(
-                core, index, variant, spec.t_heatsink, 0.5, 0.5
-            )
-            restored = loaded.predict_fmax(
-                core, index, variant, spec.t_heatsink, 0.5, 0.5
-            )
-            assert restored == pytest.approx(original)
+        lanes = CoreLanes.stack([core])
+        variants = np.array([[
+            tiny_bank.variants_for(core, index)[0]
+            for index in range(core.n_subsystems)
+        ]])
+        inputs = np.full(variants.shape, 0.5)
+        original = tiny_bank.predict_fmax(
+            lanes, variants, spec.t_heatsink, inputs, inputs
+        )
+        restored = loaded.predict_fmax(
+            lanes, variants, spec.t_heatsink, inputs, inputs
+        )
+        assert restored == pytest.approx(original)
 
     def test_round_trip_preserves_voltages(self, tiny_bank, core, tmp_path):
         path = tmp_path / "bank.npz"
         save_bank(tiny_bank, path)
         loaded = load_bank(path)
         spec = tiny_bank.spec
+        lanes = CoreLanes.stack([core])
+        variants = np.array([[
+            tiny_bank.variants_for(core, index)[0]
+            for index in range(core.n_subsystems)
+        ]])
+        alpha = np.full(variants.shape, 0.4)
+        rho = np.full(variants.shape, 0.5)
+        f_core = np.array([3.5e9])
         a = tiny_bank.predict_voltages(
-            core, 3, "base", spec.t_heatsink, 0.4, 0.5, 3.5e9
+            lanes, variants, spec.t_heatsink, alpha, rho, f_core
         )
         b = loaded.predict_voltages(
-            core, 3, "base", spec.t_heatsink, 0.4, 0.5, 3.5e9
+            lanes, variants, spec.t_heatsink, alpha, rho, f_core
         )
-        assert a == b
+        for got, want in zip(b, a):
+            np.testing.assert_array_equal(got, want)
 
     def test_metadata_survives(self, tiny_bank, tmp_path):
         path = tmp_path / "bank.npz"

@@ -1,10 +1,12 @@
 """Fuzzy controllers: inference (Eqs 10-12), training (Eq 13), banks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from repro.chip.chip import CoreLanes
 from repro.ml import (
     FuzzyController,
     generate_training_data,
@@ -53,6 +55,18 @@ class TestFuzzyInference:
         scalar = np.array([fc.predict(x) for x in xs])
         assert np.allclose(batch, scalar)
 
+    def test_rows_equal_one_row_calls(self, rng):
+        """predict_rows is the inference formula: each row equals the
+        one-row predict() exactly, fallback rows included."""
+        fc = _simple_fc()
+        xs = np.vstack([
+            rng.normal(0.5, 0.4, size=(20, 2)),
+            [[100.0, 100.0], [-80.0, 3.0]],  # no rule fires
+        ])
+        np.testing.assert_array_equal(
+            fc.predict_rows(xs), [fc.predict(x) for x in xs]
+        )
+
     def test_output_bounded_by_rule_outputs(self, rng):
         # Eq 12 is a convex combination: the output cannot exceed the
         # rule outputs' range.
@@ -67,6 +81,8 @@ class TestFuzzyInference:
             fc.predict(np.zeros(3))
         with pytest.raises(ValueError):
             fc.predict_batch(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"\(n, 2\), got \(4, 3\)"):
+            fc.predict_rows(np.zeros((4, 3)))
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -204,6 +220,19 @@ class TestDataset:
                 assert np.array_equal(got_part, want_part)
 
 
+def _lane_inputs(bank, cores, alpha=0.5, rho=0.5):
+    """A lane stack of ``cores`` with each subsystem's first variant and
+    uniform activity and rho."""
+    lanes = CoreLanes.stack(list(cores))
+    n = lanes.n_subsystems
+    variants = np.array(
+        [[bank.variants_for(c, i)[0] for i in range(n)] for c in cores],
+        dtype=object,
+    )
+    shape = (len(cores), n)
+    return lanes, variants, np.full(shape, alpha), np.full(shape, rho)
+
+
 class TestBank:
     def test_bank_contains_variant_fcs(self, tiny_bank, core):
         fp = core.floorplan
@@ -214,42 +243,109 @@ class TestBank:
 
     def test_predictions_within_ranges(self, tiny_bank, core):
         spec = tiny_bank.spec
-        f = tiny_bank.predict_fmax(core, 0, "base", spec.t_heatsink, 0.5, 0.5)
-        assert spec.knob_ranges.f_min <= f <= spec.knob_ranges.f_max
+        lanes, variants, alpha, rho = _lane_inputs(tiny_bank, [core])
+        f = tiny_bank.predict_fmax(lanes, variants, spec.t_heatsink, alpha, rho)
+        assert f.shape == (1, core.n_subsystems)
+        assert np.all(spec.knob_ranges.f_min <= f)
+        assert np.all(f <= spec.knob_ranges.f_max)
         vdd, vbb = tiny_bank.predict_voltages(
-            core, 0, "base", spec.t_heatsink, 0.5, 0.5, 3.6e9
+            lanes, variants, spec.t_heatsink, alpha, rho, np.array([3.6e9])
         )
-        assert np.min(np.abs(spec.vdd_levels - vdd)) < 1e-9
-        assert vbb == 0.0
+        assert np.all(
+            np.min(np.abs(spec.vdd_levels - vdd[..., None]), axis=-1) < 1e-9
+        )
+        assert np.all(vbb == 0.0)
 
     def test_freq_prediction_tracks_exhaustive(self, tiny_bank, core, other_core):
         """Even a tiny bank should rank a slow chip below a fast one."""
         from repro.core.optimizer import core_subsystem_arrays, freq_algorithm
 
         spec = tiny_bank.spec
-        diffs = []
-        for c in (core, other_core):
-            subs = core_subsystem_arrays(c, c.alpha_ref, c.rho_ref)
-            exact = freq_algorithm(subs, spec)
-            for i in range(c.n_subsystems):
-                variant = tiny_bank.variants_for(c, i)[0]
-                predicted = tiny_bank.predict_fmax(
-                    c, i, variant, spec.t_heatsink,
-                    float(c.alpha_ref[i]), float(c.rho_ref[i]),
-                )
-                diffs.append(abs(predicted - exact.f_max[i]))
+        cores = [core, other_core]
+        lanes, variants, _, _ = _lane_inputs(tiny_bank, cores)
+        alpha = np.stack([c.alpha_ref for c in cores])
+        rho = np.stack([c.rho_ref for c in cores])
+        predicted = tiny_bank.predict_fmax(
+            lanes, variants, spec.t_heatsink, alpha, rho
+        )
+        exact = np.stack([
+            freq_algorithm(
+                core_subsystem_arrays(c, c.alpha_ref, c.rho_ref), spec
+            ).f_max
+            for c in cores
+        ])
         # Tiny training set: generous bound (the real bank is ~4x better).
-        assert np.mean(diffs) < 0.5e9
+        assert np.mean(np.abs(predicted - exact)) < 0.5e9
 
     def test_higher_demand_needs_higher_vdd(self, tiny_bank, core):
         spec = tiny_bank.spec
-        low_vdd, _ = tiny_bank.predict_voltages(
-            core, 0, "base", spec.t_heatsink, 0.5, 0.5, 2.6e9
+        lanes, variants, alpha, rho = _lane_inputs(tiny_bank, [core, core])
+        vdd, _ = tiny_bank.predict_voltages(
+            lanes, variants, spec.t_heatsink, alpha, rho,
+            np.array([2.6e9, 4.8e9]),
         )
-        high_vdd, _ = tiny_bank.predict_voltages(
-            core, 0, "base", spec.t_heatsink, 0.5, 0.5, 4.8e9
+        assert np.all(vdd[1] >= vdd[0])
+
+    def test_lanes_equal_one_lane_calls(self, tiny_bank, core, other_core, rng):
+        """Grouping lanes by FC changes no entry: mixed variants in one
+        column, each lane equal to its one-lane call."""
+        spec = tiny_bank.spec
+        cores = [core, other_core, core]
+        lanes, variants, _, _ = _lane_inputs(tiny_bank, cores)
+        for name, variant in (("IntQ", "resized"), ("IntALU", "lowslope")):
+            variants[1, core.floorplan.index_of(name)] = variant
+        alpha = rng.uniform(0.1, 0.9, size=variants.shape)
+        rho = rng.uniform(0.1, 0.9, size=variants.shape)
+        f_core = np.array([3.2e9, 4.0e9, 4.4e9])
+        th = spec.t_heatsink
+        f = tiny_bank.predict_fmax(lanes, variants, th, alpha, rho)
+        vdd, vbb = tiny_bank.predict_voltages(
+            lanes, variants, th, alpha, rho, f_core
         )
-        assert high_vdd >= low_vdd
+        for lane in range(len(cores)):
+            one = lanes.lane_subset([lane])
+            args = (variants[[lane]], th, alpha[[lane]], rho[[lane]])
+            np.testing.assert_array_equal(
+                tiny_bank.predict_fmax(one, *args)[0], f[lane]
+            )
+            one_vdd, one_vbb = tiny_bank.predict_voltages(
+                one, *args, f_core[[lane]]
+            )
+            np.testing.assert_array_equal(one_vdd[0], vdd[lane])
+            np.testing.assert_array_equal(one_vbb[0], vbb[lane])
+
+    @pytest.mark.parametrize("name", ["variants", "alpha", "rho", "f_core"])
+    def test_input_shape_mismatch_is_structured(self, tiny_bank, core, name):
+        lanes, variants, alpha, rho = _lane_inputs(tiny_bank, [core, core])
+        inputs = {
+            "variants": variants, "alpha": alpha, "rho": rho,
+            "f_core": np.full(2, 3.6e9),
+        }
+        inputs[name] = inputs[name][:1]
+        expected = "(2,)" if name == "f_core" else f"(2, {core.n_subsystems})"
+        match = rf"{name} must have shape {re.escape(expected)}.*got \(1"
+        with pytest.raises(ValueError, match=match):
+            tiny_bank.predict_voltages(
+                lanes, inputs["variants"], tiny_bank.spec.t_heatsink,
+                inputs["alpha"], inputs["rho"], inputs["f_core"],
+            )
+        if name != "f_core":
+            with pytest.raises(ValueError, match=match):
+                tiny_bank.predict_fmax(
+                    lanes, inputs["variants"], tiny_bank.spec.t_heatsink,
+                    inputs["alpha"], inputs["rho"],
+                )
+
+    def test_unknown_variant_is_structured(self, tiny_bank, core):
+        lanes, variants, alpha, rho = _lane_inputs(tiny_bank, [core])
+        variants[0, core.floorplan.index_of("Dcache")] = "resized"
+        th = tiny_bank.spec.t_heatsink
+        with pytest.raises(ValueError, match="variant 'resized'"):
+            tiny_bank.predict_fmax(lanes, variants, th, alpha, rho)
+        with pytest.raises(ValueError, match="variant 'resized'"):
+            tiny_bank.predict_voltages(
+                lanes, variants, th, alpha, rho, np.array([3.6e9])
+            )
 
 
 class TestLockstepTraining:
