@@ -51,7 +51,6 @@ from .retuning import Outcome, retune_batched
 from .state import (
     Configuration,
     EvaluatedState,
-    evaluate_configuration,
     evaluate_configurations,
 )
 
@@ -195,22 +194,31 @@ def _freq_stage(
     bank: "Optional[ControllerBank]",
     queue_full: bool,
 ) -> "Tuple[List[TechniqueState], List[float]]":
-    """Freq algorithm + the Figure 4 FU-replication decision, per lane."""
+    """Freq algorithm + the Figure 4 FU-replication decision, per lane.
+
+    With FU replication the normal and low-slope technique lanes go to
+    one :func:`_lane_fmax` call: the replica changes only the FU
+    column's sigma scale and power factor, so the exhaustive sweep
+    shares every other subsystem row between the two lanes.
+    """
     techniques = [
         TechniqueState(queue_full=queue_full, lowslope=False, domain=m.domain)
         for m in measurements
     ]
-    fmax = _lane_fmax(cores, env, spec, techniques, measurements, mode, bank)
+    n_lanes = len(techniques)
+    lowslope = [replace(t, lowslope=True) for t in techniques] if env.fu else []
+    copies = 2 if env.fu else 1
+    fmax = _lane_fmax(
+        list(cores) * copies, env, spec, techniques + lowslope,
+        list(measurements) * copies, mode, bank,
+    )
     if env.fu:
-        lowslope = [replace(t, lowslope=True) for t in techniques]
-        fmax_ls = _lane_fmax(
-            cores, env, spec, lowslope, measurements, mode, bank
-        )
+        fmax, fmax_ls = fmax[:n_lanes], fmax[n_lanes:]
         # Per-lane inputs to the Figure 4 rule, gathered in one shot:
         # masking the FU column to +inf leaves min() over exactly the
         # subsystems other than the FU.
         index_of = cores[0].floorplan.index_of
-        lanes_ix = np.arange(len(techniques))
+        lanes_ix = np.arange(n_lanes)
         fu_idx = np.array(
             [index_of(t.fu_name) for t in techniques], dtype=np.intp
         )
@@ -219,7 +227,7 @@ def _freq_stage(
         rest = fmax.copy()
         rest[lanes_ix, fu_idx] = np.inf
         f_rest = rest.min(axis=1)
-        for lane in range(len(techniques)):
+        for lane in range(n_lanes):
             decision = choose_fu_implementation(
                 f_normal=float(f_fu[lane]),
                 f_lowslope=float(f_fu_ls[lane]),
@@ -633,30 +641,64 @@ def aggregate_static_measurement(
 
 
 def evaluate_at_fixed_config(
-    core: Core,
+    units: Sequence[Tuple[Core, Configuration]],
     env: Environment,
-    config: Configuration,
-    meas: WorkloadMeasurement,
-) -> AdaptationResult:
-    """Evaluate a (static) configuration on one workload without adapting."""
-    state = evaluate_configuration(
-        core,
-        config,
-        meas.activity,
-        meas.rho,
-        core.calib.t_heatsink_max,
+    measurements: Sequence[WorkloadMeasurement],
+) -> List[List[AdaptationResult]]:
+    """Evaluate each unit's (static) configuration on every measurement,
+    without adapting.
+
+    ``units`` pairs each core with its configuration.  Every (unit,
+    measurement) lane settles in one
+    :func:`~repro.core.state.evaluate_configurations` call over the
+    stacked cores; a population whose cores cannot stack runs once per
+    unit.  Returns one result list per unit, in measurement order.
+    """
+    units = list(units)
+    measurements = list(measurements)
+    if not measurements:
+        return [[] for _ in units]
+    if not stackable([core for core, _ in units]):
+        return [
+            evaluate_at_fixed_config([unit], env, measurements)[0]
+            for unit in units
+        ]
+    cores = [core for core, _ in units for _ in measurements]
+    configs = [config for _, config in units for _ in measurements]
+    meas = measurements * len(units)
+    distinct, index = _distinct(cores)
+    node = (
+        distinct[0]
+        if len(distinct) == 1
+        else CoreLanes.stack(distinct).lane_subset(index)
+    )
+    states = evaluate_configurations(
+        node,
+        configs,
+        [m.activity for m in meas],
+        [m.rho for m in meas],
         checker=env.checker,
     )
-    params = perf_params_from_measurement(meas, core)
-    pe_effective = state.pe_total if env.checker else 0.0
-    perf = float(performance(config.f_core, pe_effective, params))
-    return AdaptationResult(
-        environment=env,
-        mode=AdaptationMode.STATIC,
-        config=config,
-        state=state,
-        outcome=Outcome.NO_CHANGE,
-        f_controller=config.f_core,
-        measurement=meas,
-        performance_ips=perf,
-    )
+    results = []
+    for core, config, m, state in zip(cores, configs, meas, states):
+        params = perf_params_from_measurement(m, core)
+        pe_effective = state.pe_total if env.checker else 0.0
+        results.append(
+            AdaptationResult(
+                environment=env,
+                mode=AdaptationMode.STATIC,
+                config=config,
+                state=state,
+                outcome=Outcome.NO_CHANGE,
+                f_controller=config.f_core,
+                measurement=m,
+                performance_ips=float(
+                    performance(config.f_core, pe_effective, params)
+                ),
+            )
+        )
+    width = len(measurements)
+    return [
+        results[start:start + width]
+        for start in range(0, len(results), width)
+    ]

@@ -18,18 +18,19 @@ Everything is vectorised over a :class:`SubsystemArrays` batch, which is
 either a view of a real :class:`~repro.chip.chip.Core` or a synthetic
 batch of training samples.  A batch may additionally carry a leading
 *lane* axis — shape ``(B, n_subsystems)``, built with
-:meth:`SubsystemArrays.stack` — in which case one kernel call solves B
-independent phases at once over a ``(vdd, vbb, B, n)`` grid.  Because
-every physical relation is elementwise per grid cell, batched results
-are bit-identical to B separate calls; converged lanes drop out of the
-joint fixed point early (convergence masking) instead of iterating at
-the slowest lane's pace.
+:meth:`SubsystemArrays.stack` — in which case one call solves B
+independent phases at once.  Because every physical relation is
+elementwise per grid cell, batched results are bit-identical to B
+separate calls.  Freq sweeps each distinct subsystem row of the stack
+once, and converged lanes drop out of its joint fixed point early
+(convergence masking) instead of iterating at the slowest lane's pace;
+Power sweeps the full ``(vdd, vbb, B, n)`` grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,6 +198,10 @@ class SubsystemArrays:
         """The batched view restricted to the given lane indices."""
         if not self.is_batched:
             raise ValueError("lane_subset requires a batched view")
+        return self._take(index)
+
+    def _take(self, index: np.ndarray) -> "SubsystemArrays":
+        """Every array field indexed along its leading axis."""
         arrays = {name: getattr(self, name)[index] for name in _ARRAY_FIELDS}
         return SubsystemArrays(**arrays, **self._scalar_fields())
 
@@ -369,6 +374,64 @@ def _thermal_fixed_point(
     return temp, p_dyn
 
 
+def _distinct_rows(
+    lanes: SubsystemArrays,
+) -> "Tuple[SubsystemArrays, np.ndarray]":
+    """The distinct subsystem rows of a ``(B, n)`` stack, and each entry's row.
+
+    A row is an entry's 11 array inputs; entries whose rows are bitwise
+    equal (e.g. a lane and its low-slope replica everywhere but the FU
+    column) share one row index.  Returns an unbatched ``(R,)`` view of
+    the rows, in byte order, and the ``(B, n)`` entry-to-row map.
+    """
+    n_lanes, n = lanes.vt0_timing.shape
+    table = np.empty((n_lanes * n, len(_ARRAY_FIELDS)))
+    for column, name in enumerate(_ARRAY_FIELDS):
+        table[:, column] = getattr(lanes, name).reshape(-1)
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))
+    _, first, inverse = np.unique(
+        keys[:, 0], return_index=True, return_inverse=True
+    )
+    columns = table[first].T.copy()
+    rows = SubsystemArrays(
+        **{name: columns[k] for k, name in enumerate(_ARRAY_FIELDS)},
+        **lanes._scalar_fields(),
+    )
+    return rows, inverse.reshape(n_lanes, n)
+
+
+def _thermal_frequency_cap(
+    rows: SubsystemArrays, vdd, vbb, spec: OptimizationSpec
+) -> np.ndarray:
+    """The frequency at which each knob cell reaches TMAX (0 if none).
+
+    Static leakage is taken at TMAX; the cap bounds the joint (f, T)
+    fixed point of :func:`freq_algorithm` from above.
+    """
+    p_sta_hot = rows.p_static(vdd, vbb, spec.t_max)
+    headroom = spec.t_max - spec.t_heatsink - rows.rth * p_sta_hot
+    denom = rows.kdyn * rows.alpha * vdd**2 * rows.power_factor
+    with np.errstate(divide="ignore"):
+        return np.where(headroom > 0.0, headroom / (rows.rth * denom), 0.0)
+
+
+def _best_knobs(f, temp, spec: OptimizationSpec):
+    """Per-column first maximum of the feasible ``f`` over the knob grid.
+
+    ``f`` and ``temp`` are ``(vdd, vbb, ...)`` grids; returns ``(f_max,
+    vdd, vbb, feasible)`` over the trailing axes, ``f_max`` falling back
+    to ``f_min`` where no knob setting met TMAX.
+    """
+    f_grid = np.where(temp <= spec.t_max + 0.05, f, -np.inf)
+    flat = f_grid.reshape((-1,) + f_grid.shape[2:])
+    best = np.argmax(flat, axis=0)
+    iv, ib = np.unravel_index(best, f_grid.shape[:2])
+    f_max = np.take_along_axis(flat, best[None], axis=0)[0]
+    feasible = np.isfinite(f_max)
+    f_max = np.where(feasible, f_max, spec.knob_ranges.f_min)
+    return f_max, spec.vdd_levels[iv], spec.vbb_levels[ib], feasible
+
+
 def freq_algorithm(
     subsystems: SubsystemArrays, spec: OptimizationSpec
 ) -> FreqResult:
@@ -379,99 +442,104 @@ def freq_algorithm(
     on temperature, which depends on frequency); the subsystem's
     ``f_max`` is the best feasible combination.
 
-    A batched ``(B, n)`` input sweeps all B lanes in one ``(vdd, vbb, B,
-    n)`` grid; lanes whose frequencies have converged drop out of further
-    fixed-point iterations (the per-lane stopping criterion is exactly
-    the serial one, so results stay bit-identical to B separate calls).
+    Each subsystem is solved independently, so a batched ``(B, n)`` input
+    sweeps only its *distinct* subsystem rows (see :func:`_distinct_rows`)
+    in one ``(vdd, vbb, rows)`` grid.  A lane stops when all its rows
+    have converged and is reduced to its result at once; a row iterates
+    while any of its lanes is active.  The per-lane stopping criterion is
+    exactly the one-lane one, so results stay bit-identical to B
+    separate calls.
     """
     batched = subsystems.is_batched
     lanes = subsystems.lanes()
-    calib = lanes.calib
-    n = lanes.n_subsystems
-    n_lanes = lanes.batch_size
-    vdd = spec.vdd_levels[:, None, None, None]
-    vbb = spec.vbb_levels[None, :, None, None]
-    z = budget_z(lanes, spec.pe_budget)[None, None, :, :]
-    t_cycle = 1.0 / calib.f_nominal
-    grid_shape = (len(spec.vdd_levels), len(spec.vbb_levels), n_lanes, n)
-
-    f = np.full(grid_shape, spec.knob_ranges.f_min)
-    temp = np.full_like(f, spec.t_heatsink + 5.0)
+    n_lanes, n = lanes.batch_size, lanes.n_subsystems
+    rows, row_of = _distinct_rows(lanes)
+    vdd = spec.vdd_levels[:, None, None]
+    vbb = spec.vbb_levels[None, :, None]
+    t_cycle = 1.0 / rows.calib.f_nominal
+    t_limit = spec.t_max + 0.05
     obs.inc("optimizer.freq_calls")
     obs.inc("optimizer.freq_lanes", float(n_lanes))
-    obs.inc("optimizer.candidates", float(f.size))
+    obs.inc(
+        "optimizer.candidates",
+        float(len(spec.vdd_levels) * len(spec.vbb_levels) * rows.n_subsystems),
+    )
 
-    # Loop invariants: the static leakage at TMAX, the thermal headroom
-    # and the resulting thermal frequency cap depend only on the knob
-    # grid, never on the iterated (f, T) state.
-    p_sta_hot = lanes.p_static(vdd, vbb, spec.t_max)
-    headroom = spec.t_max - spec.t_heatsink - lanes.rth * p_sta_hot
-    denom = lanes.kdyn * lanes.alpha * vdd**2 * lanes.power_factor
-    with np.errstate(divide="ignore"):
-        f_thermal = np.broadcast_to(
-            np.where(headroom > 0.0, headroom / (lanes.rth * denom), 0.0),
-            grid_shape,
-        )
+    # Loop invariants: the budget z-score, the static leakage at TMAX,
+    # the thermal headroom and the resulting thermal frequency cap depend
+    # only on the row and the knob grid, never on the iterated (f, T).
+    z = budget_z(rows, spec.pe_budget)
+    f_thermal = _thermal_frequency_cap(rows, vdd, vbb, spec)
 
-    # Joint fixed point over (f, T) with active-lane masking: alternate
-    # the PE-budget frequency, the thermal cap and the temperature
-    # solution, retiring lanes as they converge.
+    f_max = np.empty((n_lanes, n))
+    vdd_best = np.empty((n_lanes, n), dtype=spec.vdd_levels.dtype)
+    vbb_best = np.empty((n_lanes, n), dtype=spec.vbb_levels.dtype)
+    feasible = np.empty((n_lanes, n), dtype=bool)
+
+    def settle(done, f, temp, slot):
+        # Entries sharing a row share its result: reduce each needed
+        # live column once, then gather per entry.
+        columns, back = np.unique(slot[row_of[done]], return_inverse=True)
+        back = back.reshape(len(done), n)
+        best = _best_knobs(f[:, :, columns], temp[:, :, columns], spec)
+        for out, values in zip((f_max, vdd_best, vbb_best, feasible), best):
+            out[done] = values[back]
+
+    # Joint fixed point over (f, T) on the live rows: alternate the
+    # PE-budget frequency, the thermal cap and the temperature solution.
+    # ``slot`` maps a row index to its column in the live grid.
     active = np.arange(n_lanes)
     iterations = np.full(n_lanes, _FREQ_MAX_ITERATIONS, dtype=int)
-    sub_active = lanes
-    f_active, temp_active = f, temp
-    z_active, f_thermal_active = z, f_thermal
+    slot = np.arange(rows.n_subsystems)
+    sub, z_live, f_thermal_live = rows, z, f_thermal
+    f = np.full(f_thermal.shape, spec.knob_ranges.f_min)
+    temp = np.full_like(f, spec.t_heatsink + 5.0)
+    rejections = 0
     for iteration in range(_FREQ_MAX_ITERATIONS):
-        period = (
-            sub_active.budget_period_rel(vdd, vbb, temp_active, z_active)
-            * t_cycle
-        )
+        period = sub.budget_period_rel(vdd, vbb, temp, z_live) * t_cycle
         f_pe = 1.0 / period
         f_new = np.clip(
-            np.minimum(f_pe, f_thermal_active),
+            np.minimum(f_pe, f_thermal_live),
             spec.knob_ranges.f_min,
             spec.knob_ranges.f_max,
         )
-        temp_new, _ = _thermal_fixed_point(
-            sub_active, vdd, vbb, f_new, spec.t_heatsink, iterations=8
+        temp, _ = _thermal_fixed_point(
+            sub, vdd, vbb, f_new, spec.t_heatsink, iterations=8
         )
-        # Convergence must be judged against the *previous* iterate, so
-        # compute it before f (which f_active may alias) is updated.
-        converged = np.all(
-            np.abs(f_new - f_active)
-            <= _CONVERGENCE_ATOL + _CONVERGENCE_RTOL * np.abs(f_active),
-            axis=(0, 1, 3),
+        row_converged = np.all(
+            np.abs(f_new - f) <= _CONVERGENCE_ATOL + _CONVERGENCE_RTOL * np.abs(f),
+            axis=(0, 1),
         )
-        f[:, :, active] = f_new
-        temp[:, :, active] = temp_new
-        if converged.any():
-            iterations[active[converged]] = iteration + 1
-            active = active[~converged]
-            if active.size == 0:
-                break
-            sub_active = lanes.lane_subset(active)
-            z_active = z[:, :, active, :]
-            f_thermal_active = f_thermal[:, :, active]
-            f_active = f[:, :, active]
-            temp_active = temp[:, :, active]
-        else:
-            f_active = f_new
-            temp_active = temp_new
+        f = f_new
+        converged = row_converged[slot[row_of[active]]].all(axis=1)
+        if not converged.any():
+            continue
+        done = active[converged]
+        iterations[done] = iteration + 1
+        settle(done, f, temp, slot)
+        active = active[~converged]
+        if active.size == 0:
+            break
+        keep = np.unique(row_of[active])
+        columns = slot[keep]
+        if columns.size < f.shape[2]:
+            # Rows no active lane needs retire at their final iterate;
+            # their infeasible cells are counted once, here.
+            retired = np.ones(f.shape[2], dtype=bool)
+            retired[columns] = False
+            rejections += int((~(temp[:, :, retired] <= t_limit)).sum())
+            f, temp = f[:, :, columns], temp[:, :, columns]
+            sub = rows._take(keep)
+            z_live, f_thermal_live = z[keep], f_thermal[:, :, keep]
+            slot[keep] = np.arange(keep.size)
+    if active.size:
+        settle(active, f, temp, slot)
+    rejections += int((~(temp <= t_limit)).sum())
     for count in iterations:
         obs.observe("optimizer.freq_iterations", float(count))
     obs.inc("optimizer.freq_exhausted", float(active.size))
+    obs.inc("optimizer.constraint_rejections", float(rejections))
 
-    feasible_grid = temp <= spec.t_max + 0.05
-    obs.inc("optimizer.constraint_rejections", float((~feasible_grid).sum()))
-    f_grid = np.where(feasible_grid, f, -np.inf)
-    flat = f_grid.reshape(-1, n_lanes, n)
-    best = np.argmax(flat, axis=0)  # per-lane argmax over the knob grid
-    iv, ib = np.unravel_index(best, f_grid.shape[:2])
-    f_max = np.take_along_axis(flat, best[None, :, :], axis=0)[0]
-    feasible = np.isfinite(f_max)
-    f_max = np.where(feasible, f_max, spec.knob_ranges.f_min)
-    vdd_best = spec.vdd_levels[iv]
-    vbb_best = spec.vbb_levels[ib]
     if not batched:
         f_max, vdd_best = f_max[0], vdd_best[0]
         vbb_best, feasible = vbb_best[0], feasible[0]

@@ -511,7 +511,8 @@ class ExperimentRunner:
         call, so the retuning rounds, thermal solves and error-rate
         evaluations of the whole population amortise into a handful of
         array ops.  Static adapts once per unit, on the aggregated
-        measurement, and evaluates every phase at that configuration.
+        measurement, and evaluates every (unit, phase) lane at that
+        configuration in one ``evaluate_at_fixed_config`` call.
         Per-unit rows come back in unit order.
         """
         units = [(int(chip), int(core)) for chip, core in units]
@@ -529,13 +530,10 @@ class ExperimentRunner:
                     )
             if mode is AdaptationMode.STATIC:
                 configs = self._static_configurations(cores, env, workloads)
-                adapted = [
-                    [
-                        evaluate_at_fixed_config(core, env, config, full)
-                        for _, _, _, full, _ in entries
-                    ]
-                    for core, config in zip(cores, configs)
-                ]
+                adapted = evaluate_at_fixed_config(
+                    list(zip(cores, configs)), env,
+                    [full for _, _, _, full, _ in entries],
+                )
             else:
                 if mode is AdaptationMode.FUZZY_DYN and bank is None:
                     bank = self.bank_for(env)

@@ -204,32 +204,33 @@ def _reference_timing_error_cdf(freq, mean, sigma, rho):
 # steady-state temporaries.  Bitwise equalities relied on here (all
 # asserted by tests/test_kernels.py): ``x**2 == x*x``, scalar
 # multiplication commutes (``k*a == a*k``), and ufunc ``out=`` writes
-# are exact.
+# are exact.  Operands of any broadcastable shape go to the ufuncs as
+# they are: the ufunc broadcasts them into the full-shape ``out=``.
 # ----------------------------------------------------------------------
-def _fill_vt(vt0, vdd, vbb, temp_b, sens, shape, vt):
+def _fill_vt(vt0, vdd, vbb, temp, sens, vt):
     """Eq 9 into ``vt``, preserving the seed's association order."""
-    np.subtract(temp_b, sens.t_ref, out=vt)
+    np.subtract(temp, sens.t_ref, out=vt)
     np.multiply(vt, sens.k1, out=vt)
-    np.add(np.broadcast_to(vt0, shape), vt, out=vt)
-    np.add(vt, np.broadcast_to(sens.k2 * (vdd - sens.vdd_ref), shape), out=vt)
-    np.add(vt, np.broadcast_to(sens.k3 * vbb, shape), out=vt)
+    np.add(vt0, vt, out=vt)
+    np.add(vt, sens.k2 * (vdd - sens.vdd_ref), out=vt)
+    np.add(vt, sens.k3 * vbb, out=vt)
 
 
-def _fill_psta(vt, vdd, temp_b, ksta, ideality, power_factor, shape, p, ws, ws2):
+def _fill_psta(vt, vdd, temp, ksta, ideality, power_factor, p, ws, ws2):
     """Eq 8 (optionally * power_factor) into ``p``.
 
     ``p`` may alias ``vt``: the first operation consumes ``vt`` into
     ``ws`` and nothing reads it afterwards.
     """
     np.multiply(vt, -Q_OVER_K, out=ws)
-    np.multiply(temp_b, ideality, out=ws2)
+    np.multiply(temp, ideality, out=ws2)
     np.divide(ws, ws2, out=ws)
     np.exp(ws, out=ws)
-    np.multiply(temp_b, temp_b, out=ws2)
-    np.multiply(np.broadcast_to(ksta * vdd, shape), ws2, out=p)
+    np.multiply(temp, temp, out=ws2)
+    np.multiply(ksta * vdd, ws2, out=p)
     np.multiply(p, ws, out=p)
     if power_factor is not None:
-        np.multiply(p, np.broadcast_to(power_factor, shape), out=p)
+        np.multiply(p, power_factor, out=p)
 
 
 def _numpy_vt_and_static_power(
@@ -252,14 +253,11 @@ def _numpy_vt_and_static_power(
         power_factor = np.asarray(power_factor, dtype=float)
         shapes.append(power_factor.shape)
     shape = np.broadcast_shapes(*shapes)
-    temp_b = np.broadcast_to(temp, shape)
     vt = np.empty(shape)
     p_sta = np.empty(shape)
-    _fill_vt(vt0, vdd, vbb, temp_b, sens, shape, vt)
+    _fill_vt(vt0, vdd, vbb, temp, sens, vt)
     with _POOL.borrow(shape, 2) as (ws, ws2):
-        _fill_psta(
-            vt, vdd, temp_b, ksta, ideality, power_factor, shape, p_sta, ws, ws2
-        )
+        _fill_psta(vt, vdd, temp, ksta, ideality, power_factor, p_sta, ws, ws2)
     return vt, p_sta
 
 
@@ -300,17 +298,16 @@ def _numpy_thermal_step(
         raise ValueError(
             f"thermal_step out buffer has shape {out.shape}, expected {shape}"
         )
-    temp_b = np.broadcast_to(temp, shape)
     delta = None
     with _POOL.borrow(shape, 3) as (p, ws, ws2):
-        _fill_vt(vt0_leak, vdd, vbb, temp_b, sens, shape, p)
-        _fill_psta(p, vdd, temp_b, ksta, ideality, power_factor, shape, p, ws, ws2)
-        np.add(np.broadcast_to(p_dyn, shape), p, out=p)
-        np.multiply(np.broadcast_to(rth, shape), p, out=p)
+        _fill_vt(vt0_leak, vdd, vbb, temp, sens, p)
+        _fill_psta(p, vdd, temp, ksta, ideality, power_factor, p, ws, ws2)
+        np.add(p_dyn, p, out=p)
+        np.multiply(rth, p, out=p)
         np.add(p, t_heatsink, out=p)
         np.minimum(p, t_runaway, out=out)
         if compute_delta:
-            np.subtract(out, temp_b, out=ws)
+            np.subtract(out, temp, out=ws)
             np.abs(ws, out=ws)
             delta = ws.max(axis=-1)
     return out, delta
@@ -325,12 +322,12 @@ def _numpy_timing_error_cdf(freq, mean, sigma, rho):
         freq.shape, mean.shape, sigma.shape, rho.shape
     )
     pe = np.empty(shape)
-    np.divide(1.0, np.broadcast_to(freq, shape), out=pe)
-    np.subtract(pe, np.broadcast_to(mean, shape), out=pe)
-    np.divide(pe, np.broadcast_to(sigma, shape), out=pe)
+    np.divide(1.0, freq, out=pe)
+    np.subtract(pe, mean, out=pe)
+    np.divide(pe, sigma, out=pe)
     np.negative(pe, out=pe)
     _scipy_ndtr(pe, out=pe)
-    np.multiply(np.broadcast_to(rho, shape), pe, out=pe)
+    np.multiply(rho, pe, out=pe)
     return pe
 
 

@@ -18,6 +18,7 @@ from repro.core import (
     Violation,
     aggregate_static_measurement,
     by_name,
+    evaluate_at_fixed_config,
     evaluate_configuration,
     evaluate_configurations,
     optimize_phase,
@@ -26,10 +27,16 @@ from repro.core import (
 )
 from repro import obs
 from repro.chip import build_core
-from repro.core.adaptation import _fuzzy_inputs, optimize_units_batched
+from repro.chip.chip import stackable
+from repro.core.adaptation import (
+    _fuzzy_inputs,
+    optimize_units_batched,
+    perf_params_from_measurement,
+)
 from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
 from repro.mitigation import TechniqueState
 from repro.obs import MetricsRegistry
+from repro.timing.speculation import performance
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +200,73 @@ class TestEvaluateConfiguration:
             core, ls, int_measurement.activity, int_measurement.rho
         ).total_power
         assert p_ls > p_base
+
+
+class TestEvaluateAtFixedConfig:
+    """Static's lane evaluation equals one scalar evaluation per phase."""
+
+    @staticmethod
+    def _assert_equals_per_phase(units, env, measurements):
+        got = evaluate_at_fixed_config(units, env, measurements)
+        assert len(got) == len(units)
+        for (core, config), results in zip(units, got):
+            assert len(results) == len(measurements)
+            for meas, result in zip(measurements, results):
+                want = evaluate_configuration(
+                    core, config, meas.activity, meas.rho,
+                    core.calib.t_heatsink_max, checker=env.checker,
+                )
+                pe = want.pe_total if env.checker else 0.0
+                perf = float(performance(
+                    config.f_core, pe, perf_params_from_measurement(meas, core)
+                ))
+                assert result.performance_ips == perf
+                assert result.config is config
+                assert result.measurement is meas
+                assert result.mode is AdaptationMode.STATIC
+                assert result.outcome is Outcome.NO_CHANGE
+                assert result.f_controller == config.f_core
+                state = result.state
+                assert np.array_equal(state.temperature, want.temperature)
+                assert np.array_equal(state.p_dynamic, want.p_dynamic)
+                assert np.array_equal(state.p_static, want.p_static)
+                assert np.array_equal(
+                    state.pe_per_subsystem, want.pe_per_subsystem
+                )
+                assert state.l2_power == want.l2_power
+                assert state.checker_power == want.checker_power
+                assert np.array_equal(state.delays.mean, want.delays.mean)
+                assert np.array_equal(state.delays.sigma, want.delays.sigma)
+
+    def test_stackable_block(
+        self, population, core, other_core, fu_measurements,
+        fp_fu_measurements,
+    ):
+        cores = [core, other_core, build_core(population[1], 0)]
+        assert stackable(cores)
+        measurements = [fu_measurements[0], fp_fu_measurements[0]]
+        units = [
+            (c, optimize_phase(c, TS_ASV_Q_FU, *fu_measurements).config)
+            for c in cores
+        ]
+        self._assert_equals_per_phase(units, TS_ASV_Q_FU, measurements)
+
+    def test_novar_and_varied_block(
+        self, core, novar_core, int_measurement, fp_measurement
+    ):
+        units = [
+            (c, optimize_phase(c, TS_ASV, int_measurement).config)
+            for c in (novar_core, core)
+        ]
+        assert not stackable([novar_core, core])
+        for env in (TS_ASV, BASELINE):
+            self._assert_equals_per_phase(
+                units, env, [int_measurement, fp_measurement]
+            )
+
+    def test_no_measurements(self, core, int_measurement):
+        config = optimize_phase(core, TS_ASV, int_measurement).config
+        assert evaluate_at_fixed_config([(core, config)], TS_ASV, []) == [[]]
 
 
 class TestRetuning:

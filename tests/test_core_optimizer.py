@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from repro import obs
 from repro.core import (
@@ -14,7 +15,10 @@ from repro.core import (
     freq_algorithm,
     power_algorithm,
 )
-from repro.core.optimizer import SubsystemArrays
+from repro.chip import build_core
+from repro.core.adaptation import _stacked_phase_arrays
+from repro.core.optimizer import _ARRAY_FIELDS, SubsystemArrays, _distinct_rows
+from repro.mitigation import TechniqueState
 from repro.obs import MetricsRegistry
 from repro.timing import StageModifiers
 
@@ -289,6 +293,97 @@ class TestBatchedFreqAlgorithm:
             counters = registry.to_dict()["counters"]
         assert counters["optimizer.freq_calls"] == 1
         assert counters["optimizer.freq_lanes"] == len(lanes)
+
+
+def _freq_iteration_values(arrays, spec):
+    """The per-lane ``optimizer.freq_iterations`` values of one call."""
+    with obs.scoped(MetricsRegistry()) as registry:
+        result = freq_algorithm(arrays, spec)
+        doc = registry.to_dict()
+    return result, doc["histograms"]["optimizer.freq_iterations"]["values"]
+
+
+class TestDistinctRows:
+    """Freq sweeps each distinct subsystem row once; lanes sharing rows
+    must still come out exactly as they do alone."""
+
+    def test_shared_rows_equal_per_technique_calls(
+        self, population, core, other_core, int_measurement, fp_measurement
+    ):
+        spec = TS_ASV_ABB.optimization_spec(core.n_subsystems, core.calib)
+        cores = [core, other_core, build_core(population[1], 0)]
+        lanes = [
+            (c, m) for c in cores for m in (int_measurement, fp_measurement)
+        ]
+
+        def stack(flags):
+            return _stacked_phase_arrays(
+                [c for _ in flags for c, _ in lanes],
+                [
+                    TechniqueState(lowslope=lowslope, domain=m.domain)
+                    for lowslope in flags for _, m in lanes
+                ],
+                [m for _ in flags for _, m in lanes],
+            )
+
+        normal, low = stack([False]), stack([True])
+        both = stack([False, True])
+        rows, _ = _distinct_rows(both)
+        # Precondition: the replicas share every row but the FU column.
+        assert rows.n_subsystems == len(lanes) * (core.n_subsystems + 1)
+        joint = freq_algorithm(both, spec)
+        for part, alone in ((slice(0, len(lanes)), normal),
+                            (slice(len(lanes), None), low)):
+            want = freq_algorithm(alone, spec)
+            assert_array_equal(joint.f_max[part], want.f_max)
+            assert_array_equal(joint.vdd[part], want.vdd)
+            assert_array_equal(joint.vbb[part], want.vbb)
+            assert_array_equal(joint.feasible[part], want.feasible)
+
+    def test_lanes_sharing_rows_stop_at_their_own_iteration(
+        self, core, int_measurement, asv_spec
+    ):
+        # A nearly idle lane next to copies with one subsystem at full
+        # activity: the two lanes share all other rows, yet the hot row
+        # can keep its lane iterating after the idle lane has stopped.
+        idle_alpha = int_measurement.activity * 0.05
+        idle = core_subsystem_arrays(core, idle_alpha, int_measurement.rho)
+        for index in range(core.n_subsystems):
+            alpha = idle_alpha.copy()
+            alpha[index] = int_measurement.activity[index]
+            hot = core_subsystem_arrays(core, alpha, int_measurement.rho)
+            stack = SubsystemArrays.stack([idle, hot])
+            joint, counts = _freq_iteration_values(stack, asv_spec)
+            if counts[0] != counts[1]:
+                break
+        else:
+            pytest.fail("no subsystem changes its lane's iteration count")
+        assert _distinct_rows(stack)[0].n_subsystems == core.n_subsystems + 1
+        for lane, member in enumerate((idle, hot)):
+            alone, alone_counts = _freq_iteration_values(member, asv_spec)
+            assert counts[lane] == alone_counts[0]
+            assert_array_equal(joint.f_max[lane], alone.f_max)
+            assert_array_equal(joint.vdd[lane], alone.vdd)
+            assert_array_equal(joint.vbb[lane], alone.vbb)
+
+    def test_candidates_count_distinct_row_cells(
+        self, core, int_measurement, asv_spec
+    ):
+        subs = core_subsystem_arrays(
+            core, int_measurement.activity, int_measurement.rho
+        )
+        with obs.scoped(MetricsRegistry()) as registry:
+            freq_algorithm(SubsystemArrays.stack([subs, subs, subs]), asv_spec)
+            counters = registry.to_dict()["counters"]
+        knobs = len(asv_spec.vdd_levels) * len(asv_spec.vbb_levels)
+        n_rows = len(np.unique(np.stack(
+            [getattr(subs, name) for name in _ARRAY_FIELDS], axis=-1
+        ), axis=0))
+        assert counters["optimizer.candidates"] == knobs * n_rows
+        assert counters["optimizer.freq_lanes"] == 3
+        assert 0 <= counters["optimizer.constraint_rejections"] <= (
+            knobs * n_rows
+        )
 
 
 class TestBatchedPowerAlgorithm:
