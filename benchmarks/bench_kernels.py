@@ -1,8 +1,9 @@
 """Perf smoke: fused physics kernels vs the unfused seed compositions.
 
-Times each registered kernel (``vt_and_static_power``, ``thermal_step``,
-``timing_error_cdf``) against its ``reference`` implementation — the
-exact seed chain of leaf ufuncs — on an optimiser-shaped grid, plus the
+Times each fused kernel of :mod:`repro.kernels` (``vt_and_static_power``,
+``thermal_step``, ``timing_error_cdf``) against its oracle in
+``tests/kernel_reference.py`` — the plain chain of leaf ufuncs — on an
+optimiser-shaped grid, plus the
 full thermal fixed point (the hottest loop in the phase optimiser) and
 the all-scalar fast path of :func:`repro.circuits.leakage.static_power`.
 Every timed pair is asserted bitwise identical first; the wall-clock
@@ -21,10 +22,10 @@ import numpy as np
 from _shared import record_bench_section
 
 from repro import kernels, obs
-from repro.backend import get_backend
 from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES
 from repro.circuits.leakage import static_power
 from repro.obs import MetricsRegistry
+from tests import kernel_reference
 
 SENS = DEFAULT_VT_SENSITIVITIES
 
@@ -72,11 +73,6 @@ def _best_of(fn, repeats=REPEATS):
     return best
 
 
-def _with_impl(impl, name):
-    with kernels.use_impl(impl):
-        return get_backend().kernel(name)
-
-
 def _assert_bitwise(a, b):
     assert np.asarray(a).shape == np.asarray(b).shape
     assert (np.asarray(a) == np.asarray(b)).all()
@@ -103,9 +99,9 @@ def _fixed_point(thermal_step, ops, *, ping_pong):
 
 
 def _time_kernel_pair(name, call):
-    """Time ``call(fn)`` under the reference and fused impls."""
-    reference = _with_impl("reference", name)
-    fused = _with_impl("numpy", name)
+    """Time ``call(fn)`` on the oracle and on the fused kernel."""
+    reference = getattr(kernel_reference, name)
+    fused = getattr(kernels, name)
     _assert_bitwise(call(reference), call(fused))
     return {
         "reference_seconds": _best_of(lambda: call(reference)),
@@ -124,8 +120,8 @@ def test_kernel_breakdown(benchmark):
     sections = {}
 
     # --- the tentpole number: the thermal fixed point ----------------
-    reference_step = _with_impl("reference", "thermal_step")
-    fused_step = _with_impl("numpy", "thermal_step")
+    reference_step = kernel_reference.thermal_step
+    fused_step = kernels.thermal_step
     _assert_bitwise(
         _fixed_point(reference_step, ops, ping_pong=False),
         _fixed_point(fused_step, ops, ping_pong=True),
@@ -187,10 +183,10 @@ def test_kernel_breakdown(benchmark):
             ops["vt0"], ops["vdd"], ops["vbb"], ops["temp"], ops["ksta"],
             ops["rth"], ops["p_dyn"], 318.0, SENS,
         )
-        _with_impl("numpy", "vt_and_static_power")(
+        kernels.vt_and_static_power(
             ops["vt0"], ops["vdd"], ops["vbb"], ops["temp"], ops["ksta"], SENS
         )
-        _with_impl("numpy", "timing_error_cdf")(
+        kernels.timing_error_cdf(
             ops["freq"], ops["mean"], ops["sigma"], ops["rho"]
         )
     counters = {
@@ -205,7 +201,6 @@ def test_kernel_breakdown(benchmark):
 
     payload = {
         "grid": list(GRID),
-        "impl": kernels.active_impl("thermal_step"),
         "workspace_cached_bytes": kernels.workspace_pool().cached_bytes(),
         "kernels": sections,
         "counters": counters,

@@ -15,11 +15,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..backend import get_backend
 from ..calibration import DEFAULT_CALIBRATION, Calibration
 from ..circuits.delay import DEFAULT_DELAY_PARAMS, DelayParams, gate_delay
 from ..circuits.knobs import DEFAULT_VT_SENSITIVITIES, VtSensitivities, threshold_voltage
 from ..circuits.leakage import IDEALITY_FACTOR, static_power
+from ..kernels import vt_and_static_power
 from ..units import Q_OVER_K
 from ..variation.maps import ChipSample
 from .floorplan import Floorplan, default_floorplan
@@ -144,7 +144,7 @@ class Core:
         Routed through the fused ``vt_and_static_power`` kernel (Eq 9 +
         Eq 8 in one pass, bit-identical to the leaf composition).
         """
-        _, p_sta = get_backend().kernel("vt_and_static_power")(
+        _, p_sta = vt_and_static_power(
             self.vt0_leak, vdd, vbb, temp, self.ksta, self.vt_sens
         )
         return p_sta
@@ -344,7 +344,7 @@ class CoreLanes:
         return delay / self._nominal_gate_delay
 
     def subsystem_static_power(self, vdd, vbb, temp):
-        _, p_sta = get_backend().kernel("vt_and_static_power")(
+        _, p_sta = vt_and_static_power(
             self.vt0_leak, vdd, vbb, temp, self.ksta, self.vt_sens
         )
         return p_sta

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
 from ..chip.chip import Core, CoreLanes, stackable
 from ..chip.floorplan import Floorplan
 from ..microarch.simulator import WorkloadMeasurement
@@ -422,7 +421,6 @@ def _stacked_phase_arrays(
     construction is what lets the population-tier batch amortise
     instead of paying O(lanes) object assembly.
     """
-    xp = get_backend().xp
     first = cores[0]
     calib = first.calib
 
@@ -431,7 +429,7 @@ def _stacked_phase_arrays(
         raise ValueError("stacked batches must share calibration and parameters")
 
     def gather(field: str) -> np.ndarray:
-        table = xp.stack([getattr(core, field) for core in distinct_cores])
+        table = np.stack([getattr(core, field) for core in distinct_cores])
         return table[core_index]
 
     alpha, rho = _lane_measurements(measurements)
@@ -443,8 +441,8 @@ def _stacked_phase_arrays(
         techniques, key=lambda technique: technique
     )
     modifiers = [t.stage_modifiers(first) for t in distinct_techniques]
-    delay_scale = xp.stack([m.delay_scale for m in modifiers])[tech_index]
-    sigma_scale = xp.stack([m.sigma_scale for m in modifiers])[tech_index]
+    delay_scale = np.stack([m.delay_scale for m in modifiers])[tech_index]
+    sigma_scale = np.stack([m.sigma_scale for m in modifiers])[tech_index]
     power_rows = [t.power_factors(first) for t in distinct_techniques]
 
     mean = gather("stage_mean_rel") + gather("tail_rel")
@@ -461,7 +459,7 @@ def _stacked_phase_arrays(
         rho=rho,
         stage_mean_rel=mean,
         stage_sigma_rel=sigma,
-        power_factor=xp.stack(power_rows)[tech_index],
+        power_factor=np.stack(power_rows)[tech_index],
         calib=calib,
         delay_params=first.delay_params,
         vt_sens=first.vt_sens,

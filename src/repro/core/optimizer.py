@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from .. import obs
-from ..backend import get_backend
 from ..calibration import DEFAULT_CALIBRATION, Calibration
 from ..circuits.delay import DEFAULT_DELAY_PARAMS, DelayParams, gate_delay
 from ..circuits.knobs import (
@@ -46,7 +46,7 @@ from ..circuits.knobs import (
     threshold_voltage,
 )
 from ..chip.chip import Core
-from ..numerics import ndtri
+from ..kernels import T_RUNAWAY, thermal_step, vt_and_static_power
 from ..timing.paths import StageModifiers
 
 #: Iteration caps of the joint (f, T) fixed point and the inner thermal
@@ -214,7 +214,7 @@ class SubsystemArrays:
 
     def p_static(self, vdd, vbb, temp):
         """Leakage power in watts (fused Eq 9 + Eq 8 kernel)."""
-        _, p_sta = get_backend().kernel("vt_and_static_power")(
+        _, p_sta = vt_and_static_power(
             self.vt0_leak, vdd, vbb, temp, self.ksta, self.vt_sens,
             power_factor=self.power_factor,
         )
@@ -360,14 +360,13 @@ def _thermal_fixed_point(
     temp = np.broadcast_to(
         np.asarray(t_heatsink + 5.0), np.broadcast_shapes(p_dyn.shape, np.shape(vbb))
     ).copy()
-    thermal_step = get_backend().kernel("thermal_step")
     scratch = np.empty(temp.shape)
     with obs.span("kernel.thermal_fixed_point"):
         for _ in range(iterations):
             new_temp, _ = thermal_step(
                 subsystems.vt0_leak, vdd, vbb, temp, subsystems.ksta,
                 subsystems.rth, p_dyn, t_heatsink, subsystems.vt_sens,
-                power_factor=subsystems.power_factor, t_runaway=500.0,
+                power_factor=subsystems.power_factor, t_runaway=T_RUNAWAY,
                 out=scratch,
             )
             temp, scratch = new_temp, temp

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
 from ..chip.chip import Core
+from ..kernels import timing_error_cdf
 from ..mitigation.base import TechniqueState
 from ..thermal.solver import solve_temperatures, solve_temperatures_lanes
 from ..timing.errors import stage_error_rates
@@ -175,10 +175,8 @@ def evaluate_configurations(
     ``core`` may be a single :class:`Core` (all lanes share its physics)
     or a :class:`~repro.chip.chip.CoreLanes` population whose lane axis
     matches ``configs`` — the adaptation pipeline uses the latter to
-    settle every (chip, core) unit of a block in one pass.  Array
-    assembly routes through the active :mod:`repro.backend` namespace.
+    settle every (chip, core) unit of a block in one pass.
     """
-    xp = get_backend().xp
     calib = core.calib
     th = calib.t_heatsink_max if t_heatsink is None else t_heatsink
     # Technique states repeat heavily across lanes (a handful of
@@ -196,18 +194,18 @@ def evaluate_configurations(
                 modifiers.sigma_scale,
             )
     lanes = [rows[config.technique] for config in configs]
-    power_factors = xp.stack([pf for pf, _, _ in lanes])
+    power_factors = np.stack([pf for pf, _, _ in lanes])
     stacked_modifiers = StageModifiers(
-        delay_scale=xp.stack([ds for _, ds, _ in lanes]),
-        sigma_scale=xp.stack([ss for _, _, ss in lanes]),
+        delay_scale=np.stack([ds for _, ds, _ in lanes]),
+        sigma_scale=np.stack([ss for _, _, ss in lanes]),
     )
-    activity = xp.stack(
-        [xp.asarray(a, dtype=float) for a in activities]
+    activity = np.stack(
+        [np.asarray(a, dtype=float) for a in activities]
     ) * power_factors
-    rho = xp.stack([xp.asarray(r, dtype=float) for r in rhos])
-    freq = xp.asarray([config.f_core for config in configs], dtype=float)[:, None]
-    vdd = xp.stack([config.vdd for config in configs])
-    vbb = xp.stack([config.vbb for config in configs])
+    rho = np.stack([np.asarray(r, dtype=float) for r in rhos])
+    freq = np.asarray([config.f_core for config in configs], dtype=float)[:, None]
+    vdd = np.stack([config.vdd for config in configs])
+    vbb = np.stack([config.vbb for config in configs])
 
     solution = solve_temperatures_lanes(core, vdd, vbb, freq, activity, th)
     p_static = solution.p_static * power_factors
@@ -217,9 +215,7 @@ def evaluate_configurations(
     # Configuration guarantees positive frequencies, so the batched path
     # can call the fused kernel directly, skipping the re-validation
     # inside stage_error_rates.
-    pe = get_backend().kernel("timing_error_cdf")(
-        freq, delays.mean, delays.sigma, rho
-    )
+    pe = timing_error_cdf(freq, delays.mean, delays.sigma, rho)
     p_dyn_lane = solution.p_dynamic.sum(axis=-1)
     l2 = core.l2_power(freq[:, 0])
     return [

@@ -17,12 +17,12 @@ from ..chip.chip import build_core
 from ..core.adaptation import perf_params_from_measurement
 from ..core.environments import TS_ASV_ABB
 from ..core.optimizer import core_subsystem_arrays
+from ..kernels import timing_error_cdf
 from ..microarch.pipeline import DEFAULT_CORE_CONFIG
 from ..microarch.simulator import measure_workload
 from ..microarch.workloads import by_name
 from ..timing.speculation import performance
 from ..variation.population import VariationModel
-from scipy.stats import norm
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def run_fig9(
         d = subs.delay_factor(vdd[..., None], vbb[..., None], temp)
         mean = d[..., index] * subs.stage_mean_rel[index] / calib.f_nominal
         sigma = d[..., index] * subs.stage_sigma_rel[index] / calib.f_nominal
-        z = (1.0 / f - mean) / sigma
-        pe_knob[..., k] = rho_i * norm.sf(z)
+        pe_knob[..., k] = timing_error_cdf(f, mean, sigma, rho_i)
         pw_knob[..., k] = (p_dyn + p_sta)[..., index]
 
     power_grid = np.linspace(

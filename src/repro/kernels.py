@@ -1,11 +1,11 @@
-"""Fused physics kernels behind the backend registry (DESIGN.md §15).
+"""Fused physics kernels (DESIGN.md §15).
 
 The batched optimizer/thermal profile is dominated by chains of small
 elementwise ufuncs — ``threshold_voltage`` (Eq 9), ``static_power``
 (Eq 8) and the Eq 6-9 thermal fixed point — each allocating fresh
 temporaries on every call inside the (vdd, vbb, B, n) sweeps.  This
-module collapses those chains into three named kernels resolved through
-:meth:`repro.backend.ArrayBackend.kernel`:
+module collapses those chains into three kernels that every call site
+imports directly:
 
 ``vt_and_static_power``
     Eq 9 + Eq 8 in one pass: effective threshold voltage and the
@@ -16,38 +16,28 @@ module collapses those chains into three named kernels resolved through
     delta.  Accepts an ``out=`` buffer so callers can ping-pong two
     temperature buffers and allocate nothing in steady state.
 ``timing_error_cdf``
-    Eq 4's per-stage error rate ``rho * Q((1/f - m) / s)`` via the
-    backend's ``ndtr``.
+    Eq 4's per-stage error rate ``rho * Q((1/f - m) / s)`` via scipy's
+    ``ndtr``.
 
-Every kernel ships multiple *implementations*:
+Each kernel is hand-fused: written through ``out=`` parameters into
+buffers borrowed from a per-thread :class:`WorkspacePool`, so the only
+steady-state allocations are the results themselves.
 
-``reference``
-    The exact seed composition of the leaf functions — the parity
-    oracle and the benchmark baseline.
-``numpy``
-    Hand-fused: identical operations in the identical order, but
-    written through ``out=`` parameters into buffers borrowed from a
-    per-thread :class:`WorkspacePool`, so the only steady-state
-    allocations are the results themselves.
+The bit-identity contract: every kernel performs the same IEEE double
+operations in the same association order as the composition of the
+leaf functions it replaces, so results are *bitwise* equal, not merely
+close.  That unfused composition lives in ``tests/kernel_reference.py``
+as the parity oracle and the benchmark baseline.
 
-The bit-identity contract: every implementation performs the same IEEE
-double operations in the same association order as the seed leaf
-functions, so results are *bitwise* equal, not merely close.  Selection
-is ``EVAL_REPRO_KERNELS`` ∈ {``auto`` (default: numpy), ``reference``,
-``numpy``}; :func:`use_impl`
-forces one for a scope (tests and benchmarks), and
-:func:`repro.backend.reset_backend` re-reads the environment.
-
-Each resolved kernel is wrapped with per-kernel observability:
-``kernel.<name>.calls`` / ``kernel.<name>.ns`` counters feed the
-``benchmarks/bench_kernels.py`` breakdown and cost one boolean check
-when metrics are disabled.
+Each kernel records per-kernel observability: ``kernel.<name>.calls`` /
+``kernel.<name>.ns`` counters feed the ``benchmarks/bench_kernels.py``
+breakdown and the campaign benchmark, and cost one boolean check when
+metrics are disabled.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -57,15 +47,13 @@ import numpy as np
 from scipy.special import ndtr as _scipy_ndtr
 
 from . import obs
-from .circuits.knobs import VtSensitivities, threshold_voltage
-from .circuits.leakage import IDEALITY_FACTOR, static_power
-from .numerics import norm_sf
+from .circuits.knobs import VtSensitivities
+from .circuits.leakage import IDEALITY_FACTOR
 from .units import Q_OVER_K
 
-_ENV_VAR = "EVAL_REPRO_KERNELS"
-
-#: Temperature cap flagging thermal runaway (mirrors the solver's).
-_T_RUNAWAY_DEFAULT = 500.0
+#: Temperature cap applied by every thermal iteration; reaching it flags
+#: thermal runaway.
+T_RUNAWAY: float = 500.0
 
 
 # ----------------------------------------------------------------------
@@ -139,68 +127,27 @@ def workspace_pool() -> WorkspacePool:
     return _POOL
 
 
-# ----------------------------------------------------------------------
-# Reference implementations: the exact seed leaf-function compositions.
-# ----------------------------------------------------------------------
-def _reference_vt_and_static_power(
-    vt0,
-    vdd,
-    vbb,
-    temp,
-    ksta,
-    sens: VtSensitivities,
-    ideality: float = IDEALITY_FACTOR,
-    power_factor=None,
-):
-    vt = threshold_voltage(vt0, temp, vdd, vbb, sens)
-    p_sta = static_power(ksta, vdd, temp, vt, ideality)
-    if power_factor is not None:
-        p_sta = p_sta * power_factor
-    return vt, p_sta
+def _instrumented(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Count ``kernel.<name>.calls`` / ``kernel.<name>.ns`` for ``fn``."""
+    calls_metric = f"kernel.{fn.__name__}.calls"
+    ns_metric = f"kernel.{fn.__name__}.ns"
 
+    @functools.wraps(fn)
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        if not obs.enabled():
+            return fn(*args, **kwargs)
+        start = time.perf_counter_ns()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            obs.inc(calls_metric)
+            obs.inc(ns_metric, float(time.perf_counter_ns() - start))
 
-def _reference_thermal_step(
-    vt0_leak,
-    vdd,
-    vbb,
-    temp,
-    ksta,
-    rth,
-    p_dyn,
-    t_heatsink,
-    sens: VtSensitivities,
-    ideality: float = IDEALITY_FACTOR,
-    power_factor=None,
-    t_runaway: float = _T_RUNAWAY_DEFAULT,
-    compute_delta: bool = False,
-    out: Optional[np.ndarray] = None,
-):
-    _, p_sta = _reference_vt_and_static_power(
-        vt0_leak, vdd, vbb, temp, ksta, sens, ideality, power_factor
-    )
-    new_temp = np.minimum(t_heatsink + rth * (p_dyn + p_sta), t_runaway)
-    delta = None
-    if compute_delta:
-        delta = np.max(
-            np.abs(new_temp - np.asarray(temp, dtype=float)), axis=-1
-        )
-    if out is not None:
-        np.copyto(out, new_temp)
-        new_temp = out
-    return new_temp, delta
-
-
-def _reference_timing_error_cdf(freq, mean, sigma, rho):
-    freq = np.asarray(freq, dtype=float)
-    period = 1.0 / freq
-    z = (period - np.asarray(mean, dtype=float)) / np.asarray(
-        sigma, dtype=float
-    )
-    return np.asarray(rho, dtype=float) * norm_sf(z)
+    return wrapper
 
 
 # ----------------------------------------------------------------------
-# Hand-fused numpy implementations: same ops, same order, zero
+# The kernels: same ops as the leaf functions, same order, zero
 # steady-state temporaries.  Bitwise equalities relied on here (all
 # asserted by tests/test_kernels.py): ``x**2 == x*x``, scalar
 # multiplication commutes (``k*a == a*k``), and ufunc ``out=`` writes
@@ -233,7 +180,8 @@ def _fill_psta(vt, vdd, temp, ksta, ideality, power_factor, p, ws, ws2):
         np.multiply(p, power_factor, out=p)
 
 
-def _numpy_vt_and_static_power(
+@_instrumented
+def vt_and_static_power(
     vt0,
     vdd,
     vbb,
@@ -261,7 +209,8 @@ def _numpy_vt_and_static_power(
     return vt, p_sta
 
 
-def _numpy_thermal_step(
+@_instrumented
+def thermal_step(
     vt0_leak,
     vdd,
     vbb,
@@ -273,7 +222,7 @@ def _numpy_thermal_step(
     sens: VtSensitivities,
     ideality: float = IDEALITY_FACTOR,
     power_factor=None,
-    t_runaway: float = _T_RUNAWAY_DEFAULT,
+    t_runaway: float = T_RUNAWAY,
     compute_delta: bool = False,
     out: Optional[np.ndarray] = None,
 ):
@@ -313,7 +262,8 @@ def _numpy_thermal_step(
     return out, delta
 
 
-def _numpy_timing_error_cdf(freq, mean, sigma, rho):
+@_instrumented
+def timing_error_cdf(freq, mean, sigma, rho):
     freq = np.asarray(freq, dtype=float)
     mean = np.asarray(mean, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -329,137 +279,3 @@ def _numpy_timing_error_cdf(freq, mean, sigma, rho):
     _scipy_ndtr(pe, out=pe)
     np.multiply(rho, pe, out=pe)
     return pe
-
-
-# ----------------------------------------------------------------------
-# Registry, selection and per-kernel instrumentation.
-# ----------------------------------------------------------------------
-_IMPLS: Dict[str, Dict[str, Callable[..., Any]]] = {}
-_CACHE: Dict[Tuple[str, str, str], Callable[..., Any]] = {}
-_FORCED: Optional[str] = None
-
-
-def register_kernel_impl(
-    kernel: str, impl: str, fn: Callable[..., Any]
-) -> None:
-    """Register implementation ``impl`` of ``kernel`` (used at import)."""
-    _IMPLS.setdefault(kernel, {})[impl] = fn
-    _CACHE.clear()
-
-
-def available_kernels() -> tuple:
-    """Kernel names resolvable through ``ArrayBackend.kernel``."""
-    return tuple(sorted(_IMPLS))
-
-
-def available_impls(kernel: str) -> tuple:
-    """Implementation names registered for ``kernel``."""
-    if kernel not in _IMPLS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; "
-            f"available: {', '.join(available_kernels())}"
-        )
-    return tuple(sorted(_IMPLS[kernel]))
-
-
-def _selector() -> str:
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(_ENV_VAR, "auto").lower()
-
-
-def _pick_impl(kernel: str, backend: str, choice: str) -> str:
-    impls = _IMPLS.get(kernel)
-    if impls is None:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; "
-            f"available: {', '.join(available_kernels())}"
-        )
-    if choice == "auto":
-        # The fused implementations are numpy/scipy programs; any other
-        # array backend falls back to the reference composition, which
-        # routes its special functions through the active backend.
-        if backend != "numpy":
-            return "reference"
-        if "numpy" in impls:
-            return "numpy"
-        return "reference"
-    if choice not in impls:
-        raise ValueError(
-            f"unknown kernel impl {choice!r} for {kernel!r}; "
-            f"available: {', '.join(available_impls(kernel))}"
-        )
-    return choice
-
-
-def active_impl(kernel: str, backend: str = "numpy") -> str:
-    """The implementation name :func:`resolve` would pick right now."""
-    return _pick_impl(kernel, backend, _selector())
-
-
-def _instrument(
-    kernel: str, impl: str, fn: Callable[..., Any]
-) -> Callable[..., Any]:
-    calls_metric = f"kernel.{kernel}.calls"
-    ns_metric = f"kernel.{kernel}.ns"
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not obs.enabled():
-            return fn(*args, **kwargs)
-        start = time.perf_counter_ns()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            obs.inc(calls_metric)
-            obs.inc(ns_metric, float(time.perf_counter_ns() - start))
-
-    wrapper.kernel_name = kernel  # type: ignore[attr-defined]
-    wrapper.impl_name = impl  # type: ignore[attr-defined]
-    return wrapper
-
-
-def resolve(kernel: str, backend: str = "numpy") -> Callable[..., Any]:
-    """The instrumented callable for ``kernel`` under the current policy.
-
-    Callers normally go through ``get_backend().kernel(name)``; the
-    cache key includes the selection policy, so forcing or re-reading
-    ``EVAL_REPRO_KERNELS`` never serves a stale resolution.
-    """
-    choice = _selector()
-    key = (kernel, backend, choice)
-    fn = _CACHE.get(key)
-    if fn is None:
-        impl = _pick_impl(kernel, backend, choice)
-        fn = _instrument(kernel, impl, _IMPLS[kernel][impl])
-        _CACHE[key] = fn
-    return fn
-
-
-@contextmanager
-def use_impl(impl: str) -> Iterator[None]:
-    """Force one implementation for a scope (tests and benchmarks)."""
-    global _FORCED
-    previous = _FORCED
-    _FORCED = impl
-    try:
-        yield
-    finally:
-        _FORCED = previous
-
-
-def reset() -> None:
-    """Drop forced/cached selections; the next resolve re-reads the env."""
-    global _FORCED
-    _FORCED = None
-    _CACHE.clear()
-
-
-register_kernel_impl(
-    "vt_and_static_power", "reference", _reference_vt_and_static_power
-)
-register_kernel_impl("vt_and_static_power", "numpy", _numpy_vt_and_static_power)
-register_kernel_impl("thermal_step", "reference", _reference_thermal_step)
-register_kernel_impl("thermal_step", "numpy", _numpy_thermal_step)
-register_kernel_impl("timing_error_cdf", "reference", _reference_timing_error_cdf)
-register_kernel_impl("timing_error_cdf", "numpy", _numpy_timing_error_cdf)

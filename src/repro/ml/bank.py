@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from .. import obs
 from ..chip.chip import Core, CoreLanes
-from ..numerics import ndtri
 from ..core.optimizer import OptimizationSpec
 from ..mitigation.base import (
     BASE,

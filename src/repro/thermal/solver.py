@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..backend import get_backend
 from ..chip.chip import Core
-
-#: Hard cap applied during iteration; reaching it flags thermal runaway.
-T_RUNAWAY: float = 500.0
+# The runaway cap lives with the kernel; ``repro.thermal`` re-exports it.
+from ..kernels import T_RUNAWAY, thermal_step
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,6 @@ def solve_temperatures(
     shape = np.broadcast_shapes(p_dyn.shape, vbb.shape)
     p_dyn = np.broadcast_to(p_dyn, shape).copy()
 
-    thermal_step = get_backend().kernel("thermal_step")
     temp = np.full(shape, t_heatsink + 5.0)
     scratch = np.empty(shape)
     iterations = max_iter
@@ -160,7 +157,6 @@ def solve_temperatures_lanes(
     # masked state; a single Core broadcasts its (n,) arrays as before.
     per_lane = hasattr(core, "lane_subset")
 
-    thermal_step = get_backend().kernel("thermal_step")
     temp = np.full(shape, t_heatsink + 5.0)
     iterations = np.full(n_lanes, max_iter, dtype=int)
     active = np.arange(n_lanes)

@@ -13,10 +13,9 @@ work-horse of the Freq algorithm (Section 4.2).
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
-from ..backend import get_backend
-from ..numerics import ndtri
-
+from ..kernels import timing_error_cdf
 from .paths import StageDelays
 
 #: Error rates below this are treated as exactly zero ("error-free").
@@ -34,9 +33,7 @@ def stage_error_rates(freq, delays: StageDelays, rho) -> np.ndarray:
     freq = np.asarray(freq, dtype=float)
     if np.any(freq <= 0.0):
         raise ValueError("frequency must be positive")
-    return get_backend().kernel("timing_error_cdf")(
-        freq, delays.mean, delays.sigma, rho
-    )
+    return timing_error_cdf(freq, delays.mean, delays.sigma, rho)
 
 
 def processor_error_rate(freq, delays: StageDelays, rho) -> np.ndarray:

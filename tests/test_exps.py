@@ -1,8 +1,13 @@
 """Experiment harness: runner, ladder, figure modules (small scale)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import BASELINE, NOVAR, TS, TS_ASV, AdaptationMode
 from repro.exps import (
     area_rows,
@@ -171,6 +176,18 @@ class TestFigureModules:
         assert np.all(np.diff(result.min_pe, axis=0) <= 1e-18)
         # Higher frequency at fixed budget can only raise it.
         assert np.all(np.diff(result.min_pe, axis=1) >= -1e-18)
+
+    def test_import_does_not_load_scipy_stats(self):
+        # Figure 9 evaluates Eq 4 through the fused kernel, so importing
+        # the package never loads scipy's distribution layer.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, repro; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_area_table_matches_paper(self):
         rows = area_rows(run_area_table())

@@ -1,28 +1,23 @@
 """Fused physics kernels (DESIGN.md §15): golden parity and plumbing.
 
-The contract under test is *bit*-identity: the hand-fused numpy
-implementation of every kernel must produce results bitwise equal
-to the ``reference`` composition of the seed leaf functions, at the
+The contract under test is *bit*-identity: every hand-fused kernel
+must produce results bitwise equal to its ``reference`` oracle, the
+plain leaf-function composition in ``tests/kernel_reference.py``, at the
 kernel level, the solver level, and the full ``run_unit`` row level.
 Plus the satellite coverage: the workspace pool, the per-kernel
-counters, the backend error paths, thermal-runaway lane isolation, and
-the all-scalar fast paths in the leaf functions themselves.
+counters, thermal-runaway lane isolation, and the all-scalar fast paths
+in the leaf functions themselves.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro import kernels, obs
-from repro.backend import (
-    available_backends,
-    get_backend,
-    reset_backend,
-    set_backend,
-)
 from repro.chip.chip import CoreLanes
 from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES, threshold_voltage
 from repro.circuits.leakage import IDEALITY_FACTOR, static_power
@@ -40,19 +35,13 @@ from repro.thermal import solve_temperatures, solve_temperatures_lanes
 from repro.thermal.solver import T_RUNAWAY
 from repro.units import Q_OVER_K
 
+from tests import kernel_reference
+
 SENS = DEFAULT_VT_SENSITIVITIES
 
-#: Implementations that must match ``reference`` bit for bit.
+#: Implementations that must match ``reference`` bit for bit: the
+#: hand-fused numpy kernels of :mod:`repro.kernels`.
 FUSED_IMPLS = ["numpy"]
-
-
-@pytest.fixture(autouse=True)
-def _clean_kernel_state():
-    """Each test starts and ends with env-driven kernel selection."""
-    kernels.reset()
-    yield
-    kernels.reset()
-    reset_backend()
 
 
 def _grid_operands(seed=0, n_lanes=6, n=15, n_vdd=9, n_vbb=5):
@@ -71,8 +60,18 @@ def _grid_operands(seed=0, n_lanes=6, n=15, n_vdd=9, n_vbb=5):
 
 
 def _run_impl(impl, name, *args, **kwargs):
-    with kernels.use_impl(impl):
-        return get_backend().kernel(name)(*args, **kwargs)
+    module = kernel_reference if impl == "reference" else kernels
+    return getattr(module, name)(*args, **kwargs)
+
+
+@contextmanager
+def _pipeline_on(impl):
+    """Run the solvers and the pipeline on ``impl``'s kernels."""
+    if impl == "reference":
+        with kernel_reference.installed():
+            yield
+    else:
+        yield
 
 
 def _assert_bitwise(a, b):
@@ -149,87 +148,6 @@ class TestWorkspacePool:
 
     def test_module_pool_is_shared(self):
         assert workspace_pool() is workspace_pool()
-
-
-# ----------------------------------------------------------------------
-# Registry, selection and error paths.
-# ----------------------------------------------------------------------
-class TestKernelRegistry:
-    def test_all_kernels_registered(self):
-        assert set(kernels.available_kernels()) >= {
-            "vt_and_static_power",
-            "thermal_step",
-            "timing_error_cdf",
-        }
-        for name in kernels.available_kernels():
-            impls = set(kernels.available_impls(name))
-            assert impls == {"reference", "numpy"}
-
-    def test_auto_resolves_to_numpy(self):
-        assert kernels.active_impl("thermal_step") == "numpy"
-
-    def test_non_numpy_backends_fall_back_to_reference(self):
-        assert kernels.active_impl("thermal_step", backend="other") == (
-            "reference"
-        )
-
-    def test_use_impl_forces_and_restores(self):
-        with kernels.use_impl("reference"):
-            assert kernels.active_impl("thermal_step") == "reference"
-            fn = get_backend().kernel("thermal_step")
-            assert fn.impl_name == "reference"
-        assert kernels.active_impl("thermal_step") != "reference"
-
-    def test_env_var_selects_impl(self, monkeypatch):
-        monkeypatch.setenv("EVAL_REPRO_KERNELS", "reference")
-        kernels.reset()
-        assert get_backend().kernel("timing_error_cdf").impl_name == "reference"
-
-    def test_reset_backend_rereads_kernel_env(self, monkeypatch):
-        monkeypatch.setenv("EVAL_REPRO_KERNELS", "reference")
-        reset_backend()
-        assert kernels.active_impl("thermal_step") == "reference"
-        monkeypatch.delenv("EVAL_REPRO_KERNELS")
-        reset_backend()
-        assert kernels.active_impl("thermal_step") != "reference"
-
-    def test_resolution_is_cached(self):
-        assert get_backend().kernel("thermal_step") is get_backend().kernel(
-            "thermal_step"
-        )
-
-    def test_unknown_kernel_is_an_error(self):
-        with pytest.raises(ValueError, match="thermal_step"):
-            get_backend().kernel("warp_drive")
-
-    def test_unknown_impl_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("EVAL_REPRO_KERNELS", "fortran")
-        kernels.reset()
-        with pytest.raises(ValueError, match="reference"):
-            get_backend().kernel("thermal_step")
-
-
-class TestBackendErrorPaths:
-    """Satellite: the documented backend failure modes."""
-
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError) as excinfo:
-            set_backend("tpu9000")
-        message = str(excinfo.value)
-        for name in available_backends():
-            assert name in message
-
-    def test_reset_backend_rereads_the_env(self, monkeypatch):
-        monkeypatch.setenv("EVAL_REPRO_BACKEND", "numpy")
-        reset_backend()
-        assert get_backend().name == "numpy"
-        monkeypatch.setenv("EVAL_REPRO_BACKEND", "tpu9000")
-        reset_backend()
-        with pytest.raises(ValueError):
-            get_backend()
-        monkeypatch.delenv("EVAL_REPRO_BACKEND")
-        reset_backend()
-        assert get_backend().name == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +237,16 @@ class TestKernelParity:
         out = _run_impl(impl, "timing_error_cdf", freq, mean, sigma, rho)
         _assert_bitwise(ref, out)
 
+        # The optimizer probes z from heavy overclocking (~ -10) to deep
+        # error-free (~ +40): with f = sigma = rho = 1, mean = 1 - z puts
+        # each probe at (1/f - mean) / sigma = z, up to the rounding of
+        # 1 - z.
+        z = np.linspace(-12.0, 40.0, 20001)
+        sweep = (1.0, 1.0 - z, 1.0, 1.0)
+        ref = _run_impl("reference", "timing_error_cdf", *sweep)
+        out = _run_impl(impl, "timing_error_cdf", *sweep)
+        _assert_bitwise(ref, out)
+
     def test_timing_error_cdf_deep_tail(self, impl):
         # Far below the error-free frequency Q(z) underflows to 0.0;
         # both paths must agree there too.
@@ -331,6 +259,14 @@ class TestKernelParity:
         assert (ref == 0.0).all()
         _assert_bitwise(ref, out)
 
+        # z = +40 underflows Q to 0.0 and z = -40 saturates it at 1.0
+        # (mean = 1 -+ 40 is exact, so z is too).
+        tails = (1.0, np.array([-39.0, 41.0]), 1.0, 1.0)
+        ref = _run_impl("reference", "timing_error_cdf", *tails)
+        out = _run_impl(impl, "timing_error_cdf", *tails)
+        _assert_bitwise(ref, [0.0, 1.0])
+        _assert_bitwise(ref, out)
+
 
 # ----------------------------------------------------------------------
 # Per-kernel observability.
@@ -340,7 +276,7 @@ class TestKernelInstrumentation:
         ops = _grid_operands(seed=8)
         registry = MetricsRegistry()
         with obs.scoped(registry):
-            get_backend().kernel("vt_and_static_power")(
+            kernels.vt_and_static_power(
                 ops["vt0"], ops["vdd"], ops["vbb"], ops["temp"], ops["ksta"], SENS
             )
         counters = registry.to_dict()["counters"]
@@ -353,7 +289,7 @@ class TestKernelInstrumentation:
         with obs.scoped(registry):
             obs.disable()
             try:
-                get_backend().kernel("vt_and_static_power")(
+                kernels.vt_and_static_power(
                     ops["vt0"], ops["vdd"], ops["vbb"], ops["temp"],
                     ops["ksta"], SENS,
                 )
@@ -381,7 +317,7 @@ class TestKernelInstrumentation:
 class TestSolverParity:
     def _solve(self, core, impl):
         n = core.n_subsystems
-        with kernels.use_impl(impl):
+        with _pipeline_on(impl):
             return solve_temperatures(
                 core, np.full(n, 1.1), np.full(n, 0.1), 4.4e9,
                 core.alpha_ref, 343.15,
@@ -403,7 +339,7 @@ class TestSolverParity:
         activity = np.stack([core.alpha_ref, other_core.alpha_ref * 0.1])
 
         def solve(with_impl):
-            with kernels.use_impl(with_impl):
+            with _pipeline_on(with_impl):
                 return solve_temperatures_lanes(
                     lanes, vdd, vbb, 4.0e9, activity, 343.15
                 )
@@ -421,7 +357,7 @@ class TestSolverParity:
         spec = TS_ASV.optimization_spec(core.n_subsystems, core.calib)
 
         def run(with_impl):
-            with kernels.use_impl(with_impl):
+            with _pipeline_on(with_impl):
                 freq = freq_algorithm(subs, spec)
                 power = power_algorithm(subs, freq.core_frequency(), spec)
             return freq, power
@@ -454,7 +390,7 @@ class TestRunUnitParity:
     def test_rows_bit_identical_to_reference(self, suite, impl):
         def rows(with_impl):
             runner = ExperimentRunner(self.CONFIG, workloads=list(suite[:2]))
-            with kernels.use_impl(with_impl):
+            with _pipeline_on(with_impl):
                 return [
                     runner.run_unit(TS_ASV, AdaptationMode.EXH_DYN, chip, 0)
                     for chip in range(self.CONFIG.n_chips)

@@ -12,8 +12,7 @@ one-lane call gives it:
 * ``ExperimentRunner.run_units_batched`` over a block vs ``run_unit``
   per unit, across (environment x mode x workload) combinations,
 
-plus the backend shim, the measurement LRU, and the content-hash cache
-key.  The cross-version oracle is ``tests/test_adaptation_golden.py``.
+plus the measurement LRU and the content-hash cache key.  The cross-version oracle is ``tests/test_adaptation_golden.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.backend import available_backends, get_backend, set_backend
 from repro.obs import MetricsRegistry
 from repro.chip.chip import CoreLanes, build_core, build_novar_core
 from repro.core import TS, TS_ASV, TS_ASV_Q_FU, AdaptationMode
@@ -68,8 +66,12 @@ class TestRunUnitsBatchedParity:
             (TS_ASV_Q_FU, AdaptationMode.EXH_DYN, 2, 4),
             (TS_ASV, AdaptationMode.FUZZY_DYN, 4, 6),
             (TS, AdaptationMode.STATIC, 0, 2),
+            (TS_ASV, AdaptationMode.EXH_DYN, 0, 1),
         ],
-        ids=["TS-exh", "TS+ASV+Q+FU-exh", "TS+ASV-fuzzy", "TS-static"],
+        ids=[
+            "TS-exh", "TS+ASV+Q+FU-exh", "TS+ASV-fuzzy", "TS-static",
+            "TS+ASV-exh",
+        ],
     )
     def test_rows_bit_identical(self, suite, env, mode, first, last):
         """Block rows == per-unit rows across env x mode x workloads."""
@@ -293,35 +295,6 @@ class TestMeasurementCacheLRU:
         assert measurement_cache_len() == before
         assert second is first
         clear_measurement_cache()
-
-
-# ----------------------------------------------------------------------
-# Satellite: the array-backend shim.
-# ----------------------------------------------------------------------
-class TestBackendShim:
-    def test_numpy_is_the_default_and_selectable(self):
-        backend = get_backend()
-        assert backend.name == "numpy"
-        assert set_backend("numpy").xp is np
-        assert "numpy" in available_backends()
-
-    def test_unknown_backend_is_an_error(self):
-        with pytest.raises(ValueError):
-            set_backend("tpu9000")
-
-    def test_explicit_numpy_backend_passes_the_parity_suite(self, suite):
-        """The acceptance check: same rows with the backend pinned."""
-        set_backend("numpy")
-        units = [(chip, 0) for chip in range(UNIT_CONFIG.n_chips)]
-        batched = _runner(suite[:1]).run_units_batched(
-            TS_ASV, AdaptationMode.EXH_DYN, units
-        )
-        serial_runner = _runner(suite[:1])
-        serial = [
-            serial_runner.run_unit(TS_ASV, AdaptationMode.EXH_DYN, chip, core)
-            for chip, core in units
-        ]
-        assert batched == serial
 
 
 # ----------------------------------------------------------------------

@@ -34,31 +34,34 @@ def rho(core):
 
 
 class TestNormSf:
-    """The erfc-based survival function used by stage_error_rates."""
+    """The survival function ``Q(z)`` inside the fused Eq 4 kernel.
+
+    With ``f = sigma = rho = 1`` and ``mean = 1 - z`` the kernel returns
+    ``Q((1/f - mean) / sigma)``, i.e. ``Q`` at ``1 - (1 - z)``, which is
+    ``z`` up to the rounding of ``1 - z``.
+    """
 
     def test_bit_identical_to_scipy_over_optimizer_range(self):
         from scipy.stats import norm
 
-        from repro.numerics import norm_sf
+        from repro.kernels import timing_error_cdf
 
         # The optimizer probes z from deep error-free (~ +40) to heavy
         # overclocking (~ -10); bit-identity keeps every cached summary
-        # and golden table stable across the swap.
+        # and golden table stable.
         z = np.linspace(-12.0, 40.0, 20001)
-        assert np.array_equal(norm_sf(z), norm.sf(z))
-        assert norm_sf(0.0) == norm.sf(0.0)
-
-    def test_scalar_and_array_shapes(self):
-        from repro.numerics import norm_sf
-
-        assert np.isscalar(float(norm_sf(1.5)))
-        assert norm_sf(np.zeros((3, 2))).shape == (3, 2)
+        mean = 1.0 - z
+        assert np.array_equal(
+            timing_error_cdf(1.0, mean, 1.0, 1.0), norm.sf(1.0 - mean)
+        )
+        assert timing_error_cdf(1.0, 1.0, 1.0, 1.0) == norm.sf(0.0)
 
     def test_tail_values(self):
-        from repro.numerics import norm_sf
+        from repro.kernels import timing_error_cdf
 
-        assert norm_sf(40.0) == 0.0  # underflow, like scipy
-        assert norm_sf(-40.0) == 1.0
+        # mean = 1 -+ 40 is exact, so z = +-40 is too.
+        assert timing_error_cdf(1.0, -39.0, 1.0, 1.0) == 0.0  # underflow
+        assert timing_error_cdf(1.0, 41.0, 1.0, 1.0) == 1.0
 
 
 class TestStageDelays:
