@@ -21,12 +21,6 @@ Recognised environment variables::
     EVAL_REPRO_LOG_LEVEL    repro logger threshold (``--log-level``)
     EVAL_REPRO_LOG_JSON     any non-empty value selects JSON log lines
     EVAL_REPRO_METRICS_OUT  metrics JSON path (``--metrics-out``)
-    EVAL_REPRO_SHARED_MEM   ``0``/``false``/``no``/``off`` disables the
-                            shared-memory population broadcast to pool
-                            workers (``--no-shared-mem``); any other
-                            non-empty value enables it.  Bit-identical
-                            either way — workers fall back to the
-                            deterministic rebuild.
 
 Campaign-service knobs (see :mod:`repro.serve`)::
 
@@ -40,7 +34,6 @@ Worker-fleet knobs (see :mod:`repro.serve.fleet`)::
     EVAL_REPRO_WORKER_CONNECT      daemon a fleet worker joins (``--connect``)
     EVAL_REPRO_HEARTBEAT_INTERVAL  worker heartbeat period, seconds
     EVAL_REPRO_LEASE_TIMEOUT       lease age before it becomes stealable
-    EVAL_REPRO_STORE_BACKEND       artifact-store backend: local | shared
 """
 
 from __future__ import annotations
@@ -68,7 +61,6 @@ class Settings:
     log_level: str = "WARNING"
     log_json: bool = False
     metrics_out: Optional[str] = None
-    shared_mem: bool = True
     service_addr: Optional[str] = None
     service_max_jobs: int = 8
     service_retries: int = 1
@@ -76,7 +68,6 @@ class Settings:
     worker_connect: Optional[str] = None
     heartbeat_interval: float = 2.0
     lease_timeout: float = 60.0
-    store_backend: str = "local"
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -93,8 +84,6 @@ class Settings:
             raise ValueError("heartbeat_interval must be > 0")
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
-        if self.store_backend not in ("local", "shared"):
-            raise ValueError("store_backend must be 'local' or 'shared'")
 
     # ------------------------------------------------------------------
     # Construction.
@@ -129,12 +118,6 @@ class Settings:
             raw = env.get(name)
             return float(raw) if raw not in (None, "") else fallback
 
-        def tristate(name: str, fallback: bool) -> bool:
-            raw = env.get(name)
-            if raw in (None, ""):
-                return fallback
-            return raw.strip().lower() not in ("0", "false", "no", "off")
-
         return cls(
             jobs=integer("EVAL_REPRO_JOBS", base.jobs),
             cache_dir=text("EVAL_REPRO_CACHE", base.cache_dir),
@@ -146,7 +129,6 @@ class Settings:
             log_level=text("EVAL_REPRO_LOG_LEVEL", base.log_level).upper(),
             log_json=flag("EVAL_REPRO_LOG_JSON", base.log_json),
             metrics_out=text("EVAL_REPRO_METRICS_OUT", base.metrics_out),
-            shared_mem=tristate("EVAL_REPRO_SHARED_MEM", base.shared_mem),
             service_addr=text("EVAL_REPRO_SERVICE", base.service_addr),
             service_max_jobs=integer(
                 "EVAL_REPRO_SERVICE_MAX_JOBS", base.service_max_jobs
@@ -162,7 +144,6 @@ class Settings:
                 "EVAL_REPRO_HEARTBEAT_INTERVAL", base.heartbeat_interval
             ),
             lease_timeout=number("EVAL_REPRO_LEASE_TIMEOUT", base.lease_timeout),
-            store_backend=text("EVAL_REPRO_STORE_BACKEND", base.store_backend),
         )
 
     @classmethod
@@ -195,7 +176,6 @@ class Settings:
             log_level=str(take("log_level", base.log_level)).upper(),
             log_json=bool(take("log_json", base.log_json)),
             metrics_out=take("metrics_out", base.metrics_out),
-            shared_mem=take("shared_mem", base.shared_mem),
             service_addr=take("service", base.service_addr),
             service_max_jobs=take("service_max_jobs", base.service_max_jobs),
             service_retries=take("service_retries", base.service_retries),
@@ -207,7 +187,6 @@ class Settings:
                 "heartbeat_interval", base.heartbeat_interval
             ),
             lease_timeout=take("lease_timeout", base.lease_timeout),
-            store_backend=take("store_backend", base.store_backend),
         )
 
     @staticmethod
@@ -253,14 +232,6 @@ class Settings:
             help="write the merged fleet-wide metrics registry to this "
                  "JSON file at exit",
         )
-        parser.add_argument(
-            "--shared-mem",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="broadcast the chip population to --jobs N workers over "
-                 "shared memory instead of rebuilding it per worker "
-                 "(bit-identical; default: $EVAL_REPRO_SHARED_MEM or on)",
-        )
 
     @staticmethod
     def add_service_arguments(
@@ -305,19 +276,8 @@ class Settings:
 
         Both the daemon and the ``worker`` subcommand call this;
         ``role`` selects the side-specific flags (the daemon owns the
-        liveness policy, the worker owns where it connects).  Both sides
-        take ``--store-backend`` — a fleet sharing one cache directory
-        should run every member with ``shared``.
+        liveness policy, the worker owns where it connects).
         """
-        parser.add_argument(
-            "--store-backend",
-            choices=("local", "shared"),
-            default=defaults.store_backend,
-            help="artifact-store backend: 'local' single-host layout or "
-                 "'shared' with advisory locks + completed-write markers "
-                 "for fleet-shared mounts "
-                 "(default: $EVAL_REPRO_STORE_BACKEND or local)",
-        )
         if role == "worker":
             parser.add_argument(
                 "--connect",
@@ -361,27 +321,15 @@ class Settings:
         """The cache directory, or ``None`` when caching is disabled."""
         return self.cache_dir if self.cache_enabled else None
 
-    def build_store(self):
-        """An :class:`~repro.exps.cache.ArtifactStore`, or ``None``.
-
-        The backend is selected by :attr:`store_backend`; the root is
-        :attr:`effective_cache_dir`.
-        """
+    def build_cache(self):
+        """An :class:`~repro.exps.cache.ExperimentCache` at
+        :attr:`effective_cache_dir`, or ``None``."""
         root = self.effective_cache_dir
         if root is None:
             return None
-        from .exps.cache import build_store  # lazy: avoids an import cycle
-
-        return build_store(root, self.store_backend)
-
-    def build_cache(self):
-        """An :class:`~repro.exps.cache.ExperimentCache`, or ``None``."""
-        store = self.build_store()
-        if store is None:
-            return None
         from .exps.cache import ExperimentCache  # lazy: avoids an import cycle
 
-        return ExperimentCache(store=store)
+        return ExperimentCache(root)
 
     def configure(self) -> "Settings":
         """Apply the logging settings; returns self for chaining."""

@@ -19,18 +19,17 @@ Every artifact is addressed by a SHA-256 of its *inputs*: the calibration
 constants, the runner scale knobs, the workload/phase fingerprint, and the
 environment's capability set.  Changing any of them (e.g. a recalibrated
 ``systematic_delay_gain``) changes the key, so stale entries are never
-served — invalidation is free and the cache directory can be shared by
-concurrent processes (writes go through a temp file + atomic rename).
+served — invalidation is free.
 
-Storage is pluggable: :class:`ExperimentCache` serialises artifacts and
-delegates the byte-level ``get``/``put``/``exists``/``delete`` to an
-:class:`ArtifactStore` backend.  :class:`LocalDirStore` keeps the
-original single-host directory layout; :class:`SharedDirStore` adds
-advisory locks and completed-write markers so one directory can be
-mounted by a whole fleet of worker processes/hosts (see
-:mod:`repro.serve.fleet`).
+:class:`ExperimentCache` serialises artifacts and delegates the
+byte-level ``get``/``put``/``exists``/``delete`` to one
+:class:`DirStore`: temp file + fsync + atomic rename, a ``.done``
+completed-write marker and an advisory lock per address, so one
+directory can be shared by concurrent processes and by a whole fleet of
+worker hosts (see :mod:`repro.serve.fleet`).
 
-Layout under a directory-backed store's root::
+Layout under the cache root (each artifact with its ``.done`` marker
+and ``.lock`` file beside it)::
 
     measurements/<key>.npz   arrays + JSON metadata
     banks/<key>.npz          repro.ml.persistence archives
@@ -40,7 +39,6 @@ Layout under a directory-backed store's root::
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import dataclasses
 import hashlib
@@ -72,7 +70,8 @@ from ..ml.persistence import load_bank, save_bank
 
 #: Bump when the stored artifact layout changes; keys include it, so old
 #: cache directories keep working (their entries just stop being hit).
-CACHE_FORMAT_VERSION = 1
+#: Version 2: every artifact carries a ``.done`` completion marker.
+CACHE_FORMAT_VERSION = 2
 
 log = logging.getLogger("repro.exps.cache")
 
@@ -205,122 +204,30 @@ def summary_key(
 
 
 # ----------------------------------------------------------------------
-# Storage backends: the ArtifactStore API.
+# Byte storage: one directory, safe to share across processes and hosts.
 # ----------------------------------------------------------------------
-class ArtifactStore(abc.ABC):
-    """Byte-level artifact storage behind :class:`ExperimentCache`.
+class DirStore:
+    """The artifact directory behind :class:`ExperimentCache`.
 
-    The contract (see DESIGN.md §12 for the fleet-facing guarantees):
+    Artifacts are addressed by ``(kind, key, suffix)`` — ``kind`` is a
+    short category name (``"summaries"``, ``"banks"``, ...), ``key`` a
+    content-addressed hex digest, ``suffix`` the format extension — and
+    live at ``<root>/<kind>/<key><suffix>``.  Keys are content-addressed,
+    so a ``put`` for an existing address always carries semantically
+    identical bytes: last-writer-wins is a safe conflict rule.
 
-    * Artifacts are addressed by ``(kind, key, suffix)`` — ``kind`` is a
-      short category name (``"summaries"``, ``"banks"``, ...), ``key`` a
-      content-addressed hex digest, ``suffix`` the format extension.
-      Keys are content-addressed, so a ``put`` for an existing address
-      always carries semantically identical bytes: last-writer-wins is a
-      safe conflict rule.
-    * ``put`` must be *atomic and complete*: a concurrent ``get`` sees
-      either nothing or the full new payload, never a torn write.
-    * ``get`` returns ``None`` for anything that is not a completed
-      artifact (absent, or still being written by another process).
-    * ``is_complete`` reports whether a present artifact's write has
-      finished; :meth:`ExperimentCache._load_guarded` only deletes a
-      corrupt artifact when its write is complete, so two processes
-      sharing a store never clobber each other mid-write.
-    * ``delete`` is idempotent and returns whether anything was removed.
-    """
+    One directory may be mounted by a whole fleet of worker processes
+    and hosts (see :mod:`repro.serve.fleet` and DESIGN.md §12):
 
-    @abc.abstractmethod
-    def get(self, kind: str, key: str, suffix: str) -> Optional[bytes]:
-        """The artifact's bytes, or ``None`` if absent/incomplete."""
-
-    @abc.abstractmethod
-    def put(self, kind: str, key: str, suffix: str, data: bytes) -> None:
-        """Store ``data`` atomically under ``(kind, key, suffix)``."""
-
-    @abc.abstractmethod
-    def exists(self, kind: str, key: str, suffix: str) -> bool:
-        """Whether any artifact (even an in-flight one) is present."""
-
-    @abc.abstractmethod
-    def delete(self, kind: str, key: str, suffix: str) -> bool:
-        """Remove the artifact; ``False`` if nothing was there."""
-
-    def is_complete(self, kind: str, key: str, suffix: str) -> bool:
-        """Whether the artifact's write has finished.
-
-        Backends whose writes are atomic-by-construction (a visible file
-        is always a finished file) inherit this default: present means
-        complete.
-        """
-        return self.exists(kind, key, suffix)
-
-
-class LocalDirStore(ArtifactStore):
-    """The original single-host directory layout.
-
-    Writes go through a sibling temp file and ``os.replace``, so
-    concurrent *processes on one host* can share the directory: a reader
-    sees either the old bytes or the new ones.  Every visible file is a
-    completed write, which is why :meth:`is_complete` stays the default.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        for sub in ("measurements", "banks", "summaries", "factors"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({str(self.root)!r})"
-
-    def path_for(self, kind: str, key: str, suffix: str) -> Path:
-        """Where ``(kind, key, suffix)`` lives on disk."""
-        return self.root / kind / f"{key}{suffix}"
-
-    def get(self, kind: str, key: str, suffix: str) -> Optional[bytes]:
-        try:
-            return self.path_for(kind, key, suffix).read_bytes()
-        except (FileNotFoundError, IsADirectoryError):
-            return None
-
-    def put(self, kind: str, key: str, suffix: str, data: bytes) -> None:
-        final = self.path_for(kind, key, suffix)
-        final.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(final.parent), prefix=".tmp-", suffix=suffix
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, final)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def exists(self, kind: str, key: str, suffix: str) -> bool:
-        return self.path_for(kind, key, suffix).exists()
-
-    def delete(self, kind: str, key: str, suffix: str) -> bool:
-        try:
-            self.path_for(kind, key, suffix).unlink()
-            return True
-        except OSError:
-            return False
-
-
-class SharedDirStore(LocalDirStore):
-    """A directory store safe for multi-host (NFS-style) shared mounts.
-
-    Two additions over :class:`LocalDirStore`:
-
-    * **Completed-write markers** — after the data file is renamed into
-      place, an empty ``<name>.done`` marker is created.  ``get`` only
-      serves marked artifacts, and ``is_complete`` reports the marker,
-      so a reader on another host never consumes (or deletes) a write
-      that has not finished — rename atomicity and visibility ordering
-      are weaker across network mounts than on a local disk.
+    * **Atomic writes** — data goes to a sibling temp file, is fsynced,
+      and is renamed into place with ``os.replace``; a reader never sees
+      a torn file.
+    * **Completed-write markers** — after the rename, an empty
+      ``<name>.done`` marker is created.  ``get`` only serves marked
+      artifacts, and ``is_complete`` reports the marker, so a reader on
+      another host never consumes (or deletes) a write that has not
+      finished — rename atomicity and visibility ordering are weaker
+      across network mounts than on a local disk.
     * **Advisory locks** — ``put`` and ``delete`` for one address are
       serialised through a ``flock`` on a sibling ``.lock`` file (a
       no-op where ``fcntl`` is unavailable), so a delete can never
@@ -335,6 +242,21 @@ class SharedDirStore(LocalDirStore):
     _MARKER = ".done"
     _LOCK = ".lock"
 
+    def __init__(self, root: Union[str, Path]):
+        self.root = Path(root)
+        for sub in ("measurements", "banks", "summaries", "factors"):
+            (self.root / sub).mkdir(parents=True, exist_ok=True)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({str(self.root)!r})"
+
+    def path_for(self, kind: str, key: str, suffix: str) -> Path:
+        """Where ``(kind, key, suffix)`` lives on disk."""
+        return self.root / kind / f"{key}{suffix}"
+
+    def _marker_for(self, final: Path) -> Path:
+        return final.with_name(final.name + self._MARKER)
+
     @contextlib.contextmanager
     def _locked(self, final: Path) -> Iterator[None]:
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
@@ -348,26 +270,45 @@ class SharedDirStore(LocalDirStore):
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _marker_for(self, final: Path) -> Path:
-        return final.with_name(final.name + self._MARKER)
-
     def get(self, kind: str, key: str, suffix: str) -> Optional[bytes]:
-        final = self.path_for(kind, key, suffix)
-        if not self._marker_for(final).exists():
+        """The artifact's bytes, or ``None`` if absent or incomplete."""
+        if not self.is_complete(kind, key, suffix):
             return None
-        return super().get(kind, key, suffix)
+        try:
+            return self.path_for(kind, key, suffix).read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
+            return None
 
     def put(self, kind: str, key: str, suffix: str, data: bytes) -> None:
+        """Store ``data`` atomically under ``(kind, key, suffix)``."""
         final = self.path_for(kind, key, suffix)
         final.parent.mkdir(parents=True, exist_ok=True)
         with self._locked(final):
-            super().put(kind, key, suffix, data)
+            fd, tmp = tempfile.mkstemp(
+                dir=str(final.parent), prefix=".tmp-", suffix=suffix
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp, final)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
             self._marker_for(final).touch()
 
+    def exists(self, kind: str, key: str, suffix: str) -> bool:
+        """Whether any artifact (even an in-flight one) is present."""
+        return self.path_for(kind, key, suffix).exists()
+
     def is_complete(self, kind: str, key: str, suffix: str) -> bool:
+        """Whether the artifact's write has finished (its marker exists)."""
         return self._marker_for(self.path_for(kind, key, suffix)).exists()
 
     def delete(self, kind: str, key: str, suffix: str) -> bool:
+        """Remove the artifact; ``False`` if nothing was there."""
         final = self.path_for(kind, key, suffix)
         with self._locked(final):
             # Marker first: the artifact disappears for readers before
@@ -376,25 +317,11 @@ class SharedDirStore(LocalDirStore):
                 self._marker_for(final).unlink()
             except OSError:
                 pass
-            return super().delete(kind, key, suffix)
-
-
-def build_store(root: Union[str, Path], backend: str = "local") -> ArtifactStore:
-    """Construct a directory-backed store by backend name.
-
-    ``"local"`` is the single-host layout; ``"shared"`` adds the
-    marker/lock discipline for fleet-shared mounts.  This is the factory
-    behind ``Settings.store_backend``.
-    """
-    backends = {"local": LocalDirStore, "shared": SharedDirStore}
-    try:
-        cls = backends[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {backend!r} "
-            f"(choose from {sorted(backends)})"
-        ) from None
-    return cls(root)
+            try:
+                final.unlink()
+                return True
+            except OSError:
+                return False
 
 
 # ----------------------------------------------------------------------
@@ -437,24 +364,14 @@ _ARTIFACT_KINDS = {
 class ExperimentCache:
     """Artifact cache for measurements, banks, summaries and factors.
 
-    Serialisation lives here; byte storage is delegated to an
-    :class:`ArtifactStore` backend.  ``ExperimentCache(root)`` keeps the
-    historical single-argument form (a :class:`LocalDirStore` at that
-    directory); pass ``store=`` for any other backend.
+    Serialisation lives here; byte storage is delegated to the
+    :class:`DirStore` at ``root``.
     """
 
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        *,
-        store: Optional[ArtifactStore] = None,
-    ):
-        if (root is None) == (store is None):
-            raise ValueError("pass exactly one of root or store")
-        self.store = store if store is not None else LocalDirStore(root)
-        #: Directory root for dir-backed stores (``None`` otherwise);
-        #: kept for callers that co-locate reports next to the cache.
-        self.root = getattr(self.store, "root", None)
+    def __init__(self, root: Union[str, Path]):
+        self.store = DirStore(root)
+        #: Kept for callers that co-locate reports next to the cache.
+        self.root = self.store.root
         self.stats = CacheStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -591,18 +508,13 @@ class FactorStore:
     module; instead it accepts any object with ``load(key_data)`` /
     ``save(key_data, factor)``.  This adapter closes the loop: it turns
     the physics-level key tuple into a content-addressed cache key and
-    delegates to an :class:`ExperimentCache` — or, given a bare
-    :class:`ArtifactStore`, routes through the same backend API the rest
-    of the cache uses (fleet workers hand their shared store straight
-    in).  Install it with::
+    delegates to an :class:`ExperimentCache`.  Install it with::
 
         from repro import variation
         variation.set_store(FactorStore(cache))
     """
 
-    def __init__(self, cache: Union[ExperimentCache, ArtifactStore]):
-        if isinstance(cache, ArtifactStore):
-            cache = ExperimentCache(store=cache)
+    def __init__(self, cache: ExperimentCache):
         self.cache = cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

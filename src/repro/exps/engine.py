@@ -42,9 +42,11 @@ class UnitExecutionError(RuntimeError):
     """One (environment, mode, chip, core) unit of work failed.
 
     Raised instead of the worker's bare traceback so every consumer — the
-    serial loop, the process-pool path, and the campaign service's
-    supervised scheduler — sees *which* unit died.  The original
-    exception rides along as ``__cause__``.
+    serial loop, the process-pool path, the campaign service's
+    supervised scheduler and the fleet worker — sees *which* unit died.
+    The original exception rides along as ``__cause__`` in the raising
+    process; across a process boundary the error travels by value (see
+    :meth:`__reduce__`) with the cause's ``repr`` kept in the message.
     """
 
     def __init__(
@@ -64,6 +66,12 @@ class UnitExecutionError(RuntimeError):
             f"unit (env={env_name}, mode={mode_value}, chip={chip_index}, "
             f"core={core_index}) failed{detail}"
         )
+
+    def __reduce__(self):
+        # The default reduction re-calls __init__ with ``self.args`` (the
+        # message alone), which does not fit this signature; rebuild from
+        # the unit identity and restore the rendered message instead.
+        return (type(self), self.unit, {"args": self.args})
 
     @property
     def unit(self) -> Tuple[str, str, int, int]:
@@ -118,14 +126,17 @@ def run_units_guarded(
     units: Sequence[Tuple[int, int]],
     workloads=None,
     bank=None,
-):
+) -> List[Union[List["PhaseResult"], UnitExecutionError]]:
     """Run a same-cell block of units, failures precisely attributed.
 
-    The block runs as one program
+    The one block runner of every executor (serial engine, pool worker,
+    fleet worker).  The block runs as one program
     (:meth:`~repro.exps.runner.ExperimentRunner.run_units_batched`); a
     failure is retried one unit at a time — the same rows by
-    construction — so the :class:`UnitExecutionError` finally raised
-    names the exact (chip, core) unit that is broken, not the block.
+    construction.  Returns, per unit in order, either its rows or the
+    :class:`UnitExecutionError` naming exactly that (chip, core) unit;
+    each caller decides what a failed unit means (:func:`_unit_rows`
+    raises the first).
     """
     units = list(units)
     if units:
@@ -139,12 +150,24 @@ def run_units_guarded(
                 "retrying per unit",
                 env.name, mode.value, len(units), exc_info=True,
             )
-    return [
-        run_unit_guarded(
-            runner, env, mode, chip_index, core_index, workloads, bank=bank
-        )
-        for chip_index, core_index in units
-    ]
+    outcomes: List[Union[List["PhaseResult"], UnitExecutionError]] = []
+    for chip_index, core_index in units:
+        try:
+            outcomes.append(run_unit_guarded(
+                runner, env, mode, chip_index, core_index, workloads,
+                bank=bank,
+            ))
+        except UnitExecutionError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _unit_rows(outcomes: Sequence) -> list:
+    """The per-unit rows of a guarded block; raise its first unit error."""
+    for outcome in outcomes:
+        if isinstance(outcome, UnitExecutionError):
+            raise outcome
+    return list(outcomes)
 
 
 def _chunk_units(
@@ -167,6 +190,38 @@ def _chunk_units(
     return chunks
 
 
+def _cell_blocks(runner, pending, n_blocks: int):
+    """Each pending cell's (chip, core) units in ``n_blocks`` blocks.
+
+    Blocks are generated (and their rows concatenated by
+    :func:`_summarise_blocks`) in cell-then-unit order, which is what
+    keeps every executor's rows bit-identical to one serial pass.
+    """
+    cell_units = [
+        (chip_index, core_index)
+        for chip_index in range(runner.config.n_chips)
+        for core_index in range(runner.config.cores_per_chip)
+    ]
+    return [
+        (env, mode, chunk)
+        for env, mode, _ in pending
+        for chunk in _chunk_units(cell_units, n_blocks)
+    ]
+
+
+def _summarise_blocks(
+    blocks, block_rows
+) -> Dict[Tuple[str, str], "SuiteSummary"]:
+    """Concatenate per-unit rows block by block into cell summaries."""
+    from .runner import summarise
+
+    per_cell: Dict[Tuple[str, str], List["PhaseResult"]] = {}
+    for (env, mode, _units), rows_per_unit in zip(blocks, block_rows):
+        for rows in rows_per_unit:
+            per_cell.setdefault((env.name, mode.value), []).extend(rows)
+    return {cell: summarise(rows) for cell, rows in per_cell.items()}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One experiment campaign: a grid of (environment, mode) cells.
@@ -182,13 +237,11 @@ class RunSpec:
             the runner's configured cache (if any).
         use_cache: ``False`` disables the disk cache entirely (the
             ``--no-cache`` flag); in-memory memoisation still applies.
-        shared_mem: Broadcast the sampled population and correlation
-            factor to pool workers through one shared-memory segment
-            (zero-copy) instead of having every worker rebuild them.
-            Purely an execution knob — results are bit-identical either
-            way, and any shared-memory failure silently falls back to
-            the deterministic rebuild — so, like ``parallelism``, it
-            stays outside the hashed cache keys.
+
+    With ``parallelism > 1`` the sampled population and correlation
+    factor always reach the pool workers through one shared memory
+    segment; if publishing or attaching fails, workers rebuild them
+    deterministically — bit-identical rows either way.
     """
 
     environments: Tuple[Environment, ...]
@@ -197,7 +250,6 @@ class RunSpec:
     parallelism: int = 1
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    shared_mem: bool = True
 
     def __post_init__(self) -> None:
         envs = self.environments
@@ -222,9 +274,9 @@ class RunSpec:
         This is the one sanctioned way to turn the runtime-knob bundle
         (:class:`repro.config.Settings`) into campaign execution fields —
         ``parallelism`` from ``jobs``, ``cache_dir``/``use_cache`` from the
-        cache knobs, ``shared_mem`` — so call sites stop hand-rolling the
-        mapping.  Campaign *content* (``environments``, ``modes``,
-        ``workloads``) and any explicit execution override ride in through
+        cache knobs — so call sites stop hand-rolling the mapping.
+        Campaign *content* (``environments``, ``modes``, ``workloads``)
+        and any explicit execution override ride in through
         ``overrides``::
 
             spec = RunSpec.from_settings(settings, environments=(TS,))
@@ -233,7 +285,6 @@ class RunSpec:
             parallelism=settings.jobs,
             cache_dir=settings.effective_cache_dir,
             use_cache=settings.cache_enabled,
-            shared_mem=settings.shared_mem,
         )
         fields.update(overrides)
         return cls(**fields)
@@ -271,7 +322,7 @@ class RunResult:
 # ----------------------------------------------------------------------
 _WORKER_RUNNER = None
 _WORKER_BANK_CACHE = None
-#: The attached shared-memory segment, if any.  The worker's population
+#: The attached shared memory segment, if any.  The worker's population
 #: arrays are views into its buffer, so the reference must stay alive for
 #: the whole worker lifetime.
 _WORKER_SHM = None
@@ -318,7 +369,7 @@ def _init_worker(
             # Any transport failure degrades to the deterministic
             # rebuild below — slower, never wrong.
             log.warning(
-                "shared-memory attach failed; rebuilding population",
+                "shared memory attach failed; rebuilding population",
                 exc_info=True,
             )
             population = None
@@ -334,32 +385,23 @@ def _init_worker(
     )
 
 
-def _run_unit_block(env, mode, units):
+def _worker_block(env, mode, units):
     """Run one contiguous block of same-cell units in a pool worker.
 
-    A failure of the whole block is retried one unit at a time inside
-    the worker, for error attribution (plain exceptions only — :class:`UnitExecutionError` never crosses the
-    process boundary, the parent re-wraps).  Returns each unit's record
-    dicts, in unit order, plus the worker's metric delta.
+    Returns, per unit in order, its record dicts or its
+    :class:`UnitExecutionError` (:func:`run_units_guarded`), plus the
+    worker's metric delta.
     """
     bank = None
     if mode is AdaptationMode.FUZZY_DYN and _WORKER_BANK_CACHE is not None:
         bank = _WORKER_RUNNER.bank_for(env, cache=_WORKER_BANK_CACHE)
-    units = list(units)
-    try:
-        unit_rows = _WORKER_RUNNER.run_units_batched(env, mode, units, bank=bank)
-    except Exception:
-        log.warning(
-            "batched unit block (env=%s, mode=%s, %d units) failed in "
-            "worker; retrying per unit",
-            env.name, mode.value, len(units), exc_info=True,
-        )
-        unit_rows = [
-            _WORKER_RUNNER.run_unit(env, mode, chip_index, core_index, bank=bank)
-            for chip_index, core_index in units
-        ]
+    outcomes = run_units_guarded(_WORKER_RUNNER, env, mode, units, bank=bank)
     return (
-        [[row.to_dict() for row in rows] for rows in unit_rows],
+        [
+            outcome if isinstance(outcome, UnitExecutionError)
+            else [row.to_dict() for row in outcome]
+            for outcome in outcomes
+        ],
         obs.metrics_registry().drain(),
     )
 
@@ -384,8 +426,6 @@ def execute(runner, spec: RunSpec) -> RunResult:
     computed by this call (``SuiteSummary.metrics``) and then folded into
     the ambient process registry (what ``--metrics-out`` writes).
     """
-    from .runner import PhaseResult, summarise
-
     workloads = (
         list(spec.workloads) if spec.workloads is not None else list(runner.workloads)
     )
@@ -454,25 +494,15 @@ def execute(runner, spec: RunSpec) -> RunResult:
                 obs.inc("engine.shm.rebuilt", 0.0)
                 obs.inc("variation.factor.hits", 0.0)
                 obs.inc("variation.factor.misses", 0.0)
-                per_cell: Dict[Tuple[str, str], List[PhaseResult]] = {}
-                for env, mode, _ in pending:
-                    # One block per cell: all of its (chip, core) units
-                    # advance through one population-batched program.
-                    cell_units = [
-                        (chip_index, core_index)
-                        for chip_index in range(runner.config.n_chips)
-                        for core_index in range(runner.config.cores_per_chip)
-                    ]
-                    unit_rows = run_units_guarded(
-                        runner, env, mode, cell_units, workloads
-                    )
-                    for rows in unit_rows:
-                        per_cell.setdefault(
-                            (env.name, mode.value), []
-                        ).extend(rows)
-                computed = {
-                    cell: summarise(rows) for cell, rows in per_cell.items()
-                }
+                # One block per cell: all of its (chip, core) units
+                # advance through one population-batched program.
+                blocks = _cell_blocks(runner, pending, 1)
+                computed = _summarise_blocks(blocks, [
+                    _unit_rows(run_units_guarded(
+                        runner, env, mode, units, workloads
+                    ))
+                    for env, mode, units in blocks
+                ])
             elapsed = time.perf_counter() - start
             obs.inc("engine.compute_seconds", elapsed)
             if elapsed > 0.0:
@@ -503,11 +533,11 @@ class SupervisedExecutor:
 
     Owns a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
     are initialised from a runner's light specs (:func:`_init_worker`),
-    submits ``_run_unit_block`` shards, and reassembles results in
-    submission order.  A worker exception is re-raised as
-    :class:`UnitExecutionError` carrying the failing unit's identity
-    instead of a bare pool traceback; worker metric deltas are merged
-    into the campaign registry so ``--jobs N`` totals stay fleet-wide.
+    submits ``_worker_block`` shards, and reassembles results in
+    submission order.  A unit failure comes back as the worker's own
+    :class:`UnitExecutionError` and is re-raised as is; worker metric
+    deltas are merged into the campaign registry so ``--jobs N`` totals
+    stay fleet-wide.
     """
 
     def __init__(
@@ -552,14 +582,14 @@ class SupervisedExecutor:
     ) -> List[List[List["PhaseResult"]]]:
         """Execute unit blocks concurrently; per-unit rows, in order.
 
-        A failing block is reported as a :class:`UnitExecutionError`
-        naming the block's first unit (the worker already logged — and
-        retried per unit — the precise unit before giving up).
+        The first failed unit raises its own :class:`UnitExecutionError`.
+        A block that fails outside any unit (the worker died, or its bank
+        did not load) is blamed on the block's first unit.
         """
         from .runner import PhaseResult
 
         futures = {
-            self._pool.submit(_run_unit_block, env, mode, tuple(units)): index
+            self._pool.submit(_worker_block, env, mode, tuple(units)): index
             for index, (env, mode, units) in enumerate(blocks)
         }
         block_rows: List[Optional[List[List[PhaseResult]]]] = (
@@ -576,7 +606,7 @@ class SupervisedExecutor:
                 ) from exc
             block_rows[index] = [
                 [PhaseResult.from_dict(record) for record in records]
-                for records in unit_records
+                for records in _unit_rows(unit_records)
             ]
             campaign.merge_dict(metrics_delta)
         return block_rows
@@ -591,8 +621,6 @@ def _execute_parallel(
     campaign: obs.MetricsRegistry,
 ) -> Dict[Tuple[str, str], "SuiteSummary"]:
     """Shard pending cells over a supervised pool; reassemble in order."""
-    from .runner import summarise
-
     # Banks must reach the workers; they are far too heavy for the pipe,
     # so they travel through the disk cache (an ephemeral one if needed).
     ephemeral = None
@@ -600,7 +628,7 @@ def _execute_parallel(
     if transport is None:
         ephemeral = tempfile.TemporaryDirectory(prefix="eval-repro-cache-")
         transport = ExperimentCache(ephemeral.name)
-    shared = _publish_population(runner) if spec.shared_mem else None
+    shared = _publish_population(runner)
     obs.set_gauge(
         "engine.shm_bytes", float(shared.nbytes) if shared is not None else 0.0
     )
@@ -609,45 +637,26 @@ def _execute_parallel(
             if mode is AdaptationMode.FUZZY_DYN:
                 runner.bank_for(env, cache=transport)
 
-        units = list(iter_units(
-            [(env, mode) for env, mode, _ in pending],
-            runner.config.n_chips,
-            runner.config.cores_per_chip,
-        ))
+        n_units = (
+            len(pending) * runner.config.n_chips * runner.config.cores_per_chip
+        )
         # Honour the requested parallelism (the caller knows the machine);
         # never spin up more workers than there are units to run.
-        max_workers = min(spec.parallelism, len(units))
+        max_workers = min(spec.parallelism, n_units)
         # Each cell's unit list is cut into contiguous blocks, one per
         # worker, so every worker amortises its share of the population
-        # into one batched program.  Blocks are generated (and their
-        # results concatenated) in cell-then-unit order, which is what
-        # keeps parallel results bit-identical to the serial loop.
-        blocks: List[
-            Tuple[Environment, AdaptationMode, List[Tuple[int, int]]]
-        ] = []
-        for env, mode, _ in pending:
-            cell_units = [
-                (chip_index, core_index)
-                for chip_index in range(runner.config.n_chips)
-                for core_index in range(runner.config.cores_per_chip)
-            ]
-            for chunk in _chunk_units(cell_units, max_workers):
-                blocks.append((env, mode, chunk))
+        # into one batched program.
+        blocks = _cell_blocks(runner, pending, max_workers)
         log.debug(
             "sharding %d units (%d blocks) across %d workers",
-            len(units), len(blocks), max_workers,
+            n_units, len(blocks), max_workers,
         )
         with SupervisedExecutor(
             runner, workloads, cache, transport, max_workers,
             shm_handle=shared.handle if shared is not None else None,
         ) as pool:
             block_rows = pool.run_unit_blocks(blocks, campaign)
-
-        per_cell: Dict[Tuple[str, str], List["PhaseResult"]] = {}
-        for (env, mode, _units), unit_rows in zip(blocks, block_rows):
-            for rows in unit_rows:
-                per_cell.setdefault((env.name, mode.value), []).extend(rows)
-        return {cell: summarise(rows) for cell, rows in per_cell.items()}
+        return _summarise_blocks(blocks, block_rows)
     finally:
         if shared is not None:
             # The pool is down (SupervisedExecutor.__exit__ ran), so no
@@ -676,7 +685,7 @@ def _publish_population(runner):
         return SharedPopulation.publish(population, factor)
     except Exception:
         log.warning(
-            "shared-memory publish failed; workers will rebuild",
+            "shared memory publish failed; workers will rebuild",
             exc_info=True,
         )
         return None

@@ -62,16 +62,14 @@ class Fig13Result:
 def run_fig13(
     runner: Optional[ExperimentRunner] = None,
     environments: Optional[List[Environment]] = None,
-    parallelism: int = 1,
     settings: Optional[Settings] = None,
 ) -> Fig13Result:
     """Run the Figure 13 outcome study under Fuzzy-Dyn.
 
-    ``settings`` (a :class:`repro.config.Settings` bundle) overrides
-    ``parallelism`` and supplies the artifact-cache configuration.
+    ``settings`` (a :class:`repro.config.Settings` bundle) supplies the
+    execution knobs: ``jobs`` and the artifact-cache configuration.
     """
-    if settings is None:
-        settings = Settings(jobs=parallelism)
+    settings = settings if settings is not None else Settings()
     runner = runner or ExperimentRunner(RunnerConfig(n_chips=8))
     environments = environments or CONTROLLER_STUDY_ENVIRONMENTS
 

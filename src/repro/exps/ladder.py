@@ -73,11 +73,7 @@ def run_ladder(
     runner: Optional[ExperimentRunner] = None,
     environments: Optional[Sequence[Environment]] = None,
     modes: Sequence[AdaptationMode] = MODES,
-    parallelism: int = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     settings: Optional[Settings] = None,
-    shared_mem: bool = True,
 ) -> LadderResult:
     """Run the full Figures 10-12 grid.
 
@@ -87,26 +83,11 @@ def run_ladder(
         environments: Environments to include (default: the six adaptive
             environments of Table 1).
         modes: Adaptation modes (default: all three bars).
-        parallelism: Worker processes for the Monte-Carlo grid (the
-            ``--jobs`` flag); 1 runs serially.
-        cache_dir: On-disk artifact cache (the ``--cache-dir`` flag);
-            ``None`` uses the runner's configured cache, if any.
-        use_cache: ``False`` disables the disk cache (``--no-cache``).
-        settings: A :class:`repro.config.Settings` bundle; when given it
-            overrides ``parallelism``, ``cache_dir``, ``use_cache`` and
-            ``shared_mem``.
-        shared_mem: Broadcast the population to pool workers over shared
-            memory (``--shared-mem``); bit-identical either way.
+        settings: The :class:`repro.config.Settings` bundle that supplies
+            the execution knobs (``jobs``, the cache directory,
+            ``--no-cache``); default: serial, with the runner's cache.
     """
-    if settings is None:
-        # Legacy per-knob arguments: fold them into a Settings bundle so
-        # RunSpec construction has exactly one source of truth.
-        settings = Settings(
-            jobs=parallelism,
-            cache_dir=cache_dir,
-            cache_enabled=use_cache,
-            shared_mem=shared_mem,
-        )
+    settings = settings if settings is not None else Settings()
     runner = runner or ExperimentRunner(RunnerConfig())
     environments = (
         list(environments) if environments is not None else list(ADAPTIVE_ENVIRONMENTS)

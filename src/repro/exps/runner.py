@@ -242,7 +242,7 @@ class ExperimentRunner:
             # from disk instead of re-factorising.
             variation.set_store(FactorStore(cache))
         if population is not None:
-            # Pre-sampled chips, e.g. attached from a shared-memory
+            # Pre-sampled chips, e.g. attached from a shared memory
             # segment published by the engine's parent process.  The
             # transport is an optimisation, not physics: the arrays are
             # exactly what the deterministic rebuild below would draw.

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.serve daemon --addr 127.0.0.1:7571 --chips 20 --jobs 4
     python -m repro.serve worker --connect 127.0.0.1:7571 \
-        --cache-dir /mnt/shared/evalcache --store-backend shared
+        --cache-dir /mnt/shared/evalcache
     python -m repro.serve submit --env TS --env TS+ASV --mode Exh-Dyn --wait
     python -m repro.serve status job-1
     python -m repro.serve result job-1 --timeout 600

@@ -13,8 +13,8 @@ Registration ships the daemon's physics context — ``RunnerConfig``,
 mismatch), so the worker's locally-rebuilt
 :class:`~repro.exps.runner.ExperimentRunner` produces bit-identical
 rows and, crucially, *identical cache keys*: a fleet sharing one
-artifact store (``--store-backend shared``) reuses each other's
-measurements and fuzzy banks instead of retraining per host.
+artifact cache directory (``--cache-dir`` on a shared mount) reuses each
+other's measurements and fuzzy banks instead of retraining per host.
 
 The worker is expendable by design.  The daemon re-queues the leases of
 a worker that stops heartbeating, and unit delivery is idempotent, so
@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional
 from .. import obs
 from ..core.environments import AdaptationMode
 from ..exps.cache import ExperimentCache
-from ..exps.engine import UnitExecutionError, run_unit_guarded
+from ..exps.engine import UnitExecutionError, run_units_guarded
 from ..exps.runner import ExperimentRunner
 from .coalesce import NOVAR_CHIP
 from .daemon import ServiceClient
@@ -67,9 +67,9 @@ class FleetWorker:
         """Args:
             address: The daemon's ``host:port``.
             cache: This worker's artifact cache — point every fleet
-                member at the same root with the ``shared`` backend to
-                share measurements/banks (results always flow back over
-                the wire; the store only saves recompute).
+                member at the same root to share measurements/banks
+                (results always flow back over the wire; the cache only
+                saves recompute).
             poll_interval: Sleep between empty lease polls, seconds.
             max_idle: Exit after this long without work (``None``: poll
                 until the daemon goes away).
@@ -192,23 +192,6 @@ class FleetWorker:
         obs.inc("worker.leases_empty", 0.0 if units else 1.0)
         return units
 
-    def execute(self, unit: LeasedUnit) -> list:
-        """Compute one unit's rows with the rebuilt runner."""
-        runner = self.runner
-        assert runner is not None, "execute() before register()"
-        if unit.chip_index == NOVAR_CHIP:
-            return runner.novar_summary(list(unit.workloads)).results
-        bank = None
-        if unit.mode is AdaptationMode.FUZZY_DYN:
-            # One worker process, one training at a time; with a shared
-            # store the first fleet member to train persists the bank
-            # for everyone else.
-            bank = runner.bank_for(unit.env)
-        return run_unit_guarded(
-            runner, unit.env, unit.mode, unit.chip_index, unit.core_index,
-            list(unit.workloads), bank=bank,
-        )
-
     @staticmethod
     def _blocks(units: List[LeasedUnit]) -> List[List[LeasedUnit]]:
         """Group consecutive leased units that form one batchable cell.
@@ -234,62 +217,55 @@ class FleetWorker:
         return blocks
 
     def _run_block(self, block: List[LeasedUnit]) -> None:
-        """Run one lease block batched, degrading to per-unit execution.
+        """Run one lease block through the engine's guarded block runner.
 
-        Any batched failure falls back to the per-unit loop so each unit
-        still gets its own complete/fail report — a broken unit never
-        takes its block-mates down with it.  Single-unit blocks stay on
-        the batched path (like the engine's) so the metric structure a
-        worker emits does not depend on how leases happened to chunk;
-        only NoVar pseudo-units take the dedicated summary path.
+        :func:`~repro.exps.engine.run_units_guarded` runs the block
+        batched and, if that fails, one unit at a time, so each unit gets
+        its own complete/fail report — a broken unit never takes its
+        block-mates down with it.  Single-unit blocks stay on the batched
+        path (like the engine's) so the metric structure a worker emits
+        does not depend on how leases happened to chunk; only NoVar
+        pseudo-units (always alone in their block) take the dedicated
+        summary path.
         """
-        if len(block) == 1 and block[0].chip_index == NOVAR_CHIP:
-            self._run_unit(block[0])
-            return
         runner = self.runner
         assert runner is not None, "_run_block() before register()"
         first = block[0]
+        if first.chip_index == NOVAR_CHIP:
+            with obs.span("worker.unit", unit=first.unit_key):
+                rows = runner.novar_summary(list(first.workloads)).results
+            self._settle(first, rows)
+            return
         bank = None
         if first.mode is AdaptationMode.FUZZY_DYN:
+            # One worker process, one training at a time; with a shared
+            # cache the first fleet member to train persists the bank
+            # for everyone else.
             bank = runner.bank_for(first.env)
         with obs.span("worker.unit_block", units=len(block),
                       env=first.env.name, mode=first.mode.value):
-            try:
-                unit_rows = runner.run_units_batched(
-                    first.env,
-                    first.mode,
-                    [(u.chip_index, u.core_index) for u in block],
-                    list(first.workloads),
-                    bank=bank,
-                )
-            except Exception:
-                log.warning(
-                    "batched lease block (%d units) failed; retrying "
-                    "per unit", len(block), exc_info=True,
-                )
-                for unit in block:
-                    if self._stop.is_set():
-                        return
-                    self._run_unit(unit)
-                return
-        for unit, rows in zip(block, unit_rows):
-            self.units_done += 1
-            obs.inc("worker.units_done")
-            self._report("fleet.complete", unit, rows=rows_to_wire(rows))
+            outcomes = run_units_guarded(
+                runner,
+                first.env,
+                first.mode,
+                [(u.chip_index, u.core_index) for u in block],
+                list(first.workloads),
+                bank=bank,
+            )
+        for unit, outcome in zip(block, outcomes):
+            self._settle(unit, outcome)
 
-    def _run_unit(self, unit: LeasedUnit) -> None:
-        with obs.span("worker.unit", unit=unit.unit_key):
-            try:
-                rows = self.execute(unit)
-            except UnitExecutionError as exc:
-                self.units_failed += 1
-                obs.inc("worker.units_failed")
-                log.warning("unit %s failed: %s", unit.unit_key, exc)
-                self._report("fleet.fail", unit, error=str(exc))
-                return
+    def _settle(self, unit: LeasedUnit, outcome) -> None:
+        """Report one unit's rows (``fleet.complete``) or error (``fleet.fail``)."""
+        if isinstance(outcome, UnitExecutionError):
+            self.units_failed += 1
+            obs.inc("worker.units_failed")
+            log.warning("unit %s failed: %s", unit.unit_key, outcome)
+            self._report("fleet.fail", unit, error=str(outcome))
+            return
         self.units_done += 1
         obs.inc("worker.units_done")
-        self._report("fleet.complete", unit, rows=rows_to_wire(rows))
+        self._report("fleet.complete", unit, rows=rows_to_wire(outcome))
 
     def _report(self, op: str, unit: LeasedUnit, **payload: Any) -> None:
         try:

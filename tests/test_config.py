@@ -53,14 +53,6 @@ class TestFromEnv:
         assert not Settings.from_env({"EVAL_REPRO_NO_CACHE": "1"}).cache_enabled
         assert Settings.from_env({}).cache_enabled
 
-    def test_shared_mem_variable(self):
-        assert Settings.from_env({}).shared_mem
-        for raw in ("0", "false", "no", "off", "False", " OFF "):
-            assert not Settings.from_env(
-                {"EVAL_REPRO_SHARED_MEM": raw}
-            ).shared_mem
-        assert Settings.from_env({"EVAL_REPRO_SHARED_MEM": "1"}).shared_mem
-
     def test_custom_defaults(self):
         bench = Settings(chips=8)
         assert Settings.from_env({}, defaults=bench).chips == 8
@@ -85,13 +77,6 @@ class TestFromArgs:
     def test_no_cache_flag(self):
         assert not self._parse(["--no-cache"]).cache_enabled
         assert self._parse([]).cache_enabled
-
-    def test_shared_mem_flag_beats_env_beats_default(self):
-        assert self._parse([]).shared_mem  # default on
-        assert not self._parse(["--no-shared-mem"]).shared_mem
-        env = {"EVAL_REPRO_SHARED_MEM": "0"}
-        assert not self._parse([], env).shared_mem
-        assert self._parse(["--shared-mem"], env).shared_mem  # flag wins
 
     def test_log_level_case_insensitive(self):
         assert self._parse(["--log-level", "debug"]).log_level == "DEBUG"

@@ -71,12 +71,11 @@ class TestFromSettings:
     def test_runspec_from_settings(self):
         from repro.config import Settings
 
-        settings = Settings(jobs=3, cache_dir="/tmp/x", shared_mem=False)
+        settings = Settings(jobs=3, cache_dir="/tmp/x")
         spec = RunSpec.from_settings(settings, environments=(TS,))
         assert spec.parallelism == 3
         assert spec.cache_dir == "/tmp/x"
         assert spec.use_cache
-        assert not spec.shared_mem
         # cache_enabled=False zeroes the effective cache directory.
         spec = RunSpec.from_settings(
             settings.replace(cache_enabled=False), environments=(TS,)
@@ -172,44 +171,67 @@ class TestParallelDeterminism:
         assert serial.results == parallel.results
 
 
-class TestSharedMemoryTransport:
-    def test_shm_rows_byte_identical_to_rebuild(self, two_workloads):
-        """--shared-mem changes transport, never physics: identical rows."""
-        from repro import obs
+def _parallel_ts_run(workloads):
+    """A 2-worker TS/Exh-Dyn run: (summary, its metrics document)."""
+    from repro import obs
 
-        spec_args = dict(
+    scope = obs.MetricsRegistry()
+    with obs.scoped(scope):
+        summary = ExperimentRunner(ENGINE_CONFIG).run(RunSpec(
             environments=(TS,),
             modes=(AdaptationMode.EXH_DYN,),
-            workloads=two_workloads,
+            workloads=workloads,
             parallelism=2,
-        )
-        scope = obs.MetricsRegistry()
-        with obs.scoped(scope):
-            shm = ExperimentRunner(ENGINE_CONFIG).run(
-                RunSpec(shared_mem=True, **spec_args)
-            ).summary(TS)
-        rebuild = ExperimentRunner(ENGINE_CONFIG).run(
-            RunSpec(shared_mem=False, **spec_args)
-        ).summary(TS)
+        )).summary(TS)
+    return summary, scope.to_dict()
+
+
+@pytest.fixture(scope="module")
+def shm_run(two_workloads):
+    return _parallel_ts_run(two_workloads)
+
+
+class TestSharedMemoryTransport:
+    def test_shm_rows_byte_identical_to_rebuild(self, shm_run, two_workloads):
+        """Shared memory changes transport, never physics: identical rows."""
+        shm, metrics = shm_run
+        rebuild = ExperimentRunner(ENGINE_CONFIG).run(RunSpec(
+            environments=(TS,), workloads=two_workloads,
+        )).summary(TS)
         assert shm.results == rebuild.results  # frozen-dataclass equality
         assert shm.f_rel == rebuild.f_rel
         assert shm.perf_rel == rebuild.perf_rel
         assert shm.power == rebuild.power
-        assert scope.to_dict()["gauges"]["engine.shm_bytes"] > 0.0
+        assert metrics["gauges"]["engine.shm_bytes"] > 0.0
+        assert metrics["counters"]["engine.shm.attached"] > 0.0
 
-    def test_shm_off_publishes_nothing(self, two_workloads):
-        from repro import obs
+    def test_publish_failure_falls_back_to_rebuild(
+        self, shm_run, two_workloads, monkeypatch
+    ):
+        from repro.exps.shm import SharedPopulation
 
-        scope = obs.MetricsRegistry()
-        with obs.scoped(scope):
-            ExperimentRunner(ENGINE_CONFIG).run(RunSpec(
-                environments=(TS,),
-                modes=(AdaptationMode.EXH_DYN,),
-                workloads=two_workloads,
-                parallelism=2,
-                shared_mem=False,
-            ))
-        assert scope.to_dict()["gauges"]["engine.shm_bytes"] == 0.0
+        def refuse(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(SharedPopulation, "publish", refuse)
+        summary, metrics = _parallel_ts_run(two_workloads)
+        assert summary.results == shm_run[0].results
+        assert metrics["gauges"]["engine.shm_bytes"] == 0.0
+        assert metrics["counters"]["engine.shm.rebuilt"] > 0.0
+
+    def test_attach_failure_falls_back_to_rebuild(
+        self, shm_run, two_workloads, monkeypatch
+    ):
+        # Fork-started pool workers inherit the patched module attribute.
+        def refuse(handle):
+            raise FileNotFoundError(handle.name)
+
+        monkeypatch.setattr("repro.exps.shm.attach", refuse)
+        summary, metrics = _parallel_ts_run(two_workloads)
+        assert summary.results == shm_run[0].results
+        assert metrics["gauges"]["engine.shm_bytes"] > 0.0
+        assert metrics["counters"]["engine.shm.rebuilt"] > 0.0
+        assert metrics["counters"]["engine.shm.attached"] == 0.0
 
     def test_publish_attach_roundtrip(self):
         from repro.exps.shm import SharedPopulation, attach
@@ -291,6 +313,28 @@ class TestCache:
         assert warm_runner.cache.stats.hits["summary"] == 1
         assert warm_runner.cache.stats.misses["summary"] == 0
         assert warm.summary(TS).results == cold.results
+
+    def test_engine_written_artifacts_carry_completion_marker(
+        self, tmp_path, two_workloads
+    ):
+        from repro import obs
+        from repro.config import Settings
+
+        runner = ExperimentRunner(ENGINE_CONFIG)
+        runner.run(RunSpec(environments=(TS,), workloads=two_workloads,
+                           cache_dir=str(tmp_path)))
+        summaries = sorted((tmp_path / "summaries").glob("*.json"))
+        assert summaries
+        for path in summaries:
+            assert path.with_name(path.name + ".done").exists()
+        key = summary_key(runner.calib, runner.config, runner.core_config,
+                          TS, AdaptationMode.EXH_DYN, two_workloads)
+        scope = obs.MetricsRegistry()
+        with obs.scoped(scope):
+            cache = Settings(cache_dir=str(tmp_path)).build_cache()
+            assert cache.load_summary(key) is not None
+        assert "cache.pending_writes" not in scope.to_dict()["counters"]
+        assert cache.stats.hits["summary"] == 1
 
     def test_no_cache_flag_bypasses_disk(self, tmp_path, two_workloads):
         cache = ExperimentCache(tmp_path)
@@ -480,8 +524,8 @@ class TestCorruptArtifacts:
         from repro import obs
 
         cache = ExperimentCache(tmp_path)
+        cache.store.put("summaries", "k", ".json", b"{not json at all")
         path = tmp_path / "summaries" / "k.json"
-        path.write_text("{not json at all")
         scope = obs.MetricsRegistry()
         with obs.scoped(scope):
             assert cache.load_summary("k") is None
@@ -490,8 +534,8 @@ class TestCorruptArtifacts:
 
     def test_corrupt_bank_is_a_miss_and_is_deleted(self, tmp_path):
         cache = ExperimentCache(tmp_path)
+        cache.store.put("banks", "k", ".npz", b"PK\x03\x04 definitely not a bank")
         path = tmp_path / "banks" / "k.npz"
-        path.write_bytes(b"PK\x03\x04 definitely not a bank")
         assert cache.load_bank("k") is None
         assert not path.exists()
 
@@ -541,6 +585,58 @@ class TestUnitExecutionError:
                 runner, TS, AdaptationMode.EXH_DYN, 0, 0, two_workloads
             )
         assert excinfo.value is inner
+
+    def test_pool_blames_the_exact_failing_unit(
+        self, two_workloads, monkeypatch
+    ):
+        """A parallel run names the same broken unit as the serial run."""
+        import dataclasses
+
+        from repro.exps.engine import UnitExecutionError
+
+        batched = ExperimentRunner.run_units_batched
+        single = ExperimentRunner.run_unit
+
+        def run_units_batched(self, env, mode, units, *args, **kwargs):
+            if (3, 0) in units:
+                raise ValueError("chip 3 is broken")
+            return batched(self, env, mode, units, *args, **kwargs)
+
+        def run_unit(self, env, mode, chip_index, core_index, *args, **kwargs):
+            if chip_index == 3:
+                raise ValueError("chip 3 is broken")
+            return single(self, env, mode, chip_index, core_index,
+                          *args, **kwargs)
+
+        # Class-level patches: fork-started pool workers inherit them.
+        monkeypatch.setattr(
+            ExperimentRunner, "run_units_batched", run_units_batched
+        )
+        monkeypatch.setattr(ExperimentRunner, "run_unit", run_unit)
+        config = dataclasses.replace(ENGINE_CONFIG, n_chips=4)
+        for parallelism in (1, 2):
+            with pytest.raises(UnitExecutionError) as excinfo:
+                ExperimentRunner(config).run(RunSpec(
+                    environments=(TS,),
+                    workloads=two_workloads,
+                    parallelism=parallelism,
+                ))
+            assert excinfo.value.unit == ("TS", "Exh-Dyn", 3, 0)
+            assert "chip 3 is broken" in str(excinfo.value)
+
+    def test_pickle_roundtrip_keeps_unit_and_message(self):
+        import pickle
+
+        from repro.exps.engine import UnitExecutionError
+
+        error = UnitExecutionError(
+            "TS", "Exh-Dyn", 3, 0, cause=ValueError("thermal solver diverged")
+        )
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, UnitExecutionError)
+        assert clone.unit == ("TS", "Exh-Dyn", 3, 0)
+        assert str(clone) == str(error)
+        assert "thermal solver diverged" in str(clone)
 
     def test_iter_units_order(self):
         from repro.exps.engine import iter_units

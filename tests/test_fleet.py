@@ -13,14 +13,7 @@ from repro import obs
 from repro.config import Settings
 from repro.core import NOVAR, TS, AdaptationMode
 from repro.exps import ExperimentRunner, RunnerConfig, RunSpec
-from repro.exps.cache import (
-    ArtifactStore,
-    ExperimentCache,
-    FactorStore,
-    LocalDirStore,
-    SharedDirStore,
-    build_store,
-)
+from repro.exps.cache import DirStore, ExperimentCache, FactorStore
 from repro.microarch import spec2000_like_suite
 from repro.serve import (
     CampaignService,
@@ -75,7 +68,7 @@ def metrics():
 # ----------------------------------------------------------------------
 class TestArtifactStores:
     def test_local_roundtrip(self, tmp_path):
-        store = LocalDirStore(tmp_path)
+        store = DirStore(tmp_path)
         assert not store.exists("summaries", "k", ".json")
         assert store.get("summaries", "k", ".json") is None
         store.put("summaries", "k", ".json", b"{}")
@@ -86,15 +79,15 @@ class TestArtifactStores:
         assert store.delete("summaries", "k", ".json") is False
 
     def test_local_put_leaves_no_temp_files(self, tmp_path):
-        store = LocalDirStore(tmp_path)
+        store = DirStore(tmp_path)
         store.put("measurements", "m1", ".npz", b"data")
         files = sorted(p.name for p in (tmp_path / "measurements").iterdir())
-        assert files == ["m1.npz"]
+        assert "m1.npz" in files and "m1.npz.done" in files
+        assert not [name for name in files if name.startswith(".tmp-")]
 
     def test_local_layout_matches_legacy_cache(self, tmp_path):
-        # The pluggable backend must keep reading caches written by
-        # pre-1.7 ExperimentCache versions: same kind dirs, same names.
-        store = LocalDirStore(tmp_path)
+        # Same kind dirs, same names as every earlier ExperimentCache.
+        store = DirStore(tmp_path)
         assert store.path_for("summaries", "abc", ".json") == (
             tmp_path / "summaries" / "abc.json"
         )
@@ -103,7 +96,7 @@ class TestArtifactStores:
         )
 
     def test_shared_incomplete_write_is_invisible(self, tmp_path):
-        store = SharedDirStore(tmp_path)
+        store = DirStore(tmp_path)
         # Simulate a peer mid-write: data file present, no .done marker.
         path = store.path_for("summaries", "k", ".json")
         path.write_bytes(b"partial")
@@ -112,7 +105,7 @@ class TestArtifactStores:
         assert store.get("summaries", "k", ".json") is None
 
     def test_shared_marker_roundtrip(self, tmp_path):
-        store = SharedDirStore(tmp_path)
+        store = DirStore(tmp_path)
         store.put("summaries", "k", ".json", b"{}")
         assert store.is_complete("summaries", "k", ".json")
         assert store.get("summaries", "k", ".json") == b"{}"
@@ -120,27 +113,10 @@ class TestArtifactStores:
         assert store.get("summaries", "k", ".json") is None
         assert not store.exists("summaries", "k", ".json")
 
-    def test_build_store_factory(self, tmp_path):
-        for backend in ("local", "shared"):
-            assert isinstance(build_store(tmp_path, backend), ArtifactStore)
-        assert isinstance(build_store(tmp_path, "local"), LocalDirStore)
-        assert isinstance(build_store(tmp_path, "shared"), SharedDirStore)
-        with pytest.raises(ValueError, match="backend"):
-            build_store(tmp_path, "s3")
-
-    def test_cache_takes_exactly_one_of_root_or_store(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentCache()
-        with pytest.raises(ValueError):
-            ExperimentCache(tmp_path, store=LocalDirStore(tmp_path))
-        assert isinstance(ExperimentCache(tmp_path).store, LocalDirStore)
-        shared = ExperimentCache(store=SharedDirStore(tmp_path))
-        assert isinstance(shared.store, SharedDirStore)
-
     def test_factor_store_accepts_bare_artifact_store(self, tmp_path):
         import numpy as np
 
-        store = FactorStore(SharedDirStore(tmp_path))
+        store = FactorStore(ExperimentCache(tmp_path))
         key_data = ("grid", 8, 0.5)
         assert store.load(key_data) is None
         factor = np.eye(3)
@@ -150,22 +126,20 @@ class TestArtifactStores:
 
 
 class TestLoadGuardedSharedSafety:
-    """The satellite fix: only *completed* corrupt artifacts are deleted."""
+    """Only *completed* corrupt artifacts are deleted."""
 
     def test_completed_corrupt_artifact_heals(self, tmp_path, metrics):
-        store = SharedDirStore(tmp_path)
-        store.put("summaries", "k", ".json", b"not json at all")
-        cache = ExperimentCache(store=store)
+        cache = ExperimentCache(tmp_path)
+        cache.store.put("summaries", "k", ".json", b"not json at all")
         assert cache.load_summary("k") is None
-        assert not store.exists("summaries", "k", ".json")
+        assert not cache.store.exists("summaries", "k", ".json")
         counters = metrics.to_dict()["counters"]
         assert counters["cache.corrupt"] == 1.0
 
     def test_inflight_write_is_not_clobbered(self, tmp_path, metrics):
-        store = SharedDirStore(tmp_path)
-        path = store.path_for("summaries", "k", ".json")
+        cache = ExperimentCache(tmp_path)
+        path = cache.store.path_for("summaries", "k", ".json")
         path.write_bytes(b"partial garbage from a peer mid-write")
-        cache = ExperimentCache(store=store)
         assert cache.load_summary("k") is None
         # Crucially: the peer's in-flight bytes are still there.
         assert path.exists()
@@ -174,13 +148,13 @@ class TestLoadGuardedSharedSafety:
         assert counters["cache.pending_writes"] >= 1.0
 
     def test_local_corrupt_artifact_still_heals(self, tmp_path, metrics):
-        # A local store has no markers: exists == complete, so the
-        # pre-1.7 self-healing behaviour is unchanged.
-        store = LocalDirStore(tmp_path)
-        path = store.path_for("summaries", "k", ".json")
-        path.write_bytes(b"garbage")
-        cache = ExperimentCache(store=store)
-        assert cache.load_summary("k") is None
+        # A completed artifact torn after the fact (a truncated copy, a
+        # full disk) is dropped and its slot heals.
+        cache = ExperimentCache(tmp_path)
+        cache.save_factor("k", [[1.0, 0.0], [0.0, 1.0]])
+        path = cache.store.path_for("factors", "k", ".npz")
+        path.write_bytes(path.read_bytes()[:20])
+        assert cache.load_factor("k") is None
         assert not path.exists()
         assert metrics.to_dict()["counters"]["cache.corrupt"] == 1.0
 
@@ -193,26 +167,20 @@ class TestFleetSettings:
         monkeypatch.setenv("EVAL_REPRO_WORKER_CONNECT", "10.0.0.2:7571")
         monkeypatch.setenv("EVAL_REPRO_HEARTBEAT_INTERVAL", "0.5")
         monkeypatch.setenv("EVAL_REPRO_LEASE_TIMEOUT", "12.5")
-        monkeypatch.setenv("EVAL_REPRO_STORE_BACKEND", "shared")
         settings = Settings.from_env()
         assert settings.worker_connect == "10.0.0.2:7571"
         assert settings.heartbeat_interval == 0.5
         assert settings.lease_timeout == 12.5
-        assert settings.store_backend == "shared"
 
     def test_flag_beats_env(self, monkeypatch):
         import argparse
 
-        monkeypatch.setenv("EVAL_REPRO_STORE_BACKEND", "local")
         monkeypatch.setenv("EVAL_REPRO_HEARTBEAT_INTERVAL", "9.0")
         defaults = Settings.from_env()
         parser = argparse.ArgumentParser()
         Settings.add_fleet_arguments(parser, defaults, role="daemon")
-        args = parser.parse_args(
-            ["--store-backend", "shared", "--heartbeat-interval", "0.25"]
-        )
+        args = parser.parse_args(["--heartbeat-interval", "0.25"])
         settings = Settings.from_args(args, base=defaults)
-        assert settings.store_backend == "shared"
         assert settings.heartbeat_interval == 0.25
         assert settings.lease_timeout == defaults.lease_timeout
 
@@ -221,8 +189,6 @@ class TestFleetSettings:
             Settings(heartbeat_interval=0.0)
         with pytest.raises(ValueError):
             Settings(lease_timeout=-1.0)
-        with pytest.raises(ValueError):
-            Settings(store_backend="s3")
 
     def test_role_selects_flags(self):
         import argparse
@@ -234,13 +200,6 @@ class TestFleetSettings:
         worker_p = argparse.ArgumentParser()
         Settings.add_fleet_arguments(worker_p, defaults, role="worker")
         assert worker_p.parse_args(["--connect", "h:1"]).connect == "h:1"
-
-    def test_build_cache_uses_backend(self, tmp_path):
-        settings = Settings(
-            cache_dir=str(tmp_path), store_backend="shared"
-        )
-        cache = settings.build_cache()
-        assert isinstance(cache.store, SharedDirStore)
 
 
 # ----------------------------------------------------------------------
@@ -474,6 +433,65 @@ class TestFleetRegistry:
 
 
 # ----------------------------------------------------------------------
+# One lease block inside a FleetWorker, no daemon.
+# ----------------------------------------------------------------------
+class _RecordingClient:
+    """Stands in for ServiceClient: records every report it is sent."""
+
+    def __init__(self):
+        self.requests = []
+
+    def request(self, op, **payload):
+        self.requests.append((op, payload))
+        return {"ok": True}
+
+
+class _BrokenMiddleRunner:
+    """The batched program always fails; alone, only chip 1 fails."""
+
+    def run_units_batched(self, *args, **kwargs):
+        raise RuntimeError("batched program failed")
+
+    def run_unit(self, env, mode, chip_index, core_index, workloads=None,
+                 bank=None):
+        if chip_index == 1:
+            raise ValueError("chip 1 diverged")
+        return []
+
+
+class TestWorkerBlockFallback:
+    def test_broken_unit_fails_alone(self, two_workloads, metrics):
+        from repro.serve.protocol import LeasedUnit
+
+        worker = FleetWorker("127.0.0.1:1", heartbeats=False)
+        worker.client = _RecordingClient()
+        worker.worker_id = "w-test"
+        worker.runner = _BrokenMiddleRunner()
+        block = [
+            LeasedUnit(
+                cell_key="cell", unit_key=f"cell-{chip}-0", chip_index=chip,
+                core_index=0, env=TS, mode=AdaptationMode.EXH_DYN,
+                workloads=two_workloads,
+            )
+            for chip in range(3)
+        ]
+        worker._run_block(block)
+        reports = [
+            (op, payload["unit_key"])
+            for op, payload in worker.client.requests
+        ]
+        assert reports == [
+            ("fleet.complete", "cell-0-0"),
+            ("fleet.fail", "cell-1-0"),
+            ("fleet.complete", "cell-2-0"),
+        ]
+        failure = worker.client.requests[1][1]
+        assert "chip=1" in failure["error"]
+        assert "chip 1 diverged" in failure["error"]
+        assert (worker.units_done, worker.units_failed) == (2, 1)
+
+
+# ----------------------------------------------------------------------
 # End-to-end: FleetWorkers over real TCP against a fleet-only daemon.
 # ----------------------------------------------------------------------
 def _fleet_daemon(runner, tmp_path=None, **settings_kwargs):
@@ -481,7 +499,6 @@ def _fleet_daemon(runner, tmp_path=None, **settings_kwargs):
     settings_kwargs.setdefault("lease_timeout", 60.0)
     if tmp_path is not None:
         settings_kwargs.setdefault("cache_dir", str(tmp_path))
-        settings_kwargs.setdefault("store_backend", "shared")
     settings = Settings(**settings_kwargs)
     cache = settings.build_cache()
     service = CampaignService(
@@ -599,7 +616,7 @@ class TestFleetIntegration:
         try:
             worker = FleetWorker(
                 daemon.address,
-                cache=ExperimentCache(store=build_store(tmp_path, "shared")),
+                cache=ExperimentCache(tmp_path),
                 poll_interval=0.05,
                 max_idle=60.0,
             )
@@ -652,7 +669,6 @@ class TestWorkerSubprocess:
                     sys.executable, "-m", "repro.serve", "worker",
                     "--connect", daemon.address,
                     "--cache-dir", str(tmp_path),
-                    "--store-backend", "shared",
                     "--max-idle", "10",
                 ],
                 env=env,
