@@ -13,7 +13,7 @@ from _shared import scale, settings
 from repro.core import BASELINE, TS, AdaptationMode
 from repro.exps.runner import ExperimentRunner, RunnerConfig
 from repro.exps import RunSpec
-from repro.serve import CampaignService, Client
+from repro.serve import CampaignService
 
 
 def _config() -> RunnerConfig:
@@ -43,11 +43,10 @@ def _two_naive_runs():
 def _two_coalesced_jobs():
     spec = _spec()
     with CampaignService(ExperimentRunner(_config()), workers=2) as service:
-        client = Client(service)
-        first = client.submit(spec)
-        second = client.submit(spec)
-        client.result(first, timeout=600)
-        return client.result(second, timeout=600)
+        first = service.submit(spec)
+        second = service.submit(spec)
+        service.result(first, timeout=600)
+        return service.result(second, timeout=600)
 
 
 def test_serve_dedup_speedup(benchmark):
@@ -77,11 +76,10 @@ def test_serve_submission_throughput(benchmark, tmp_path):
     spec = _spec()
     cache = ExperimentCache(tmp_path)
     with CampaignService(runner, workers=2, cache=cache) as service:
-        client = Client(service)
-        client.result(client.submit(spec), timeout=600)  # warm the cache
+        service.result(service.submit(spec), timeout=600)  # warm the cache
 
         def submit_and_wait():
-            return client.result(client.submit(spec), timeout=600)
+            return service.result(service.submit(spec), timeout=600)
 
         result = benchmark.pedantic(submit_and_wait, rounds=10, iterations=1)
     assert (BASELINE.name, "Exh-Dyn") in result.summaries

@@ -26,8 +26,8 @@ Campaign-service knobs (see :mod:`repro.serve`)::
 
     EVAL_REPRO_SERVICE           daemon address, ``host:port`` (``--service``)
     EVAL_REPRO_SERVICE_MAX_JOBS  admission limit on live jobs
-    EVAL_REPRO_SERVICE_RETRIES   per-unit retry budget
-    EVAL_REPRO_SERVICE_TIMEOUT   per-unit wall-clock budget, seconds
+    EVAL_REPRO_SERVICE_RETRIES   per-unit retry budget, shared by the
+                                 daemon's threads and its fleet workers
 
 Worker-fleet knobs (see :mod:`repro.serve.fleet`)::
 
@@ -64,7 +64,6 @@ class Settings:
     service_addr: Optional[str] = None
     service_max_jobs: int = 8
     service_retries: int = 1
-    service_cell_timeout: Optional[float] = None
     worker_connect: Optional[str] = None
     heartbeat_interval: float = 2.0
     lease_timeout: float = 60.0
@@ -78,8 +77,6 @@ class Settings:
             raise ValueError("service_max_jobs must be >= 1")
         if self.service_retries < 0:
             raise ValueError("service_retries must be >= 0")
-        if self.service_cell_timeout is not None and self.service_cell_timeout <= 0:
-            raise ValueError("service_cell_timeout must be > 0 when set")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be > 0")
         if self.lease_timeout <= 0:
@@ -114,7 +111,7 @@ class Settings:
             raw = env.get(name)
             return bool(raw) if raw is not None else fallback
 
-        def number(name: str, fallback: Optional[float]) -> Optional[float]:
+        def number(name: str, fallback: float) -> float:
             raw = env.get(name)
             return float(raw) if raw not in (None, "") else fallback
 
@@ -135,9 +132,6 @@ class Settings:
             ),
             service_retries=integer(
                 "EVAL_REPRO_SERVICE_RETRIES", base.service_retries
-            ),
-            service_cell_timeout=number(
-                "EVAL_REPRO_SERVICE_TIMEOUT", base.service_cell_timeout
             ),
             worker_connect=text("EVAL_REPRO_WORKER_CONNECT", base.worker_connect),
             heartbeat_interval=number(
@@ -179,9 +173,6 @@ class Settings:
             service_addr=take("service", base.service_addr),
             service_max_jobs=take("service_max_jobs", base.service_max_jobs),
             service_retries=take("service_retries", base.service_retries),
-            service_cell_timeout=take(
-                "service_timeout", base.service_cell_timeout
-            ),
             worker_connect=take("connect", base.worker_connect),
             heartbeat_interval=take(
                 "heartbeat_interval", base.heartbeat_interval
@@ -254,16 +245,9 @@ class Settings:
             "--service-retries",
             type=int,
             default=defaults.service_retries,
-            help="per-unit retry budget before a cell is declared "
-                 "poisoned (default: $EVAL_REPRO_SERVICE_RETRIES or 1)",
-        )
-        parser.add_argument(
-            "--service-timeout",
-            type=float,
-            default=defaults.service_cell_timeout,
-            metavar="SECONDS",
-            help="per-unit wall-clock budget; an over-budget unit counts "
-                 "as a failure (default: $EVAL_REPRO_SERVICE_TIMEOUT)",
+            help="failed attempts a unit may retry, on any worker, before "
+                 "its cell is declared poisoned "
+                 "(default: $EVAL_REPRO_SERVICE_RETRIES or 1)",
         )
 
     @staticmethod

@@ -182,7 +182,8 @@ def _run_points(
     window: int,
     collect: Callable[[SweepPoint, str], None],
 ) -> None:
-    """Submit points through one client, at most ``window`` outstanding.
+    """Submit points through one client (a :class:`ServiceClient` or an
+    in-process :class:`CampaignService`), at most ``window`` outstanding.
 
     Jobs are drained oldest-first, and an admission rejection (another
     tenant filled the daemon) degrades to waiting on our own oldest job
@@ -294,7 +295,6 @@ def run_sweep(
             client = ServiceClient(service)
             _run_points(client, unique, window, make_collector(client, True))
         else:
-            from ...serve.client import Client
             from ...serve.service import CampaignService
 
             groups: Dict[Tuple, List[SweepPoint]] = {}
@@ -314,10 +314,9 @@ def run_sweep(
                     dict(key) or "(default)", len(group_points),
                 )
                 with CampaignService(runner, settings=settings) as svc:
-                    client = Client(svc)
                     _run_points(
-                        client, group_points, window,
-                        make_collector(client, False),
+                        svc, group_points, window,
+                        make_collector(svc, False),
                     )
 
     cells_total = sum(s["cells"]["total"] for s in snapshots.values())

@@ -41,12 +41,13 @@ log = logging.getLogger("repro.exps.engine")
 class UnitExecutionError(RuntimeError):
     """One (environment, mode, chip, core) unit of work failed.
 
-    Raised instead of the worker's bare traceback so every consumer — the
-    serial loop, the process-pool path, the campaign service's
-    supervised scheduler and the fleet worker — sees *which* unit died.
-    The original exception rides along as ``__cause__`` in the raising
-    process; across a process boundary the error travels by value (see
-    :meth:`__reduce__`) with the cause's ``repr`` kept in the message.
+    Raised (or returned by :func:`run_units_guarded`) instead of the
+    worker's bare traceback so every consumer — the serial loop, the
+    process-pool path, the campaign service's threads and the fleet
+    worker — sees *which* unit died.  The original exception rides along
+    as ``__cause__`` in the raising process; across a process boundary
+    the error travels by value (see :meth:`__reduce__`) with the cause's
+    ``repr`` kept in the message.
     """
 
     def __init__(
@@ -66,6 +67,7 @@ class UnitExecutionError(RuntimeError):
             f"unit (env={env_name}, mode={mode_value}, chip={chip_index}, "
             f"core={core_index}) failed{detail}"
         )
+        self.__cause__ = cause
 
     def __reduce__(self):
         # The default reduction re-calls __init__ with ``self.args`` (the
@@ -79,46 +81,6 @@ class UnitExecutionError(RuntimeError):
         return (self.env_name, self.mode_value, self.chip_index, self.core_index)
 
 
-def iter_units(
-    cells: Sequence[Tuple[Environment, AdaptationMode]],
-    n_chips: int,
-    cores_per_chip: int,
-):
-    """Yield the (env, mode, chip, core) units of a campaign, in order.
-
-    This is the resumable decomposition shared by the process-pool path
-    and the campaign service: summaries are reassembled by concatenating
-    unit rows in exactly this order, which is what keeps parallel — and
-    service-coalesced — results bit-identical to the serial loop.
-    """
-    for env, mode in cells:
-        for chip_index in range(n_chips):
-            for core_index in range(cores_per_chip):
-                yield (env, mode, chip_index, core_index)
-
-
-def run_unit_guarded(
-    runner,
-    env: Environment,
-    mode: AdaptationMode,
-    chip_index: int,
-    core_index: int,
-    workloads=None,
-    bank=None,
-):
-    """``runner.run_unit`` with failures wrapped in :class:`UnitExecutionError`."""
-    try:
-        return runner.run_unit(
-            env, mode, chip_index, core_index, workloads, bank=bank
-        )
-    except UnitExecutionError:
-        raise
-    except Exception as exc:
-        raise UnitExecutionError(
-            env.name, mode.value, chip_index, core_index, cause=exc
-        ) from exc
-
-
 def run_units_guarded(
     runner,
     env: Environment,
@@ -130,36 +92,41 @@ def run_units_guarded(
     """Run a same-cell block of units, failures precisely attributed.
 
     The one block runner of every executor (serial engine, pool worker,
-    fleet worker).  The block runs as one program
-    (:meth:`~repro.exps.runner.ExperimentRunner.run_units_batched`); a
-    failure is retried one unit at a time — the same rows by
-    construction.  Returns, per unit in order, either its rows or the
+    campaign service).  A block runs as one program
+    (:meth:`~repro.exps.runner.ExperimentRunner.run_units_batched`; a
+    one-unit block is its one-unit form,
+    :meth:`~repro.exps.runner.ExperimentRunner.run_unit`).  If a block
+    of two or more units fails, it is retried one unit at a time — the
+    same rows by construction — so a failing one-unit block runs once.
+    Returns, per unit in order, either its rows or the
     :class:`UnitExecutionError` naming exactly that (chip, core) unit;
     each caller decides what a failed unit means (:func:`_unit_rows`
     raises the first).
     """
     units = list(units)
-    if units:
-        try:
-            return runner.run_units_batched(
-                env, mode, units, workloads, bank=bank
-            )
-        except Exception:
-            log.warning(
-                "batched unit block (env=%s, mode=%s, %d units) failed; "
-                "retrying per unit",
-                env.name, mode.value, len(units), exc_info=True,
-            )
-    outcomes: List[Union[List["PhaseResult"], UnitExecutionError]] = []
-    for chip_index, core_index in units:
-        try:
-            outcomes.append(run_unit_guarded(
-                runner, env, mode, chip_index, core_index, workloads,
-                bank=bank,
-            ))
-        except UnitExecutionError as exc:
-            outcomes.append(exc)
-    return outcomes
+    try:
+        if len(units) == 1:
+            return [runner.run_unit(env, mode, *units[0], workloads, bank=bank)]
+        return runner.run_units_batched(env, mode, units, workloads, bank=bank)
+    except Exception as exc:
+        if len(units) == 1:
+            if not isinstance(exc, UnitExecutionError):
+                exc = UnitExecutionError(
+                    env.name, mode.value, *units[0], cause=exc
+                )
+            return [exc]
+        log.warning(
+            "batched unit block (env=%s, mode=%s, %d units) failed; "
+            "retrying per unit",
+            env.name, mode.value, len(units), exc_info=True,
+        )
+    return [
+        outcome
+        for unit in units
+        for outcome in run_units_guarded(
+            runner, env, mode, [unit], workloads, bank=bank
+        )
+    ]
 
 
 def _unit_rows(outcomes: Sequence) -> list:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -265,6 +266,7 @@ class ExperimentRunner:
         self._cores: Dict[Tuple[int, int], Core] = {}
         self._novar = build_novar_core(calib=calib)
         self._banks: Dict[str, ControllerBank] = {}
+        self._banks_lock = threading.Lock()
         self._measurements: Dict[
             Tuple, Tuple[WorkloadMeasurement, Optional[WorkloadMeasurement]]
         ] = {}
@@ -410,6 +412,8 @@ class ExperimentRunner:
         passed explicitly by the engine), persisted through the
         :mod:`repro.ml.persistence` ``.npz`` round trip so the expensive
         manufacturer-site training is reused across sessions and workers.
+        Thread-safe: concurrent callers (the campaign service's threads)
+        wait for one training instead of racing to train the same bank.
         """
         cache = cache if cache is not None else self.cache
         spec = env.optimization_spec(self._novar.n_subsystems, self.calib)
@@ -420,25 +424,26 @@ class ExperimentRunner:
             self.config.fuzzy_epochs,
             self.config.seed,
         )
-        bank = self._banks.get(key)
-        if bank is not None:
-            return bank
-        if cache is not None:
-            bank = cache.load_bank(key)
-        if bank is None:
-            log.info("training fuzzy bank for %s", env.name)
-            with obs.span("ml.bank_training", env=env.name):
-                bank = get_bank(
-                    self.core(0, 0),
-                    spec,
-                    n_examples=self.config.fuzzy_examples,
-                    epochs=self.config.fuzzy_epochs,
-                    seed=self.config.seed,
-                )
+        with self._banks_lock:
+            bank = self._banks.get(key)
+            if bank is not None:
+                return bank
             if cache is not None:
-                cache.save_bank(key, bank)
-        self._banks[key] = bank
-        return bank
+                bank = cache.load_bank(key)
+            if bank is None:
+                log.info("training fuzzy bank for %s", env.name)
+                with obs.span("ml.bank_training", env=env.name):
+                    bank = get_bank(
+                        self.core(0, 0),
+                        spec,
+                        n_examples=self.config.fuzzy_examples,
+                        epochs=self.config.fuzzy_epochs,
+                        seed=self.config.seed,
+                    )
+                if cache is not None:
+                    cache.save_bank(key, bank)
+            self._banks[key] = bank
+            return bank
 
     # ------------------------------------------------------------------
     # Reference points.
@@ -504,9 +509,9 @@ class ExperimentRunner:
     ) -> List[List[PhaseResult]]:
         """Run a block of same-cell ``(chip, core)`` units as one program.
 
-        This is the engine's shard: the serial loop, the pool workers and
-        the campaign service all call it (directly or through
-        :meth:`run_unit`).  Every unit of the block contributes its phase
+        This is the engine's shard: the serial loop, the pool workers,
+        the campaign service's threads and the fleet workers all call it
+        (through :func:`~repro.exps.engine.run_units_guarded`).  Every unit of the block contributes its phase
         lanes to one :func:`~repro.core.adaptation.optimize_units_batched`
         call, so the retuning rounds, thermal solves and error-rate
         evaluations of the whole population amortise into a handful of

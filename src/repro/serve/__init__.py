@@ -2,15 +2,17 @@
 
 Turns the in-process ``ExperimentRunner.run(spec)`` API into a
 multi-tenant service: submissions enter a priority job queue, decompose
-into (environment, mode, chip, core) cells, coalesce against concurrent
-jobs through the artifact cache's content-addressed keys, and run on a
-supervised worker pool with per-unit retry/backoff, wall-clock budgets,
-and graceful degradation (a poisoned cell fails its job with a
-structured report; the service keeps serving everyone else).
+into (environment, mode, chip, core) units, coalesce against concurrent
+jobs through the artifact cache's content-addressed keys, and run from
+one priority queue drained by in-process threads and remote fleet
+workers alike — one block runner, one per-unit retry budget, and
+graceful degradation (a poisoned cell fails its job with a structured
+report; the service keeps serving everyone else).
 
 Three front doors:
 
-* In process — :class:`CampaignService` + :class:`Client`.
+* In process — :class:`CampaignService` (``submit``/``status``/
+  ``progress``/``result``/``cancel``/``stats``).
 * Over a socket — ``python -m repro.serve daemon`` and
   :class:`ServiceClient`, speaking the JSON-lines protocol of
   :mod:`repro.serve.protocol`.
@@ -19,7 +21,6 @@ Three front doors:
 """
 
 from .batch import run_ladder_remote
-from .client import Client
 from .coalesce import CellTask, InFlightRegistry, UnitTask, build_cell
 from .daemon import DEFAULT_ADDRESS, ServiceClient, ServiceDaemon, parse_address
 from .fleet import FleetError, FleetRegistry, Lease, UnknownWorkerError, WorkerInfo
@@ -47,7 +48,7 @@ from .protocol import (
     workloads_to_wire,
 )
 from .worker import FleetWorker
-from .scheduler import CellScheduler, RetryPolicy, UnitTimeoutError
+from .scheduler import CellScheduler
 from .service import (
     CampaignService,
     JobCancelledError,
@@ -62,7 +63,6 @@ __all__ = [
     "CellFailure",
     "CellScheduler",
     "CellTask",
-    "Client",
     "DEFAULT_ADDRESS",
     "FLEET_MIN_VERSION",
     "FleetError",
@@ -78,14 +78,12 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ProtocolVersionError",
-    "RetryPolicy",
     "SUPPORTED_PROTOCOL_VERSIONS",
     "ServiceBusyError",
     "ServiceClient",
     "ServiceDaemon",
     "ServiceError",
     "UnitTask",
-    "UnitTimeoutError",
     "UnknownJobError",
     "UnknownWorkerError",
     "UnknownWorkloadError",

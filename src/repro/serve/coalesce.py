@@ -12,15 +12,20 @@ The registry only tracks cells that are currently in flight.  Once a
 cell completes — or is poisoned — it leaves the registry: completed cells
 are served from the disk cache on the next submission, and poisoned ones
 get a fresh chance rather than being failed forever.
+
+:func:`run_block` is where a leased block of a cell's units meets the
+physics: the service's own threads and the remote fleet workers both
+execute units through it, so a unit behaves the same whoever runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.environments import AdaptationMode, Environment
 from ..exps.cache import unit_key
+from ..exps.engine import UnitExecutionError, run_units_guarded
 from ..exps.runner import PhaseResult, SuiteSummary
 from ..microarch.workloads import WorkloadProfile
 from .jobs import CellFailure, Job
@@ -38,7 +43,7 @@ class UnitTask:
     core_index: int
     key: str
     rows: Optional[List[PhaseResult]] = None
-    attempts: int = 0
+    attempts: int = 0  # failed attempts charged against the retry budget
 
 
 @dataclass
@@ -99,6 +104,33 @@ def build_cell(
         ]
     cell.pending_units = len(cell.units)
     return cell
+
+
+def run_block(
+    runner,
+    env: Environment,
+    mode: AdaptationMode,
+    workloads: Sequence[WorkloadProfile],
+    units: Sequence[Tuple[int, int]],
+) -> List[Union[List[PhaseResult], UnitExecutionError]]:
+    """Run one leased same-cell block of ``(chip, core)`` units.
+
+    The one executor of both queue consumers (the service's threads and
+    the fleet workers).  The NoVar pseudo-unit (always alone in its
+    block) is one ``novar_summary`` call; every other block goes through
+    :func:`~repro.exps.engine.run_units_guarded`, which fetches the
+    Fuzzy-Dyn bank inside its guard.  Returns, per unit in order, its
+    rows or the :class:`~repro.exps.engine.UnitExecutionError` naming it
+    — a failure is an outcome to report, never an escaping exception.
+    """
+    if units[0][0] == NOVAR_CHIP:
+        try:
+            return [runner.novar_summary(list(workloads)).results]
+        except Exception as exc:
+            return [UnitExecutionError(
+                env.name, mode.value, NOVAR_CHIP, 0, cause=exc
+            )]
+    return run_units_guarded(runner, env, mode, units, list(workloads))
 
 
 class InFlightRegistry:

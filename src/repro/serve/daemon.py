@@ -292,8 +292,9 @@ class ServiceDaemon:
 # Client side.
 # ----------------------------------------------------------------------
 class ServiceClient:
-    """Socket client: one connection per request, same surface as
-    :class:`repro.serve.client.Client`."""
+    """Socket client: one connection per request, same surface as an
+    in-process :class:`~repro.serve.service.CampaignService` (with
+    ``ping`` for ``stats``)."""
 
     def __init__(self, address: str = DEFAULT_ADDRESS, connect_timeout: float = 10.0):
         self.host, self.port = parse_address(address)

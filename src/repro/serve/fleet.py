@@ -23,10 +23,10 @@ Liveness and exactly-once semantics:
   :data:`MAX_DUPLICATE_LEASES` concurrent holders per unit.  Whichever
   copy finishes first wins; the loser's completion is dropped by the
   same idempotency guard.
-* A failed attempt consumes the unit's daemon-side retry budget
-  (``UnitTask.attempts``); the unit is re-queued until the budget is
-  exhausted, then reported to the ``fail`` callback, which poisons its
-  cell exactly like an in-process failure.
+* A failed attempt is handed to the ``fail`` callback, which charges
+  the service's one per-unit retry budget (``UnitTask.attempts``) —
+  shared with the in-process threads — and re-queues the unit or
+  poisons its cell.
 
 Lock ordering: the registry lock is acquired *before* the service lock
 (which the ``claim``/``deliver``/``fail`` callbacks take internally),
@@ -114,11 +114,10 @@ class FleetRegistry:
         take: Callable[[], Optional[Tuple[int, Any]]],
         requeue: Callable[[int, Any], None],
         claim: Callable[[Any], bool],
-        deliver: Callable[[Any, Any, int], None],
-        fail: Callable[[Any, BaseException, int], None],
+        deliver: Callable[[Any, Any], None],
+        fail: Callable[[int, Any, BaseException], None],
         heartbeat_interval: float = 2.0,
         lease_timeout: float = 60.0,
-        retries: int = 1,
     ):
         """Args:
             take: Non-blocking queue pop -> ``(neg_priority, item)`` or
@@ -126,15 +125,14 @@ class FleetRegistry:
             requeue: Reinsert a taken item (:meth:`CellScheduler.requeue`).
             claim: The service's claim predicate; ``False`` drops the
                 item (cancelled/abandoned cell, already-delivered unit).
-            deliver: The service's ``(item, rows, attempts)`` success
-                callback — must be idempotent per unit.
-            fail: The service's ``(item, error, attempts)`` poison
-                callback, invoked when the retry budget is exhausted.
+            deliver: The service's ``(item, rows)`` success callback —
+                must be idempotent per unit.
+            fail: The service's ``(neg_priority, item, error)``
+                failed-attempt callback: it charges the unit's retry
+                budget, then re-queues the unit or poisons its cell.
             heartbeat_interval: Expected worker beat period, seconds.
             lease_timeout: Lease age beyond which an idle worker may
                 steal the unit from its holder.
-            retries: Extra attempts after a reported failure before the
-                unit poisons its cell (mirrors :class:`RetryPolicy`).
         """
         self._take = take
         self._requeue = requeue
@@ -143,7 +141,6 @@ class FleetRegistry:
         self._fail = fail
         self.heartbeat_interval = float(heartbeat_interval)
         self.lease_timeout = float(lease_timeout)
-        self.retries = int(retries)
         self._lock = threading.RLock()
         self._workers: Dict[str, WorkerInfo] = {}
         self._ids = itertools.count(1)
@@ -162,7 +159,7 @@ class FleetRegistry:
             "fleet.workers_registered", "fleet.workers_dead",
             "fleet.units_leased", "fleet.units_stolen",
             "fleet.units_requeued", "fleet.units_completed",
-            "fleet.late_completions", "fleet.retries",
+            "fleet.late_completions",
         ):
             obs.inc(name, 0.0)
         self._update_gauges()
@@ -256,17 +253,16 @@ class FleetRegistry:
                 self._update_gauges()
                 return False
             worker.units_done += 1
-            unit.attempts += 1
             obs.inc("fleet.units_completed")
             self._update_gauges()
             # deliver() takes the service lock (registry -> service).
-            self._deliver(lease.item, rows, unit.attempts)
+            self._deliver(lease.item, rows)
             return True
 
     def fail(self, worker_id: str, unit_key: str, message: str) -> bool:
-        """Report a failed attempt.  Consumes the unit's retry budget:
-        re-queued while budget remains, else its cell is poisoned.
-        Returns ``False`` for a late/unknown lease (nothing charged)."""
+        """Report a failed attempt; the ``fail`` callback charges it to
+        the unit's retry budget (re-queue, or poison the cell).  Returns
+        ``False`` for a late/unknown lease (nothing charged)."""
         with self._lock:
             worker = self._live(worker_id)
             worker.last_beat = time.monotonic()
@@ -276,22 +272,11 @@ class FleetRegistry:
                 return False
             self._release(unit_key)
             worker.units_failed += 1
-            _cell, unit = lease.item
-            unit.attempts += 1
-            if unit.attempts > self.retries:
-                log.error("unit %s failed on %s, budget exhausted: %s",
-                          unit_key, worker_id, message)
-                self._update_gauges()
-                self._fail(
-                    lease.item, FleetError(message), unit.attempts
-                )
-                return True
-            obs.inc("fleet.retries")
-            log.warning("unit %s failed on %s (attempt %d/%d); re-queued: %s",
-                        unit_key, worker_id, unit.attempts,
-                        self.retries + 1, message)
-            self._requeue(lease.neg_priority, lease.item)
             self._update_gauges()
+            log.warning("unit %s failed on %s: %s", unit_key, worker_id,
+                        message)
+            # fail() takes the service lock (registry -> service).
+            self._fail(lease.neg_priority, lease.item, FleetError(message))
             return True
 
     def stats(self) -> Dict[str, Any]:

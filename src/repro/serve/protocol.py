@@ -235,7 +235,8 @@ class LeasedUnit:
     """A worker-side view of one leased (chip, core) unit.
 
     Everything a :class:`~repro.serve.worker.FleetWorker` needs to run
-    the unit through ``run_units_guarded`` — resolved objects, not wire
+    the unit through :func:`~repro.serve.coalesce.run_block` — resolved
+    objects, not wire
     names — plus the content-addressed keys it reports back with.
     """
 

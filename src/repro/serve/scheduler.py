@@ -1,13 +1,13 @@
-"""Fault-tolerant unit scheduler: a supervised, prioritised worker pool.
+"""The unit scheduler: a prioritised queue drained by N worker threads.
 
 Worker threads pop (priority, sequence) unit tasks off a shared
-:class:`queue.PriorityQueue` and run them through a caller-supplied
-execute function under a :class:`RetryPolicy`: a failed attempt is
-retried with exponential backoff up to the configured budget, an attempt
-that overruns the per-unit wall-clock budget counts as a failure, and a
-unit that exhausts its budget is reported to the failure callback — the
-worker moves on to the next task instead of dying.  Callback exceptions
-are logged and swallowed for the same reason: the pool must outlive any
+:class:`queue.PriorityQueue`, drop the ones the claim predicate rejects
+(cancelled or abandoned cells, already-delivered units), and hand the
+rest to a caller-supplied execute function.  The scheduler owns no
+failure policy: the campaign service settles every outcome itself — a
+failed attempt goes back into this queue through :meth:`requeue`, exactly
+like a failed fleet lease.  An execute function that raises is logged
+and the thread moves on to the next task: the pool must outlive any
 single poisoned unit.
 
 Threads (not processes) carry the service's concurrency: units spend
@@ -23,8 +23,6 @@ import itertools
 import logging
 import queue
 import threading
-import time
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .. import obs
@@ -36,68 +34,29 @@ log = logging.getLogger("repro.serve.scheduler")
 _SENTINEL = object()
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-unit supervision knobs.
-
-    Attributes:
-        retries: Extra attempts after the first failure; ``0`` fails fast.
-        backoff: Sleep before attempt *n+1*, doubling each retry.
-        timeout: Wall-clock budget per attempt, in seconds.  Threads
-            cannot be preempted, so the budget is enforced *post hoc*: an
-            attempt that finishes over budget is discarded and counts as
-            a failure (and so consumes retry budget) — the graceful-
-            degradation signal that a cell is too slow for the service's
-            configuration.
-    """
-
-    retries: int = 1
-    backoff: float = 0.05
-    timeout: Optional[float] = None
-
-
-class UnitTimeoutError(RuntimeError):
-    """An attempt finished, but over the configured wall-clock budget."""
-
-
 class CellScheduler:
     """N worker threads draining a priority queue of unit tasks."""
 
     def __init__(
         self,
-        execute: Callable[[Any], Any],
+        execute: Callable[[int, Any], None],
         *,
         workers: int = 2,
-        policy: RetryPolicy = RetryPolicy(),
-        on_done: Callable[[Any, Any, int], None],
-        on_failed: Callable[[Any, BaseException, int], None],
         claim: Optional[Callable[[Any], bool]] = None,
-        warmup: Optional[Callable[[], None]] = None,
     ):
         """Args:
-            execute: Runs one unit task, returning its result.
+            execute: Runs one claimed task as ``(neg_priority, item)`` —
+                the stored (negated) priority rides along so a failed
+                attempt can :meth:`requeue` in its original band.
             workers: Worker-thread count.
-            policy: Retry/backoff/timeout supervision knobs.
-            on_done: ``(item, result, attempts)`` success callback.
-            on_failed: ``(item, error, attempts)`` exhausted-budget callback.
             claim: Optional predicate consulted when an item is popped;
                 returning ``False`` drops it (a cancelled/abandoned cell).
-            warmup: Optional callable each worker thread runs once before
-                draining tasks — e.g. priming shared read-only state such
-                as the correlation-factor memo — so the first unit does
-                not pay for it under a retry/timeout budget.  Warmup
-                failures are logged and ignored: they only cost the lazy
-                initialisation back.
         """
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self._execute = execute
         self._workers = workers
-        self._policy = policy
-        self._on_done = on_done
-        self._on_failed = on_failed
         self._claim = claim
-        self._warmup = warmup
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._seq = itertools.count()
         self._threads: list[threading.Thread] = []
@@ -156,7 +115,7 @@ class CellScheduler:
         return neg_priority, item
 
     def requeue(self, neg_priority: int, item: Any) -> None:
-        """Reinsert a task taken with :meth:`take` (lease revoked/failed).
+        """Reinsert a task (lease revoked, or an attempt failed).
 
         A fresh sequence number puts it behind live submissions of the
         same priority band — re-queued work should not overtake work
@@ -166,16 +125,11 @@ class CellScheduler:
         obs.set_gauge("serve.queue_depth", self._queue.qsize())
 
     # ------------------------------------------------------------------
-    # Worker loop + supervision.
+    # Worker loop.
     # ------------------------------------------------------------------
     def _loop(self) -> None:
-        if self._warmup is not None:
-            try:
-                self._warmup()
-            except Exception:
-                log.warning("worker warmup failed; continuing", exc_info=True)
         while True:
-            _, _, item = self._queue.get()
+            neg_priority, _, item = self._queue.get()
             obs.set_gauge("serve.queue_depth", self._queue.qsize())
             if item is _SENTINEL:
                 return
@@ -183,37 +137,6 @@ class CellScheduler:
                 if self._claim is not None and not self._claim(item):
                     obs.inc("serve.units_skipped")
                     continue
-                self._run_supervised(item)
+                self._execute(neg_priority, item)
             except Exception:  # pragma: no cover - callback bug backstop
                 log.exception("scheduler callback failed; worker continues")
-
-    def _run_supervised(self, item: Any) -> None:
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.perf_counter()
-            error: BaseException
-            try:
-                result = self._execute(item)
-            except Exception as exc:
-                error = exc
-            else:
-                elapsed = time.perf_counter() - start
-                budget = self._policy.timeout
-                if budget is None or elapsed <= budget:
-                    obs.observe("serve.unit_seconds", elapsed)
-                    self._on_done(item, result, attempts)
-                    return
-                obs.inc("serve.unit_timeouts")
-                error = UnitTimeoutError(
-                    f"unit took {elapsed:.3f}s, budget {budget:.3f}s"
-                )
-            if attempts > self._policy.retries:
-                self._on_failed(item, error, attempts)
-                return
-            obs.inc("serve.retries")
-            log.warning(
-                "unit attempt %d/%d failed (%s); retrying",
-                attempts, self._policy.retries + 1, error,
-            )
-            time.sleep(self._policy.backoff * (2 ** (attempts - 1)))

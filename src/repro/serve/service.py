@@ -7,11 +7,14 @@ content-addressed :func:`~repro.exps.cache.summary_key`; cells already on
 disk are delivered immediately, cells currently being computed for
 another job are *followed* (request coalescing — each (chip, core) unit
 is computed exactly once no matter how many jobs want it), and the rest
-are decomposed into unit tasks and scheduled, by job priority, onto a
-supervised worker pool (:mod:`repro.serve.scheduler`).
+are decomposed into unit tasks and scheduled, by job priority, onto one
+queue that the service's own threads (:mod:`repro.serve.scheduler`) and
+remote fleet workers (:mod:`repro.serve.fleet`) drain alike.
 
-Failure is contained by construction: a unit that exhausts its retry
-budget poisons only its cell, the cell fails only the jobs following it
+Failure is contained by construction: every failed attempt, wherever it
+ran, is charged against one per-unit retry budget
+(``service_retries``) and re-queued; a unit that exhausts it poisons
+only its cell, the cell fails only the jobs following it
 (with a structured :class:`~repro.serve.jobs.CellFailure` report), and
 the pool keeps draining every other job's queue.  The service stays up.
 
@@ -26,18 +29,18 @@ from __future__ import annotations
 import itertools
 import logging
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs, variation
 from ..config import Settings
-from ..core.environments import AdaptationMode
 from ..exps.cache import ExperimentCache, FactorStore, summary_key
-from ..exps.engine import RunResult, RunSpec, run_unit_guarded
+from ..exps.engine import RunResult, RunSpec, UnitExecutionError
 from ..exps.runner import ExperimentRunner, summarise
-from .coalesce import NOVAR_CHIP, CellTask, InFlightRegistry, UnitTask, build_cell
+from .coalesce import CellTask, InFlightRegistry, UnitTask, build_cell, run_block
 from .fleet import FleetRegistry
 from .jobs import LIVE_STATES, CellFailure, Job, JobState
-from .scheduler import CellScheduler, RetryPolicy
+from .scheduler import CellScheduler
 
 log = logging.getLogger("repro.serve.service")
 
@@ -77,16 +80,14 @@ class CampaignService:
         *,
         settings: Optional[Settings] = None,
         workers: Optional[int] = None,
-        policy: Optional[RetryPolicy] = None,
         cache: Optional[ExperimentCache] = None,
     ):
         """Args:
             runner: The shared experiment runner; built from ``settings``
                 scale knobs when omitted.
             settings: Service knobs (worker width via ``jobs``, admission
-                limit, retry budget, per-unit timeout, cache).
+                limit, retry budget, cache).
             workers: Worker-thread override (default: ``settings.jobs``).
-            policy: Retry-policy override (default: from ``settings``).
             cache: Artifact-cache override (default: the runner's, else
                 ``settings.build_cache()``).
         """
@@ -105,19 +106,11 @@ class CampaignService:
             # instead of re-factorising.
             variation.set_store(FactorStore(self.cache))
         self.max_jobs = settings.service_max_jobs
-        if policy is None:
-            policy = RetryPolicy(
-                retries=settings.service_retries,
-                timeout=settings.service_cell_timeout,
-            )
+        self.retries = settings.service_retries
         self._scheduler = CellScheduler(
-            self._execute_unit,
+            self._run_local,
             workers=workers if workers is not None else settings.jobs,
-            policy=policy,
-            on_done=self._on_unit_done,
-            on_failed=self._on_unit_failed,
             claim=self._claim_unit,
-            warmup=self._warm_physics,
         )
         # Remote workers lease from the same queue the in-process pool
         # drains; ``workers=0`` (--fleet-only) leaves all compute to the
@@ -129,17 +122,15 @@ class CampaignService:
             requeue=self._scheduler.requeue,
             claim=self._claim_unit,
             deliver=self._on_unit_done,
-            fail=self._on_unit_failed,
+            fail=self._on_attempt_failed,
             heartbeat_interval=settings.heartbeat_interval,
             lease_timeout=settings.lease_timeout,
-            retries=policy.retries,
         )
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._job_cells: Dict[str, List[CellTask]] = {}
         self._registry = InFlightRegistry()
         self._ids = itertools.count(1)
-        self._bank_lock = threading.Lock()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -351,19 +342,8 @@ class CampaignService:
                 self._scheduler.submit(job.priority, (cell, unit))
 
     # ------------------------------------------------------------------
-    # Scheduler callbacks (worker threads).
+    # Unit execution and settlement (service threads, fleet callbacks).
     # ------------------------------------------------------------------
-    def _warm_physics(self) -> None:
-        """Prime the correlation-factor memo before the first unit runs.
-
-        Usually a no-op (the runner's population draw already warmed it);
-        after a restart with an artifact cache it loads the factor from
-        disk, and at worst it pays the one Cholesky outside any unit's
-        retry/timeout budget.
-        """
-        chip = self.runner.population[0]
-        variation.get_factor(chip.grid, chip.params.phi)
-
     def _claim_unit(self, item: Tuple[CellTask, UnitTask]) -> bool:
         cell, unit = item
         with self._lock:
@@ -381,22 +361,23 @@ class CampaignService:
                     job.state = JobState.RUNNING
             return True
 
-    def _execute_unit(self, item: Tuple[CellTask, UnitTask]):
+    def _run_local(self, neg_priority: int,
+                   item: Tuple[CellTask, UnitTask]) -> None:
+        """Run one claimed unit on this thread — a one-unit block through
+        the same :func:`run_block` a fleet worker uses."""
         cell, unit = item
-        if unit.chip_index == NOVAR_CHIP:
-            return self.runner.novar_summary(list(cell.workloads)).results
-        bank = None
-        if cell.mode is AdaptationMode.FUZZY_DYN:
-            # Serialise training so concurrent units of one environment
-            # share the runner's memoised bank instead of racing to train.
-            with self._bank_lock:
-                bank = self.runner.bank_for(cell.env)
-        return run_unit_guarded(
-            self.runner, cell.env, cell.mode, unit.chip_index,
-            unit.core_index, list(cell.workloads), bank=bank,
+        start = time.perf_counter()
+        (outcome,) = run_block(
+            self.runner, cell.env, cell.mode, cell.workloads,
+            [(unit.chip_index, unit.core_index)],
         )
+        if isinstance(outcome, UnitExecutionError):
+            self._on_attempt_failed(neg_priority, item, outcome)
+            return
+        obs.observe("serve.unit_seconds", time.perf_counter() - start)
+        self._on_unit_done(item, outcome)
 
-    def _on_unit_done(self, item, rows, attempts: int) -> None:
+    def _on_unit_done(self, item, rows) -> None:
         cell, unit = item
         with self._lock:
             if not cell.live:
@@ -410,7 +391,6 @@ class CampaignService:
                 obs.inc("serve.units_duplicate")
                 return
             unit.rows = rows
-            unit.attempts = attempts
             cell.pending_units -= 1
             obs.inc("serve.units_done")
             if cell.pending_units > 0:
@@ -434,15 +414,35 @@ class CampaignService:
             cell.followers.clear()
             self._update_service_gauges()
 
-    def _on_unit_failed(self, item, error: BaseException, attempts: int) -> None:
+    def _on_attempt_failed(self, neg_priority: int, item,
+                           error: BaseException) -> None:
+        """Charge one failed attempt against the unit's retry budget.
+
+        The one retry policy of both consumers: a local thread's failed
+        unit and a fleet worker's ``fleet.fail`` land here alike.  The
+        unit is re-queued in its priority band while ``attempts <=
+        service_retries`` — whoever drains the queue next retries it —
+        and poisons its cell after that.
+        """
         cell, unit = item
         with self._lock:
+            if not cell.live or unit.rows is not None:
+                return  # cancelled/poisoned cell, or a duplicate delivered
+            unit.attempts += 1
+            if unit.attempts <= self.retries:
+                obs.inc("serve.retries")
+                log.warning(
+                    "unit %s attempt %d/%d failed (%s); re-queued",
+                    unit.key, unit.attempts, self.retries + 1, error,
+                )
+                self._scheduler.requeue(neg_priority, item)
+                return
             failure = CellFailure(
                 environment=cell.env.name,
                 mode=cell.mode.value,
                 chip_index=unit.chip_index,
                 core_index=unit.core_index,
-                attempts=attempts,
+                attempts=unit.attempts,
                 error=str(error),
             )
             log.error("poisoned cell %s: %s", cell.cell, failure.error)

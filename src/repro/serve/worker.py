@@ -33,11 +33,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .. import obs
-from ..core.environments import AdaptationMode
 from ..exps.cache import ExperimentCache
-from ..exps.engine import UnitExecutionError, run_units_guarded
+from ..exps.engine import UnitExecutionError
 from ..exps.runner import ExperimentRunner
-from .coalesce import NOVAR_CHIP
+from .coalesce import NOVAR_CHIP, run_block
 from .daemon import ServiceClient
 from .fleet import UnknownWorkerError
 from .protocol import (
@@ -217,40 +216,22 @@ class FleetWorker:
         return blocks
 
     def _run_block(self, block: List[LeasedUnit]) -> None:
-        """Run one lease block through the engine's guarded block runner.
+        """Run one lease block through the service's block runner.
 
-        :func:`~repro.exps.engine.run_units_guarded` runs the block
-        batched and, if that fails, one unit at a time, so each unit gets
-        its own complete/fail report — a broken unit never takes its
-        block-mates down with it.  Single-unit blocks stay on the batched
-        path (like the engine's) so the metric structure a worker emits
-        does not depend on how leases happened to chunk; only NoVar
-        pseudo-units (always alone in their block) take the dedicated
-        summary path.
+        :func:`~repro.serve.coalesce.run_block` — the same function the
+        daemon's own threads run — returns every unit's rows or error,
+        so each unit gets its own complete/fail report: a broken unit
+        (NoVar and bank failures included) never takes its block-mates
+        or this worker down with it.
         """
         runner = self.runner
         assert runner is not None, "_run_block() before register()"
         first = block[0]
-        if first.chip_index == NOVAR_CHIP:
-            with obs.span("worker.unit", unit=first.unit_key):
-                rows = runner.novar_summary(list(first.workloads)).results
-            self._settle(first, rows)
-            return
-        bank = None
-        if first.mode is AdaptationMode.FUZZY_DYN:
-            # One worker process, one training at a time; with a shared
-            # cache the first fleet member to train persists the bank
-            # for everyone else.
-            bank = runner.bank_for(first.env)
         with obs.span("worker.unit_block", units=len(block),
                       env=first.env.name, mode=first.mode.value):
-            outcomes = run_units_guarded(
-                runner,
-                first.env,
-                first.mode,
+            outcomes = run_block(
+                runner, first.env, first.mode, first.workloads,
                 [(u.chip_index, u.core_index) for u in block],
-                list(first.workloads),
-                bank=bank,
             )
         for unit, outcome in zip(block, outcomes):
             self._settle(unit, outcome)

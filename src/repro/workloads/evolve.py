@@ -231,8 +231,8 @@ class _Oracle:
         self.cached = 0
 
     def _summary(self, payload) -> SuiteSummary:
-        # A remote client returns the wire payload; the in-process one
-        # returns a RunResult.
+        # A remote client returns the wire payload; an in-process
+        # CampaignService returns a RunResult.
         if isinstance(payload, dict):
             from ..serve.protocol import summaries_from_wire
 
@@ -360,7 +360,6 @@ def evolve(
         return run(ServiceClient(service), window)
 
     from ..config import Settings
-    from ..serve.client import Client
     from ..serve.service import CampaignService
 
     settings = settings if settings is not None else Settings()
@@ -369,7 +368,7 @@ def evolve(
 
         runner = ExperimentRunner.from_settings(settings)
     with CampaignService(runner, settings=settings) as svc:
-        return run(Client(svc), settings.service_max_jobs)
+        return run(svc, settings.service_max_jobs)
 
 
 def _initial_population(

@@ -118,15 +118,12 @@ class TestServiceKnobs:
         assert cfg.service_addr is None
         assert cfg.service_max_jobs == 8
         assert cfg.service_retries == 1
-        assert cfg.service_cell_timeout is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Settings(service_max_jobs=0)
         with pytest.raises(ValueError):
             Settings(service_retries=-1)
-        with pytest.raises(ValueError):
-            Settings(service_cell_timeout=0.0)
         assert Settings(service_retries=0).service_retries == 0
 
     def test_from_env(self):
@@ -134,16 +131,16 @@ class TestServiceKnobs:
             "EVAL_REPRO_SERVICE": "127.0.0.1:9000",
             "EVAL_REPRO_SERVICE_MAX_JOBS": "3",
             "EVAL_REPRO_SERVICE_RETRIES": "5",
-            "EVAL_REPRO_SERVICE_TIMEOUT": "2.5",
         })
         assert cfg.service_addr == "127.0.0.1:9000"
         assert cfg.service_max_jobs == 3
         assert cfg.service_retries == 5
-        assert cfg.service_cell_timeout == 2.5
 
     def test_empty_env_keeps_service_defaults(self):
-        cfg = Settings.from_env({"EVAL_REPRO_SERVICE_TIMEOUT": ""})
-        assert cfg.service_cell_timeout is None
+        cfg = Settings.from_env({
+            "EVAL_REPRO_SERVICE_RETRIES": "", "EVAL_REPRO_SERVICE": "",
+        })
+        assert cfg.service_retries == 1
         assert cfg.service_addr is None
 
     def _parse(self, argv, env=None):
@@ -172,8 +169,7 @@ class TestServiceKnobs:
         ).service_addr == "flag-host:2"
 
     def test_timeout_and_max_jobs_flags(self):
-        cfg = self._parse(
-            ["--service-timeout", "1.5", "--service-max-jobs", "2"]
-        )
-        assert cfg.service_cell_timeout == 1.5
-        assert cfg.service_max_jobs == 2
+        assert self._parse(["--service-max-jobs", "2"]).service_max_jobs == 2
+        # There is no per-unit wall-clock budget: the old flag is refused.
+        with pytest.raises(SystemExit):
+            self._parse(["--service-timeout", "1.5"])

@@ -551,27 +551,27 @@ class TestCorruptArtifacts:
 
 class TestUnitExecutionError:
     def test_wraps_worker_failure_with_unit_identity(self, two_workloads):
-        from repro.exps.engine import UnitExecutionError, run_unit_guarded
+        from repro.exps.engine import UnitExecutionError, run_units_guarded
 
         runner = ExperimentRunner(ENGINE_CONFIG, workloads=two_workloads)
 
         def broken(*args, **kwargs):
             raise ValueError("thermal solver diverged")
 
-        runner.run_unit = broken
-        with pytest.raises(UnitExecutionError) as excinfo:
-            run_unit_guarded(
-                runner, TS, AdaptationMode.EXH_DYN, 1, 0, two_workloads
-            )
-        message = str(excinfo.value)
+        runner.run_units_batched = broken
+        (error,) = run_units_guarded(
+            runner, TS, AdaptationMode.EXH_DYN, [(1, 0)], two_workloads
+        )
+        assert isinstance(error, UnitExecutionError)
+        message = str(error)
         assert "env=TS" in message and "mode=Exh-Dyn" in message
         assert "chip=1" in message and "core=0" in message
         assert "thermal solver diverged" in message
-        assert excinfo.value.unit == ("TS", "Exh-Dyn", 1, 0)
-        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert error.unit == ("TS", "Exh-Dyn", 1, 0)
+        assert isinstance(error.__cause__, ValueError)
 
     def test_does_not_double_wrap(self, two_workloads):
-        from repro.exps.engine import UnitExecutionError, run_unit_guarded
+        from repro.exps.engine import UnitExecutionError, run_units_guarded
 
         runner = ExperimentRunner(ENGINE_CONFIG, workloads=two_workloads)
         inner = UnitExecutionError("TS", "Exh-Dyn", 0, 0)
@@ -579,12 +579,39 @@ class TestUnitExecutionError:
         def raising(*args, **kwargs):
             raise inner
 
-        runner.run_unit = raising
-        with pytest.raises(UnitExecutionError) as excinfo:
-            run_unit_guarded(
-                runner, TS, AdaptationMode.EXH_DYN, 0, 0, two_workloads
-            )
-        assert excinfo.value is inner
+        runner.run_units_batched = raising
+        (error,) = run_units_guarded(
+            runner, TS, AdaptationMode.EXH_DYN, [(0, 0)], two_workloads
+        )
+        assert error is inner
+
+    def test_failing_one_unit_block_runs_once(self, two_workloads):
+        """Only a block of two or more units falls back to per-unit runs:
+        a failing one-unit block (every fleet lease by default) is one
+        attempt, not two."""
+        from repro.exps.engine import UnitExecutionError, run_units_guarded
+
+        runner = ExperimentRunner(ENGINE_CONFIG, workloads=two_workloads)
+        calls = []
+
+        def broken(env, mode, units, *args, **kwargs):
+            calls.append(list(units))
+            raise ValueError("thermal solver diverged")
+
+        runner.run_units_batched = broken
+        (error,) = run_units_guarded(
+            runner, TS, AdaptationMode.EXH_DYN, [(1, 0)], two_workloads
+        )
+        assert isinstance(error, UnitExecutionError)
+        assert calls == [[(1, 0)]]
+        # A two-unit block: one batched try, then one try per unit.
+        calls.clear()
+        outcomes = run_units_guarded(
+            runner, TS, AdaptationMode.EXH_DYN, [(0, 0), (1, 0)],
+            two_workloads,
+        )
+        assert [error.unit[2] for error in outcomes] == [0, 1]
+        assert calls == [[(0, 0), (1, 0)], [(0, 0)], [(1, 0)]]
 
     def test_pool_blames_the_exact_failing_unit(
         self, two_workloads, monkeypatch
@@ -595,24 +622,16 @@ class TestUnitExecutionError:
         from repro.exps.engine import UnitExecutionError
 
         batched = ExperimentRunner.run_units_batched
-        single = ExperimentRunner.run_unit
 
         def run_units_batched(self, env, mode, units, *args, **kwargs):
             if (3, 0) in units:
                 raise ValueError("chip 3 is broken")
             return batched(self, env, mode, units, *args, **kwargs)
 
-        def run_unit(self, env, mode, chip_index, core_index, *args, **kwargs):
-            if chip_index == 3:
-                raise ValueError("chip 3 is broken")
-            return single(self, env, mode, chip_index, core_index,
-                          *args, **kwargs)
-
-        # Class-level patches: fork-started pool workers inherit them.
+        # A class-level patch: fork-started pool workers inherit it.
         monkeypatch.setattr(
             ExperimentRunner, "run_units_batched", run_units_batched
         )
-        monkeypatch.setattr(ExperimentRunner, "run_unit", run_unit)
         config = dataclasses.replace(ENGINE_CONFIG, n_chips=4)
         for parallelism in (1, 2):
             with pytest.raises(UnitExecutionError) as excinfo:
@@ -637,16 +656,6 @@ class TestUnitExecutionError:
         assert clone.unit == ("TS", "Exh-Dyn", 3, 0)
         assert str(clone) == str(error)
         assert "thermal solver diverged" in str(clone)
-
-    def test_iter_units_order(self):
-        from repro.exps.engine import iter_units
-
-        cells = [(TS, AdaptationMode.EXH_DYN), (TS_ASV, AdaptationMode.STATIC)]
-        units = list(iter_units(cells, n_chips=2, cores_per_chip=2))
-        assert units[0] == (TS, AdaptationMode.EXH_DYN, 0, 0)
-        assert units[3] == (TS, AdaptationMode.EXH_DYN, 1, 1)
-        assert units[4] == (TS_ASV, AdaptationMode.STATIC, 0, 0)
-        assert len(units) == 8
 
     def test_unit_key_derivation(self):
         from repro.exps.cache import unit_key

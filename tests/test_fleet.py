@@ -19,6 +19,7 @@ from repro.serve import (
     CampaignService,
     FleetRegistry,
     FleetWorker,
+    JobFailedError,
     ProtocolError,
     ServiceClient,
     ServiceDaemon,
@@ -32,7 +33,8 @@ from repro.serve import (
     unit_from_wire,
     unit_to_wire,
 )
-from repro.serve.coalesce import UnitTask
+from repro.serve.coalesce import NOVAR_CHIP, UnitTask
+from repro.serve.protocol import LeasedUnit
 
 #: Same tiny-but-multi-chip scale as test_serve.py: two chips exercise
 #: decomposition, and two workers can split the units.
@@ -300,7 +302,6 @@ class _Harness:
         self.queue = []
         self.requeued = []
         self.delivered = []
-        self.failed = []
         kwargs.setdefault("heartbeat_interval", 1.0)
         kwargs.setdefault("lease_timeout", 60.0)
         self.registry = FleetRegistry(
@@ -308,7 +309,7 @@ class _Harness:
             requeue=self._requeue,
             claim=lambda item: item[1].rows is None,
             deliver=self._deliver,
-            fail=self._fail,
+            fail=lambda neg_priority, item, error: None,
             **kwargs,
         )
 
@@ -324,12 +325,9 @@ class _Harness:
         self.requeued.append(item[1].key)
         self.queue.append((neg_priority, item))
 
-    def _deliver(self, item, rows, attempts):
+    def _deliver(self, item, rows):
         item[1].rows = rows
-        self.delivered.append((item[1].key, attempts))
-
-    def _fail(self, item, error, attempts):
-        self.failed.append((item[1].key, str(error), attempts))
+        self.delivered.append(item[1].key)
 
 
 class TestFleetRegistry:
@@ -341,10 +339,10 @@ class TestFleetRegistry:
         assert [lease.unit_key for lease in leases] == ["u1"]
         assert h.registry.lease(wid) == []  # queue drained
         assert h.registry.complete(wid, "u1", rows=["r"]) is True
-        assert h.delivered == [("u1", 1)]
+        assert h.delivered == ["u1"]
         # A second complete for the same key is late, not double-counted.
         assert h.registry.complete(wid, "u1", rows=["r"]) is False
-        assert h.delivered == [("u1", 1)]
+        assert h.delivered == ["u1"]
 
     def test_unknown_and_dead_workers_rejected(self):
         h = _Harness()
@@ -390,18 +388,36 @@ class TestFleetRegistry:
         h.registry.reap(now=time.monotonic() + 1e6)
         assert h.requeued == []
 
-    def test_fail_consumes_budget_then_poisons(self, metrics):
-        h = _Harness(retries=1)
-        h.push("u1")
-        wid = h.registry.register()
-        h.registry.lease(wid)
-        assert h.registry.fail(wid, "u1", "boom") is True
-        assert h.requeued == ["u1"]  # first failure: retry
-        assert h.failed == []
-        h.registry.lease(wid)
-        h.registry.fail(wid, "u1", "boom again")
-        assert h.failed == [("u1", "boom again", 2)]  # budget exhausted
-        assert metrics.to_dict()["counters"]["fleet.retries"] == 1.0
+    def test_fail_consumes_budget_then_poisons(
+        self, runner, two_workloads, metrics
+    ):
+        # The budget is the service's (shared with its own threads);
+        # workers=0 leaves every attempt to this fleet worker.
+        service = CampaignService(
+            runner, settings=Settings(service_retries=1), workers=0
+        )
+        try:
+            job = service.submit(RunSpec(
+                environments=(TS,),
+                modes=(AdaptationMode.EXH_DYN,),
+                workloads=two_workloads,
+            ))
+            wid = service.fleet_register()
+            (first, _second) = service.fleet_lease(wid, max_units=2)
+            unit = first[1]
+            assert service.fleet_fail(wid, unit.key, "boom") is True
+            # First failure: re-queued, not poisoned.
+            assert service.status(job)["state"] == "running"
+            (retry,) = service.fleet_lease(wid)
+            assert retry[1] is unit and unit.attempts == 1
+            service.fleet_fail(wid, unit.key, "boom again")
+            with pytest.raises(JobFailedError) as excinfo:
+                service.result(job, timeout=10)
+        finally:
+            service.close()
+        (failure,) = excinfo.value.failures  # budget exhausted
+        assert (failure.attempts, failure.error) == (2, "boom again")
+        assert metrics.to_dict()["counters"]["serve.retries"] == 1.0
 
     def test_steal_from_slow_worker(self, metrics):
         h = _Harness(lease_timeout=0.01)
@@ -418,7 +434,7 @@ class TestFleetRegistry:
         # First finisher wins; the loser's copy is late.
         assert h.registry.complete(thief, "u1", rows=["r"]) is True
         assert h.registry.complete(slow, "u1", rows=["r"]) is False
-        assert h.delivered == [("u1", 1)]
+        assert h.delivered == ["u1"]
         counters = metrics.to_dict()["counters"]
         assert counters["fleet.units_stolen"] == 1.0
         assert counters["fleet.late_completions"] == 1.0
@@ -459,14 +475,18 @@ class _BrokenMiddleRunner:
         return []
 
 
+def _offline_worker(runner):
+    """A registered-looking FleetWorker whose reports are recorded."""
+    worker = FleetWorker("127.0.0.1:1", heartbeats=False)
+    worker.client = _RecordingClient()
+    worker.worker_id = "w-test"
+    worker.runner = runner
+    return worker
+
+
 class TestWorkerBlockFallback:
     def test_broken_unit_fails_alone(self, two_workloads, metrics):
-        from repro.serve.protocol import LeasedUnit
-
-        worker = FleetWorker("127.0.0.1:1", heartbeats=False)
-        worker.client = _RecordingClient()
-        worker.worker_id = "w-test"
-        worker.runner = _BrokenMiddleRunner()
+        worker = _offline_worker(_BrokenMiddleRunner())
         block = [
             LeasedUnit(
                 cell_key="cell", unit_key=f"cell-{chip}-0", chip_index=chip,
@@ -489,6 +509,39 @@ class TestWorkerBlockFallback:
         assert "chip=1" in failure["error"]
         assert "chip 1 diverged" in failure["error"]
         assert (worker.units_done, worker.units_failed) == (2, 1)
+
+    def _single_failure(self, worker, unit):
+        worker._run_block([unit])  # returns: the worker survives
+        (report,) = worker.client.requests
+        assert report[0] == "fleet.fail"
+        assert report[1]["unit_key"] == unit.unit_key
+        assert (worker.units_done, worker.units_failed) == (0, 1)
+        return report[1]["error"]
+
+    def test_novar_failure_is_reported(self, runner, two_workloads, metrics):
+        def broken(*args, **kwargs):
+            raise RuntimeError("novar measurement failed")
+
+        runner.novar_summary = broken
+        error = self._single_failure(_offline_worker(runner), LeasedUnit(
+            cell_key="cell", unit_key="cell--1-0", chip_index=NOVAR_CHIP,
+            core_index=0, env=NOVAR, mode=AdaptationMode.EXH_DYN,
+            workloads=two_workloads,
+        ))
+        assert f"chip={NOVAR_CHIP}" in error
+        assert "novar measurement failed" in error
+
+    def test_bank_failure_is_reported(self, runner, two_workloads, metrics):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bank load failed")
+
+        runner.bank_for = broken
+        error = self._single_failure(_offline_worker(runner), LeasedUnit(
+            cell_key="cell", unit_key="cell-0-0", chip_index=0,
+            core_index=0, env=TS, mode=AdaptationMode.FUZZY_DYN,
+            workloads=two_workloads,
+        ))
+        assert "mode=Fuzzy-Dyn" in error and "bank load failed" in error
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.config import Settings
 from repro.core import BASELINE, NOVAR, TS, TS_ASV, AdaptationMode
 from repro.exps import ExperimentRunner, RunnerConfig, RunSpec
 from repro.microarch import spec2000_like_suite
@@ -13,12 +14,10 @@ from repro.serve import (
     SUPPORTED_PROTOCOL_VERSIONS,
     CampaignService,
     CellScheduler,
-    Client,
     JobCancelledError,
     JobFailedError,
     ProtocolError,
     ProtocolVersionError,
-    RetryPolicy,
     ServiceBusyError,
     ServiceClient,
     ServiceDaemon,
@@ -56,50 +55,49 @@ def two_workloads():
     return tuple(spec2000_like_suite()[:2])
 
 
-def counting_run_unit(runner):
-    """Instrument a runner instance; returns the call log."""
+def counting_units(runner):
+    """Instrument a runner instance; returns the per-unit call log."""
     calls = []
-    original = runner.run_unit
+    original = runner.run_units_batched
 
-    def counted(env, mode, chip_index, core_index, *args, **kwargs):
-        calls.append((env.name, mode.value, chip_index, core_index))
-        return original(env, mode, chip_index, core_index, *args, **kwargs)
+    def counted(env, mode, units, *args, **kwargs):
+        calls.extend((env.name, mode.value, chip, core) for chip, core in units)
+        return original(env, mode, units, *args, **kwargs)
 
-    runner.run_unit = counted
+    runner.run_units_batched = counted
     return calls
 
 
 class TestCoalescing:
     def test_overlapping_jobs_compute_each_cell_once(self, runner, two_workloads):
-        calls = counting_run_unit(runner)
+        calls = counting_units(runner)
         # Hold the workers at the first unit until both jobs are in, so
         # the overlap is guaranteed rather than a race.
         gate = threading.Event()
-        counted = runner.run_unit
+        counted = runner.run_units_batched
 
         def gated(*args, **kwargs):
             gate.wait(30)
             return counted(*args, **kwargs)
 
-        runner.run_unit = gated
+        runner.run_units_batched = gated
         spec = RunSpec(
             environments=(BASELINE, TS),
             modes=(AdaptationMode.EXH_DYN,),
             workloads=two_workloads,
         )
         with CampaignService(runner, workers=2) as service:
-            client = Client(service)
-            first = client.submit(spec)
-            second = client.submit(spec)
+            first = service.submit(spec)
+            second = service.submit(spec)
             gate.set()
-            r1 = client.result(first, timeout=300)
-            r2 = client.result(second, timeout=300)
+            r1 = service.result(first, timeout=300)
+            r2 = service.result(second, timeout=300)
         # 2 cells x 2 chips = 4 units total, not 8: the second job
         # followed the first's in-flight cells.
         assert len(calls) == 4
         assert len(set(calls)) == 4
         assert r1.summaries == r2.summaries
-        assert client.status(second)["cells"]["coalesced"] == 2
+        assert service.status(second)["cells"]["coalesced"] == 2
 
     def test_results_bit_identical_to_direct_run(self, runner, two_workloads):
         spec = RunSpec(
@@ -108,7 +106,7 @@ class TestCoalescing:
             workloads=two_workloads,
         )
         with CampaignService(runner, workers=2) as service:
-            job = Client(service).submit(spec)
+            job = service.submit(spec)
             served = service.result(job, timeout=300)
         direct = ExperimentRunner(SERVE_CONFIG).run(spec)
         assert set(served.summaries) == set(direct.summaries)
@@ -120,7 +118,7 @@ class TestCoalescing:
     ):
         from repro.exps.cache import ExperimentCache
 
-        calls = counting_run_unit(runner)
+        calls = counting_units(runner)
         spec = RunSpec(
             environments=(TS,),
             modes=(AdaptationMode.EXH_DYN,),
@@ -128,13 +126,12 @@ class TestCoalescing:
         )
         cache = ExperimentCache(tmp_path)
         with CampaignService(runner, workers=2, cache=cache) as service:
-            client = Client(service)
-            client.result(client.submit(spec), timeout=300)
+            service.result(service.submit(spec), timeout=300)
             computed = len(calls)
-            job = client.submit(spec)
+            job = service.submit(spec)
             # No new units: the summary came straight off disk.
-            assert client.status(job)["state"] == "done"
-            assert client.status(job)["cells"]["cached"] == 1
+            assert service.status(job)["state"] == "done"
+            assert service.status(job)["cells"]["cached"] == 1
             assert len(calls) == computed
 
     def test_novar_cell_is_one_pseudo_unit(self, runner, two_workloads):
@@ -147,39 +144,39 @@ class TestCoalescing:
 
 class TestFaultTolerance:
     def test_flaky_unit_is_retried_to_success(self, runner, two_workloads):
-        original = runner.run_unit
+        original = runner.run_units_batched
         failures = {"left": 2}
 
-        def flaky(env, mode, chip_index, core_index, *args, **kwargs):
+        def flaky(env, mode, units, *args, **kwargs):
             if failures["left"] > 0:
                 failures["left"] -= 1
                 raise RuntimeError("transient fault")
-            return original(env, mode, chip_index, core_index, *args, **kwargs)
+            return original(env, mode, units, *args, **kwargs)
 
-        runner.run_unit = flaky
-        policy = RetryPolicy(retries=3, backoff=0.0)
+        runner.run_units_batched = flaky
         spec = RunSpec(
             environments=(TS,),
             modes=(AdaptationMode.EXH_DYN,),
             workloads=two_workloads,
         )
-        with CampaignService(runner, workers=1, policy=policy) as service:
+        settings = Settings(service_retries=3)
+        with CampaignService(runner, settings=settings, workers=1) as service:
             job = service.submit(spec)
             result = service.result(job, timeout=300)
         assert failures["left"] == 0
         assert (TS.name, "Exh-Dyn") in result.summaries
 
     def test_poisoned_cell_fails_only_its_job(self, runner, two_workloads):
-        original = runner.run_unit
+        original = runner.run_units_batched
 
-        def poisoned(env, mode, chip_index, core_index, *args, **kwargs):
-            if env.name == TS_ASV.name and chip_index == 1:
+        def poisoned(env, mode, units, *args, **kwargs):
+            if env.name == TS_ASV.name and (1, 0) in units:
                 raise RuntimeError("bad chip")
-            return original(env, mode, chip_index, core_index, *args, **kwargs)
+            return original(env, mode, units, *args, **kwargs)
 
-        runner.run_unit = poisoned
-        policy = RetryPolicy(retries=1, backoff=0.0)
-        with CampaignService(runner, workers=2, policy=policy) as service:
+        runner.run_units_batched = poisoned
+        settings = Settings(service_retries=1)
+        with CampaignService(runner, settings=settings, workers=2) as service:
             doomed = service.submit(RunSpec(
                 environments=(TS_ASV,),
                 modes=(AdaptationMode.EXH_DYN,),
@@ -212,71 +209,80 @@ class TestFaultTolerance:
             ))
             assert service.result(retry, timeout=300) is not None
 
-    def test_timeout_counts_as_failure(self, runner, two_workloads):
-        def sluggish(env, mode, chip_index, core_index, *args, **kwargs):
-            time.sleep(0.05)
-            raise AssertionError("result must be discarded, not returned")
+    def test_local_failure_retried_by_fleet_worker(
+        self, runner, two_workloads
+    ):
+        """One retry budget across both consumers: a unit that fails on a
+        service thread is re-queued, leased by a fleet worker, and its
+        second failure there poisons the cell."""
+        original = runner.run_units_batched
+        calls = []
+        chip1_running = threading.Event()
+        release = threading.Event()
 
-        runner.run_unit = sluggish
-        policy = RetryPolicy(retries=0, backoff=0.0, timeout=0.5)
-        with CampaignService(runner, workers=1, policy=policy) as service:
+        def scripted(env, mode, units, *args, **kwargs):
+            calls.append(units)
+            if units == [(0, 0)]:
+                raise RuntimeError("local fault")
+            # Keep the only thread busy on chip 1 so the re-queued
+            # chip 0 is left for the fleet.
+            chip1_running.set()
+            release.wait(30)
+            return original(env, mode, units, *args, **kwargs)
+
+        runner.run_units_batched = scripted
+        settings = Settings(service_retries=1)
+        with CampaignService(runner, settings=settings, workers=1) as service:
             job = service.submit(RunSpec(
                 environments=(TS,),
                 modes=(AdaptationMode.EXH_DYN,),
                 workloads=two_workloads,
             ))
-            with pytest.raises(JobFailedError):
-                service.result(job, timeout=60)
-
-    def test_over_budget_success_is_discarded(self, runner, two_workloads):
-        def slow_ok(env, mode, chip_index, core_index, *args, **kwargs):
-            time.sleep(0.05)
-            return []
-
-        runner.run_unit = slow_ok
-        policy = RetryPolicy(retries=0, backoff=0.0, timeout=0.001)
-        with CampaignService(runner, workers=1, policy=policy) as service:
-            job = service.submit(RunSpec(
-                environments=(TS,),
-                modes=(AdaptationMode.EXH_DYN,),
-                workloads=two_workloads,
-            ))
-            with pytest.raises(JobFailedError) as excinfo:
-                service.result(job, timeout=60)
-        assert "budget" in excinfo.value.failures[0].error
+            try:
+                assert chip1_running.wait(30)
+                worker_id = service.fleet_register()
+                (item,) = service.fleet_lease(worker_id)
+                _, unit = item
+                assert (unit.chip_index, unit.attempts) == (0, 1)
+                assert service.fleet_fail(worker_id, unit.key, "remote fault")
+                with pytest.raises(JobFailedError) as excinfo:
+                    service.result(job, timeout=60)
+            finally:
+                release.set()
+        (failure,) = excinfo.value.failures
+        assert (failure.chip_index, failure.attempts) == (0, 2)
+        assert failure.error == "remote fault"
+        assert calls == [[(0, 0)], [(1, 0)]]
 
     def test_cancel(self, runner, two_workloads):
         gate = threading.Event()
 
-        def blocked(env, mode, chip_index, core_index, *args, **kwargs):
+        def blocked(env, mode, units, *args, **kwargs):
             gate.wait(30)
             raise RuntimeError("cancelled units never deliver")
 
-        runner.run_unit = blocked
-        policy = RetryPolicy(retries=0, backoff=0.0)
-        with CampaignService(runner, workers=1, policy=policy) as service:
-            client = Client(service)
-            job = client.submit(RunSpec(
+        runner.run_units_batched = blocked
+        settings = Settings(service_retries=0)
+        with CampaignService(runner, settings=settings, workers=1) as service:
+            job = service.submit(RunSpec(
                 environments=(TS,),
                 modes=(AdaptationMode.EXH_DYN,),
                 workloads=two_workloads,
             ))
-            assert client.cancel(job) is True
-            assert client.cancel(job) is False  # already finished
+            assert service.cancel(job) is True
+            assert service.cancel(job) is False  # already finished
             gate.set()
             with pytest.raises(JobCancelledError):
-                client.result(job, timeout=60)
+                service.result(job, timeout=60)
 
     def test_admission_control(self, runner, two_workloads):
-        from repro.config import Settings
-
         gate = threading.Event()
 
-        def blocked(env, mode, chip_index, core_index, *args, **kwargs):
+        def blocked(env, mode, units, *args, **kwargs):
             gate.wait(30)
-            return []
+            return [[] for _ in units]
 
-        runner.run_unit = blocked
+        runner.run_units_batched = blocked
         settings = Settings(service_max_jobs=1)
         service = CampaignService(runner, settings=settings, workers=1)
         try:
@@ -305,11 +311,7 @@ class TestScheduler:
     def test_priority_order(self):
         done = []
         scheduler = CellScheduler(
-            lambda item: item,
-            workers=1,
-            policy=RetryPolicy(retries=0),
-            on_done=lambda item, result, attempts: done.append(item),
-            on_failed=lambda item, error, attempts: None,
+            lambda neg_priority, item: done.append(item), workers=1
         )
         # Enqueue before starting so ordering is priority, not timing.
         scheduler.submit(0, "low")
@@ -322,82 +324,34 @@ class TestScheduler:
         scheduler.stop()
         assert done == ["high", "high-2", "low"]
 
-    def test_retry_budget_exhaustion(self):
+    def test_retry_budget_exhaustion(self, runner, two_workloads):
+        """The service threads retry a failing unit from the queue until
+        the budget is spent: 1 try + 2 retries, then the cell poisons."""
         attempts_seen = []
-        failed = []
 
-        def always_fails(item):
-            attempts_seen.append(item)
+        def always_fails(env, mode, units, *args, **kwargs):
+            attempts_seen.append(units)
             raise RuntimeError("boom")
 
-        scheduler = CellScheduler(
-            always_fails,
-            workers=1,
-            policy=RetryPolicy(retries=2, backoff=0.0),
-            on_done=lambda *a: None,
-            on_failed=lambda item, error, attempts: failed.append(
-                (item, attempts)
-            ),
-        )
-        scheduler.start()
-        scheduler.submit(0, "unit")
-        deadline = time.monotonic() + 10
-        while not failed and time.monotonic() < deadline:
-            time.sleep(0.01)
-        scheduler.stop()
-        assert failed == [("unit", 3)]  # 1 try + 2 retries
-        assert len(attempts_seen) == 3
-
-    def test_warmup_runs_once_per_worker_before_tasks(self):
-        order = []
-        scheduler = CellScheduler(
-            lambda item: order.append(("task", item)),
-            workers=2,
-            policy=RetryPolicy(retries=0),
-            on_done=lambda *a: None,
-            on_failed=lambda *a: None,
-            warmup=lambda: order.append(("warmup", None)),
-        )
-        scheduler.start()
-        scheduler.submit(0, "unit")
-        deadline = time.monotonic() + 10
-        while ("task", "unit") not in order and time.monotonic() < deadline:
-            time.sleep(0.01)
-        scheduler.stop()
-        warmups = [entry for entry in order if entry[0] == "warmup"]
-        assert len(warmups) == 2  # one per worker thread
-        assert order.index(("warmup", None)) < order.index(("task", "unit"))
-
-    def test_warmup_failure_does_not_kill_worker(self):
-        done = []
-
-        def broken_warmup():
-            raise RuntimeError("cold start failed")
-
-        scheduler = CellScheduler(
-            lambda item: item,
-            workers=1,
-            policy=RetryPolicy(retries=0),
-            on_done=lambda item, result, attempts: done.append(item),
-            on_failed=lambda *a: None,
-            warmup=broken_warmup,
-        )
-        scheduler.start()
-        scheduler.submit(0, "unit")
-        deadline = time.monotonic() + 10
-        while not done and time.monotonic() < deadline:
-            time.sleep(0.01)
-        scheduler.stop()
-        assert done == ["unit"]
+        runner.run_units_batched = always_fails
+        settings = Settings(service_retries=2)
+        with CampaignService(runner, settings=settings, workers=1) as service:
+            job = service.submit(RunSpec(
+                environments=(TS,),
+                modes=(AdaptationMode.EXH_DYN,),
+                workloads=two_workloads,
+            ))
+            with pytest.raises(JobFailedError) as excinfo:
+                service.result(job, timeout=60)
+        (failure,) = excinfo.value.failures
+        assert failure.attempts == 3
+        assert attempts_seen.count([(failure.chip_index, 0)]) == 3
 
     def test_claim_predicate_drops_items(self):
         done = []
         scheduler = CellScheduler(
-            lambda item: item,
+            lambda neg_priority, item: done.append(item),
             workers=1,
-            policy=RetryPolicy(retries=0),
-            on_done=lambda item, result, attempts: done.append(item),
-            on_failed=lambda *a: None,
             claim=lambda item: item != "dead",
         )
         scheduler.start()
@@ -533,10 +487,10 @@ class TestDaemon:
     def test_remote_failure_report(self, daemon, two_workloads):
         service = daemon.service
 
-        def broken(env, mode, chip_index, core_index, *args, **kwargs):
+        def broken(env, mode, units, *args, **kwargs):
             raise RuntimeError("remote boom")
 
-        service.runner.run_unit = broken
+        service.runner.run_units_batched = broken
         client = ServiceClient(daemon.address)
         job = client.submit(RunSpec(
             environments=(TS,),
