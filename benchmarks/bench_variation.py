@@ -1,6 +1,6 @@
 """Perf smoke: the compute-once, share-everywhere variation front-end.
 
-Three comparisons, all asserting bit-identical physics:
+Two comparisons, both asserting bit-identical physics:
 
 * **population**: warm-factor batched sampling (one wide GEMM through
   the process-wide factor memo) vs the seed path (every
@@ -8,8 +8,6 @@ Three comparisons, all asserting bit-identical physics:
   This is the per-worker, per-scheduler-cell cost the memo amortises.
 * **factor cache**: a cold process with the content-addressed disk
   artifact (load ``factors/<key>.npz``) vs re-running the Cholesky.
-* **worker transport**: publishing + attaching the population through a
-  shared-memory segment vs the deterministic per-worker rebuild.
 
 Results land in ``BENCH_variation.json`` (``$EVAL_REPRO_BENCH_VARIATION_OUT``)
 for CI to upload next to ``BENCH_phase.json``.
@@ -26,7 +24,6 @@ import numpy as np
 
 from repro import __version__
 from repro.exps.cache import ExperimentCache, FactorStore
-from repro.exps.shm import SharedPopulation, attach
 from repro.variation import (
     DEFAULT_VARIATION_PARAMS,
     DieGrid,
@@ -127,34 +124,6 @@ def test_variation_front_end(benchmark):
         f"factor: cholesky {cholesky_s:.3f}s, "
         f"disk artifact {load_s:.3f}s -> {cholesky_s / max(load_s, 1e-9):.1f}x"
     )
-
-    # -- transport: shared-memory views vs deterministic rebuild --------
-    publish_start = time.perf_counter()
-    shared = SharedPopulation.publish(warm_chips, get_factor(grid, phi))
-    try:
-        attached, _, segment = attach(shared.handle)
-        attach_s = time.perf_counter() - publish_start
-
-        rebuild_start = time.perf_counter()
-        rebuilt = _seed_path_population()
-        rebuild_s = time.perf_counter() - rebuild_start
-
-        assert _chips_equal(attached, rebuilt)
-        sections["worker_transport"] = {
-            "segment_bytes": shared.nbytes,
-            "publish_attach_seconds": attach_s,
-            "rebuild_seconds": rebuild_s,
-            "speedup": rebuild_s / max(attach_s, 1e-9),
-        }
-        print(
-            f"transport ({shared.nbytes / 1e6:.1f} MB): publish+attach "
-            f"{attach_s:.3f}s, rebuild {rebuild_s:.3f}s -> "
-            f"{rebuild_s / max(attach_s, 1e-9):.1f}x"
-        )
-        del attached, segment
-    finally:
-        shared.close()
-        shared.unlink()
 
     path = _write_baseline(sections)
     print(f"variation baseline written to {path}")

@@ -4,27 +4,22 @@ The paper's evaluation is embarrassingly parallel across the chip
 population: every (chip, core) pair is adapted independently, sharing only
 read-only inputs (workload measurements, trained controller banks).  The
 engine shards the population across a :class:`~concurrent.futures.
-ProcessPoolExecutor`.  Workers rebuild their cores locally from the
-``(seed, chip_index)`` recipe — the Monte-Carlo population draw is
-deterministic — so only light, picklable specs cross process boundaries:
-a :class:`~repro.exps.runner.RunnerConfig`, a :class:`Calibration`,
-:class:`Environment` values, and the :class:`~repro.exps.runner.
-PhaseResult` record dicts coming back.
+ProcessPoolExecutor`.  Workers receive the parent's objects through the
+pool initializer: the sampled population, the Fuzzy-Dyn banks the parent
+trained (or loaded) before the pool started, and the light specs — a
+:class:`~repro.exps.runner.RunnerConfig`, a :class:`Calibration` and the
+workloads.  :class:`Environment` values and unit lists go out per block,
+and :class:`~repro.exps.runner.PhaseResult` record dicts come back.
 
-Heavy shared artifacts never ride the pipe.  Trained fuzzy banks are
-written to the content-addressed disk cache (:mod:`repro.exps.cache`) by
-the parent before dispatch and loaded by workers; when the caller did not
-configure a cache, an ephemeral one is created for the duration of the
-run.  Determinism is by construction: a worker executes exactly the same
-per-(chip, core) unit function as the serial loop, and units are
-reassembled in serial iteration order, so a parallel run is bit-identical
-to the serial run at the same seed.
+Determinism is by construction: a worker executes exactly the same
+per-(chip, core) unit function on the same chips and banks as the serial
+loop, and units are reassembled in serial iteration order, so a parallel
+run is bit-identical to the serial run at the same seed.
 """
 
 from __future__ import annotations
 
 import logging
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -205,10 +200,9 @@ class RunSpec:
         use_cache: ``False`` disables the disk cache entirely (the
             ``--no-cache`` flag); in-memory memoisation still applies.
 
-    With ``parallelism > 1`` the sampled population and correlation
-    factor always reach the pool workers through one shared memory
-    segment; if publishing or attaching fails, workers rebuild them
-    deterministically — bit-identical rows either way.
+    With ``parallelism > 1`` the pool workers receive the runner's
+    population and Fuzzy-Dyn banks through the pool initializer, so a
+    parallel run writes nothing the serial run would not.
     """
 
     environments: Tuple[Environment, ...]
@@ -285,33 +279,25 @@ class RunResult:
 
 # ----------------------------------------------------------------------
 # Worker-side machinery.  Globals are per-process: the initializer runs
-# once per worker and rebuilds the full runner from the light specs.
+# once per worker and builds its runner from the parent's objects.
 # ----------------------------------------------------------------------
 _WORKER_RUNNER = None
-_WORKER_BANK_CACHE = None
-#: The attached shared memory segment, if any.  The worker's population
-#: arrays are views into its buffer, so the reference must stay alive for
-#: the whole worker lifetime.
-_WORKER_SHM = None
+_WORKER_BANKS: Dict[str, "ControllerBank"] = {}
 
 
 def _init_worker(
-    config, calib, core_config, workloads, cache_root, bank_cache_root,
-    obs_enabled, shm_handle=None,
+    config, calib, core_config, workloads, cache_root, population, banks,
+    obs_enabled,
 ) -> None:
-    """Build this worker's private runner (population, cores, caches).
+    """Build this worker's private runner on the parent's population.
 
-    ``cache_root`` is the user-facing artifact cache (``None`` when the
-    caller disabled caching), while ``bank_cache_root`` is the bank
-    transport — possibly an ephemeral directory — that heavy trained
-    banks always travel through.  Keeping them separate means
-    ``--no-cache`` runs really do skip the measurement/summary cache in
-    workers, so serial and parallel runs produce the same cache counters.
+    ``banks`` maps environment names to the Fuzzy-Dyn banks the parent
+    holds for this campaign; ``cache_root`` is the artifact cache
+    (``None`` when the caller disabled caching), so ``--no-cache`` runs
+    skip the measurement cache in workers too.
     """
-    global _WORKER_RUNNER, _WORKER_BANK_CACHE, _WORKER_SHM
-    from ..variation import prime_factor
+    global _WORKER_RUNNER, _WORKER_BANKS
     from .runner import ExperimentRunner
-    from .shm import attach
 
     # Fork-started workers inherit the parent's metric state; start from a
     # clean slate so drained deltas only ever contain this worker's work.
@@ -320,34 +306,13 @@ def _init_worker(
         obs.enable()
     else:
         obs.disable()
-    cache = ExperimentCache(cache_root) if cache_root else None
-    _WORKER_BANK_CACHE = (
-        ExperimentCache(bank_cache_root) if bank_cache_root else None
-    )
-    population = None
-    if shm_handle is not None:
-        try:
-            population, factor, _WORKER_SHM = attach(shm_handle)
-            if factor is not None:
-                prime_factor(
-                    factor, shm_handle.grid, shm_handle.params.phi
-                )
-        except Exception:
-            # Any transport failure degrades to the deterministic
-            # rebuild below — slower, never wrong.
-            log.warning(
-                "shared memory attach failed; rebuilding population",
-                exc_info=True,
-            )
-            population = None
-    obs.inc("engine.shm.attached", 1.0 if population is not None else 0.0)
-    obs.inc("engine.shm.rebuilt", 0.0 if population is not None else 1.0)
+    _WORKER_BANKS = banks
     _WORKER_RUNNER = ExperimentRunner(
         config,
         calib,
         workloads=workloads,
         core_config=core_config,
-        cache=cache,
+        cache=ExperimentCache(cache_root) if cache_root else None,
         population=population,
     )
 
@@ -359,10 +324,9 @@ def _worker_block(env, mode, units):
     :class:`UnitExecutionError` (:func:`run_units_guarded`), plus the
     worker's metric delta.
     """
-    bank = None
-    if mode is AdaptationMode.FUZZY_DYN and _WORKER_BANK_CACHE is not None:
-        bank = _WORKER_RUNNER.bank_for(env, cache=_WORKER_BANK_CACHE)
-    outcomes = run_units_guarded(_WORKER_RUNNER, env, mode, units, bank=bank)
+    outcomes = run_units_guarded(
+        _WORKER_RUNNER, env, mode, units, bank=_WORKER_BANKS.get(env.name)
+    )
     return (
         [
             outcome if isinstance(outcome, UnitExecutionError)
@@ -452,15 +416,6 @@ def execute(runner, spec: RunSpec) -> RunResult:
                     runner, spec, pending, workloads, cache, campaign
                 )
             else:
-                # Structural parity with the parallel path: the same
-                # metric names exist in a serial run, zero-valued — no
-                # segment is published and the factor memo is not
-                # consulted when units run in-process.
-                obs.set_gauge("engine.shm_bytes", 0.0)
-                obs.inc("engine.shm.attached", 0.0)
-                obs.inc("engine.shm.rebuilt", 0.0)
-                obs.inc("variation.factor.hits", 0.0)
-                obs.inc("variation.factor.misses", 0.0)
                 # One block per cell: all of its (chip, core) units
                 # advance through one population-batched program.
                 blocks = _cell_blocks(runner, pending, 1)
@@ -499,9 +454,9 @@ class SupervisedExecutor:
     """A supervised process pool executing campaign units.
 
     Owns a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    are initialised from a runner's light specs (:func:`_init_worker`),
-    submits ``_worker_block`` shards, and reassembles results in
-    submission order.  A unit failure comes back as the worker's own
+    are initialised with a runner's specs, population and banks
+    (:func:`_init_worker`), submits ``_worker_block`` shards, and
+    reassembles results in submission order.  A unit failure comes back as the worker's own
     :class:`UnitExecutionError` and is re-raised as is; worker metric
     deltas are merged into the campaign registry so ``--jobs N`` totals
     stay fleet-wide.
@@ -512,9 +467,8 @@ class SupervisedExecutor:
         runner,
         workloads: Sequence[WorkloadProfile],
         cache: Optional[ExperimentCache],
-        transport: ExperimentCache,
+        banks: Dict[str, "ControllerBank"],
         max_workers: int,
-        shm_handle=None,
     ):
         self._pool = ProcessPoolExecutor(
             max_workers=max_workers,
@@ -525,9 +479,9 @@ class SupervisedExecutor:
                 runner.core_config,
                 tuple(workloads),
                 str(cache.root) if cache is not None else None,
-                str(transport.root),
+                runner.population,
+                banks,
                 obs.enabled(),
-                shm_handle,
             ),
         )
 
@@ -550,8 +504,8 @@ class SupervisedExecutor:
         """Execute unit blocks concurrently; per-unit rows, in order.
 
         The first failed unit raises its own :class:`UnitExecutionError`.
-        A block that fails outside any unit (the worker died, or its bank
-        did not load) is blamed on the block's first unit.
+        A block that fails outside any unit (the worker died) is blamed
+        on the block's first unit.
         """
         from .runner import PhaseResult
 
@@ -588,71 +542,27 @@ def _execute_parallel(
     campaign: obs.MetricsRegistry,
 ) -> Dict[Tuple[str, str], "SuiteSummary"]:
     """Shard pending cells over a supervised pool; reassemble in order."""
-    # Banks must reach the workers; they are far too heavy for the pipe,
-    # so they travel through the disk cache (an ephemeral one if needed).
-    ephemeral = None
-    transport = cache
-    if transport is None:
-        ephemeral = tempfile.TemporaryDirectory(prefix="eval-repro-cache-")
-        transport = ExperimentCache(ephemeral.name)
-    shared = _publish_population(runner)
-    obs.set_gauge(
-        "engine.shm_bytes", float(shared.nbytes) if shared is not None else 0.0
+    # Workers get the banks with the population, through the pool
+    # initializer; bank_for persists them only where a cache is set.
+    banks = {
+        env.name: runner.bank_for(env, cache=cache)
+        for env, mode, _ in pending
+        if mode is AdaptationMode.FUZZY_DYN
+    }
+    n_units = len(pending) * runner.config.n_chips * runner.config.cores_per_chip
+    # Honour the requested parallelism (the caller knows the machine);
+    # never spin up more workers than there are units to run.
+    max_workers = min(spec.parallelism, n_units)
+    # Each cell's unit list is cut into contiguous blocks, one per
+    # worker, so every worker amortises its share of the population
+    # into one batched program.
+    blocks = _cell_blocks(runner, pending, max_workers)
+    log.debug(
+        "sharding %d units (%d blocks) across %d workers",
+        n_units, len(blocks), max_workers,
     )
-    try:
-        for env, mode, _ in pending:
-            if mode is AdaptationMode.FUZZY_DYN:
-                runner.bank_for(env, cache=transport)
-
-        n_units = (
-            len(pending) * runner.config.n_chips * runner.config.cores_per_chip
-        )
-        # Honour the requested parallelism (the caller knows the machine);
-        # never spin up more workers than there are units to run.
-        max_workers = min(spec.parallelism, n_units)
-        # Each cell's unit list is cut into contiguous blocks, one per
-        # worker, so every worker amortises its share of the population
-        # into one batched program.
-        blocks = _cell_blocks(runner, pending, max_workers)
-        log.debug(
-            "sharding %d units (%d blocks) across %d workers",
-            n_units, len(blocks), max_workers,
-        )
-        with SupervisedExecutor(
-            runner, workloads, cache, transport, max_workers,
-            shm_handle=shared.handle if shared is not None else None,
-        ) as pool:
-            block_rows = pool.run_unit_blocks(blocks, campaign)
-        return _summarise_blocks(blocks, block_rows)
-    finally:
-        if shared is not None:
-            # The pool is down (SupervisedExecutor.__exit__ ran), so no
-            # worker still maps the segment; release it.
-            shared.close()
-            shared.unlink()
-        if ephemeral is not None:
-            ephemeral.cleanup()
-
-
-def _publish_population(runner):
-    """Publish the runner's population (+factor) to shared memory.
-
-    Returns the parent-side :class:`~repro.exps.shm.SharedPopulation`
-    owner, or ``None`` if anything about the platform refuses (no
-    ``/dev/shm``, size limits, heterogeneous chips): transport is an
-    optimisation, and workers fall back to the deterministic rebuild.
-    """
-    from ..variation import get_factor
-    from .shm import SharedPopulation
-
-    try:
-        population = runner.population
-        chip = population[0]
-        factor = get_factor(chip.grid, chip.params.phi)
-        return SharedPopulation.publish(population, factor)
-    except Exception:
-        log.warning(
-            "shared memory publish failed; workers will rebuild",
-            exc_info=True,
-        )
-        return None
+    with SupervisedExecutor(
+        runner, workloads, cache, banks, max_workers
+    ) as pool:
+        block_rows = pool.run_unit_blocks(blocks, campaign)
+    return _summarise_blocks(blocks, block_rows)

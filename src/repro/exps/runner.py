@@ -59,7 +59,9 @@ from ..microarch.simulator import (
 )
 from ..microarch.workloads import WorkloadProfile, spec2000_like_suite
 from ..mitigation.base import TechniqueState
-from ..ml.bank import ControllerBank, get_bank
+# Bound as ``get_bank``: the perfbench tracer's ``ml.bank`` group wraps
+# that name in this module.
+from ..ml.bank import ControllerBank, train_controller_bank as get_bank
 from ..ml.training import DEFAULT_N_RULES
 from ..timing.speculation import performance
 from .. import variation
@@ -77,7 +79,7 @@ class RunnerConfig:
     Every field here is *physics-relevant* and therefore hashed into the
     content-addressed cache keys (:func:`repro.exps.cache.summary_key`):
     changing any of them can change results, so it must change the key.
-    Pure execution strategy (parallelism, transport) lives on
+    Pure execution strategy (parallelism, caching) lives on
     :class:`~repro.exps.engine.RunSpec` instead.
     """
 
@@ -243,10 +245,9 @@ class ExperimentRunner:
             # from disk instead of re-factorising.
             variation.set_store(FactorStore(cache))
         if population is not None:
-            # Pre-sampled chips, e.g. attached from a shared memory
-            # segment published by the engine's parent process.  The
-            # transport is an optimisation, not physics: the arrays are
-            # exactly what the deterministic rebuild below would draw.
+            # Pre-sampled chips, e.g. the engine parent's population
+            # handed to a pool worker: the same arrays the draw below
+            # would produce.
             population = list(population)
             if len(population) != config.n_chips:
                 raise ValueError(
@@ -396,12 +397,6 @@ class ExperimentRunner:
                 if self.cache is not None:
                     self.cache.save_measurement(keys[index], meas)
         return out
-
-    def _measure(
-        self, profile: WorkloadProfile, config: CoreConfig
-    ) -> WorkloadMeasurement:
-        """One measurement, through the disk cache when configured."""
-        return self._measure_batch([(profile, config)])[0]
 
     def bank_for(
         self, env: Environment, cache: Optional[ExperimentCache] = None

@@ -14,7 +14,6 @@ from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, SimResult, simulate
 from .simulator import (
     WorkloadMeasurement,
     clear_measurement_cache,
-    measure_suite,
     measure_workload,
 )
 from .trace import SyntheticTrace, generate_trace
@@ -43,7 +42,6 @@ __all__ = [
     "clear_measurement_cache",
     "generate_phase_stream",
     "generate_trace",
-    "measure_suite",
     "measure_workload",
     "queue_of",
     "rho_vector",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,8 +133,6 @@ def measure_workload(
     config: CoreConfig = DEFAULT_CORE_CONFIG,
     n_instructions: int = 12000,
     seed: int = 0,
-    floorplan: Optional[Floorplan] = None,
-    mem_latency_cycles: Optional[int] = None,
 ) -> WorkloadMeasurement:
     """Measure one workload-phase on one core configuration (cached).
 
@@ -144,22 +142,14 @@ def measure_workload(
         n_instructions: Trace length; 12k instructions is enough for CPI
             to stabilise within ~1%.
         seed: Trace RNG seed.
-        floorplan: Floorplan for activity extraction (default Fig 7(b)).
-        mem_latency_cycles: Override of the L2-miss round trip used to
-            derive the overlap factor (defaults to the config's).
     """
-    return measure_suite_batched(
-        [(profile, config)], n_instructions, seed, floorplan,
-        mem_latency_cycles,
-    )[0]
+    return measure_suite_batched([(profile, config)], n_instructions, seed)[0]
 
 
 def measure_suite_batched(
     requests: Sequence[Tuple[WorkloadProfile, CoreConfig]],
     n_instructions: int = 12000,
     seed: int = 0,
-    floorplan: Optional[Floorplan] = None,
-    mem_latency_cycles: Optional[int] = None,
 ) -> List[WorkloadMeasurement]:
     """Measure many (profile, config) pairs with batched trace walks.
 
@@ -168,21 +158,15 @@ def measure_suite_batched(
     :func:`~repro.microarch.pipeline.simulate_batch` call, with the
     CPI/overlap extraction applied per variant afterwards.  Returns the
     measurements in request order, bit-identical to measuring each
-    request on its own.
+    request on its own.  Activity is extracted over the Fig 7(b)
+    floorplan.
     """
-    floorplan = floorplan or _default_floorplan_singleton()
-    floorplan_names = tuple(floorplan.names)
+    floorplan = _default_floorplan_singleton()
     requests = list(requests)
     out: List[Optional[WorkloadMeasurement]] = [None] * len(requests)
     missing: "OrderedDict[Tuple, List[int]]" = OrderedDict()
     for index, (profile, config) in enumerate(requests):
-        key = (
-            _profile_key(profile),
-            config,
-            n_instructions,
-            seed,
-            floorplan_names,
-        )
+        key = (_profile_key(profile), config, n_instructions, seed)
         cached = _cache_get(key)
         if cached is not None:
             out[index] = cached
@@ -210,9 +194,8 @@ def measure_suite_batched(
         for slot, (key, prof, config) in enumerate(group):
             full = sims[2 * slot]
             comp = sims[2 * slot + 1]
-            latency = mem_latency_cycles or config.mem_latency
             if mr > 0.0:
-                overlap = (full.cpi - comp.cpi) / (mr * latency)
+                overlap = (full.cpi - comp.cpi) / (mr * config.mem_latency)
                 overlap = float(np.clip(overlap, 0.05, 1.0))
             else:
                 overlap = 1.0  # irrelevant: no misses
@@ -233,19 +216,3 @@ def measure_suite_batched(
                 out[index] = measurement
     return out
 
-
-def measure_suite(
-    profiles,
-    config: CoreConfig = DEFAULT_CORE_CONFIG,
-    n_instructions: int = 12000,
-    seed: int = 0,
-):
-    """Measure a list of profiles; returns them in input order.
-
-    Routed through :func:`measure_suite_batched`, so each profile's
-    trace is generated and decoded once for its full and L2-suppressed
-    walks.
-    """
-    return measure_suite_batched(
-        [(profile, config) for profile in profiles], n_instructions, seed
-    )

@@ -7,8 +7,6 @@ from .bank import (
     QUEUE_FULL,
     QUEUE_RESIZED,
     ControllerBank,
-    clear_bank_cache,
-    get_bank,
     train_controller_bank,
 )
 from .dataset import (
@@ -42,9 +40,7 @@ __all__ = [
     "QUEUE_RESIZED",
     "SampledInputs",
     "TrainingReport",
-    "clear_bank_cache",
     "generate_training_data",
-    "get_bank",
     "load_bank",
     "sample_inputs",
     "save_bank",

@@ -12,7 +12,8 @@ since the variant changes the stage's delay distribution.
 Training is the manufacturer-site procedure: Exhaustive-labelled samples
 (:mod:`repro.ml.dataset`) fed to the Appendix A gradient trainer.  Banks
 depend only on design-level constants, so one bank serves an entire chip
-population; :func:`get_bank` memoises them.
+population; :meth:`repro.exps.runner.ExperimentRunner.bank_for` memoises
+them per calibration, knob set and training budget.
 """
 
 from __future__ import annotations
@@ -348,38 +349,3 @@ def train_controller_bank(
 def hashish(text: str) -> int:
     """Small deterministic hash for seed derivation."""
     return sum(ord(c) * (i + 1) for i, c in enumerate(text))
-
-
-_BANK_CACHE: Dict[Tuple, ControllerBank] = {}
-
-
-def get_bank(
-    core: Core,
-    spec: OptimizationSpec,
-    n_examples: int = 10000,
-    epochs: int = 2,
-    seed: int = 0,
-) -> ControllerBank:
-    """Memoised :func:`train_controller_bank` keyed on the knob set."""
-    key = (
-        tuple(np.round(spec.vdd_levels, 4)),
-        tuple(np.round(spec.vbb_levels, 4)),
-        round(spec.pe_budget, 12),
-        round(spec.t_max, 3),
-        round(spec.t_heatsink, 3),
-        n_examples,
-        epochs,
-        seed,
-    )
-    bank = _BANK_CACHE.get(key)
-    if bank is None:
-        bank = train_controller_bank(
-            core, spec, n_examples=n_examples, epochs=epochs, seed=seed
-        )
-        _BANK_CACHE[key] = bank
-    return bank
-
-
-def clear_bank_cache() -> None:
-    """Drop all memoised banks (used by tests)."""
-    _BANK_CACHE.clear()

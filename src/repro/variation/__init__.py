@@ -12,7 +12,6 @@ from .factors import (
     get_factor,
     get_store,
     memo_size,
-    prime_factor,
     set_store,
 )
 from .grid import DieGrid
@@ -39,7 +38,6 @@ __all__ = [
     "get_factor",
     "get_store",
     "memo_size",
-    "prime_factor",
     "set_store",
     "spherical_correlation",
 ]

@@ -144,29 +144,6 @@ def get_factor(
         return factor
 
 
-def prime_factor(
-    factor: np.ndarray,
-    grid: DieGrid,
-    phi: float,
-    jitter: float = DEFAULT_JITTER,
-) -> np.ndarray:
-    """Seed the memo with an externally obtained factor (e.g. from shared
-    memory) and return the read-only array actually memoised.
-
-    An existing memo entry wins: priming is a transport optimisation, and
-    the first factor observed for a key is as good as any later copy.
-    """
-    key = factor_key_data(grid, phi, jitter)
-    with _lock:
-        existing = _memo.get(key)
-        if existing is not None:
-            return existing
-        factor = np.ascontiguousarray(factor, dtype=float)
-        factor.setflags(write=False)
-        _memo[key] = factor
-        return factor
-
-
 def _load_from_store(key: FactorKey) -> Optional[np.ndarray]:
     if _store is None:
         return None

@@ -156,7 +156,7 @@ class TestParallelDeterminism:
         assert serial.power == parallel.power
 
     def test_parallel_fuzzy_matches_serial(self, two_workloads):
-        """Banks shipped to workers via the npz cache change nothing."""
+        """Banks shipped through the pool initializer change nothing."""
         spec_args = dict(
             environments=(TS_ASV,),
             modes=(AdaptationMode.FUZZY_DYN,),
@@ -170,114 +170,42 @@ class TestParallelDeterminism:
         ).summary(TS_ASV)
         assert serial.results == parallel.results
 
-
-def _parallel_ts_run(workloads):
-    """A 2-worker TS/Exh-Dyn run: (summary, its metrics document)."""
-    from repro import obs
-
-    scope = obs.MetricsRegistry()
-    with obs.scoped(scope):
-        summary = ExperimentRunner(ENGINE_CONFIG).run(RunSpec(
-            environments=(TS,),
-            modes=(AdaptationMode.EXH_DYN,),
-            workloads=workloads,
-            parallelism=2,
-        )).summary(TS)
-    return summary, scope.to_dict()
-
-
-@pytest.fixture(scope="module")
-def shm_run(two_workloads):
-    return _parallel_ts_run(two_workloads)
-
-
-class TestSharedMemoryTransport:
-    def test_shm_rows_byte_identical_to_rebuild(self, shm_run, two_workloads):
-        """Shared memory changes transport, never physics: identical rows."""
-        shm, metrics = shm_run
-        rebuild = ExperimentRunner(ENGINE_CONFIG).run(RunSpec(
-            environments=(TS,), workloads=two_workloads,
-        )).summary(TS)
-        assert shm.results == rebuild.results  # frozen-dataclass equality
-        assert shm.f_rel == rebuild.f_rel
-        assert shm.perf_rel == rebuild.perf_rel
-        assert shm.power == rebuild.power
-        assert metrics["gauges"]["engine.shm_bytes"] > 0.0
-        assert metrics["counters"]["engine.shm.attached"] > 0.0
-
-    def test_publish_failure_falls_back_to_rebuild(
-        self, shm_run, two_workloads, monkeypatch
+    def test_no_cache_parallel_run_writes_nothing(
+        self, two_workloads, monkeypatch
     ):
-        from repro.exps.shm import SharedPopulation
+        """Banks reach the workers with the population, not through disk."""
+        import tempfile
 
-        def refuse(*args, **kwargs):
-            raise OSError("no /dev/shm")
+        from repro import obs
+        from repro.microarch.simulator import clear_measurement_cache
 
-        monkeypatch.setattr(SharedPopulation, "publish", refuse)
-        summary, metrics = _parallel_ts_run(two_workloads)
-        assert summary.results == shm_run[0].results
-        assert metrics["gauges"]["engine.shm_bytes"] == 0.0
-        assert metrics["counters"]["engine.shm.rebuilt"] > 0.0
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
 
-    def test_attach_failure_falls_back_to_rebuild(
-        self, shm_run, two_workloads, monkeypatch
-    ):
-        # Fork-started pool workers inherit the patched module attribute.
-        def refuse(handle):
-            raise FileNotFoundError(handle.name)
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
 
-        monkeypatch.setattr("repro.exps.shm.attach", refuse)
-        summary, metrics = _parallel_ts_run(two_workloads)
-        assert summary.results == shm_run[0].results
-        assert metrics["gauges"]["engine.shm_bytes"] > 0.0
-        assert metrics["counters"]["engine.shm.rebuilt"] > 0.0
-        assert metrics["counters"]["engine.shm.attached"] == 0.0
-
-    def test_publish_attach_roundtrip(self):
-        from repro.exps.shm import SharedPopulation, attach
-        from repro.variation import DieGrid, VariationModel, get_factor
-
-        model = VariationModel(grid=DieGrid(nx=8, ny=8))
-        population = model.population(3, seed=5)
-        factor = get_factor(model.grid, model.params.phi)
-        shared = SharedPopulation.publish(population, factor)
-        try:
-            chips, shared_factor, segment = attach(shared.handle)
-            assert len(chips) == len(population)
-            for ours, theirs in zip(population, chips):
-                assert np.array_equal(ours.vt_sys, theirs.vt_sys)
-                assert np.array_equal(ours.leff_sys, theirs.leff_sys)
-                assert ours.chip_id == theirs.chip_id
-                assert not theirs.vt_sys.flags.writeable
-            assert np.array_equal(shared_factor, factor)
-            del chips, shared_factor
-            segment.close()
-        finally:
-            shared.close()
-            shared.unlink()
-
-    def test_publish_without_factor(self):
-        from repro.exps.shm import SharedPopulation, attach
-        from repro.variation import DieGrid, VariationModel
-
-        model = VariationModel(grid=DieGrid(nx=6, ny=6))
-        population = model.population(2, seed=0)
-        shared = SharedPopulation.publish(population)
-        try:
-            chips, factor, segment = attach(shared.handle)
-            assert factor is None
-            assert np.array_equal(chips[1].vt_sys, population[1].vt_sys)
-            del chips
-            segment.close()
-        finally:
-            shared.close()
-            shared.unlink()
-
-    def test_publish_rejects_empty_population(self):
-        from repro.exps.shm import SharedPopulation
-
-        with pytest.raises(ValueError):
-            SharedPopulation.publish([])
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        spec_args = dict(
+            environments=(TS_ASV,),
+            modes=(AdaptationMode.FUZZY_DYN,),
+            workloads=two_workloads,
+            use_cache=False,
+        )
+        clear_measurement_cache()
+        scope = obs.MetricsRegistry()
+        with obs.scoped(scope):
+            parallel = ExperimentRunner(ENGINE_CONFIG).run(
+                RunSpec(parallelism=2, **spec_args)
+            ).summary(TS_ASV)
+        assert made == []
+        counters = scope.to_dict()["counters"]
+        assert not [name for name in counters if name.startswith("cache.")]
+        serial = ExperimentRunner(ENGINE_CONFIG).run(
+            RunSpec(**spec_args)
+        ).summary(TS_ASV)
+        assert serial.results == parallel.results
 
     def test_runner_accepts_injected_population(self):
         from repro.variation import VariationModel
@@ -400,6 +328,29 @@ class TestCache:
         assert loaded.optimism == tiny_bank.optimism
         assert np.array_equal(loaded.spec.vdd_levels, tiny_bank.spec.vdd_levels)
         assert cache.load_bank("absent") is None
+
+    def test_bank_follows_the_calibration(self):
+        """A recalibrated runner trains its own bank, never another's."""
+        from repro.ml import train_controller_bank
+        from tests.golden import bank_digest
+
+        default = ExperimentRunner(ENGINE_CONFIG).bank_for(TS_ASV)
+        calib = Calibration(
+            rth_coefficient=1.5 * DEFAULT_CALIBRATION.rth_coefficient
+        )
+        runner = ExperimentRunner(ENGINE_CONFIG, calib=calib)
+        bank = runner.bank_for(TS_ASV)
+        assert bank is not default
+        core = runner.core(0, 0)
+        fresh = train_controller_bank(
+            core,
+            TS_ASV.optimization_spec(core.n_subsystems, calib),
+            n_examples=ENGINE_CONFIG.fuzzy_examples,
+            epochs=ENGINE_CONFIG.fuzzy_epochs,
+            seed=ENGINE_CONFIG.seed,
+        )
+        assert bank_digest(bank) == bank_digest(fresh)
+        assert bank_digest(bank) != bank_digest(default)
 
     def test_bank_key_tracks_training_knobs(self, asv_spec):
         base = bank_key(DEFAULT_CALIBRATION, asv_spec, 300, 1, 7)

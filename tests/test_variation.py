@@ -16,7 +16,6 @@ from repro.variation import (
     factor_key_data,
     get_factor,
     memo_size,
-    prime_factor,
     set_store,
     spherical_correlation,
 )
@@ -297,20 +296,6 @@ class TestFactorMemo:
         assert memo_size() == 3
         clear_factor_memo()
         assert memo_size() == 0
-
-    def test_prime_factor_seeds_memo(self):
-        clear_factor_memo()
-        factor = correlated_normal_factor(
-            self.GRID.cell_centers(), 0.5, jitter=DEFAULT_JITTER
-        )
-        primed = prime_factor(factor.copy(), self.GRID, 0.5)
-        assert memo_size() == 1
-        assert not primed.flags.writeable
-        # The memo now serves the primed array without factorising.
-        assert get_factor(self.GRID, 0.5) is primed
-        # An existing entry wins over later priming attempts.
-        assert prime_factor(np.zeros_like(factor), self.GRID, 0.5) is primed
-        assert np.array_equal(get_factor(self.GRID, 0.5), factor)
 
     def test_store_roundtrip_and_cold_process_load(self, tmp_path):
         from repro.exps.cache import ExperimentCache, FactorStore
