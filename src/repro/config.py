@@ -26,14 +26,8 @@ Campaign-service knobs (see :mod:`repro.serve`)::
 
     EVAL_REPRO_SERVICE           daemon address, ``host:port`` (``--service``)
     EVAL_REPRO_SERVICE_MAX_JOBS  admission limit on live jobs
-    EVAL_REPRO_SERVICE_RETRIES   per-unit retry budget, shared by the
-                                 daemon's threads and its fleet workers
-
-Worker-fleet knobs (see :mod:`repro.serve.fleet`)::
-
-    EVAL_REPRO_WORKER_CONNECT      daemon a fleet worker joins (``--connect``)
-    EVAL_REPRO_HEARTBEAT_INTERVAL  worker heartbeat period, seconds
-    EVAL_REPRO_LEASE_TIMEOUT       lease age before it becomes stealable
+    EVAL_REPRO_SERVICE_RETRIES   per-unit retry budget of the daemon's
+                                 threads
 """
 
 from __future__ import annotations
@@ -64,9 +58,6 @@ class Settings:
     service_addr: Optional[str] = None
     service_max_jobs: int = 8
     service_retries: int = 1
-    worker_connect: Optional[str] = None
-    heartbeat_interval: float = 2.0
-    lease_timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -77,10 +68,6 @@ class Settings:
             raise ValueError("service_max_jobs must be >= 1")
         if self.service_retries < 0:
             raise ValueError("service_retries must be >= 0")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0")
-        if self.lease_timeout <= 0:
-            raise ValueError("lease_timeout must be > 0")
 
     # ------------------------------------------------------------------
     # Construction.
@@ -111,10 +98,6 @@ class Settings:
             raw = env.get(name)
             return bool(raw) if raw is not None else fallback
 
-        def number(name: str, fallback: float) -> float:
-            raw = env.get(name)
-            return float(raw) if raw not in (None, "") else fallback
-
         return cls(
             jobs=integer("EVAL_REPRO_JOBS", base.jobs),
             cache_dir=text("EVAL_REPRO_CACHE", base.cache_dir),
@@ -133,11 +116,6 @@ class Settings:
             service_retries=integer(
                 "EVAL_REPRO_SERVICE_RETRIES", base.service_retries
             ),
-            worker_connect=text("EVAL_REPRO_WORKER_CONNECT", base.worker_connect),
-            heartbeat_interval=number(
-                "EVAL_REPRO_HEARTBEAT_INTERVAL", base.heartbeat_interval
-            ),
-            lease_timeout=number("EVAL_REPRO_LEASE_TIMEOUT", base.lease_timeout),
         )
 
     @classmethod
@@ -173,11 +151,6 @@ class Settings:
             service_addr=take("service", base.service_addr),
             service_max_jobs=take("service_max_jobs", base.service_max_jobs),
             service_retries=take("service_retries", base.service_retries),
-            worker_connect=take("connect", base.worker_connect),
-            heartbeat_interval=take(
-                "heartbeat_interval", base.heartbeat_interval
-            ),
-            lease_timeout=take("lease_timeout", base.lease_timeout),
         )
 
     @staticmethod
@@ -220,8 +193,8 @@ class Settings:
         parser.add_argument(
             "--metrics-out",
             default=defaults.metrics_out,
-            help="write the merged fleet-wide metrics registry to this "
-                 "JSON file at exit",
+            help="write the metrics registry, merged across --jobs "
+                 "workers, to this JSON file at exit",
         )
 
     @staticmethod
@@ -245,56 +218,9 @@ class Settings:
             "--service-retries",
             type=int,
             default=defaults.service_retries,
-            help="failed attempts a unit may retry, on any worker, before "
+            help="failed attempts a unit may retry before "
                  "its cell is declared poisoned "
                  "(default: $EVAL_REPRO_SERVICE_RETRIES or 1)",
-        )
-
-    @staticmethod
-    def add_fleet_arguments(
-        parser: argparse.ArgumentParser,
-        defaults: "Settings",
-        role: str = "daemon",
-    ) -> None:
-        """Register the worker-fleet flags (:mod:`repro.serve.fleet`).
-
-        Both the daemon and the ``worker`` subcommand call this;
-        ``role`` selects the side-specific flags (the daemon owns the
-        liveness policy, the worker owns where it connects).
-        """
-        if role == "worker":
-            parser.add_argument(
-                "--connect",
-                default=defaults.worker_connect or defaults.service_addr,
-                metavar="HOST:PORT",
-                help="daemon to register with "
-                     "(default: $EVAL_REPRO_WORKER_CONNECT or "
-                     "$EVAL_REPRO_SERVICE)",
-            )
-            return
-        parser.add_argument(
-            "--heartbeat-interval",
-            type=float,
-            default=defaults.heartbeat_interval,
-            metavar="SECONDS",
-            help="fleet worker heartbeat period; a worker missing three "
-                 "beats is declared dead and its leases are re-queued "
-                 "(default: $EVAL_REPRO_HEARTBEAT_INTERVAL or 2)",
-        )
-        parser.add_argument(
-            "--lease-timeout",
-            type=float,
-            default=defaults.lease_timeout,
-            metavar="SECONDS",
-            help="lease age after which an idle worker may steal the "
-                 "unit from its slow holder "
-                 "(default: $EVAL_REPRO_LEASE_TIMEOUT or 60)",
-        )
-        parser.add_argument(
-            "--fleet-only",
-            action="store_true",
-            help="run no in-process unit workers; all compute comes from "
-                 "registered fleet workers",
         )
 
     # ------------------------------------------------------------------

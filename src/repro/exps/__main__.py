@@ -18,11 +18,11 @@ across N worker processes (results are bit-identical to ``--jobs 1``);
 ``--cache-dir`` persists measurements, trained fuzzy banks, and suite
 summaries across invocations; ``--no-cache`` disables the disk cache.
 ``--log-level/--log-json`` control the ``repro`` logger and
-``--metrics-out PATH`` writes the merged fleet-wide metrics registry as
-JSON at exit.  ``--service HOST:PORT`` delegates the ladder targets to a
-running campaign daemon (``python -m repro.serve daemon``) instead of
-computing them in-process.  Every flag's default comes from the
-corresponding ``EVAL_REPRO_*`` environment variable (see
+``--metrics-out PATH`` writes the metrics registry, merged across the
+``--jobs`` workers, as JSON at exit.  ``--service HOST:PORT`` delegates
+the ladder targets to a running campaign daemon (``python -m repro.serve
+daemon``) instead of computing them in-process.  Every flag's default
+comes from the corresponding ``EVAL_REPRO_*`` environment variable (see
 :mod:`repro.config`).
 """
 

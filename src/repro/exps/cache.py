@@ -25,8 +25,8 @@ served — invalidation is free.
 byte-level ``get``/``put``/``exists``/``delete`` to one
 :class:`DirStore`: temp file + fsync + atomic rename, a ``.done``
 completed-write marker and an advisory lock per address, so one
-directory can be shared by concurrent processes and by a whole fleet of
-worker hosts (see :mod:`repro.serve.fleet`).
+directory can be shared by concurrent processes, pool workers and
+daemons.
 
 Layout under the cache root (each artifact with its ``.done`` marker
 and ``.lock`` file beside it)::
@@ -216,16 +216,16 @@ class DirStore:
     so a ``put`` for an existing address always carries semantically
     identical bytes: last-writer-wins is a safe conflict rule.
 
-    One directory may be mounted by a whole fleet of worker processes
-    and hosts (see :mod:`repro.serve.fleet` and DESIGN.md §12):
+    One directory may be shared by concurrent processes and daemons
+    (see DESIGN.md §12):
 
     * **Atomic writes** — data goes to a sibling temp file, is fsynced,
       and is renamed into place with ``os.replace``; a reader never sees
       a torn file.
     * **Completed-write markers** — after the rename, an empty
       ``<name>.done`` marker is created.  ``get`` only serves marked
-      artifacts, and ``is_complete`` reports the marker, so a reader on
-      another host never consumes (or deletes) a write that has not
+      artifacts, and ``is_complete`` reports the marker, so a reader in
+      another process never consumes (or deletes) a write that has not
       finished — rename atomicity and visibility ordering are weaker
       across network mounts than on a local disk.
     * **Advisory locks** — ``put`` and ``delete`` for one address are

@@ -38,11 +38,11 @@ class UnitExecutionError(RuntimeError):
 
     Raised (or returned by :func:`run_units_guarded`) instead of the
     worker's bare traceback so every consumer — the serial loop, the
-    process-pool path, the campaign service's threads and the fleet
-    worker — sees *which* unit died.  The original exception rides along
-    as ``__cause__`` in the raising process; across a process boundary
-    the error travels by value (see :meth:`__reduce__`) with the cause's
-    ``repr`` kept in the message.
+    process-pool path and the campaign service's threads — sees *which*
+    unit died.  The original exception rides along as ``__cause__`` in
+    the raising process; across a process boundary the error travels by
+    value (see :meth:`__reduce__`) with the cause's ``repr`` kept in the
+    message.
     """
 
     def __init__(
@@ -197,8 +197,11 @@ class RunSpec:
         parallelism: Worker processes; ``1`` runs in-process (serial).
         cache_dir: On-disk artifact cache root.  ``None`` falls back to
             the runner's configured cache (if any).
-        use_cache: ``False`` disables the disk cache entirely (the
-            ``--no-cache`` flag); in-memory memoisation still applies.
+        use_cache: ``False`` (the ``--no-cache`` flag) serves and stores
+            no summary and gives pool workers no cache.  A runner built
+            with its own cache still reads and writes measurements and
+            banks there on the serial path and in the pool parent;
+            in-memory memoisation still applies.
 
     With ``parallelism > 1`` the pool workers receive the runner's
     population and Fuzzy-Dyn banks through the pool initializer, so a
@@ -439,9 +442,10 @@ def execute(runner, spec: RunSpec) -> RunResult:
                 if cache is not None:
                     cache.save_summary(key, summary)
 
-    # Attach the fleet-wide campaign snapshot to every summary this call
-    # actually computed (cache hits keep whatever metrics they were saved
-    # with), then fold the campaign into the ambient process registry.
+    # Attach the campaign snapshot, merged across the --jobs workers, to
+    # every summary this call actually computed (cache hits keep whatever
+    # metrics they were saved with), then fold the campaign into the
+    # ambient process registry.
     if obs.enabled():
         metrics_doc = campaign.to_dict()
         for cell in computed_cells:
@@ -459,7 +463,7 @@ class SupervisedExecutor:
     reassembles results in submission order.  A unit failure comes back as the worker's own
     :class:`UnitExecutionError` and is re-raised as is; worker metric
     deltas are merged into the campaign registry so ``--jobs N`` totals
-    stay fleet-wide.
+    cover every worker.
     """
 
     def __init__(

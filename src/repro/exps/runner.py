@@ -179,11 +179,11 @@ class PhaseResult:
 class SuiteSummary:
     """Phase-weighted means over a whole run.
 
-    ``metrics`` is the observability block: the fleet-wide campaign
-    metrics snapshot (see :mod:`repro.obs`) attached by the engine to
-    every summary it computes.  It is excluded from equality so
-    serial/parallel determinism checks keep comparing physics, not
-    wall-clock timings.
+    ``metrics`` is the observability block: the campaign metrics
+    snapshot, merged across ``--jobs`` workers (see :mod:`repro.obs`),
+    attached by the engine to every summary it computes.  It is excluded
+    from equality so serial/parallel determinism checks keep comparing
+    physics, not wall-clock timings.
     """
 
     f_rel: float
@@ -504,16 +504,17 @@ class ExperimentRunner:
     ) -> List[List[PhaseResult]]:
         """Run a block of same-cell ``(chip, core)`` units as one program.
 
-        This is the engine's shard: the serial loop, the pool workers,
-        the campaign service's threads and the fleet workers all call it
-        (through :func:`~repro.exps.engine.run_units_guarded`).  Every unit of the block contributes its phase
-        lanes to one :func:`~repro.core.adaptation.optimize_units_batched`
-        call, so the retuning rounds, thermal solves and error-rate
-        evaluations of the whole population amortise into a handful of
-        array ops.  Static adapts once per unit, on the aggregated
-        measurement, and evaluates every (unit, phase) lane at that
-        configuration in one ``evaluate_at_fixed_config`` call.
-        Per-unit rows come back in unit order.
+        This is the engine's shard: the serial loop, the pool workers and
+        the campaign service's threads all call it (through
+        :func:`~repro.exps.engine.run_units_guarded`).  Every unit of the
+        block contributes its phase lanes to one
+        :func:`~repro.core.adaptation.optimize_units_batched` call, so the
+        retuning rounds, thermal solves and error-rate evaluations of the
+        whole population amortise into a handful of array ops.  Static
+        adapts once per unit, on the aggregated measurement, and
+        evaluates every (unit, phase) lane at that configuration in one
+        ``evaluate_at_fixed_config`` call.  Per-unit rows come back in
+        unit order.
         """
         units = [(int(chip), int(core)) for chip, core in units]
         workloads = list(workloads) if workloads is not None else self.workloads

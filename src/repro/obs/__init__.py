@@ -4,7 +4,8 @@ Three cooperating pieces (each in its own module):
 
 * :mod:`repro.obs.metrics` — a mergeable registry of counters, gauges
   and percentile histograms.  Workers drain per-unit deltas; the parent
-  merges them, so ``--jobs N`` campaigns report fleet-wide totals.
+  merges them, so ``--jobs N`` campaigns report totals merged across
+  the workers.
 * :mod:`repro.obs.spans` — nesting span timers that record into
   ``span.<name>_seconds`` histograms and compile to no-ops when
   observability is disabled.

@@ -7,8 +7,8 @@ and merges losslessly for counters/gauges and approximately for
 histograms (a bounded sample reservoir keeps percentile estimates
 meaningful after a merge).  Workers drain their registry per unit of
 work (:meth:`MetricsRegistry.drain`) and the parent folds the deltas in,
-so ``--jobs N`` runs report fleet-wide totals with the same metric names
-as a serial run.
+so ``--jobs N`` runs report totals merged across the workers, with the
+same metric names as a serial run.
 
 Instrumented call sites use the module-level helpers :func:`inc`,
 :func:`observe` and :func:`set_gauge`, which write into the *active*

@@ -4,10 +4,10 @@ Turns the in-process ``ExperimentRunner.run(spec)`` API into a
 multi-tenant service: submissions enter a priority job queue, decompose
 into (environment, mode, chip, core) units, coalesce against concurrent
 jobs through the artifact cache's content-addressed keys, and run from
-one priority queue drained by in-process threads and remote fleet
-workers alike — one block runner, one per-unit retry budget, and
-graceful degradation (a poisoned cell fails its job with a structured
-report; the service keeps serving everyone else).
+one priority queue drained by in-process threads — one block runner,
+one per-unit retry budget, and graceful degradation (a poisoned cell
+fails its job with a structured report; the service keeps serving
+everyone else).
 
 Three front doors:
 
@@ -23,31 +23,21 @@ Three front doors:
 from .batch import run_ladder_remote
 from .coalesce import CellTask, InFlightRegistry, UnitTask, build_cell
 from .daemon import DEFAULT_ADDRESS, ServiceClient, ServiceDaemon, parse_address
-from .fleet import FleetError, FleetRegistry, Lease, UnknownWorkerError, WorkerInfo
 from .jobs import CellFailure, Job, JobState
 from .protocol import (
-    FLEET_MIN_VERSION,
     PROTOCOL_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
-    LeasedUnit,
     ProtocolError,
     ProtocolVersionError,
     UnknownWorkloadError,
     check_version,
-    rows_from_wire,
-    rows_to_wire,
-    runner_context_from_wire,
-    runner_context_to_wire,
     spec_from_wire,
     spec_to_wire,
     summaries_from_wire,
     summaries_to_wire,
-    unit_from_wire,
-    unit_to_wire,
     workloads_from_wire,
     workloads_to_wire,
 )
-from .worker import FleetWorker
 from .scheduler import CellScheduler
 from .service import (
     CampaignService,
@@ -64,17 +54,11 @@ __all__ = [
     "CellScheduler",
     "CellTask",
     "DEFAULT_ADDRESS",
-    "FLEET_MIN_VERSION",
-    "FleetError",
-    "FleetRegistry",
-    "FleetWorker",
     "InFlightRegistry",
     "Job",
     "JobCancelledError",
     "JobFailedError",
     "JobState",
-    "Lease",
-    "LeasedUnit",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ProtocolVersionError",
@@ -85,23 +69,15 @@ __all__ = [
     "ServiceError",
     "UnitTask",
     "UnknownJobError",
-    "UnknownWorkerError",
     "UnknownWorkloadError",
-    "WorkerInfo",
     "build_cell",
     "check_version",
     "parse_address",
-    "rows_from_wire",
-    "rows_to_wire",
     "run_ladder_remote",
-    "runner_context_from_wire",
-    "runner_context_to_wire",
     "spec_from_wire",
     "spec_to_wire",
     "summaries_from_wire",
     "summaries_to_wire",
-    "unit_from_wire",
-    "unit_to_wire",
     "workloads_from_wire",
     "workloads_to_wire",
 ]

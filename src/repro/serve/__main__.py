@@ -3,19 +3,12 @@
 Usage::
 
     python -m repro.serve daemon --addr 127.0.0.1:7571 --chips 20 --jobs 4
-    python -m repro.serve worker --connect 127.0.0.1:7571 \
-        --cache-dir /mnt/shared/evalcache
     python -m repro.serve submit --env TS --env TS+ASV --mode Exh-Dyn --wait
     python -m repro.serve status job-1
     python -m repro.serve result job-1 --timeout 600
     python -m repro.serve cancel job-1
     python -m repro.serve ping
     python -m repro.serve shutdown
-
-``worker`` joins a daemon's fleet: it registers over protocol v3,
-leases (chip, core) units, computes them with a runner rebuilt from the
-daemon's fingerprinted physics context, and reports rows back.  Run the
-daemon with ``--fleet-only`` to delegate *all* compute to workers.
 
 Every client subcommand takes ``--addr HOST:PORT`` (default:
 ``$EVAL_REPRO_SERVICE`` or ``127.0.0.1:7571``); the daemon binds the same
@@ -79,11 +72,7 @@ def _run_daemon(args: argparse.Namespace, env_defaults: Settings) -> int:
         return 2
     settings.configure()
     runner = ExperimentRunner.from_settings(settings)
-    service = CampaignService(
-        runner,
-        settings=settings,
-        workers=0 if getattr(args, "fleet_only", False) else None,
-    )
+    service = CampaignService(runner, settings=settings)
     daemon = ServiceDaemon(service, address=args.addr)
     print(f"campaign service listening on {daemon.address}", flush=True)
     try:
@@ -97,51 +86,6 @@ def _run_daemon(args: argparse.Namespace, env_defaults: Settings) -> int:
                 json.dump(document, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"metrics written to {settings.metrics_out}")
-    return 0
-
-
-def _run_worker(args: argparse.Namespace, env_defaults: Settings) -> int:
-    from .worker import FleetWorker
-
-    try:
-        settings = Settings.from_args(args, base=env_defaults)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    settings.configure()
-    address = settings.worker_connect or settings.service_addr
-    if not address:
-        print(
-            "error: no daemon address (use --connect HOST:PORT or set "
-            "$EVAL_REPRO_WORKER_CONNECT)",
-            file=sys.stderr,
-        )
-        return 2
-    worker = FleetWorker(
-        address,
-        cache=settings.build_cache(),
-        max_idle=args.max_idle,
-        max_units_per_lease=args.max_units,
-    )
-    try:
-        done = worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-        done = worker.units_done
-    except (ServiceError, OSError) as exc:
-        print(
-            f"python -m repro.serve: cannot join fleet at {address}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    finally:
-        if settings.metrics_out:
-            document = obs.metrics_registry().to_dict()
-            with open(settings.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-    print(f"worker done: {done} unit(s) completed, "
-          f"{worker.units_failed} failed")
     return 0
 
 
@@ -176,23 +120,6 @@ def main(argv=None) -> int:
     daemon_p.add_argument("--seed", type=int, default=env_defaults.seed)
     Settings.add_cli_arguments(daemon_p, env_defaults)
     Settings.add_service_arguments(daemon_p, env_defaults)
-    Settings.add_fleet_arguments(daemon_p, env_defaults, role="daemon")
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="join a daemon's fleet: lease and compute units remotely",
-    )
-    Settings.add_fleet_arguments(worker_p, env_defaults, role="worker")
-    Settings.add_cli_arguments(worker_p, env_defaults)
-    worker_p.add_argument(
-        "--max-idle", type=float, default=None, metavar="SECONDS",
-        help="exit after this long without leased work "
-             "(default: poll until the daemon goes away)",
-    )
-    worker_p.add_argument(
-        "--max-units", type=int, default=1, metavar="N",
-        help="units requested per lease round trip (default: 1)",
-    )
 
     submit_p = with_addr(sub.add_parser(
         "submit", help="submit a campaign; prints the job id"
@@ -239,8 +166,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "daemon":
         return _run_daemon(args, env_defaults)
-    if args.command == "worker":
-        return _run_worker(args, env_defaults)
     try:
         return _run_client(args)
     except ServiceError as exc:

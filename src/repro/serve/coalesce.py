@@ -13,9 +13,8 @@ cell completes — or is poisoned — it leaves the registry: completed cells
 are served from the disk cache on the next submission, and poisoned ones
 get a fresh chance rather than being failed forever.
 
-:func:`run_block` is where a leased block of a cell's units meets the
-physics: the service's own threads and the remote fleet workers both
-execute units through it, so a unit behaves the same whoever runs it.
+:func:`run_block` is where a block of a cell's units meets the physics:
+the service's threads execute every unit through it.
 """
 
 from __future__ import annotations
@@ -113,15 +112,15 @@ def run_block(
     workloads: Sequence[WorkloadProfile],
     units: Sequence[Tuple[int, int]],
 ) -> List[Union[List[PhaseResult], UnitExecutionError]]:
-    """Run one leased same-cell block of ``(chip, core)`` units.
+    """Run one same-cell block of ``(chip, core)`` units.
 
-    The one executor of both queue consumers (the service's threads and
-    the fleet workers).  The NoVar pseudo-unit (always alone in its
-    block) is one ``novar_summary`` call; every other block goes through
-    :func:`~repro.exps.engine.run_units_guarded`, which fetches the
-    Fuzzy-Dyn bank inside its guard.  Returns, per unit in order, its
-    rows or the :class:`~repro.exps.engine.UnitExecutionError` naming it
-    — a failure is an outcome to report, never an escaping exception.
+    The executor of the service's threads.  The NoVar pseudo-unit (always
+    alone in its block) is one ``novar_summary`` call; every other block
+    goes through :func:`~repro.exps.engine.run_units_guarded`, which
+    fetches the Fuzzy-Dyn bank inside its guard.  Returns, per unit in
+    order, its rows or the :class:`~repro.exps.engine.UnitExecutionError`
+    naming it — a failure is an outcome to report, never an escaping
+    exception.
     """
     if units[0][0] == NOVAR_CHIP:
         try:

@@ -24,9 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 from .. import __version__, obs
 from ..exps.engine import RunSpec
 from .jobs import CellFailure
-from .fleet import UnknownWorkerError
 from .protocol import (
-    FLEET_MIN_VERSION,
     PROTOCOL_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
     ProtocolError,
@@ -37,12 +35,9 @@ from .protocol import (
     encode_line,
     error,
     ok,
-    rows_from_wire,
-    runner_context_to_wire,
     spec_from_wire,
     spec_to_wire,
     summaries_to_wire,
-    unit_to_wire,
 )
 from .service import (
     CampaignService,
@@ -158,7 +153,7 @@ class ServiceDaemon:
         :class:`ServiceError` (they become structured error responses)."""
         op = request.get("op")
         try:
-            effective = check_version(request)
+            check_version(request)
         except ProtocolVersionError as exc:
             # Structured rejection, not a KeyError: the client learns what
             # majors this daemon speaks and can downgrade or upgrade.
@@ -168,16 +163,6 @@ class ServiceDaemon:
                 requested=exc.requested,
                 supported=list(SUPPORTED_PROTOCOL_VERSIONS),
             )
-        if isinstance(op, str) and op.startswith("fleet."):
-            if effective < FLEET_MIN_VERSION:
-                return error(
-                    f"op {op!r} requires protocol v{FLEET_MIN_VERSION}+ "
-                    f"(request spoke v{effective})",
-                    kind="version",
-                    requested=effective,
-                    supported=list(SUPPORTED_PROTOCOL_VERSIONS),
-                )
-            return self._dispatch_fleet(op, request)
         try:
             if op == "ping":
                 return ok(
@@ -224,51 +209,6 @@ class ServiceDaemon:
             )
         except JobCancelledError as exc:
             return error(str(exc), kind="cancelled")
-        except KeyError as exc:
-            raise ProtocolError(f"request missing field {exc}") from exc
-        raise ProtocolError(f"unknown op {op!r}")
-
-    def _dispatch_fleet(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one ``fleet.*`` request (protocol v3+, workers only)."""
-        service = self.service
-        try:
-            if op == "fleet.register":
-                worker_id = service.fleet_register(request.get("meta"))
-                return ok(
-                    worker_id=worker_id,
-                    context=runner_context_to_wire(service.runner),
-                    heartbeat_interval=service.fleet.heartbeat_interval,
-                    lease_timeout=service.fleet.lease_timeout,
-                )
-            if op == "fleet.heartbeat":
-                service.fleet_heartbeat(request["worker_id"])
-                return ok(alive=True)
-            if op == "fleet.lease":
-                items = service.fleet_lease(
-                    request["worker_id"],
-                    max_units=int(request.get("max_units", 1)),
-                )
-                return ok(units=[unit_to_wire(cell, unit)
-                                 for cell, unit in items])
-            if op == "fleet.complete":
-                accepted = service.fleet_complete(
-                    request["worker_id"],
-                    request["unit_key"],
-                    rows_from_wire(request.get("rows") or []),
-                )
-                return ok(accepted=accepted)
-            if op == "fleet.fail":
-                charged = service.fleet_fail(
-                    request["worker_id"],
-                    request["unit_key"],
-                    str(request.get("error", "worker reported failure")),
-                )
-                return ok(charged=charged)
-        except UnknownWorkerError as exc:
-            return error(
-                f"unknown or retired worker {exc.args[0]!r}; re-register",
-                kind="unknown-worker",
-            )
         except KeyError as exc:
             raise ProtocolError(f"request missing field {exc}") from exc
         raise ProtocolError(f"unknown op {op!r}")
@@ -331,8 +271,6 @@ class ServiceClient:
             raise ServiceBusyError(message)
         if kind == "unknown-job":
             raise UnknownJobError(message)
-        if kind == "unknown-worker":
-            raise UnknownWorkerError(message)
         if kind == "failed":
             raise JobFailedError(
                 response.get("job_id", "?"),

@@ -12,11 +12,11 @@ Specs cross the wire by *name*: environments by their Table 1 names
 :class:`~repro.core.environments.AdaptationMode` values, suite workloads
 by their suite names.  Non-suite workloads — generated families, ingested
 traces, evolved adversaries (:mod:`repro.workloads`) — ride *inline* as
-their canonical :meth:`WorkloadProfile.to_wire` documents, so a daemon or
-fleet worker rebuilds them bit-identically and the content-addressed
-cache keys still hold.  Custom in-memory :class:`Environment` objects
-cannot be submitted remotely — that is the price of a content-addressed,
-language-neutral wire format.  Engine-level spec fields (``parallelism``,
+their canonical :meth:`WorkloadProfile.to_wire` documents, so a daemon
+rebuilds them bit-identically and the content-addressed cache keys still
+hold.  Custom in-memory :class:`Environment` objects cannot be submitted
+remotely — that is the price of a content-addressed, language-neutral
+wire format.  Engine-level spec fields (``parallelism``,
 ``cache_dir``, ``use_cache``) are intentionally absent: server-side
 policy governs them.
 
@@ -27,7 +27,6 @@ format, nested per cell, so a socket result is rebuilt bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.environments import AdaptationMode, by_name
@@ -38,21 +37,15 @@ from ..microarch.workloads import WorkloadProfile, spec2000_like_suite
 #: The protocol major this build speaks.  Bumped on breaking wire-format
 #: changes; every request and response carries it in a ``"v"`` field.
 #: v2 added the explicit version handshake itself (requests may carry
-#: ``"v"``; ``ping`` reports ``{"v", "__version__"}``).  v3 added the
-#: worker-fleet surface (``register``/``lease``/``heartbeat``/
-#: ``complete``/``fail``) — see :mod:`repro.serve.fleet`.
+#: ``"v"``; ``ping`` reports ``{"v", "__version__"}``).  v3 added
+#: remote-worker operations that this build no longer has: v3 clients
+#: keep working, and those operations get the ``unknown op`` error.
 PROTOCOL_VERSION = 3
 
 #: Majors this build still understands.  v1 requests (no ``"v"`` field,
 #: or ``"v": 1``) predate the handshake and are accepted unchanged — the
-#: client operation surface is identical across all three majors; only
-#: the fleet operations are gated on :data:`FLEET_MIN_VERSION`.
+#: client operation surface is identical across all three majors.
 SUPPORTED_PROTOCOL_VERSIONS = (1, 2, 3)
-
-#: The first major that carries the fleet operations.  Older clients can
-#: still submit jobs, ping, and shut the daemon down; a v1/v2 peer
-#: sending ``fleet.*`` gets a structured ``kind="version"`` error.
-FLEET_MIN_VERSION = 3
 
 
 class ProtocolError(ValueError):
@@ -225,137 +218,6 @@ def summaries_from_wire(
         )
         for cell in cells
     }
-
-
-# ----------------------------------------------------------------------
-# Fleet (v3): execution context, leased units, result rows.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LeasedUnit:
-    """A worker-side view of one leased (chip, core) unit.
-
-    Everything a :class:`~repro.serve.worker.FleetWorker` needs to run
-    the unit through :func:`~repro.serve.coalesce.run_block` — resolved
-    objects, not wire
-    names — plus the content-addressed keys it reports back with.
-    """
-
-    cell_key: str
-    unit_key: str
-    chip_index: int
-    core_index: int
-    env: Any
-    mode: AdaptationMode
-    workloads: Tuple[WorkloadProfile, ...]
-
-
-def runner_context_to_wire(runner) -> Dict[str, Any]:
-    """Encode an :class:`ExperimentRunner`'s physics context for workers.
-
-    Ships the three frozen dataclasses that pin the content-addressed
-    keys — :class:`~repro.exps.runner.RunnerConfig`,
-    :class:`~repro.calibration.Calibration`,
-    :class:`~repro.microarch.pipeline.CoreConfig` — as canonical JSON
-    documents plus a :func:`~repro.exps.cache.stable_hash` fingerprint.
-    A worker that rebuilds a context with a different fingerprint would
-    silently poison the shared cache, so the decoder treats a mismatch
-    as a protocol error, not a warning.
-    """
-    from ..exps.cache import jsonable, stable_hash
-
-    docs = {
-        "runner_config": jsonable(runner.config),
-        "calibration": jsonable(runner.calib),
-        "core_config": jsonable(runner.core_config),
-    }
-    return {**docs, "fingerprint": stable_hash(docs)}
-
-
-def runner_context_from_wire(doc: Dict[str, Any]):
-    """Rebuild ``(RunnerConfig, Calibration, CoreConfig)`` from the wire.
-
-    Raises :class:`ProtocolError` if the documents are malformed or the
-    rebuilt objects do not hash back to the advertised fingerprint
-    (e.g. a field the daemon knows about but this worker build does not).
-    """
-    from ..calibration import Calibration
-    from ..exps.cache import jsonable, stable_hash
-    from ..exps.runner import RunnerConfig
-    from ..microarch.pipeline import CoreConfig
-
-    try:
-        config = RunnerConfig(**doc["runner_config"])
-        calibration = Calibration(**doc["calibration"])
-        core_config = CoreConfig(**doc["core_config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad runner context: {exc}") from exc
-    rebuilt = {
-        "runner_config": jsonable(config),
-        "calibration": jsonable(calibration),
-        "core_config": jsonable(core_config),
-    }
-    fingerprint = stable_hash(rebuilt)
-    if fingerprint != doc.get("fingerprint"):
-        raise ProtocolError(
-            "runner-context fingerprint mismatch "
-            f"(daemon {doc.get('fingerprint')!r}, worker {fingerprint!r}) "
-            "— daemon and worker builds disagree on the physics config"
-        )
-    return config, calibration, core_config
-
-
-def unit_to_wire(cell, unit) -> Dict[str, Any]:
-    """Encode one leased (chip, core) unit with its cell context."""
-    return {
-        "cell_key": cell.key,
-        "unit_key": unit.key,
-        "chip_index": unit.chip_index,
-        "core_index": unit.core_index,
-        "environment": cell.env.name,
-        "mode": cell.mode.value,
-        "workloads": workloads_to_wire(cell.workloads),
-    }
-
-
-def unit_from_wire(
-    doc: Dict[str, Any],
-    suite: Optional[Sequence[WorkloadProfile]] = None,
-) -> "LeasedUnit":
-    """Resolve a leased unit's names back to runnable objects."""
-    try:
-        env = by_name(doc["environment"])
-        mode = AdaptationMode(doc["mode"])
-        items = doc["workloads"]
-        chip_index = int(doc["chip_index"])
-        core_index = int(doc["core_index"])
-        cell_key = doc["cell_key"]
-        key = doc["unit_key"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad leased unit: {exc}") from exc
-    return LeasedUnit(
-        cell_key=cell_key,
-        unit_key=key,
-        chip_index=chip_index,
-        core_index=core_index,
-        env=env,
-        mode=mode,
-        workloads=workloads_from_wire(items, suite=suite),
-    )
-
-
-def rows_to_wire(rows: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Encode a unit's :class:`PhaseResult` rows (bit-identical floats)."""
-    return [row.to_dict() for row in rows]
-
-
-def rows_from_wire(docs: Sequence[Dict[str, Any]]) -> List[Any]:
-    """Rebuild :class:`PhaseResult` rows from :func:`rows_to_wire`."""
-    from ..exps.runner import PhaseResult
-
-    try:
-        return [PhaseResult.from_dict(doc) for doc in docs]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad result rows: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,9 @@ Worker threads pop (priority, sequence) unit tasks off a shared
 (cancelled or abandoned cells, already-delivered units), and hand the
 rest to a caller-supplied execute function.  The scheduler owns no
 failure policy: the campaign service settles every outcome itself — a
-failed attempt goes back into this queue through :meth:`requeue`, exactly
-like a failed fleet lease.  An execute function that raises is logged
-and the thread moves on to the next task: the pool must outlive any
-single poisoned unit.
+failed attempt goes back into this queue through :meth:`requeue`.  An
+execute function that raises is logged and the thread moves on to the
+next task: the pool must outlive any single poisoned unit.
 
 Threads (not processes) carry the service's concurrency: units spend
 their time inside numpy, the task objects are shared by reference with
@@ -48,12 +47,13 @@ class CellScheduler:
             execute: Runs one claimed task as ``(neg_priority, item)`` —
                 the stored (negated) priority rides along so a failed
                 attempt can :meth:`requeue` in its original band.
-            workers: Worker-thread count.
+            workers: Worker-thread count, at least one: nothing else
+                drains the queue.
             claim: Optional predicate consulted when an item is popped;
                 returning ``False`` drops it (a cancelled/abandoned cell).
         """
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self._execute = execute
         self._workers = workers
         self._claim = claim
@@ -92,30 +92,8 @@ class CellScheduler:
     def depth(self) -> int:
         return self._queue.qsize()
 
-    # ------------------------------------------------------------------
-    # Fleet integration: lease-style access to the same queue.
-    # ------------------------------------------------------------------
-    def take(self) -> Optional[tuple]:
-        """Pop the highest-priority task without blocking.
-
-        Returns ``(neg_priority, item)`` — the stored (negated) priority
-        rides along so :meth:`requeue` can reinsert the task in its
-        original band — or ``None`` when the queue is empty.  Sentinels
-        are put straight back: stopping the in-process pool must not eat
-        the fleet's work, and vice versa.
-        """
-        try:
-            neg_priority, seq, item = self._queue.get_nowait()
-        except queue.Empty:
-            return None
-        if item is _SENTINEL:
-            self._queue.put((neg_priority, seq, item))
-            return None
-        obs.set_gauge("serve.queue_depth", self._queue.qsize())
-        return neg_priority, item
-
     def requeue(self, neg_priority: int, item: Any) -> None:
-        """Reinsert a task (lease revoked, or an attempt failed).
+        """Reinsert a task whose attempt failed.
 
         A fresh sequence number puts it behind live submissions of the
         same priority band — re-queued work should not overtake work

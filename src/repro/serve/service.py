@@ -8,15 +8,15 @@ disk are delivered immediately, cells currently being computed for
 another job are *followed* (request coalescing — each (chip, core) unit
 is computed exactly once no matter how many jobs want it), and the rest
 are decomposed into unit tasks and scheduled, by job priority, onto one
-queue that the service's own threads (:mod:`repro.serve.scheduler`) and
-remote fleet workers (:mod:`repro.serve.fleet`) drain alike.
+queue that the service's own threads (:mod:`repro.serve.scheduler`)
+drain.
 
-Failure is contained by construction: every failed attempt, wherever it
-ran, is charged against one per-unit retry budget
-(``service_retries``) and re-queued; a unit that exhausts it poisons
-only its cell, the cell fails only the jobs following it
-(with a structured :class:`~repro.serve.jobs.CellFailure` report), and
-the pool keeps draining every other job's queue.  The service stays up.
+Failure is contained by construction: every failed attempt is charged
+against one per-unit retry budget (``service_retries``) and re-queued;
+a unit that exhausts it poisons only its cell, the cell fails only the
+jobs following it (with a structured
+:class:`~repro.serve.jobs.CellFailure` report), and the pool keeps
+draining every other job's queue.  The service stays up.
 
 Server-side policy wins over spec fields: a submitted spec's
 ``parallelism``, ``cache_dir`` and ``use_cache`` are ignored — the
@@ -38,7 +38,6 @@ from ..exps.cache import ExperimentCache, FactorStore, summary_key
 from ..exps.engine import RunResult, RunSpec, UnitExecutionError
 from ..exps.runner import ExperimentRunner, summarise
 from .coalesce import CellTask, InFlightRegistry, UnitTask, build_cell, run_block
-from .fleet import FleetRegistry
 from .jobs import LIVE_STATES, CellFailure, Job, JobState
 from .scheduler import CellScheduler
 
@@ -87,11 +86,19 @@ class CampaignService:
                 scale knobs when omitted.
             settings: Service knobs (worker width via ``jobs``, admission
                 limit, retry budget, cache).
-            workers: Worker-thread override (default: ``settings.jobs``).
+            workers: Worker-thread override (default: ``settings.jobs``);
+                must be >= 1, since nothing else runs the queued units.
             cache: Artifact-cache override (default: the runner's, else
                 ``settings.build_cache()``).
         """
         settings = settings if settings is not None else Settings()
+        # First, so a service without threads is refused (ValueError)
+        # before a runner is built.
+        self._scheduler = CellScheduler(
+            self._run_local,
+            workers=workers if workers is not None else settings.jobs,
+            claim=self._claim_unit,
+        )
         if runner is None:
             runner = ExperimentRunner.from_settings(settings)
         self.runner = runner
@@ -107,25 +114,6 @@ class CampaignService:
             variation.set_store(FactorStore(self.cache))
         self.max_jobs = settings.service_max_jobs
         self.retries = settings.service_retries
-        self._scheduler = CellScheduler(
-            self._run_local,
-            workers=workers if workers is not None else settings.jobs,
-            claim=self._claim_unit,
-        )
-        # Remote workers lease from the same queue the in-process pool
-        # drains; ``workers=0`` (--fleet-only) leaves all compute to the
-        # fleet.  The registry only touches the service through these
-        # callbacks and always takes its own lock first (see
-        # repro.serve.fleet lock-ordering note).
-        self.fleet = FleetRegistry(
-            take=self._scheduler.take,
-            requeue=self._scheduler.requeue,
-            claim=self._claim_unit,
-            deliver=self._on_unit_done,
-            fail=self._on_attempt_failed,
-            heartbeat_interval=settings.heartbeat_interval,
-            lease_timeout=settings.lease_timeout,
-        )
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._job_cells: Dict[str, List[CellTask]] = {}
@@ -140,14 +128,12 @@ class CampaignService:
         with self._lock:
             if not self._started:
                 self._scheduler.start()
-                self.fleet.start()
                 self._started = True
         return self
 
     def close(self) -> None:
         with self._lock:
             self._started = False
-        self.fleet.stop()
         self._scheduler.stop()
 
     def __enter__(self) -> "CampaignService":
@@ -249,9 +235,6 @@ class CampaignService:
 
     def stats(self) -> Dict[str, Any]:
         """A service-level snapshot (the daemon's ``ping`` payload)."""
-        # Fleet stats are collected before taking the service lock: the
-        # registry lock must never be acquired under the service lock.
-        fleet = self.fleet.stats()
         with self._lock:
             states = {state.value: 0 for state in JobState}
             for job in self._jobs.values():
@@ -261,33 +244,7 @@ class CampaignService:
                 "queue_depth": self._scheduler.depth(),
                 "inflight_cells": len(self._registry),
                 "max_jobs": self.max_jobs,
-                "fleet": fleet,
             }
-
-    # ------------------------------------------------------------------
-    # Fleet-facing API (the daemon's ``fleet.*`` ops land here).
-    # ------------------------------------------------------------------
-    def fleet_register(self, meta: Optional[Dict[str, Any]] = None) -> str:
-        """Admit a remote worker; starts the service so leases can flow
-        before the first submission arrives."""
-        self.start()
-        return self.fleet.register(meta)
-
-    def fleet_lease(self, worker_id: str, max_units: int = 1) -> List[Any]:
-        """Lease up to ``max_units`` tasks; returns ``(cell, unit)``
-        item pairs (the daemon encodes them for the wire)."""
-        return [
-            lease.item for lease in self.fleet.lease(worker_id, max_units)
-        ]
-
-    def fleet_heartbeat(self, worker_id: str) -> None:
-        self.fleet.heartbeat(worker_id)
-
-    def fleet_complete(self, worker_id: str, unit_key: str, rows) -> bool:
-        return self.fleet.complete(worker_id, unit_key, rows)
-
-    def fleet_fail(self, worker_id: str, unit_key: str, message: str) -> bool:
-        return self.fleet.fail(worker_id, unit_key, message)
 
     # ------------------------------------------------------------------
     # Admission: cache check, coalescing, decomposition.
@@ -342,7 +299,7 @@ class CampaignService:
                 self._scheduler.submit(job.priority, (cell, unit))
 
     # ------------------------------------------------------------------
-    # Unit execution and settlement (service threads, fleet callbacks).
+    # Unit execution and settlement (service threads).
     # ------------------------------------------------------------------
     def _claim_unit(self, item: Tuple[CellTask, UnitTask]) -> bool:
         cell, unit = item
@@ -350,10 +307,8 @@ class CampaignService:
             if not cell.live:
                 return False
             if unit.rows is not None:
-                # Already delivered — a fleet requeue/steal left a stale
-                # queue copy behind.  Dropping it here is what keeps
-                # "every unit computed exactly once" true under worker
-                # death and work stealing.
+                # Already delivered: a stale queue copy is dropped here, so
+                # a unit is computed at most once.
                 return False
             cell.started = True
             for job in cell.followers:
@@ -363,8 +318,8 @@ class CampaignService:
 
     def _run_local(self, neg_priority: int,
                    item: Tuple[CellTask, UnitTask]) -> None:
-        """Run one claimed unit on this thread — a one-unit block through
-        the same :func:`run_block` a fleet worker uses."""
+        """Run one claimed unit on this thread as a one-unit
+        :func:`run_block`."""
         cell, unit = item
         start = time.perf_counter()
         (outcome,) = run_block(
@@ -383,11 +338,9 @@ class CampaignService:
             if not cell.live:
                 return
             if unit.rows is not None:
-                # Idempotent delivery: a duplicate lease (steal) or a
-                # late completion from a presumed-dead worker already
-                # delivered this unit.  Content-addressed keys make the
-                # two row lists identical, so dropping the second copy
-                # loses nothing.
+                # Idempotent delivery: this unit was already delivered.
+                # Content-addressed keys make the two row lists identical,
+                # so dropping the second copy loses nothing.
                 obs.inc("serve.units_duplicate")
                 return
             unit.rows = rows
@@ -418,11 +371,9 @@ class CampaignService:
                            error: BaseException) -> None:
         """Charge one failed attempt against the unit's retry budget.
 
-        The one retry policy of both consumers: a local thread's failed
-        unit and a fleet worker's ``fleet.fail`` land here alike.  The
-        unit is re-queued in its priority band while ``attempts <=
-        service_retries`` — whoever drains the queue next retries it —
-        and poisons its cell after that.
+        The unit is re-queued in its priority band while ``attempts <=
+        service_retries`` — whichever thread drains the queue next retries
+        it — and poisons its cell after that.
         """
         cell, unit = item
         with self._lock:

@@ -4,7 +4,7 @@ The microarchitectural stack consumes :class:`~repro.microarch.
 workloads.WorkloadProfile` objects; until now the only source was the
 hand-written SPEC-2000-like suite.  This package adds three more fronts,
 all emitting the same validated, content-hashed profile type so every
-downstream layer (runner, cache, service, fleet, DSE) works unchanged:
+downstream layer (runner, cache, service, DSE) works unchanged:
 
 * **Ingestion** (:mod:`.ingest`) — parse real instruction traces
   (JSONL/CSV, or any format via :func:`register_trace_adapter`) and

@@ -7,7 +7,9 @@ from repro.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.core import NOVAR, TS, TS_ASV, AdaptationMode
 from repro.exps import ExperimentRunner, RunnerConfig, RunSpec
 from repro.exps.cache import (
+    DirStore,
     ExperimentCache,
+    FactorStore,
     bank_key,
     measurement_key,
     stable_hash,
@@ -28,6 +30,16 @@ ENGINE_CONFIG = RunnerConfig(
 @pytest.fixture(scope="module")
 def two_workloads():
     return tuple(spec2000_like_suite()[:2])
+
+
+@pytest.fixture()
+def metrics():
+    """An isolated metrics registry so counter asserts see only this test."""
+    from repro import obs
+
+    registry = obs.MetricsRegistry()
+    with obs.scoped(registry):
+        yield registry
 
 
 class TestRunAPI:
@@ -359,6 +371,99 @@ class TestCache:
         assert base != bank_key(Calibration(z_free=6.0), asv_spec, 300, 1, 7)
 
 
+class TestArtifactStores:
+    def test_local_roundtrip(self, tmp_path):
+        store = DirStore(tmp_path)
+        assert not store.exists("summaries", "k", ".json")
+        assert store.get("summaries", "k", ".json") is None
+        store.put("summaries", "k", ".json", b"{}")
+        assert store.exists("summaries", "k", ".json")
+        assert store.is_complete("summaries", "k", ".json")
+        assert store.get("summaries", "k", ".json") == b"{}"
+        assert store.delete("summaries", "k", ".json") is True
+        assert store.delete("summaries", "k", ".json") is False
+
+    def test_local_put_leaves_no_temp_files(self, tmp_path):
+        store = DirStore(tmp_path)
+        store.put("measurements", "m1", ".npz", b"data")
+        files = sorted(p.name for p in (tmp_path / "measurements").iterdir())
+        assert "m1.npz" in files and "m1.npz.done" in files
+        assert not [name for name in files if name.startswith(".tmp-")]
+
+    def test_local_layout_matches_legacy_cache(self, tmp_path):
+        # Same kind dirs, same names as every earlier ExperimentCache.
+        store = DirStore(tmp_path)
+        assert store.path_for("summaries", "abc", ".json") == (
+            tmp_path / "summaries" / "abc.json"
+        )
+        assert store.path_for("banks", "b", ".npz") == (
+            tmp_path / "banks" / "b.npz"
+        )
+
+    def test_shared_incomplete_write_is_invisible(self, tmp_path):
+        store = DirStore(tmp_path)
+        # Simulate a peer mid-write: data file present, no .done marker.
+        path = store.path_for("summaries", "k", ".json")
+        path.write_bytes(b"partial")
+        assert store.exists("summaries", "k", ".json")
+        assert not store.is_complete("summaries", "k", ".json")
+        assert store.get("summaries", "k", ".json") is None
+
+    def test_shared_marker_roundtrip(self, tmp_path):
+        store = DirStore(tmp_path)
+        store.put("summaries", "k", ".json", b"{}")
+        assert store.is_complete("summaries", "k", ".json")
+        assert store.get("summaries", "k", ".json") == b"{}"
+        assert store.delete("summaries", "k", ".json") is True
+        assert store.get("summaries", "k", ".json") is None
+        assert not store.exists("summaries", "k", ".json")
+
+    def test_factor_store_accepts_bare_artifact_store(self, tmp_path):
+        import numpy as np
+
+        store = FactorStore(ExperimentCache(tmp_path))
+        key_data = ("grid", 8, 0.5)
+        assert store.load(key_data) is None
+        factor = np.eye(3)
+        store.save(key_data, factor)
+        loaded = store.load(key_data)
+        assert loaded is not None and (loaded == factor).all()
+
+
+class TestLoadGuardedSharedSafety:
+    """Only *completed* corrupt artifacts are deleted."""
+
+    def test_completed_corrupt_artifact_heals(self, tmp_path, metrics):
+        cache = ExperimentCache(tmp_path)
+        cache.store.put("summaries", "k", ".json", b"not json at all")
+        assert cache.load_summary("k") is None
+        assert not cache.store.exists("summaries", "k", ".json")
+        counters = metrics.to_dict()["counters"]
+        assert counters["cache.corrupt"] == 1.0
+
+    def test_inflight_write_is_not_clobbered(self, tmp_path, metrics):
+        cache = ExperimentCache(tmp_path)
+        path = cache.store.path_for("summaries", "k", ".json")
+        path.write_bytes(b"partial garbage from a peer mid-write")
+        assert cache.load_summary("k") is None
+        # Crucially: the peer's in-flight bytes are still there.
+        assert path.exists()
+        counters = metrics.to_dict()["counters"]
+        assert counters.get("cache.corrupt", 0.0) == 0.0
+        assert counters["cache.pending_writes"] >= 1.0
+
+    def test_local_corrupt_artifact_still_heals(self, tmp_path, metrics):
+        # A completed artifact torn after the fact (a truncated copy, a
+        # full disk) is dropped and its slot heals.
+        cache = ExperimentCache(tmp_path)
+        cache.save_factor("k", [[1.0, 0.0], [0.0, 1.0]])
+        path = cache.store.path_for("factors", "k", ".npz")
+        path.write_bytes(path.read_bytes()[:20])
+        assert cache.load_factor("k") is None
+        assert not path.exists()
+        assert metrics.to_dict()["counters"]["cache.corrupt"] == 1.0
+
+
 class TestWireFormat:
     def test_suite_summary_json_roundtrip(self, two_workloads):
         runner = ExperimentRunner(ENGINE_CONFIG)
@@ -538,7 +643,7 @@ class TestUnitExecutionError:
 
     def test_failing_one_unit_block_runs_once(self, two_workloads):
         """Only a block of two or more units falls back to per-unit runs:
-        a failing one-unit block (every fleet lease by default) is one
+        a failing one-unit block (every service-thread unit) is one
         attempt, not two."""
         from repro.exps.engine import UnitExecutionError, run_units_guarded
 

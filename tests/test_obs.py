@@ -221,7 +221,8 @@ class TestEngineMetrics:
         return tuple(spec2000_like_suite()[:2])
 
     def test_serial_and_parallel_metrics_same_structure(self, two_workloads):
-        """--jobs N reports fleet-wide totals under the same metric names."""
+        """--jobs N reports totals merged across the workers under the
+        same metric names."""
         spec_args = dict(
             environments=(TS,),
             modes=(AdaptationMode.EXH_DYN,),
@@ -237,7 +238,7 @@ class TestEngineMetrics:
         assert serial.metrics is not None and parallel.metrics is not None
         for kind in ("counters", "gauges", "histograms"):
             assert set(serial.metrics[kind]) == set(parallel.metrics[kind])
-        # Fleet-wide work totals agree exactly; only timings (and the
+        # Merged work totals agree exactly; only timings (and the
         # kernel *call* counts, which depend on how units were blocked
         # across workers) may differ.  Per-lane totals are the
         # blocking-independent measure of work.

@@ -1,5 +1,6 @@
 """The repro.serve campaign service: coalescing, supervision, wire protocol."""
 
+import socket
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from repro.config import Settings
 from repro.core import BASELINE, NOVAR, TS, TS_ASV, AdaptationMode
 from repro.exps import ExperimentRunner, RunnerConfig, RunSpec
+from repro.exps.engine import UnitExecutionError
 from repro.microarch import spec2000_like_suite
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -31,7 +33,7 @@ from repro.serve import (
     summaries_from_wire,
     summaries_to_wire,
 )
-from repro.serve.coalesce import NOVAR_CHIP
+from repro.serve.coalesce import NOVAR_CHIP, run_block
 from repro.serve.protocol import decode_line, encode_line
 
 #: Same tiny-but-multi-chip scale as test_engine.py: two chips exercise
@@ -209,51 +211,6 @@ class TestFaultTolerance:
             ))
             assert service.result(retry, timeout=300) is not None
 
-    def test_local_failure_retried_by_fleet_worker(
-        self, runner, two_workloads
-    ):
-        """One retry budget across both consumers: a unit that fails on a
-        service thread is re-queued, leased by a fleet worker, and its
-        second failure there poisons the cell."""
-        original = runner.run_units_batched
-        calls = []
-        chip1_running = threading.Event()
-        release = threading.Event()
-
-        def scripted(env, mode, units, *args, **kwargs):
-            calls.append(units)
-            if units == [(0, 0)]:
-                raise RuntimeError("local fault")
-            # Keep the only thread busy on chip 1 so the re-queued
-            # chip 0 is left for the fleet.
-            chip1_running.set()
-            release.wait(30)
-            return original(env, mode, units, *args, **kwargs)
-
-        runner.run_units_batched = scripted
-        settings = Settings(service_retries=1)
-        with CampaignService(runner, settings=settings, workers=1) as service:
-            job = service.submit(RunSpec(
-                environments=(TS,),
-                modes=(AdaptationMode.EXH_DYN,),
-                workloads=two_workloads,
-            ))
-            try:
-                assert chip1_running.wait(30)
-                worker_id = service.fleet_register()
-                (item,) = service.fleet_lease(worker_id)
-                _, unit = item
-                assert (unit.chip_index, unit.attempts) == (0, 1)
-                assert service.fleet_fail(worker_id, unit.key, "remote fault")
-                with pytest.raises(JobFailedError) as excinfo:
-                    service.result(job, timeout=60)
-            finally:
-                release.set()
-        (failure,) = excinfo.value.failures
-        assert (failure.chip_index, failure.attempts) == (0, 2)
-        assert failure.error == "remote fault"
-        assert calls == [[(0, 0)], [(1, 0)]]
-
     def test_cancel(self, runner, two_workloads):
         gate = threading.Event()
 
@@ -347,6 +304,14 @@ class TestScheduler:
         assert failure.attempts == 3
         assert attempts_seen.count([(failure.chip_index, 0)]) == 3
 
+    def test_zero_workers_refused(self, runner):
+        """The service's threads are the only consumer of the queue: a
+        service without one would accept jobs that never run."""
+        with pytest.raises(ValueError):
+            CellScheduler(lambda neg_priority, item: None, workers=0)
+        with pytest.raises(ValueError):
+            CampaignService(runner, workers=0)
+
     def test_claim_predicate_drops_items(self):
         done = []
         scheduler = CellScheduler(
@@ -362,6 +327,59 @@ class TestScheduler:
             time.sleep(0.01)
         scheduler.stop()
         assert done == ["alive"]
+
+
+class _BrokenMiddleRunner:
+    """The batched program always fails; alone, only chip 1 fails."""
+
+    def run_units_batched(self, *args, **kwargs):
+        raise RuntimeError("batched program failed")
+
+    def run_unit(self, env, mode, chip_index, core_index, workloads=None,
+                 bank=None):
+        if chip_index == 1:
+            raise ValueError("chip 1 diverged")
+        return []
+
+
+class TestRunBlock:
+    """The block runner reports each failed unit; it never raises."""
+
+    def test_broken_unit_fails_alone(self, two_workloads):
+        outcomes = run_block(
+            _BrokenMiddleRunner(), TS, AdaptationMode.EXH_DYN,
+            two_workloads, [(0, 0), (1, 0), (2, 0)],
+        )
+        assert outcomes[0] == [] and outcomes[2] == []
+        failure = outcomes[1]
+        assert isinstance(failure, UnitExecutionError)
+        assert "chip=1" in str(failure)
+        assert "chip 1 diverged" in str(failure)
+
+    def test_novar_failure_is_reported(self, runner, two_workloads):
+        def broken(*args, **kwargs):
+            raise RuntimeError("novar measurement failed")
+
+        runner.novar_summary = broken
+        (failure,) = run_block(
+            runner, NOVAR, AdaptationMode.EXH_DYN, two_workloads,
+            [(NOVAR_CHIP, 0)],
+        )
+        assert isinstance(failure, UnitExecutionError)
+        assert f"chip={NOVAR_CHIP}" in str(failure)
+        assert "novar measurement failed" in str(failure)
+
+    def test_bank_failure_is_reported(self, runner, two_workloads):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bank load failed")
+
+        runner.bank_for = broken
+        (failure,) = run_block(
+            runner, TS, AdaptationMode.FUZZY_DYN, two_workloads, [(0, 0)]
+        )
+        assert isinstance(failure, UnitExecutionError)
+        assert "mode=Fuzzy-Dyn" in str(failure)
+        assert "bank load failed" in str(failure)
 
 
 class TestProtocol:
@@ -414,6 +432,12 @@ class TestProtocol:
 
 
 class TestProtocolVersion:
+    @pytest.fixture()
+    def daemon(self, runner):
+        service = CampaignService(runner, workers=1)
+        with ServiceDaemon(service, address="127.0.0.1:0") as daemon:
+            yield daemon
+
     def test_check_version_accepts_supported_majors(self):
         assert check_version({"op": "ping"}) == 1  # pre-handshake client
         assert check_version({"op": "ping", "v": 1}) == 1
@@ -437,6 +461,27 @@ class TestProtocolVersion:
             assert response["supported"] == list(SUPPORTED_PROTOCOL_VERSIONS)
             # A v1 (no "v") request still dispatches normally.
             assert daemon.dispatch({"op": "ping"})["ok"] is True
+
+    def test_v2_client_surface_still_works(self, daemon, two_workloads):
+        spec = {"environments": ["NoVar"], "modes": ["Exh-Dyn"],
+                "workloads": [w.name for w in two_workloads]}
+        response = daemon.dispatch({"op": "submit", "v": 2, "spec": spec})
+        assert response["ok"] and response["job_id"]
+        assert daemon.dispatch({"op": "ping", "v": 2})["ok"]
+        assert daemon.dispatch({"op": "ping"})["ok"]  # v1, pre-handshake
+
+    def test_fleet_register_is_an_unknown_op(self, daemon):
+        """v3 is still spoken, but remote-worker ops no longer exist."""
+        address = parse_address(daemon.address)
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(encode_line({"op": "fleet.register", "v": 3}))
+            response = decode_line(sock.makefile("rb").readline())
+        assert response == {
+            "ok": False,
+            "v": PROTOCOL_VERSION,
+            "error": "unknown op 'fleet.register'",
+            "kind": "protocol",
+        }
 
     def test_responses_are_stamped(self, runner):
         service = CampaignService(runner, workers=1)

@@ -3,20 +3,18 @@
 Covers the profile wire format and content hashes, trace ingestion
 accuracy against known synthetic sources, deterministic family
 generation, the genetic loop's reproducibility and cache reuse, the
-inline-profile protocol path (including a fleet worker over real TCP),
+inline-profile protocol path (including a daemon over real TCP),
 and the ``workload_family`` DSE axis.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import Settings
 from repro.core import TS, AdaptationMode
 from repro.exps.dse.spec import Axis, SweepSpec
 from repro.exps.dse.drive import _point_runspec
@@ -27,7 +25,6 @@ from repro.microarch.trace import generate_trace
 from repro.microarch.workloads import WorkloadProfile, spec2000_like_suite
 from repro.serve import (
     CampaignService,
-    FleetWorker,
     ServiceClient,
     ServiceDaemon,
     UnknownWorkloadError,
@@ -318,7 +315,7 @@ class TestEvolveLoop:
 
 
 # ----------------------------------------------------------------------
-# Inline profiles across the protocol, daemon and fleet.
+# Inline profiles across the protocol and the daemon.
 # ----------------------------------------------------------------------
 class TestInlineProtocol:
     def test_generated_profile_round_trips_inline(self):
@@ -331,7 +328,7 @@ class TestInlineProtocol:
 
     def test_daemon_rejects_unknown_with_available_list(self):
         runner = ExperimentRunner(TINY_CONFIG)
-        service = CampaignService(runner, workers=0)
+        service = CampaignService(runner, workers=1)
         daemon = ServiceDaemon(service, address="127.0.0.1:0").start()
         try:
             client = ServiceClient(daemon.address)
@@ -345,7 +342,7 @@ class TestInlineProtocol:
         finally:
             daemon.stop()
 
-    def test_fleet_worker_runs_generated_profile_bit_identical(self, metrics):
+    def test_daemon_runs_generated_profile_bit_identical(self, metrics):
         profile = family_by_name("bursty").generate(size=1, seed=42)[0]
         spec = RunSpec(
             environments=(TS,),
@@ -353,20 +350,12 @@ class TestInlineProtocol:
             workloads=(profile,),
         )
         runner = ExperimentRunner(TINY_CONFIG)
-        settings = Settings(heartbeat_interval=0.5, lease_timeout=60.0)
-        service = CampaignService(runner, settings=settings, workers=0)
+        service = CampaignService(runner, workers=1)
         daemon = ServiceDaemon(service, address="127.0.0.1:0").start()
         try:
-            worker = FleetWorker(
-                daemon.address, poll_interval=0.05, max_idle=60.0
-            )
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
             client = ServiceClient(daemon.address)
             response = client.result(client.submit(spec), timeout=300)
             cells = summaries_from_wire(response["cells"])
-            worker.stop()
-            thread.join(timeout=30.0)
         finally:
             daemon.stop()
         direct = ExperimentRunner(TINY_CONFIG).run(spec)
