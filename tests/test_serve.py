@@ -470,11 +470,15 @@ class TestProtocolVersion:
         assert daemon.dispatch({"op": "ping", "v": 2})["ok"]
         assert daemon.dispatch({"op": "ping"})["ok"]  # v1, pre-handshake
 
-    def test_fleet_register_is_an_unknown_op(self, daemon):
-        """v3 is still spoken, but remote-worker ops no longer exist."""
+    @pytest.mark.parametrize("v", [None, 1, 2, 3])
+    def test_fleet_register_is_an_unknown_op(self, daemon, v):
+        """Remote-worker ops no longer exist at any spoken major."""
+        request = {"op": "fleet.register"}
+        if v is not None:
+            request["v"] = v
         address = parse_address(daemon.address)
         with socket.create_connection(address, timeout=10) as sock:
-            sock.sendall(encode_line({"op": "fleet.register", "v": 3}))
+            sock.sendall(encode_line(request))
             response = decode_line(sock.makefile("rb").readline())
         assert response == {
             "ok": False,
