@@ -19,7 +19,18 @@ Every artifact is addressed by a SHA-256 of its *inputs*: the calibration
 constants, the runner scale knobs, the workload/phase fingerprint, and the
 environment's capability set.  Changing any of them (e.g. a recalibrated
 ``systematic_delay_gain``) changes the key, so stale entries are never
-served — invalidation is free.
+served — invalidation is free.  A key hashes a small document of
+per-object :func:`fingerprint` digests, each computed once per (frozen)
+instance, so deriving a key does not re-serialise the calibration and
+the workload suite.  Fingerprinted value types are changed only through
+:func:`dataclasses.replace`, never mutated in place (that includes the
+dict fields of :class:`~repro.calibration.Calibration`): a memoised
+fingerprint would not see an in-place edit.
+
+Suite summaries are immutable once stored, so
+:meth:`ExperimentCache.load_summary` keeps the summaries it has parsed in
+an in-process LRU memo bounded by the rows it holds
+(:data:`SUMMARY_MEMO_ROWS`); a warm cell costs a dictionary lookup.
 
 :class:`ExperimentCache` serialises artifacts and delegates the
 byte-level ``get``/``put``/``exists``/``delete`` to one
@@ -47,6 +58,8 @@ import json
 import logging
 import os
 import tempfile
+import threading
+from collections import OrderedDict
 from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Sequence, Union
@@ -71,7 +84,15 @@ from ..ml.persistence import load_bank, save_bank
 #: Bump when the stored artifact layout changes; keys include it, so old
 #: cache directories keep working (their entries just stop being hit).
 #: Version 2: every artifact carries a ``.done`` completion marker.
-CACHE_FORMAT_VERSION = 2
+#: Version 3: keys hash per-object fingerprints (:func:`fingerprint`).
+CACHE_FORMAT_VERSION = 3
+
+#: Upper bound on the :class:`PhaseResult` rows the in-process summary
+#: memo of one :class:`ExperimentCache` holds (least recently used
+#: summaries are evicted first).  A paper-scale cell (100 chips x 4
+#: cores x 19 phases) is 7,600 rows, so this keeps about six of them;
+#: a parsed row takes about 590 bytes, so the memo stays under 30 MiB.
+SUMMARY_MEMO_ROWS = 50_000
 
 log = logging.getLogger("repro.exps.cache")
 
@@ -117,6 +138,30 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(document.encode()).hexdigest()
 
 
+def fingerprint(obj: Any) -> str:
+    """The :func:`stable_hash` of a frozen dataclass, memoised on it.
+
+    A :class:`WorkloadProfile`'s fingerprint is its
+    :meth:`~repro.microarch.workloads.WorkloadProfile.content_hash`.
+    The digest is computed once per instance: frozen dataclasses change
+    only through :func:`dataclasses.replace`, which builds a new
+    instance (and so a new fingerprint).  Mutable dataclasses are
+    refused, since an edit would leave the memoised digest stale.
+    """
+    if isinstance(obj, WorkloadProfile):
+        return obj.content_hash()
+    cached = obj.__dict__.get("_fingerprint")
+    if cached is None:
+        params = getattr(obj, "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            raise TypeError(
+                f"fingerprint needs a frozen dataclass, got {type(obj).__name__}"
+            )
+        cached = stable_hash(obj)
+        object.__setattr__(obj, "_fingerprint", cached)
+    return cached
+
+
 def measurement_key(
     calib: Calibration,
     profile: WorkloadProfile,
@@ -128,9 +173,9 @@ def measurement_key(
     return stable_hash({
         "version": CACHE_FORMAT_VERSION,
         "kind": "measurement",
-        "calib": calib,
-        "profile": profile,
-        "config": config,
+        "calib": fingerprint(calib),
+        "profile": fingerprint(profile),
+        "config": fingerprint(config),
         "n_instructions": n_instructions,
         "seed": seed,
     })
@@ -147,7 +192,7 @@ def bank_key(
     return stable_hash({
         "version": CACHE_FORMAT_VERSION,
         "kind": "bank",
-        "calib": calib,
+        "calib": fingerprint(calib),
         "spec": spec,
         "n_examples": n_examples,
         "epochs": epochs,
@@ -194,12 +239,12 @@ def summary_key(
     return stable_hash({
         "version": CACHE_FORMAT_VERSION,
         "kind": "summary",
-        "calib": calib,
-        "runner_config": runner_config,
-        "core_config": core_config,
-        "env": env,
-        "mode": mode,
-        "workloads": list(workloads),
+        "calib": fingerprint(calib),
+        "runner_config": fingerprint(runner_config),
+        "core_config": fingerprint(core_config),
+        "env": fingerprint(env),
+        "mode": mode.name,
+        "workloads": [fingerprint(workload) for workload in workloads],
     })
 
 
@@ -365,7 +410,8 @@ class ExperimentCache:
     """Artifact cache for measurements, banks, summaries and factors.
 
     Serialisation lives here; byte storage is delegated to the
-    :class:`DirStore` at ``root``.
+    :class:`DirStore` at ``root``.  Parsed summaries are memoised
+    in-process (see :meth:`load_summary`).
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -373,6 +419,9 @@ class ExperimentCache:
         #: Kept for callers that co-locate reports next to the cache.
         self.root = self.store.root
         self.stats = CacheStats()
+        self._summaries: "OrderedDict[str, Any]" = OrderedDict()
+        self._summary_rows = 0
+        self._summaries_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExperimentCache({self.store!r})"
@@ -489,12 +538,46 @@ class ExperimentCache:
 
     # -- suite summaries -------------------------------------------------
     def load_summary(self, key: str):
-        """Return a cached :class:`SuiteSummary`, or ``None`` on a miss."""
+        """Return a cached :class:`SuiteSummary`, or ``None`` on a miss.
+
+        Read through an in-process LRU memo: a stored summary is
+        immutable under its content-addressed key, so the object parsed
+        on its first load is served (and counted as a hit) until it is
+        evicted.  The memo is filled on load only, never on save: the
+        engine attaches ``metrics`` to a computed summary after storing
+        it, and a disk hit must not see them.  Callers treat the
+        returned summary as read-only.
+        """
         from .runner import SuiteSummary  # runner imports this module
 
-        return self._load_guarded(
+        with self._summaries_lock:
+            summary = self._summaries.get(key)
+            if summary is not None:
+                self._summaries.move_to_end(key)
+        if summary is not None:
+            self.stats.record("summary", hit=True)
+            return summary
+        summary = self._load_guarded(
             "summary", key, lambda data: SuiteSummary.from_json(data.decode())
         )
+        if summary is not None:
+            self._remember_summary(key, summary)
+        return summary
+
+    def _remember_summary(self, key: str, summary) -> None:
+        """Memoise a parsed summary; evict the oldest past the row bound."""
+        rows = len(summary.results)
+        if rows > SUMMARY_MEMO_ROWS:
+            return
+        with self._summaries_lock:
+            previous = self._summaries.pop(key, None)
+            if previous is not None:
+                self._summary_rows -= len(previous.results)
+            self._summaries[key] = summary
+            self._summary_rows += rows
+            while self._summary_rows > SUMMARY_MEMO_ROWS:
+                _, evicted = self._summaries.popitem(last=False)
+                self._summary_rows -= len(evicted.results)
 
     def save_summary(self, key: str, summary) -> None:
         """Store one suite summary in the shared JSON wire format."""

@@ -83,6 +83,7 @@ def run_units_guarded(
     units: Sequence[Tuple[int, int]],
     workloads=None,
     bank=None,
+    cache=None,
 ) -> List[Union[List["PhaseResult"], UnitExecutionError]]:
     """Run a same-cell block of units, failures precisely attributed.
 
@@ -96,13 +97,18 @@ def run_units_guarded(
     Returns, per unit in order, either its rows or the
     :class:`UnitExecutionError` naming exactly that (chip, core) unit;
     each caller decides what a failed unit means (:func:`_unit_rows`
-    raises the first).
+    raises the first).  ``cache`` is where measurements and banks are
+    read and written (``None``: the runner's own cache).
     """
     units = list(units)
     try:
         if len(units) == 1:
-            return [runner.run_unit(env, mode, *units[0], workloads, bank=bank)]
-        return runner.run_units_batched(env, mode, units, workloads, bank=bank)
+            return [runner.run_unit(
+                env, mode, *units[0], workloads, bank=bank, cache=cache
+            )]
+        return runner.run_units_batched(
+            env, mode, units, workloads, bank=bank, cache=cache
+        )
     except Exception as exc:
         if len(units) == 1:
             if not isinstance(exc, UnitExecutionError):
@@ -119,7 +125,7 @@ def run_units_guarded(
         outcome
         for unit in units
         for outcome in run_units_guarded(
-            runner, env, mode, [unit], workloads, bank=bank
+            runner, env, mode, [unit], workloads, bank=bank, cache=cache
         )
     ]
 
@@ -195,8 +201,10 @@ class RunSpec:
             computed once and reported under every requested mode.
         workloads: Workload profiles (default: the runner's suite).
         parallelism: Worker processes; ``1`` runs in-process (serial).
-        cache_dir: On-disk artifact cache root.  ``None`` falls back to
-            the runner's configured cache (if any).
+        cache_dir: On-disk artifact cache root.  The campaign's
+            summaries, and the measurements and banks it reads or
+            computes, go there on the serial path and in the pool alike.
+            ``None`` falls back to the runner's configured cache (if any).
         use_cache: ``False`` (the ``--no-cache`` flag) serves and stores
             no summary and gives pool workers no cache.  A runner built
             with its own cache still reads and writes measurements and
@@ -424,7 +432,7 @@ def execute(runner, spec: RunSpec) -> RunResult:
                 blocks = _cell_blocks(runner, pending, 1)
                 computed = _summarise_blocks(blocks, [
                     _unit_rows(run_units_guarded(
-                        runner, env, mode, units, workloads
+                        runner, env, mode, units, workloads, cache=cache
                     ))
                     for env, mode, units in blocks
                 ])

@@ -319,7 +319,10 @@ class ExperimentRunner:
             yield workload.phase_profile(phase), phase.weight
 
     def measurements(
-        self, profile: WorkloadProfile, env: Environment
+        self,
+        profile: WorkloadProfile,
+        env: Environment,
+        cache: Optional[ExperimentCache] = None,
     ) -> Tuple[WorkloadMeasurement, Optional[WorkloadMeasurement]]:
         """Measure a phase profile under an environment's pipeline configs.
 
@@ -329,7 +332,8 @@ class ExperimentRunner:
         re-entering the simulator path.  The seed and instruction count
         are part of the key even though they are fixed per config: a
         runner whose config is swapped out (tests, reuse across sweeps)
-        must never serve one seed's measurement to another.
+        must never serve one seed's measurement to another.  Memo misses
+        are measured through ``cache`` (``None``: the runner's own).
         """
         memo_key = (
             _profile_key(profile),
@@ -351,14 +355,16 @@ class ExperimentRunner:
         requests = [(profile, base)]
         if env.queue:
             requests.append((profile, base.with_resized_queue(profile.domain)))
-        measured = self._measure_batch(requests)
+        measured = self._measure_batch(requests, cache)
         full = measured[0]
         resized = measured[1] if env.queue else None
         self._measurements[memo_key] = (full, resized)
         return full, resized
 
     def _measure_batch(
-        self, requests: Sequence[Tuple[WorkloadProfile, CoreConfig]]
+        self,
+        requests: Sequence[Tuple[WorkloadProfile, CoreConfig]],
+        cache: Optional[ExperimentCache] = None,
     ) -> List[WorkloadMeasurement]:
         """Measure many (profile, config) pairs, through the disk cache.
 
@@ -367,12 +373,14 @@ class ExperimentRunner:
         one trace per distinct profile, generated and decoded once for
         all of its configuration variants — and are written back.
         Results are bit-identical to measuring each request on its own.
+        ``cache`` defaults to the runner's own.
         """
+        cache = cache if cache is not None else self.cache
         out: List[Optional[WorkloadMeasurement]] = [None] * len(requests)
         missing: List[int] = []
         keys: Dict[int, str] = {}
         for index, (profile, config) in enumerate(requests):
-            if self.cache is not None:
+            if cache is not None:
                 key = measurement_key(
                     self.calib,
                     profile,
@@ -381,7 +389,7 @@ class ExperimentRunner:
                     self.config.seed,
                 )
                 keys[index] = key
-                hit = self.cache.load_measurement(key)
+                hit = cache.load_measurement(key)
                 if hit is not None:
                     out[index] = hit
                     continue
@@ -394,8 +402,8 @@ class ExperimentRunner:
             )
             for index, meas in zip(missing, measured):
                 out[index] = meas
-                if self.cache is not None:
-                    self.cache.save_measurement(keys[index], meas)
+                if cache is not None:
+                    cache.save_measurement(keys[index], meas)
         return out
 
     def bank_for(
@@ -487,11 +495,13 @@ class ExperimentRunner:
         core_index: int,
         workloads: Optional[Sequence[WorkloadProfile]] = None,
         bank: Optional[ControllerBank] = None,
+        cache: Optional[ExperimentCache] = None,
     ) -> List[PhaseResult]:
         """Run one (environment, mode, chip, core) unit of work: the
         one-unit :meth:`run_units_batched` call."""
         return self.run_units_batched(
-            env, mode, [(chip_index, core_index)], workloads, bank=bank
+            env, mode, [(chip_index, core_index)], workloads, bank=bank,
+            cache=cache,
         )[0]
 
     def run_units_batched(
@@ -501,6 +511,7 @@ class ExperimentRunner:
         units: Sequence[Tuple[int, int]],
         workloads: Optional[Sequence[WorkloadProfile]] = None,
         bank: Optional[ControllerBank] = None,
+        cache: Optional[ExperimentCache] = None,
     ) -> List[List[PhaseResult]]:
         """Run a block of same-cell ``(chip, core)`` units as one program.
 
@@ -514,7 +525,8 @@ class ExperimentRunner:
         adapts once per unit, on the aggregated measurement, and
         evaluates every (unit, phase) lane at that configuration in one
         ``evaluate_at_fixed_config`` call.  Per-unit rows come back in
-        unit order.
+        unit order.  Measurements and the bank go through ``cache``
+        (``None``: the runner's own cache).
         """
         units = [(int(chip), int(core)) for chip, core in units]
         workloads = list(workloads) if workloads is not None else self.workloads
@@ -525,7 +537,9 @@ class ExperimentRunner:
             entries = []
             for workload in workloads:
                 for profile, weight in self.phase_profiles(workload):
-                    meas_full, meas_resized = self.measurements(profile, env)
+                    meas_full, meas_resized = self.measurements(
+                        profile, env, cache
+                    )
                     entries.append(
                         (workload, profile, weight, meas_full, meas_resized)
                     )
@@ -537,7 +551,7 @@ class ExperimentRunner:
                 )
             else:
                 if mode is AdaptationMode.FUZZY_DYN and bank is None:
-                    bank = self.bank_for(env)
+                    bank = self.bank_for(env, cache)
                 pairs = [(full, resized) for _, _, _, full, resized in entries]
                 adapted = optimize_units_batched(
                     [(core, pairs) for core in cores], env, mode=mode,

@@ -283,6 +283,28 @@ class TestCache:
                            use_cache=False))
         assert not list((tmp_path / "summaries").iterdir())
 
+    def test_cache_dir_gets_the_same_artifacts_at_any_parallelism(
+        self, tmp_path, two_workloads
+    ):
+        """A cache-less runner measures and trains through RunSpec.cache_dir
+        on the serial path as the pool does."""
+        listings = {}
+        for parallelism in (1, 2):
+            root = tmp_path / f"jobs{parallelism}"
+            ExperimentRunner(ENGINE_CONFIG).run(RunSpec(
+                environments=(TS,),
+                modes=(AdaptationMode.EXH_DYN, AdaptationMode.FUZZY_DYN),
+                workloads=two_workloads,
+                parallelism=parallelism,
+                cache_dir=str(root),
+            ))
+            listings[parallelism] = {
+                kind: sorted(path.name for path in (root / kind).iterdir())
+                for kind in ("measurements", "banks")
+            }
+        assert listings[1] == listings[2]
+        assert listings[1]["measurements"] and listings[1]["banks"]
+
     def test_calibration_change_invalidates(self, tmp_path, two_workloads):
         """A recalibrated constant must miss every cache key."""
         recalibrated = Calibration(systematic_delay_gain=3.1)

@@ -336,7 +336,7 @@ class _BrokenMiddleRunner:
         raise RuntimeError("batched program failed")
 
     def run_unit(self, env, mode, chip_index, core_index, workloads=None,
-                 bank=None):
+                 bank=None, cache=None):
         if chip_index == 1:
             raise ValueError("chip 1 diverged")
         return []
