@@ -31,16 +31,16 @@ SENS = DEFAULT_VT_SENSITIVITIES
 
 #: Population-scale operand grid: (n_vdd, n_vbb, lanes, subsystems) —
 #: the optimiser's voltage sweep stacked over a 200-lane population.
-#: Each full-rank temporary is ~45 MB, past glibc's 32 MB mmap-threshold
-#: cap, so every temporary the unfused path allocates costs an mmap plus
-#: first-touch page faults; the fused path reuses pooled workspaces and
-#: pays neither.
+#: Each full-rank temporary is ~4.5 MB (567 K doubles), above glibc's
+#: default 128 KiB mmap threshold, so a fresh temporary can cost an mmap
+#: plus first-touch page faults; the fused fixed point allocates its
+#: scratch once per solve and pays neither per iteration.
 GRID = (9, 21, 200, 15)
 
 #: Fixed-point iterations to time (the solver typically needs 6-12).
 FP_ITERS = 8
 
-#: Best-of repeats per timed section (first call warms the pool/caches).
+#: Best-of repeats per timed section (first call warms the caches).
 REPEATS = 3
 
 
@@ -81,17 +81,19 @@ def _assert_bitwise(a, b):
 def _fixed_point(thermal_step, ops, *, ping_pong):
     """Run FP_ITERS thermal iterations; returns the final temperatures.
 
-    ``ping_pong=True`` is the fused solver pattern (two buffers, zero
-    steady-state allocation); ``False`` re-allocates every iteration the
-    way the seed loop did.
+    ``ping_pong=True`` is the fused solver pattern (two temperature
+    buffers and one ``work`` scratch array, allocated once per solve);
+    ``False`` re-allocates every iteration the way the seed loop did.
     """
     temp = ops["temp"].copy()
     scratch = np.empty(temp.shape) if ping_pong else None
+    work = np.empty((3, *temp.shape)) if ping_pong else None
     for _ in range(FP_ITERS):
         temp, scratch = (
             thermal_step(
                 ops["vt0"], ops["vdd"], ops["vbb"], temp, ops["ksta"],
                 ops["rth"], ops["p_dyn"], 318.0, SENS, out=scratch,
+                work=work,
             )[0],
             temp,
         )
@@ -201,7 +203,6 @@ def test_kernel_breakdown(benchmark):
 
     payload = {
         "grid": list(GRID),
-        "workspace_cached_bytes": kernels.workspace_pool().cached_bytes(),
         "kernels": sections,
         "counters": counters,
     }

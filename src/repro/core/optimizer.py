@@ -353,21 +353,23 @@ def _thermal_fixed_point(
     """Iterate Eq 6-9 to steady state (vectorised, no damping needed).
 
     Each iteration is one fused ``thermal_step`` kernel call; two
-    temperature buffers ping-pong through its ``out=`` parameter so the
-    loop allocates nothing in steady state.
+    temperature buffers ping-pong through its ``out=`` parameter and one
+    ``work`` array, allocated here once per solve, holds its scratch, so
+    the loop allocates nothing per iteration.
     """
     p_dyn = subsystems.p_dynamic(vdd, freq)
     temp = np.broadcast_to(
         np.asarray(t_heatsink + 5.0), np.broadcast_shapes(p_dyn.shape, np.shape(vbb))
     ).copy()
     scratch = np.empty(temp.shape)
+    work = np.empty((3, *temp.shape))
     with obs.span("kernel.thermal_fixed_point"):
         for _ in range(iterations):
             new_temp, _ = thermal_step(
                 subsystems.vt0_leak, vdd, vbb, temp, subsystems.ksta,
                 subsystems.rth, p_dyn, t_heatsink, subsystems.vt_sens,
                 power_factor=subsystems.power_factor, t_runaway=T_RUNAWAY,
-                out=scratch,
+                out=scratch, work=work,
             )
             temp, scratch = new_temp, temp
     return temp, p_dyn

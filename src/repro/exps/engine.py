@@ -20,9 +20,11 @@ run is bit-identical to the serial run at the same seed.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
@@ -158,18 +160,27 @@ def _chunk_units(
     return chunks
 
 
-def _cell_blocks(runner, pending, n_blocks: int):
-    """Each pending cell's (chip, core) units in ``n_blocks`` blocks.
+#: Most (chip, core) units one block advances through one batched
+#: program.  A block's working memory grows with its units, so a
+#: paper-scale cell (100 chips x 4 cores) runs as several blocks.
+MAX_BLOCK_UNITS = 32
 
-    Blocks are generated (and their rows concatenated by
-    :func:`_summarise_blocks`) in cell-then-unit order, which is what
-    keeps every executor's rows bit-identical to one serial pass.
+
+def _cell_blocks(runner, pending, n_blocks: int):
+    """Each pending cell's (chip, core) units in at least ``n_blocks`` blocks.
+
+    A cell is cut into more blocks where needed to keep every block at
+    no more than :data:`MAX_BLOCK_UNITS` units.  Blocks are generated
+    (and their rows concatenated by :func:`_summarise_blocks`) in
+    cell-then-unit order, which is what keeps every executor's rows
+    bit-identical to one serial pass.
     """
     cell_units = [
         (chip_index, core_index)
         for chip_index in range(runner.config.n_chips)
         for core_index in range(runner.config.cores_per_chip)
     ]
+    n_blocks = max(n_blocks, math.ceil(len(cell_units) / MAX_BLOCK_UNITS))
     return [
         (env, mode, chunk)
         for env, mode, _ in pending
@@ -204,7 +215,8 @@ class RunSpec:
         cache_dir: On-disk artifact cache root.  The campaign's
             summaries, and the measurements and banks it reads or
             computes, go there on the serial path and in the pool alike.
-            ``None`` falls back to the runner's configured cache (if any).
+            ``None``, or the runner's own cache directory, uses the
+            runner's cache object (and so its in-process summary memo).
         use_cache: ``False`` (the ``--no-cache`` flag) serves and stores
             no summary and gives pool workers no cache.  A runner built
             with its own cache still reads and writes measurements and
@@ -354,7 +366,10 @@ def _worker_block(env, mode, units):
 def _resolve_cache(runner, spec: RunSpec) -> Optional[ExperimentCache]:
     if not spec.use_cache:
         return None
-    if spec.cache_dir is not None:
+    if spec.cache_dir is not None and (
+        runner.cache is None
+        or Path(spec.cache_dir).resolve() != runner.cache.root.resolve()
+    ):
         return ExperimentCache(spec.cache_dir)
     return runner.cache
 
@@ -427,8 +442,9 @@ def execute(runner, spec: RunSpec) -> RunResult:
                     runner, spec, pending, workloads, cache, campaign
                 )
             else:
-                # One block per cell: all of its (chip, core) units
-                # advance through one population-batched program.
+                # As few blocks per cell as MAX_BLOCK_UNITS allows: each
+                # block's units advance through one population-batched
+                # program.
                 blocks = _cell_blocks(runner, pending, 1)
                 computed = _summarise_blocks(blocks, [
                     _unit_rows(run_units_guarded(
@@ -566,8 +582,8 @@ def _execute_parallel(
     # never spin up more workers than there are units to run.
     max_workers = min(spec.parallelism, n_units)
     # Each cell's unit list is cut into contiguous blocks, one per
-    # worker, so every worker amortises its share of the population
-    # into one batched program.
+    # worker (more where MAX_BLOCK_UNITS requires), so every worker
+    # amortises its share of the population into batched programs.
     blocks = _cell_blocks(runner, pending, max_workers)
     log.debug(
         "sharding %d units (%d blocks) across %d workers",

@@ -13,15 +13,19 @@ imports directly:
 ``thermal_step``
     One fixed-point iteration of Eq 6-9: both power terms, the clamped
     temperature update, and (optionally) the per-lane convergence
-    delta.  Accepts an ``out=`` buffer so callers can ping-pong two
-    temperature buffers and allocate nothing in steady state.
+    delta.  Accepts an ``out=`` buffer and a ``work=`` scratch array so
+    a fixed-point loop can ping-pong two temperature buffers through one
+    scratch allocation and allocate nothing per iteration.
 ``timing_error_cdf``
     Eq 4's per-stage error rate ``rho * Q((1/f - m) / s)`` via scipy's
     ``ndtr``.
 
-Each kernel is hand-fused: written through ``out=`` parameters into
-buffers borrowed from a per-thread :class:`WorkspacePool`, so the only
-steady-state allocations are the results themselves.
+Each kernel is hand-fused: every intermediate is written through
+``out=`` parameters into scratch arrays, so a kernel makes no hidden
+temporaries.  Scratch belongs to the loop that reuses it: the module
+holds no buffers between calls.  A fixed-point loop allocates its
+``work`` and temperature buffers once per solve and passes them in; a
+one-off call allocates its own scratch and drops it on return.
 
 The bit-identity contract: every kernel performs the same IEEE double
 operations in the same association order as the composition of the
@@ -38,10 +42,8 @@ metrics are disabled.
 from __future__ import annotations
 
 import functools
-import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Optional
 
 import numpy as np
 from scipy.special import ndtr as _scipy_ndtr
@@ -54,77 +56,6 @@ from .units import Q_OVER_K
 #: Temperature cap applied by every thermal iteration; reaching it flags
 #: thermal runaway.
 T_RUNAWAY: float = 500.0
-
-
-# ----------------------------------------------------------------------
-# Workspace pool: per-thread scratch buffers keyed on (shape, dtype).
-# ----------------------------------------------------------------------
-class WorkspacePool:
-    """A per-thread free list of preallocated scratch arrays.
-
-    The fused numpy kernels write every intermediate into a borrowed
-    buffer instead of allocating it, which is where most of their win
-    comes from: grid-sized temporaries exceed the allocator's mmap
-    threshold, so a fresh one costs a kernel round-trip plus first-touch
-    page faults on every ufunc of the chain.  Buffers are keyed on
-    ``(shape, dtype)`` and the free list per key is bounded, so the pool
-    cannot grow past ``max_per_key`` grid-sized buffers per shape.
-
-    Buffers come back uninitialised (``np.empty`` semantics); borrowers
-    must fully overwrite them.  The pool is thread-local — concurrent
-    kernel calls from different threads never share scratch space — and
-    re-entrant: nested borrows of the same key pop distinct buffers.
-    """
-
-    def __init__(self, max_per_key: int = 8):
-        self.max_per_key = max_per_key
-        self._local = threading.local()
-
-    def _free_lists(self) -> Dict[Tuple[tuple, str], list]:
-        free = getattr(self._local, "free", None)
-        if free is None:
-            free = {}
-            self._local.free = free
-        return free
-
-    @contextmanager
-    def borrow(
-        self, shape, count: int = 1, dtype=np.float64
-    ) -> Iterator[Tuple[np.ndarray, ...]]:
-        """Borrow ``count`` uninitialised ``shape``-shaped scratch arrays."""
-        key = (tuple(shape), np.dtype(dtype).str)
-        stack = self._free_lists().setdefault(key, [])
-        buffers = tuple(
-            stack.pop() if stack else np.empty(shape, dtype=dtype)
-            for _ in range(count)
-        )
-        try:
-            yield buffers
-        finally:
-            stack = self._free_lists().setdefault(key, [])
-            for buffer in buffers:
-                if len(stack) < self.max_per_key:
-                    stack.append(buffer)
-
-    def clear(self) -> None:
-        """Drop this thread's cached buffers."""
-        self._local.free = {}
-
-    def cached_bytes(self) -> int:
-        """Bytes currently cached for this thread (introspection/tests)."""
-        return sum(
-            buffer.nbytes
-            for stack in self._free_lists().values()
-            for buffer in stack
-        )
-
-
-_POOL = WorkspacePool()
-
-
-def workspace_pool() -> WorkspacePool:
-    """The process-wide (per-thread) scratch pool the fused kernels use."""
-    return _POOL
 
 
 def _instrumented(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -147,8 +78,8 @@ def _instrumented(fn: Callable[..., Any]) -> Callable[..., Any]:
 
 
 # ----------------------------------------------------------------------
-# The kernels: same ops as the leaf functions, same order, zero
-# steady-state temporaries.  Bitwise equalities relied on here (all
+# The kernels: same ops as the leaf functions, same order, no hidden
+# temporaries.  Bitwise equalities relied on here (all
 # asserted by tests/test_kernels.py): ``x**2 == x*x``, scalar
 # multiplication commutes (``k*a == a*k``), and ufunc ``out=`` writes
 # are exact.  Operands of any broadcastable shape go to the ufuncs as
@@ -204,8 +135,10 @@ def vt_and_static_power(
     vt = np.empty(shape)
     p_sta = np.empty(shape)
     _fill_vt(vt0, vdd, vbb, temp, sens, vt)
-    with _POOL.borrow(shape, 2) as (ws, ws2):
-        _fill_psta(vt, vdd, temp, ksta, ideality, power_factor, p_sta, ws, ws2)
+    _fill_psta(
+        vt, vdd, temp, ksta, ideality, power_factor, p_sta,
+        np.empty(shape), np.empty(shape),
+    )
     return vt, p_sta
 
 
@@ -225,7 +158,14 @@ def thermal_step(
     t_runaway: float = T_RUNAWAY,
     compute_delta: bool = False,
     out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
 ):
+    """One Eq 6-9 iteration; returns ``(new_temp, delta or None)``.
+
+    ``work`` is caller-owned scratch of shape ``(3, *shape)`` (its
+    planes may be strided views, e.g. ``work[:, :k]``); one of any other
+    shape is ignored and fresh scratch is allocated instead.
+    """
     vt0_leak = np.asarray(vt0_leak, dtype=float)
     vdd = np.asarray(vdd, dtype=float)
     vbb = np.asarray(vbb, dtype=float)
@@ -247,18 +187,20 @@ def thermal_step(
         raise ValueError(
             f"thermal_step out buffer has shape {out.shape}, expected {shape}"
         )
+    if work is None or work.shape != (3, *shape):
+        work = np.empty((3, *shape))
+    p, ws, ws2 = work
+    _fill_vt(vt0_leak, vdd, vbb, temp, sens, p)
+    _fill_psta(p, vdd, temp, ksta, ideality, power_factor, p, ws, ws2)
+    np.add(p_dyn, p, out=p)
+    np.multiply(rth, p, out=p)
+    np.add(p, t_heatsink, out=p)
+    np.minimum(p, t_runaway, out=out)
     delta = None
-    with _POOL.borrow(shape, 3) as (p, ws, ws2):
-        _fill_vt(vt0_leak, vdd, vbb, temp, sens, p)
-        _fill_psta(p, vdd, temp, ksta, ideality, power_factor, p, ws, ws2)
-        np.add(p_dyn, p, out=p)
-        np.multiply(rth, p, out=p)
-        np.add(p, t_heatsink, out=p)
-        np.minimum(p, t_runaway, out=out)
-        if compute_delta:
-            np.subtract(out, temp, out=ws)
-            np.abs(ws, out=ws)
-            delta = ws.max(axis=-1)
+    if compute_delta:
+        np.subtract(out, temp, out=ws)
+        np.abs(ws, out=ws)
+        delta = ws.max(axis=-1)
     return out, delta
 
 

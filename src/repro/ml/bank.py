@@ -307,10 +307,8 @@ def train_controller_bank(
         elif include_variants and sub.replicable:
             variants = [FU_NORMAL, FU_LOWSLOPE]
         jobs.extend((index, variant) for variant in variants)
-    # Label every (subsystem, variant) job through the batched oracle:
-    # chunks from all jobs stack along the optimizer's lane axis, so the
-    # whole bank is labelled by a handful of wide kernel calls instead of
-    # one Freq + one Power sweep per chunk per job.
+    # Label every (subsystem, variant) job through the oracle, one Freq +
+    # one Power sweep per chunk of samples (bounded working memory).
     requests = [
         TrainingRequest(
             index=index,

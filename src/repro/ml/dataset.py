@@ -26,8 +26,8 @@ see DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -202,37 +202,52 @@ class TrainingRequest:
     power_factor: float = 1.0
 
 
-@dataclass
-class _Chunk:
-    """One sampled RNG chunk of a request, awaiting oracle labels."""
+def _label_chunk(
+    samples: SampledInputs,
+    arrays: SubsystemArrays,
+    f_core_u: np.ndarray,
+    spec: OptimizationSpec,
+    calib_f_nominal: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Label one chunk with one Freq and one Power sweep over its samples.
 
-    request: int  # position in the request list
-    order: int  # chunk position within the request
-    samples: SampledInputs
-    arrays: SubsystemArrays
-    f_core_u: np.ndarray  # the uniform draws behind the f_core targets
-    outputs: Tuple = field(default=())
+    ``f_core_u`` are the uniform draws that place each sample's Power
+    target between ``f_min`` and its own ``f_max``.
+    """
+    freq_result = freq_algorithm(arrays, spec)
+    f_core = spec.knob_ranges.f_min + f_core_u * (
+        freq_result.f_max - spec.knob_ranges.f_min
+    )
+    f_core = np.maximum(f_core, spec.knob_ranges.f_min)
+    power_result = power_algorithm(arrays, f_core, spec)
+    slowness = demand_feature(
+        arrays, calib_f_nominal, samples.th, spec.pe_budget
+    )
+    freq_in = np.column_stack(
+        [slowness, samples.alpha, samples.rho, samples.th, samples.vt0_leak]
+    )
+    ok = power_result.feasible
+    demand = demand_feature(arrays, f_core, samples.th, spec.pe_budget)
+    return (
+        freq_in,
+        freq_result.f_max / 1e9,
+        np.column_stack([demand[ok], samples.alpha[ok]]),
+        power_result.vdd[ok],
+        power_result.vbb[ok],
+    )
 
 
-#: Cap on (vdd-levels x vbb-levels x samples) grid cells solved by one
-#: batched oracle call — bounds peak memory of the stacked knob grid.
-MAX_LABEL_CELLS = 4_000_000
+def _label_request(
+    core: Core, spec: OptimizationSpec, request: TrainingRequest, chunk: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw a request's RNG stream chunk by chunk and label each chunk.
 
-
-def _sample_request_chunks(
-    core: Core, position: int, request: TrainingRequest, chunk: int
-) -> List[_Chunk]:
-    """Draw a request's RNG stream, chunk by chunk (labels come later).
-
-    The draw order per chunk — the seven :func:`sample_inputs` streams,
-    then the ``f_core`` uniforms — matches the historical interleaved
-    sample/label loop exactly, so datasets are bit-identical no matter
-    how the labelling is batched (the oracle consumes no RNG).
+    The draw order per chunk is the seven :func:`sample_inputs` streams,
+    then the ``f_core`` uniforms; the oracle consumes no RNG.
     """
     rng = np.random.default_rng(request.seed)
-    chunks: List[_Chunk] = []
+    parts = []
     remaining = request.n_examples
-    order = 0
     while remaining > 0:
         n = min(chunk, remaining)
         remaining -= n
@@ -246,42 +261,16 @@ def _sample_request_chunks(
             sigma_scale=request.sigma_scale,
             power_factor=request.power_factor,
         )
-        chunks.append(_Chunk(position, order, samples, arrays, f_core_u))
-        order += 1
-    return chunks
-
-
-def _label_chunk_group(
-    group: List[_Chunk], spec: OptimizationSpec, calib_f_nominal: float
-) -> None:
-    """Label same-size chunks with one stacked Freq + one Power sweep."""
-    stack = SubsystemArrays.stack([c.arrays for c in group])
-    freq_result = freq_algorithm(stack, spec)
-    f_core = spec.knob_ranges.f_min + np.stack(
-        [c.f_core_u for c in group]
-    ) * (freq_result.f_max - spec.knob_ranges.f_min)
-    f_core = np.maximum(f_core, spec.knob_ranges.f_min)
-    power_result = power_algorithm(stack, f_core, spec)
-    for lane, c in enumerate(group):
-        samples = c.samples
-        slowness = demand_feature(
-            c.arrays, calib_f_nominal, samples.th, spec.pe_budget
+        parts.append(
+            _label_chunk(samples, arrays, f_core_u, spec, core.calib.f_nominal)
         )
-        freq_in = np.column_stack(
-            [slowness, samples.alpha, samples.rho, samples.th,
-             samples.vt0_leak]
-        )
-        ok = power_result.feasible[lane]
-        demand = demand_feature(
-            c.arrays, f_core[lane], samples.th, spec.pe_budget
-        )
-        c.outputs = (
-            freq_in,
-            freq_result.f_max[lane] / 1e9,
-            np.column_stack([demand[ok], samples.alpha[ok]]),
-            power_result.vdd[lane][ok],
-            power_result.vbb[lane][ok],
-        )
+    return (
+        np.vstack([part[0] for part in parts]),
+        np.concatenate([part[1] for part in parts]),
+        np.vstack([part[2] for part in parts]),
+        np.concatenate([part[3] for part in parts]),
+        np.concatenate([part[4] for part in parts]),
+    )
 
 
 def generate_training_datasets(
@@ -291,53 +280,22 @@ def generate_training_datasets(
     *,
     chunk: int = 2500,
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Label many (subsystem, variant) training sets in batched sweeps.
+    """Label many (subsystem, variant) training sets, one chunk per sweep.
 
-    All requests' sample chunks are stacked along the optimizer's lane
-    axis and labelled by a few wide Freq/Power kernel calls instead of
-    one call per chunk per request — the hot path of manufacturer-site
-    bank training.  Outputs are bit-identical to calling
-    :func:`generate_training_data` per request (the RNG streams are drawn
-    per request, and the physics is elementwise per sample).  Lanes are
-    grouped by chunk size (stacks are rectangular) and each batched call
-    is capped at :data:`MAX_LABEL_CELLS` grid cells.
+    Every chunk of ``chunk`` samples is labelled by one Freq and one
+    Power sweep over its own ``(n,)`` batch, so a sweep's knob grid never
+    exceeds ``vdd-levels x vbb-levels x chunk`` cells and the oracle's
+    working memory does not grow with the number of requests.  Samples
+    are independent lanes of the oracle, so the labels do not depend on
+    which other samples share a sweep.
 
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
-    tuple per request, in request order.
+    tuple per request, in request order; each equals
+    :func:`generate_training_data` for that request alone.
     """
-    all_chunks: List[_Chunk] = []
-    for position, request in enumerate(requests):
-        all_chunks.extend(
-            _sample_request_chunks(core, position, request, chunk)
-        )
-    by_size: Dict[int, List[_Chunk]] = {}
-    for c in all_chunks:
-        by_size.setdefault(len(c.samples.th), []).append(c)
-    knob_cells = len(spec.vdd_levels) * len(spec.vbb_levels)
-    for size, members in by_size.items():
-        lanes_per_call = max(1, MAX_LABEL_CELLS // max(1, knob_cells * size))
-        for start in range(0, len(members), lanes_per_call):
-            _label_chunk_group(
-                members[start:start + lanes_per_call],
-                spec,
-                core.calib.f_nominal,
-            )
-    results = []
-    for position in range(len(requests)):
-        parts = sorted(
-            (c for c in all_chunks if c.request == position),
-            key=lambda c: c.order,
-        )
-        results.append(
-            (
-                np.vstack([c.outputs[0] for c in parts]),
-                np.concatenate([c.outputs[1] for c in parts]),
-                np.vstack([c.outputs[2] for c in parts]),
-                np.concatenate([c.outputs[3] for c in parts]),
-                np.concatenate([c.outputs[4] for c in parts]),
-            )
-        )
-    return results
+    return [
+        _label_request(core, spec, request, chunk) for request in requests
+    ]
 
 
 def generate_training_data(

@@ -11,9 +11,11 @@ does, fully vectorised over subsystems and operating-point grids.
 
 Each iteration is one ``thermal_step`` fused-kernel call (see
 :mod:`repro.kernels`): both power terms, the clamped temperature update
-and the convergence delta in one pass, ping-ponging two temperature
-buffers so the loop allocates nothing in steady state.  The whole fixed
-point is timed under the ``kernel.thermal_fixed_point`` span.
+and the convergence delta in one pass.  Each solve allocates its
+kernel scratch (``work=``) and its second temperature buffer once and
+reuses them on every iteration, so the loop allocates nothing per
+iteration.  The whole fixed point is timed under the
+``kernel.thermal_fixed_point`` span.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def solve_temperatures(
 
     temp = np.full(shape, t_heatsink + 5.0)
     scratch = np.empty(shape)
+    work = np.empty((3, *shape))
     iterations = max_iter
     with obs.span("kernel.thermal_fixed_point"):
         for iteration in range(max_iter):
@@ -101,6 +104,7 @@ def solve_temperatures(
                 core.vt0_leak, vdd, vbb, temp, core.ksta, core.rth,
                 p_dyn, t_heatsink, core.vt_sens,
                 t_runaway=T_RUNAWAY, compute_delta=True, out=scratch,
+                work=work,
             )
             temp, scratch = new_temp, temp
             if float(np.max(delta)) < tol:
@@ -158,15 +162,21 @@ def solve_temperatures_lanes(
     per_lane = hasattr(core, "lane_subset")
 
     temp = np.full(shape, t_heatsink + 5.0)
+    # The live lanes' update and the kernel's scratch: the leading
+    # ``active.size`` lanes of each buffer, allocated once per solve.
+    scratch = np.empty(shape)
+    work = np.empty((3, *shape))
     iterations = np.full(n_lanes, max_iter, dtype=int)
     active = np.arange(n_lanes)
     with obs.span("kernel.thermal_fixed_point"):
         for iteration in range(max_iter):
             node = core.lane_subset(active) if per_lane else core
+            live = active.size
             new_temp, delta = thermal_step(
                 node.vt0_leak, vdd_b[active], vbb_b[active], temp[active],
                 node.ksta, node.rth, p_dyn[active], t_heatsink,
                 node.vt_sens, t_runaway=T_RUNAWAY, compute_delta=True,
+                out=scratch[:live], work=work[:, :live],
             )
             temp[active] = new_temp
             converged = delta < tol

@@ -61,7 +61,11 @@ def thermal_step(
     t_runaway: float = T_RUNAWAY,
     compute_delta: bool = False,
     out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
 ):
+    # ``work`` is the fused kernel's scratch; the oracle needs none, and
+    # accepts it only so that solver loops run unchanged under
+    # :func:`installed`.
     _, p_sta = vt_and_static_power(
         vt0_leak, vdd, vbb, temp, ksta, sens, ideality, power_factor
     )

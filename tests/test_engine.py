@@ -239,6 +239,66 @@ class TestParallelDeterminism:
             ExperimentRunner(ENGINE_CONFIG, population=wrong)
 
 
+#: 6 chips x 2 cores: 12 units per cell, enough for several capped blocks.
+BLOCK_CONFIG = RunnerConfig(
+    n_chips=6,
+    cores_per_chip=2,
+    n_instructions=3000,
+    fuzzy_examples=300,
+    fuzzy_epochs=1,
+)
+
+
+class TestBlockCap:
+    """``MAX_BLOCK_UNITS`` bounds a block's units without moving a row."""
+
+    def test_blocks_respect_the_cap(self, monkeypatch):
+        from repro.exps import engine
+
+        runner = ExperimentRunner(BLOCK_CONFIG)
+        pending = [(TS, AdaptationMode.EXH_DYN, None)]
+        cell_units = [(chip, core) for chip in range(6) for core in range(2)]
+        for cap, n_blocks, sizes in (
+            (32, 1, [12]),
+            (32, 2, [6, 6]),
+            (5, 1, [4, 4, 4]),
+            (5, 2, [4, 4, 4]),
+            (5, 4, [3, 3, 3, 3]),
+            (1, 2, [1] * 12),
+        ):
+            monkeypatch.setattr(engine, "MAX_BLOCK_UNITS", cap)
+            blocks = engine._cell_blocks(runner, pending, n_blocks)
+            assert [len(units) for _, _, units in blocks] == sizes
+            assert [u for _, _, units in blocks for u in units] == cell_units
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_capped_rows_match_uncapped(
+        self, two_workloads, monkeypatch, parallelism
+    ):
+        from repro.exps import engine
+
+        spec = RunSpec(
+            environments=(TS_ASV,),
+            modes=(AdaptationMode.EXH_DYN, AdaptationMode.FUZZY_DYN),
+            workloads=two_workloads,
+            parallelism=parallelism,
+        )
+        runner = ExperimentRunner(BLOCK_CONFIG)
+
+        def rows():
+            result = runner.run(spec)
+            return {
+                mode: result.summary(TS_ASV, mode).results
+                for mode in spec.modes
+            }
+
+        monkeypatch.setattr(engine, "MAX_BLOCK_UNITS", 12)
+        uncapped = rows()
+        for cap in (1, 5):
+            monkeypatch.setattr(engine, "MAX_BLOCK_UNITS", cap)
+            assert rows() == uncapped
+
+
 class TestCache:
     def test_summary_cache_hit_and_miss(self, tmp_path, two_workloads):
         spec = RunSpec(
@@ -253,6 +313,49 @@ class TestCache:
         assert warm_runner.cache.stats.hits["summary"] == 1
         assert warm_runner.cache.stats.misses["summary"] == 0
         assert warm.summary(TS).results == cold.results
+
+    def test_campaigns_share_the_runners_cache(
+        self, tmp_path, two_workloads, monkeypatch
+    ):
+        """A campaign whose cache_dir is the runner's own cache directory
+        reads through the runner's cache, so a later campaign is served
+        from its in-process summary memo and its stats count the hits."""
+        from repro.config import Settings
+        from repro.exps.runner import SuiteSummary
+
+        parses = []
+        real_from_json = SuiteSummary.from_json.__func__
+
+        def counting_from_json(cls, text):
+            parses.append(1)
+            return real_from_json(cls, text)
+
+        monkeypatch.setattr(
+            SuiteSummary, "from_json", classmethod(counting_from_json)
+        )
+        settings = Settings(cache_dir=str(tmp_path))
+        runner = ExperimentRunner.from_settings(settings, config=ENGINE_CONFIG)
+
+        def campaign():
+            return runner.run(RunSpec.from_settings(
+                settings,
+                environments=(TS,),
+                modes=(AdaptationMode.STATIC, AdaptationMode.EXH_DYN),
+                workloads=two_workloads,
+            ))
+
+        cold = campaign()
+        assert runner.cache.stats.misses["summary"] == 2
+        campaign()
+        parsed_after_second = len(parses)
+        assert parsed_after_second == 2
+        warm = campaign()
+        assert len(parses) == parsed_after_second
+        assert runner.cache.stats.hits["summary"] == 4
+        for mode in (AdaptationMode.STATIC, AdaptationMode.EXH_DYN):
+            assert warm.summary(TS, mode).results == cold.summary(
+                TS, mode
+            ).results
 
     def test_engine_written_artifacts_carry_completion_marker(
         self, tmp_path, two_workloads

@@ -4,14 +4,15 @@ The contract under test is *bit*-identity: every hand-fused kernel
 must produce results bitwise equal to its ``reference`` oracle, the
 plain leaf-function composition in ``tests/kernel_reference.py``, at the
 kernel level, the solver level, and the full ``run_unit`` row level.
-Plus the satellite coverage: the workspace pool, the per-kernel
-counters, thermal-runaway lane isolation, and the all-scalar fast paths
+Plus the satellite coverage: loop-owned ``work=`` scratch, the
+per-kernel counters, thermal-runaway lane isolation, and the all-scalar fast paths
 in the leaf functions themselves.
 """
 
 from __future__ import annotations
 
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,7 +30,6 @@ from repro.core import (
     power_algorithm,
 )
 from repro.exps.runner import ExperimentRunner, RunnerConfig
-from repro.kernels import WorkspacePool, workspace_pool
 from repro.obs import MetricsRegistry
 from repro.thermal import solve_temperatures, solve_temperatures_lanes
 from repro.thermal.solver import T_RUNAWAY
@@ -82,72 +82,148 @@ def _assert_bitwise(a, b):
 
 
 # ----------------------------------------------------------------------
-# Workspace pool.
+# Loop-owned scratch: ``thermal_step(work=...)``.
 # ----------------------------------------------------------------------
-class TestWorkspacePool:
-    def test_borrow_yields_distinct_buffers(self):
-        pool = WorkspacePool()
-        with pool.borrow((4, 3), 3) as buffers:
-            assert len(buffers) == 3
-            assert len({id(b) for b in buffers}) == 3
-            for buffer in buffers:
-                assert buffer.shape == (4, 3)
-                assert buffer.dtype == np.float64
+def _random_broadcast_step(seed):
+    """Random ``thermal_step`` operands on a random broadcast grid.
 
-    def test_buffers_are_reused_across_borrows(self):
-        pool = WorkspacePool()
-        with pool.borrow((8,)) as (first,):
-            first_id = id(first)
-        with pool.borrow((8,)) as (again,):
-            assert id(again) == first_id
+    Returns ``(args, kwargs, shape)``: the per-subsystem arrays are
+    ``(lanes, n)``, the knobs broadcast along their own axes, and the
+    temperature and dynamic power are full ``shape`` grids.
+    """
+    rng = np.random.default_rng(seed)
+    n_vdd, n_vbb = rng.integers(1, 6, size=2)
+    n_lanes, n = rng.integers(1, 9, size=2)
+    shape = (int(n_vdd), int(n_vbb), int(n_lanes), int(n))
+    args = (
+        rng.uniform(0.10, 0.20, (n_lanes, n)),
+        rng.uniform(0.8, 1.2, (n_vdd, 1, 1, 1)),
+        rng.uniform(-0.5, 0.5, (1, n_vbb, 1, 1)),
+        rng.uniform(330.0, 420.0, shape),
+        rng.uniform(0.5, 2.0, (n_lanes, n)),
+        rng.uniform(0.5, 2.5, (n_lanes, n)),
+        rng.uniform(0.1, 3.0, shape),
+        318.0,
+        SENS,
+    )
+    kwargs = {
+        "power_factor": rng.uniform(1.0, 1.4, (n_lanes, n)),
+        "compute_delta": True,
+    }
+    return args, kwargs, shape
 
-    def test_keyed_on_shape_and_dtype(self):
-        pool = WorkspacePool()
-        with pool.borrow((8,)) as (a,):
-            pass
-        with pool.borrow((9,)) as (b,):
-            assert id(b) != id(a)
-        with pool.borrow((8,), dtype=np.float32) as (c,):
-            assert id(c) != id(a)
-            assert c.dtype == np.float32
 
-    def test_free_list_is_bounded(self):
-        pool = WorkspacePool(max_per_key=2)
-        with pool.borrow((16,), 5):
-            pass
-        assert pool.cached_bytes() == 2 * 16 * 8
+class TestThermalScratch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_work_is_bitwise_neutral(self, seed):
+        args, kwargs, shape = _random_broadcast_step(seed)
+        want_t, want_d = kernels.thermal_step(*args, **kwargs)
+        work = np.full((3, *shape), np.nan)
+        got_t, got_d = kernels.thermal_step(*args, work=work, **kwargs)
+        _assert_bitwise(want_t, got_t)
+        _assert_bitwise(want_d, got_d)
+        # Reusing the same (now dirty) scratch changes nothing either.
+        again_t, again_d = kernels.thermal_step(*args, work=work, **kwargs)
+        _assert_bitwise(want_t, again_t)
+        _assert_bitwise(want_d, again_d)
 
-    def test_nested_borrows_do_not_alias(self):
-        pool = WorkspacePool()
-        with pool.borrow((8,)) as (outer,):
-            with pool.borrow((8,)) as (inner,):
-                assert id(inner) != id(outer)
+    def test_sliced_work_is_bitwise_neutral(self):
+        # The lanes solver passes the leading-lanes view ``work[:, :k]``
+        # of one whole-solve buffer as lanes retire.
+        rng = np.random.default_rng(11)
+        n_lanes, n_vdd, n = 7, 3, 15
+        shape = (n_lanes, n_vdd, n)
+        vt0 = rng.uniform(0.10, 0.20, (n_lanes, 1, n))
+        vdd = rng.uniform(0.8, 1.2, (1, n_vdd, 1))
+        vbb = rng.uniform(-0.5, 0.5, (n_lanes, 1, n))
+        temp = rng.uniform(330.0, 420.0, shape)
+        ksta = rng.uniform(0.5, 2.0, (n_lanes, 1, n))
+        rth = rng.uniform(0.5, 2.5, n)
+        p_dyn = rng.uniform(0.1, 3.0, shape)
+        work = np.full((3, *shape), np.nan)
+        out = np.empty(shape)
+        for k in (n_lanes, 4, 1):
+            lanes = (
+                vt0[:k], vdd, vbb[:k], temp[:k], ksta[:k], rth, p_dyn[:k],
+                318.0, SENS,
+            )
+            want_t, want_d = kernels.thermal_step(*lanes, compute_delta=True)
+            got_t, got_d = kernels.thermal_step(
+                *lanes, compute_delta=True, out=out[:k], work=work[:, :k]
+            )
+            _assert_bitwise(want_t, got_t)
+            _assert_bitwise(want_d, got_d)
 
-    def test_pool_is_thread_local(self):
-        pool = WorkspacePool()
-        with pool.borrow((8,)) as (mine,):
-            pass
-        seen = {}
+    def test_misshapen_work_is_replaced_not_written(self):
+        args, kwargs, shape = _random_broadcast_step(12)
+        want_t, want_d = kernels.thermal_step(*args, **kwargs)
+        for wrong in ((3, 2, 2), (2, *shape), (3, *shape[:-1], shape[-1] + 1)):
+            work = np.full(wrong, -1.0)
+            got_t, got_d = kernels.thermal_step(*args, work=work, **kwargs)
+            _assert_bitwise(want_t, got_t)
+            _assert_bitwise(want_d, got_d)
+            assert (work == -1.0).all()
 
-        def worker():
-            with pool.borrow((8,)) as (theirs,):
-                seen["id"] = id(theirs)
+    def test_module_holds_no_buffers(self):
+        # No module-level array or container state to keep scratch in ...
+        for name, value in vars(kernels).items():
+            assert not isinstance(value, (np.ndarray, list, dict, set)) or (
+                name.startswith("__")
+            ), name
+        # ... and nothing a call allocates inside the module outlives it.
+        args, kwargs, _ = _random_broadcast_step(13)
+        ops = _grid_operands(seed=13)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            kernels.thermal_step(*args, **kwargs)
+            kernels.vt_and_static_power(
+                ops["vt0"], ops["vdd"], ops["vbb"], ops["temp"], ops["ksta"],
+                SENS,
+            )
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        only_kernels = [tracemalloc.Filter(True, kernels.__file__)]
+        grown = after.filter_traces(only_kernels).compare_to(
+            before.filter_traces(only_kernels), "filename"
+        )
+        assert sum(stat.size_diff for stat in grown) < 1024
 
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen["id"] != id(mine)
+    def test_concurrent_calls_do_not_share_scratch(self):
+        # Scratch is per call (or per caller), so threads need no locks.
+        cases = [_random_broadcast_step(20 + i) for i in range(4)]
+        want = [kernels.thermal_step(*a, **kw)[0] for a, kw, _ in cases]
+        got = [None] * len(cases)
 
-    def test_clear_drops_cached_buffers(self):
-        pool = WorkspacePool()
-        with pool.borrow((8,)):
-            pass
-        assert pool.cached_bytes() > 0
-        pool.clear()
-        assert pool.cached_bytes() == 0
+        def worker(index):
+            args, kwargs, _ = cases[index]
+            for _ in range(20):
+                got[index] = kernels.thermal_step(*args, **kwargs)[0]
 
-    def test_module_pool_is_shared(self):
-        assert workspace_pool() is workspace_pool()
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(cases))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for w, g in zip(want, got):
+            _assert_bitwise(w, g)
+
+    def test_reference_accepts_and_ignores_work(self):
+        # ``kernel_reference.installed()`` routes solver loops that pass
+        # ``work=`` to the oracle, so the oracle takes it and leaves it.
+        args, kwargs, shape = _random_broadcast_step(14)
+        want_t, want_d = kernel_reference.thermal_step(*args, **kwargs)
+        work = np.full((3, *shape), -1.0)
+        got_t, got_d = kernel_reference.thermal_step(
+            *args, work=work, **kwargs
+        )
+        _assert_bitwise(want_t, got_t)
+        _assert_bitwise(want_d, got_d)
+        assert (work == -1.0).all()
 
 
 # ----------------------------------------------------------------------

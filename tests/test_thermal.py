@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.chip.chip import CoreLanes, build_core
+from repro.circuits import DEFAULT_KNOB_RANGES
+from repro.core import SubsystemArrays, core_subsystem_arrays
+from repro.core.optimizer import _thermal_fixed_point
 from repro.obs import MetricsRegistry
 from repro.thermal import (
+    T_RUNAWAY,
     SensorSpec,
     SensorSuite,
     solve_temperatures,
@@ -141,6 +148,90 @@ class TestLaneSolver:
         )
         assert solves == 3
         assert batched_values == serial_values
+
+
+# Hypothesis strategies for the temperature-bound properties: lanes of
+# cores drawn from the session population, knob grids drawn from the
+# knob ranges, activity up to far past thermal runaway.
+KNOBS = DEFAULT_KNOB_RANGES
+lane_cores = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=1, max_size=4
+)
+vdd_grids = st.lists(
+    st.sampled_from(list(KNOBS.vdd_levels())), min_size=1, max_size=4,
+    unique=True,
+)
+vbb_grids = st.lists(
+    st.sampled_from(list(KNOBS.vbb_levels())), min_size=1, max_size=4,
+    unique=True,
+)
+frequencies = st.floats(min_value=KNOBS.f_min, max_value=KNOBS.f_max)
+activity_scales = st.sampled_from([0.0, 0.05, 1.0, 3.0, 1e4])
+heatsinks = st.floats(min_value=300.0, max_value=360.0)
+
+
+def _within_bounds(temperature, t_heatsink):
+    temperature = np.asarray(temperature)
+    return bool(
+        np.all(temperature >= t_heatsink) and np.all(temperature <= T_RUNAWAY)
+    )
+
+
+class TestTemperatureBounds:
+    """Every solver's temperatures lie in ``[t_heatsink, T_RUNAWAY]``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=lane_cores,
+        vdd=vdd_grids,
+        vbb=vbb_grids,
+        freq=st.lists(frequencies, min_size=4, max_size=4),
+        scale=st.lists(activity_scales, min_size=4, max_size=4),
+        t_heatsink=heatsinks,
+    )
+    def test_solve_temperatures_lanes(
+        self, population, picks, vdd, vbb, freq, scale, t_heatsink
+    ):
+        cores = [build_core(population[c], k) for c, k in picks]
+        lanes = CoreLanes.stack(cores)
+        n_lanes, n = len(cores), lanes.n_subsystems
+        lane = np.arange(n_lanes)
+        solution = solve_temperatures_lanes(
+            lanes,
+            np.repeat(np.take(vdd, lane, mode="wrap")[:, None], n, axis=1),
+            np.repeat(np.take(vbb, lane, mode="wrap")[:, None], n, axis=1),
+            np.asarray(freq[:n_lanes])[:, None],
+            lanes.alpha_ref * np.asarray(scale[:n_lanes])[:, None],
+            t_heatsink,
+        )
+        assert _within_bounds(solution.temperature, t_heatsink)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=lane_cores,
+        vdd=vdd_grids,
+        vbb=vbb_grids,
+        freq=frequencies,
+        scale=activity_scales,
+        t_heatsink=heatsinks,
+    )
+    def test_thermal_fixed_point(
+        self, population, picks, vdd, vbb, freq, scale, t_heatsink
+    ):
+        cores = [build_core(population[c], k) for c, k in picks]
+        stack = SubsystemArrays.stack([
+            core_subsystem_arrays(core, core.alpha_ref * scale, core.rho_ref)
+            for core in cores
+        ])
+        temp, _ = _thermal_fixed_point(
+            stack,
+            np.asarray(vdd)[:, None, None, None],
+            np.asarray(vbb)[None, :, None, None],
+            freq,
+            t_heatsink,
+        )
+        assert temp.shape == (len(vdd), len(vbb), len(cores), stack.n_subsystems)
+        assert _within_bounds(temp, t_heatsink)
 
 
 class TestSensors:
