@@ -24,13 +24,15 @@ elementwise per grid cell, batched results are bit-identical to B
 separate calls.  Freq sweeps each distinct subsystem row of the stack
 once, and converged lanes drop out of its joint fixed point early
 (convergence masking) instead of iterating at the slowest lane's pace;
-Power sweeps the full ``(vdd, vbb, B, n)`` grid.
+Power sweeps the full ``(vdd, vbb, lanes, n)`` grid.  Both run a stack
+in lane chunks whose knob grid fits :data:`MAX_SWEEP_CELLS`, so their
+working memory does not grow with the number of lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,6 +56,12 @@ from ..timing.paths import StageModifiers
 _FREQ_MAX_ITERATIONS = 30
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_ATOL = 1e-8
+
+#: Knob-grid cells (Vdd levels x Vbb levels x subsystem rows) one Freq or
+#: Power sweep may hold: about 1 MiB per float64 grid array.  A batched
+#: call runs its lanes in chunks within this budget; a lane is never
+#: split, so an unbatched call is one sweep whatever its size.
+MAX_SWEEP_CELLS = 2**17
 
 #: The per-lane array fields of :class:`SubsystemArrays`, in declaration
 #: order (used by stacking / lane selection).
@@ -433,6 +441,28 @@ def _best_knobs(f, temp, spec: OptimizationSpec):
     return f_max, spec.vdd_levels[iv], spec.vbb_levels[ib], feasible
 
 
+def _freq_chunks(row_of: np.ndarray, max_rows: int) -> "List[np.ndarray]":
+    """Lane chunks of a ``(B, n)`` row map, each needing at most ``max_rows``.
+
+    Lanes are taken in a stable order of their first subsystem's row, so
+    lanes that share rows (a lane and its low-slope FU twin) sit next to
+    each other and land in one chunk.  A lane is never split: one lane
+    needing more than ``max_rows`` rows is a chunk of its own.
+    """
+    chunks: "List[np.ndarray]" = []
+    current: "List[int]" = []
+    needed: set = set()
+    for lane in np.argsort(row_of[:, 0], kind="stable"):
+        lane_rows = set(row_of[lane].tolist())
+        if current and len(needed) + len(lane_rows - needed) > max_rows:
+            chunks.append(np.array(current))
+            current, needed = [], set()
+        needed |= lane_rows
+        current.append(int(lane))
+    chunks.append(np.array(current))
+    return chunks
+
+
 def freq_algorithm(
     subsystems: SubsystemArrays, spec: OptimizationSpec
 ) -> FreqResult:
@@ -444,27 +474,65 @@ def freq_algorithm(
     ``f_max`` is the best feasible combination.
 
     Each subsystem is solved independently, so a batched ``(B, n)`` input
-    sweeps only its *distinct* subsystem rows (see :func:`_distinct_rows`)
-    in one ``(vdd, vbb, rows)`` grid.  A lane stops when all its rows
-    have converged and is reduced to its result at once; a row iterates
-    while any of its lanes is active.  The per-lane stopping criterion is
-    exactly the one-lane one, so results stay bit-identical to B
-    separate calls.
+    sweeps only its *distinct* subsystem rows (see :func:`_distinct_rows`).
+    The lanes run in chunks whose ``(vdd, vbb, rows)`` grid holds at most
+    :data:`MAX_SWEEP_CELLS` cells (see :func:`_freq_chunks`), so the
+    sweep's memory does not grow with the number of lanes.  Within a
+    chunk a lane stops when all its rows have converged and is reduced
+    to its result at once; a row iterates while any of its lanes is
+    active.  The per-lane stopping criterion is exactly the one-lane
+    one, so results stay bit-identical to B separate calls.
     """
     batched = subsystems.is_batched
     lanes = subsystems.lanes()
     n_lanes, n = lanes.batch_size, lanes.n_subsystems
     rows, row_of = _distinct_rows(lanes)
+    knob_cells = len(spec.vdd_levels) * len(spec.vbb_levels)
+    obs.inc("optimizer.freq_calls")
+    obs.inc("optimizer.freq_lanes", float(n_lanes))
+
+    f_max = np.empty((n_lanes, n))
+    vdd_best = np.empty((n_lanes, n), dtype=spec.vdd_levels.dtype)
+    vbb_best = np.empty((n_lanes, n), dtype=spec.vbb_levels.dtype)
+    feasible = np.empty((n_lanes, n), dtype=bool)
+    iterations = np.empty(n_lanes, dtype=int)
+    for chunk in _freq_chunks(row_of, max(1, MAX_SWEEP_CELLS // knob_cells)):
+        keep = np.unique(row_of[chunk])
+        obs.inc("optimizer.candidates", float(knob_cells * keep.size))
+        best, iterations[chunk] = _freq_sweep(
+            rows._take(keep), np.searchsorted(keep, row_of[chunk]), spec
+        )
+        for out, values in zip((f_max, vdd_best, vbb_best, feasible), best):
+            out[chunk] = values
+    for count in iterations:
+        obs.observe("optimizer.freq_iterations", float(count))
+
+    if not batched:
+        f_max, vdd_best = f_max[0], vdd_best[0]
+        vbb_best, feasible = vbb_best[0], feasible[0]
+    return FreqResult(
+        f_max=f_max,
+        vdd=vdd_best,
+        vbb=vbb_best,
+        feasible=feasible,
+    )
+
+
+def _freq_sweep(
+    rows: SubsystemArrays, row_of: np.ndarray, spec: OptimizationSpec
+):
+    """The joint (f, T) fixed point of one chunk over its distinct rows.
+
+    ``rows`` is the chunk's unbatched ``(R,)`` row view and ``row_of``
+    its ``(B, n)`` entry-to-row map.  Returns the ``(f_max, vdd, vbb,
+    feasible)`` arrays of shape ``(B, n)`` and each lane's iteration
+    count.
+    """
+    n_lanes, n = row_of.shape
     vdd = spec.vdd_levels[:, None, None]
     vbb = spec.vbb_levels[None, :, None]
     t_cycle = 1.0 / rows.calib.f_nominal
     t_limit = spec.t_max + 0.05
-    obs.inc("optimizer.freq_calls")
-    obs.inc("optimizer.freq_lanes", float(n_lanes))
-    obs.inc(
-        "optimizer.candidates",
-        float(len(spec.vdd_levels) * len(spec.vbb_levels) * rows.n_subsystems),
-    )
 
     # Loop invariants: the budget z-score, the static leakage at TMAX,
     # the thermal headroom and the resulting thermal frequency cap depend
@@ -536,20 +604,10 @@ def freq_algorithm(
     if active.size:
         settle(active, f, temp, slot)
     rejections += int((~(temp <= t_limit)).sum())
-    for count in iterations:
-        obs.observe("optimizer.freq_iterations", float(count))
     obs.inc("optimizer.freq_exhausted", float(active.size))
     obs.inc("optimizer.constraint_rejections", float(rejections))
 
-    if not batched:
-        f_max, vdd_best = f_max[0], vdd_best[0]
-        vbb_best, feasible = vbb_best[0], feasible[0]
-    return FreqResult(
-        f_max=f_max,
-        vdd=vdd_best,
-        vbb=vbb_best,
-        feasible=feasible,
-    )
+    return (f_max, vdd_best, vbb_best, feasible), iterations
 
 
 @dataclass(frozen=True)
@@ -623,6 +681,42 @@ def power_algorithm(
             freq = f_core
     else:
         freq = f_core[None, :] if f_core.ndim == 1 else f_core
+    knob_cells = len(spec.vdd_levels) * len(spec.vbb_levels)
+    obs.inc("optimizer.power_calls")
+    obs.inc("optimizer.power_lanes", float(n_lanes))
+
+    # Every entry is independent, so any lane chunking is bit-identical.
+    per_chunk = max(1, MAX_SWEEP_CELLS // (knob_cells * n))
+    dtypes = (spec.vdd_levels.dtype, spec.vbb_levels.dtype) + (float,) * 3
+    outputs = [np.empty((n_lanes, n), dtype=dtype) for dtype in dtypes + (bool,)]
+    for start in range(0, n_lanes, per_chunk):
+        chunk = slice(start, start + per_chunk)
+        best = _power_sweep(
+            lanes._take(chunk), freq[chunk] if freq.ndim == 2 else freq, spec
+        )
+        for out, values in zip(outputs, best):
+            out[chunk] = values
+    if not batched:
+        outputs = [out[0] for out in outputs]
+    vdd_best, vbb_best, temp_best, p_dyn_best, p_sta_best, feasible = outputs
+    return PowerResult(
+        vdd=vdd_best,
+        vbb=vbb_best,
+        temperature=temp_best,
+        p_dynamic=p_dyn_best,
+        p_static=p_sta_best,
+        feasible=feasible,
+    )
+
+
+def _power_sweep(lanes: SubsystemArrays, freq, spec: OptimizationSpec):
+    """One chunk's full ``(vdd, vbb, lanes, n)`` Power grid, reduced.
+
+    ``freq`` broadcasts against the chunk's ``(lanes, n)`` entries.
+    Returns the ``(vdd, vbb, temperature, p_dynamic, p_static,
+    feasible)`` arrays of the cheapest feasible setting per entry.
+    """
+    n_lanes, n = lanes.batch_size, lanes.n_subsystems
     calib = lanes.calib
     vdd = spec.vdd_levels[:, None, None, None]
     vbb = spec.vbb_levels[None, :, None, None]
@@ -635,8 +729,6 @@ def power_algorithm(
     period_needed = 1.0 / freq
     period_have = lanes.budget_period_rel(vdd, vbb, temp, z) * t_cycle
     ok = (temp <= spec.t_max + 0.05) & (period_have <= period_needed * (1 + 1e-9))
-    obs.inc("optimizer.power_calls")
-    obs.inc("optimizer.power_lanes", float(n_lanes))
     obs.inc("optimizer.candidates", float(ok.size))
     obs.inc("optimizer.constraint_rejections", float((~ok).sum()))
 
@@ -659,20 +751,11 @@ def power_algorithm(
         )[0]
 
     feasible = np.isfinite(np.take_along_axis(flat, pick, axis=0)[0])
-    vdd_best = spec.vdd_levels[iv]
-    vbb_best = spec.vbb_levels[ib]
-    temp_best = select(temp)
-    p_dyn_best = select(p_dyn)
-    p_sta_best = select(p_sta)
-    if not batched:
-        vdd_best, vbb_best = vdd_best[0], vbb_best[0]
-        temp_best, feasible = temp_best[0], feasible[0]
-        p_dyn_best, p_sta_best = p_dyn_best[0], p_sta_best[0]
-    return PowerResult(
-        vdd=vdd_best,
-        vbb=vbb_best,
-        temperature=temp_best,
-        p_dynamic=p_dyn_best,
-        p_static=p_sta_best,
-        feasible=feasible,
+    return (
+        spec.vdd_levels[iv],
+        spec.vbb_levels[ib],
+        select(temp),
+        select(p_dyn),
+        select(p_sta),
+        feasible,
     )

@@ -112,13 +112,21 @@ def _evict() -> None:
 
 def _cache_get(key: Tuple) -> Optional[WorkloadMeasurement]:
     """LRU lookup; every access touches all three cache counters so the
-    serial and parallel engine paths stay structurally comparable."""
+    serial and parallel engine paths stay structurally comparable.
+
+    It also touches the simulator's instruction counter and its span
+    histogram (with nothing): a forked pool worker inherits the parent's
+    warm LRU and may serve every request without simulating.
+    """
     measurement = _CACHE.get(key)
     if measurement is not None:
         _CACHE.move_to_end(key)
     obs.inc("microarch.cache.hits", 1.0 if measurement is not None else 0.0)
     obs.inc("microarch.cache.misses", 0.0 if measurement is not None else 1.0)
     obs.inc("microarch.cache.evictions", 0.0)
+    obs.inc("microarch.sim_instructions", 0.0)
+    if obs.enabled():
+        obs.metrics_registry().histogram("span.microarch.simulate_seconds")
     return measurement
 
 

@@ -307,8 +307,9 @@ def train_controller_bank(
         elif include_variants and sub.replicable:
             variants = [FU_NORMAL, FU_LOWSLOPE]
         jobs.extend((index, variant) for variant in variants)
-    # Label every (subsystem, variant) job through the oracle, one Freq +
-    # one Power sweep per chunk of samples (bounded working memory).
+    # Label every (subsystem, variant) job through the oracle: same-size
+    # sample chunks share batched Freq and Power calls, whose sweeps the
+    # optimiser keeps within its knob-grid budget.
     requests = [
         TrainingRequest(
             index=index,

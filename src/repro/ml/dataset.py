@@ -202,51 +202,17 @@ class TrainingRequest:
     power_factor: float = 1.0
 
 
-def _label_chunk(
-    samples: SampledInputs,
-    arrays: SubsystemArrays,
-    f_core_u: np.ndarray,
-    spec: OptimizationSpec,
-    calib_f_nominal: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Label one chunk with one Freq and one Power sweep over its samples.
-
-    ``f_core_u`` are the uniform draws that place each sample's Power
-    target between ``f_min`` and its own ``f_max``.
-    """
-    freq_result = freq_algorithm(arrays, spec)
-    f_core = spec.knob_ranges.f_min + f_core_u * (
-        freq_result.f_max - spec.knob_ranges.f_min
-    )
-    f_core = np.maximum(f_core, spec.knob_ranges.f_min)
-    power_result = power_algorithm(arrays, f_core, spec)
-    slowness = demand_feature(
-        arrays, calib_f_nominal, samples.th, spec.pe_budget
-    )
-    freq_in = np.column_stack(
-        [slowness, samples.alpha, samples.rho, samples.th, samples.vt0_leak]
-    )
-    ok = power_result.feasible
-    demand = demand_feature(arrays, f_core, samples.th, spec.pe_budget)
-    return (
-        freq_in,
-        freq_result.f_max / 1e9,
-        np.column_stack([demand[ok], samples.alpha[ok]]),
-        power_result.vdd[ok],
-        power_result.vbb[ok],
-    )
-
-
-def _label_request(
-    core: Core, spec: OptimizationSpec, request: TrainingRequest, chunk: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw a request's RNG stream chunk by chunk and label each chunk.
+def _draw_request(
+    core: Core, request: TrainingRequest, chunk: int
+) -> "List[Tuple[SampledInputs, SubsystemArrays, np.ndarray]]":
+    """Draw a request's RNG stream chunk by chunk.
 
     The draw order per chunk is the seven :func:`sample_inputs` streams,
-    then the ``f_core`` uniforms; the oracle consumes no RNG.
+    then the ``f_core`` uniforms that place each sample's Power target
+    between ``f_min`` and its own ``f_max``; the oracle consumes no RNG.
     """
     rng = np.random.default_rng(request.seed)
-    parts = []
+    chunks = []
     remaining = request.n_examples
     while remaining > 0:
         n = min(chunk, remaining)
@@ -261,16 +227,55 @@ def _label_request(
             sigma_scale=request.sigma_scale,
             power_factor=request.power_factor,
         )
-        parts.append(
-            _label_chunk(samples, arrays, f_core_u, spec, core.calib.f_nominal)
+        chunks.append((samples, arrays, f_core_u))
+    return chunks
+
+
+def _label_chunks(
+    chunks: "Sequence[Tuple[SampledInputs, SubsystemArrays, np.ndarray]]",
+    spec: OptimizationSpec,
+    calib_f_nominal: float,
+) -> "List[Tuple[np.ndarray, ...]]":
+    """Label chunks, stacking same-size chunks as lanes of one sweep.
+
+    Each group of equal-sized chunks is one batched Freq call and one
+    batched Power call; the optimiser splits the stack into lane chunks
+    within its knob-grid budget.  Returns each chunk's ``(freq_inputs,
+    f_max_ghz, power_inputs, vdd, vbb)`` in input order.
+    """
+    by_size: "dict[int, List[int]]" = {}
+    for position, (samples, _, _) in enumerate(chunks):
+        by_size.setdefault(len(samples.th), []).append(position)
+    labels: "List[Tuple[np.ndarray, ...]]" = [()] * len(chunks)
+    for members in by_size.values():
+        stack = SubsystemArrays.stack([chunks[i][1] for i in members])
+        f_core_u = np.stack([chunks[i][2] for i in members])
+        freq_result = freq_algorithm(stack, spec)
+        f_core = spec.knob_ranges.f_min + f_core_u * (
+            freq_result.f_max - spec.knob_ranges.f_min
         )
-    return (
-        np.vstack([part[0] for part in parts]),
-        np.concatenate([part[1] for part in parts]),
-        np.vstack([part[2] for part in parts]),
-        np.concatenate([part[3] for part in parts]),
-        np.concatenate([part[4] for part in parts]),
-    )
+        f_core = np.maximum(f_core, spec.knob_ranges.f_min)
+        power_result = power_algorithm(stack, f_core, spec)
+        for lane, position in enumerate(members):
+            samples, arrays, _ = chunks[position]
+            slowness = demand_feature(
+                arrays, calib_f_nominal, samples.th, spec.pe_budget
+            )
+            ok = power_result.feasible[lane]
+            demand = demand_feature(
+                arrays, f_core[lane], samples.th, spec.pe_budget
+            )
+            labels[position] = (
+                np.column_stack([
+                    slowness, samples.alpha, samples.rho, samples.th,
+                    samples.vt0_leak,
+                ]),
+                freq_result.f_max[lane] / 1e9,
+                np.column_stack([demand[ok], samples.alpha[ok]]),
+                power_result.vdd[lane][ok],
+                power_result.vbb[lane][ok],
+            )
+    return labels
 
 
 def generate_training_datasets(
@@ -280,22 +285,39 @@ def generate_training_datasets(
     *,
     chunk: int = 2500,
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Label many (subsystem, variant) training sets, one chunk per sweep.
+    """Label many (subsystem, variant) training sets in stacked sweeps.
 
-    Every chunk of ``chunk`` samples is labelled by one Freq and one
-    Power sweep over its own ``(n,)`` batch, so a sweep's knob grid never
-    exceeds ``vdd-levels x vbb-levels x chunk`` cells and the oracle's
-    working memory does not grow with the number of requests.  Samples
-    are independent lanes of the oracle, so the labels do not depend on
-    which other samples share a sweep.
+    Each request draws its own RNG stream in chunks of ``chunk``
+    samples; then the chunks of every request that have the same size
+    become the lanes of one batched Freq and one batched Power call.
+    The optimiser runs such a stack in lane chunks whose knob grid stays
+    within :data:`~repro.core.optimizer.MAX_SWEEP_CELLS`, so a
+    small-grid bank labels in a few sweeps while a full (Vdd, Vbb)
+    grid's chunks still run one per sweep.  A chunk is one lane whose
+    Freq fixed point stops on its own samples alone, so the labels do
+    not depend on which other chunks share a sweep.
 
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
     tuple per request, in request order; each equals
     :func:`generate_training_data` for that request alone.
     """
-    return [
-        _label_request(core, spec, request, chunk) for request in requests
-    ]
+    drawn = [_draw_request(core, request, chunk) for request in requests]
+    labels = iter(_label_chunks(
+        [part for parts in drawn for part in parts],
+        spec,
+        core.calib.f_nominal,
+    ))
+    datasets = []
+    for parts in drawn:
+        mine = [next(labels) for _ in parts]
+        datasets.append((
+            np.vstack([part[0] for part in mine]),
+            np.concatenate([part[1] for part in mine]),
+            np.vstack([part[2] for part in mine]),
+            np.concatenate([part[3] for part in mine]),
+            np.concatenate([part[4] for part in mine]),
+        ))
+    return datasets
 
 
 def generate_training_data(

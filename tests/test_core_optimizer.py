@@ -1,12 +1,17 @@
 """The Freq and Power algorithms (Sections 4.2 / 4.3.1)."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from repro import obs
 from repro.core import (
+    ALL_TECHNIQUES,
     BASELINE,
+    AdaptationMode,
     TS,
     TS_ASV,
     TS_ASV_ABB,
@@ -17,7 +22,10 @@ from repro.core import (
 )
 from repro.chip import build_core
 from repro.core.adaptation import _stacked_phase_arrays
+from repro.core import optimizer
 from repro.core.optimizer import _ARRAY_FIELDS, SubsystemArrays, _distinct_rows
+from repro.exps.runner import ExperimentRunner, RunnerConfig
+from repro.microarch import spec2000_like_suite
 from repro.mitigation import TechniqueState
 from repro.obs import MetricsRegistry
 from repro.timing import StageModifiers
@@ -429,3 +437,190 @@ class TestBatchedPowerAlgorithm:
             result.core_power()
         with pytest.raises(ValueError):
             result.max_temperature()
+
+
+def _twin_stack(cores, measurements, scales=(1.0,)):
+    """FU twins: every (core, measurement, activity scale) lane once
+    with the normal FU and once with the low-slope replica (same order),
+    sharing every subsystem row but the FU column."""
+    pairs = [
+        (c, replace(m, activity=m.activity * scale))
+        for c in cores for m in measurements for scale in scales
+    ]
+    stack = _stacked_phase_arrays(
+        [c for _ in (0, 1) for c, _ in pairs],
+        [
+            TechniqueState(lowslope=lowslope, domain=m.domain)
+            for lowslope in (False, True) for _, m in pairs
+        ],
+        [m for _ in (0, 1) for _, m in pairs],
+    )
+    return stack, len(pairs)
+
+
+def _run_counted(call):
+    """``call()``'s result and the metrics document it wrote."""
+    with obs.scoped(MetricsRegistry()) as registry:
+        result = call()
+        doc = registry.to_dict()
+    return result, doc
+
+
+class TestSweepBudget:
+    """``MAX_SWEEP_CELLS`` splits a batched sweep into lane chunks
+    without moving a bit of any lane's result."""
+
+    @pytest.fixture(scope="class")
+    def twins(self, population, core, other_core, int_measurement,
+              fp_measurement):
+        cores = [core, other_core, build_core(population[1], 0)]
+        return _twin_stack(cores, [int_measurement, fp_measurement])
+
+    @pytest.fixture(scope="class")
+    def abb_spec(self, core):
+        return TS_ASV_ABB.optimization_spec(core.n_subsystems, core.calib)
+
+    @staticmethod
+    def _sweeps(monkeypatch, name):
+        """Count the calls of one private sweep function."""
+        calls = []
+        real = getattr(optimizer, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_freq_chunked_equals_unchunked(
+        self, twins, abb_spec, monkeypatch, rows
+    ):
+        stack, _ = twins
+        knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
+        whole, whole_doc = _run_counted(lambda: freq_algorithm(stack, abb_spec))
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", knobs * rows)
+        sweeps = self._sweeps(monkeypatch, "_freq_sweep")
+        parts, parts_doc = _run_counted(lambda: freq_algorithm(stack, abb_spec))
+        assert len(sweeps) > 1
+        for field in ("f_max", "vdd", "vbb", "feasible"):
+            assert_array_equal(getattr(parts, field), getattr(whole, field))
+        iterations = "optimizer.freq_iterations"
+        assert parts_doc["histograms"][iterations]["values"] == (
+            whole_doc["histograms"][iterations]["values"]
+        )
+        for name in ("optimizer.freq_calls", "optimizer.freq_lanes"):
+            assert parts_doc["counters"][name] == whole_doc["counters"][name]
+        assert parts_doc["counters"]["optimizer.freq_calls"] == 1
+        assert parts_doc["counters"]["optimizer.candidates"] >= (
+            whole_doc["counters"]["optimizer.candidates"]
+        )
+
+    def test_fu_twins_share_a_chunk(self, twins, abb_spec, core):
+        # A budget of one twin pair's rows (n + 1): every chunk is a lane
+        # and its low-slope twin, and no row is swept twice.
+        stack, n_pairs = twins
+        rows, row_of = _distinct_rows(stack)
+        chunks = optimizer._freq_chunks(row_of, core.n_subsystems + 1)
+        assert sorted(sorted(c.tolist()) for c in chunks) == [
+            [lane, lane + n_pairs] for lane in range(n_pairs)
+        ]
+        knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
+        whole, whole_doc = _run_counted(lambda: freq_algorithm(stack, abb_spec))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                optimizer, "MAX_SWEEP_CELLS", knobs * (core.n_subsystems + 1)
+            )
+            parts, parts_doc = _run_counted(
+                lambda: freq_algorithm(stack, abb_spec)
+            )
+        assert_array_equal(parts.f_max, whole.f_max)
+        candidates = knobs * rows.n_subsystems
+        assert whole_doc["counters"]["optimizer.candidates"] == candidates
+        assert parts_doc["counters"]["optimizer.candidates"] == candidates
+
+    def test_a_lane_is_never_split(self, subs, abb_spec, monkeypatch):
+        # An unbatched call is one lane: one sweep whatever the budget.
+        whole = freq_algorithm(subs, abb_spec)
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
+        freq_sweeps = self._sweeps(monkeypatch, "_freq_sweep")
+        power_sweeps = self._sweeps(monkeypatch, "_power_sweep")
+        alone = freq_algorithm(subs, abb_spec)
+        assert_array_equal(alone.f_max, whole.f_max)
+        power_algorithm(subs, alone.core_frequency(), abb_spec)
+        assert len(freq_sweeps) == len(power_sweeps) == 1
+
+    @pytest.mark.parametrize("per_lane", [True, False])
+    @pytest.mark.parametrize("lanes_per_chunk", [1, 3])
+    def test_power_chunked_equals_unchunked(
+        self, twins, abb_spec, monkeypatch, per_lane, lanes_per_chunk
+    ):
+        stack, _ = twins
+        f_max = freq_algorithm(stack, abb_spec).f_max
+        f_core = f_max.min(axis=1) if per_lane else f_max
+        whole, whole_doc = _run_counted(
+            lambda: power_algorithm(stack, f_core, abb_spec)
+        )
+        knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
+        monkeypatch.setattr(
+            optimizer, "MAX_SWEEP_CELLS",
+            knobs * stack.n_subsystems * lanes_per_chunk,
+        )
+        sweeps = self._sweeps(monkeypatch, "_power_sweep")
+        parts, parts_doc = _run_counted(
+            lambda: power_algorithm(stack, f_core, abb_spec)
+        )
+        assert len(sweeps) == -(-stack.batch_size // lanes_per_chunk)
+        for field in ("vdd", "vbb", "temperature", "p_dynamic", "p_static",
+                      "feasible"):
+            assert_array_equal(getattr(parts, field), getattr(whole, field))
+        # Power has no shared rows: its counters are chunking-invariant.
+        def optimizer_counters(doc):
+            return {name: value for name, value in doc["counters"].items()
+                    if name.startswith("optimizer.")}
+
+        assert optimizer_counters(parts_doc) == optimizer_counters(whole_doc)
+        assert parts_doc["counters"]["optimizer.power_calls"] == 1
+        assert parts_doc["counters"]["optimizer.candidates"] == (
+            knobs * stack.batch_size * stack.n_subsystems
+        )
+
+    def test_static_block_rows_unchanged(self, monkeypatch):
+        runner = ExperimentRunner(
+            RunnerConfig(n_chips=2, cores_per_chip=2, n_instructions=3000,
+                         fuzzy_examples=300, fuzzy_epochs=1),
+            workloads=spec2000_like_suite()[4:6],
+        )
+        units = [(chip, core) for chip in range(2) for core in range(2)]
+
+        def rows():
+            return runner.run_units_batched(
+                ALL_TECHNIQUES, AdaptationMode.STATIC, units
+            )
+
+        whole = rows()
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
+        assert rows() == whole
+
+    def test_freq_peak_memory_is_bounded(
+        self, population, int_measurement, fp_measurement, abb_spec
+    ):
+        # 228 TS+ASV+ABB lanes (114 FU twin pairs): unchunked, the
+        # (9, 21, 1824-row) grid holds about 2.6 MiB per array.
+        cores = [build_core(chip, k) for chip in population[:3]
+                 for k in range(2)]
+        stack, n_pairs = _twin_stack(
+            cores, [int_measurement, fp_measurement],
+            scales=np.linspace(0.5, 1.5, 10),
+        )
+        stack = stack.lane_subset(np.r_[0:114, n_pairs:n_pairs + 114])
+        assert stack.batch_size == 228
+        tracemalloc.start()
+        try:
+            freq_algorithm(stack, abb_spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * optimizer.MAX_SWEEP_CELLS * 8
+

@@ -1,5 +1,7 @@
 """VARIUS-style variation model: correlogram, grid, maps, populations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,38 @@ class TestSphericalCorrelation:
         corr = correlation_matrix(points, 0.5)
         factor = correlated_normal_factor(points, 0.5)
         assert np.allclose(factor @ factor.T, corr, atol=1e-6)
+
+    @staticmethod
+    def _unfused(distance, phi):
+        """The correlogram written out, one temporary per operation."""
+        scaled = np.minimum(distance / phi, 1.0)
+        return 1.0 - 1.5 * scaled + 0.5 * scaled**3
+
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 2.0])
+    def test_bitwise_the_unfused_formula(self, phi):
+        points = np.random.default_rng(2).random((300, 2))
+        dx = np.subtract.outer(points[:, 0], points[:, 0])
+        dy = np.subtract.outer(points[:, 1], points[:, 1])
+        want = self._unfused(np.hypot(dx, dy), phi)
+        assert correlation_matrix(points, phi).tobytes() == want.tobytes()
+        r = np.random.default_rng(3).random((7, 5))
+        assert spherical_correlation(r, phi).tobytes() == (
+            self._unfused(r, phi).tobytes()
+        )
+        assert spherical_correlation(0.3, phi) == self._unfused(0.3, phi)
+
+    def test_matrix_peak_is_two_dense_buffers(self):
+        # The unfused formula holds about six (n, n) temporaries at once;
+        # the build must stay within three (its two buffers plus slack).
+        points = np.random.default_rng(4).random((400, 2))
+        dense = points.shape[0] ** 2 * 8
+        tracemalloc.start()
+        try:
+            correlation_matrix(points, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * dense
 
 
 class TestDieGrid:
