@@ -188,29 +188,62 @@ def _freq_stage(
     cores: Sequence[Core],
     env: Environment,
     spec: OptimizationSpec,
-    measurements: Sequence[WorkloadMeasurement],
+    stages: Sequence[Tuple[Sequence[WorkloadMeasurement], bool]],
     mode: AdaptationMode,
     bank: "Optional[ControllerBank]",
-    queue_full: bool,
-) -> "Tuple[List[TechniqueState], List[float]]":
+) -> "List[Tuple[List[TechniqueState], List[float]]]":
     """Freq algorithm + the Figure 4 FU-replication decision, per lane.
 
-    With FU replication the normal and low-slope technique lanes go to
-    one :func:`_lane_fmax` call: the replica changes only the FU
-    column's sigma scale and power factor, so the exhaustive sweep
-    shares every other subsystem row between the two lanes.
+    ``stages`` lists ``(measurements, queue_full)`` pairs over the same
+    lanes: the full queue and, with queue resizing, the resized one.
+    Every stage's normal and (with FU replication) low-slope technique
+    lanes go to one :func:`_lane_fmax` call, so the exhaustive sweep
+    solves each subsystem row they share once: the replica changes only
+    the FU column's sigma scale and power factor, and a resized-queue
+    lane repeats many of its full-queue twin's rows.  Returns one
+    ``(techniques, f_core)`` pair per stage.
     """
-    techniques = [
-        TechniqueState(queue_full=queue_full, lowslope=False, domain=m.domain)
-        for m in measurements
-    ]
-    n_lanes = len(techniques)
-    lowslope = [replace(t, lowslope=True) for t in techniques] if env.fu else []
+    n_lanes = len(cores)
     copies = 2 if env.fu else 1
-    fmax = _lane_fmax(
-        list(cores) * copies, env, spec, techniques + lowslope,
-        list(measurements) * copies, mode, bank,
+    lane_techniques: List[TechniqueState] = []
+    lane_measurements: List[WorkloadMeasurement] = []
+    for measurements, queue_full in stages:
+        techniques = [
+            TechniqueState(queue_full=queue_full, lowslope=False, domain=m.domain)
+            for m in measurements
+        ]
+        lane_techniques += techniques
+        if env.fu:
+            lane_techniques += [replace(t, lowslope=True) for t in techniques]
+        lane_measurements += list(measurements) * copies
+    fmax_all = _lane_fmax(
+        list(cores) * (copies * len(stages)), env, spec, lane_techniques,
+        lane_measurements, mode, bank,
     )
+    return [
+        _fu_decision(
+            cores, env, spec,
+            lane_techniques[start:start + copies * n_lanes],
+            fmax_all[start:start + copies * n_lanes],
+        )
+        for start in range(0, len(lane_techniques), copies * n_lanes)
+    ]
+
+
+def _fu_decision(
+    cores: Sequence[Core],
+    env: Environment,
+    spec: OptimizationSpec,
+    techniques: List[TechniqueState],
+    fmax: np.ndarray,
+) -> "Tuple[List[TechniqueState], List[float]]":
+    """One queue stage's Figure 4 FU rule and per-lane core frequency.
+
+    ``techniques`` and ``fmax`` hold the stage's normal lanes followed,
+    with FU replication, by their low-slope twins.
+    """
+    n_lanes = len(cores)
+    techniques, lowslope = techniques[:n_lanes], techniques[n_lanes:]
     if env.fu:
         fmax, fmax_ls = fmax[:n_lanes], fmax[n_lanes:]
         # Per-lane inputs to the Figure 4 rule, gathered in one shot:
@@ -486,8 +519,8 @@ def optimize_units_batched(
     ``(meas_full, meas_resized)`` measurement pairs (``meas_resized``
     may be ``None`` when the environment does not resize queues).  All
     phases of all units are flattened onto one lane axis, and each stage
-    runs once for every lane: Freq over the full queue, Freq over the
-    resized queue, the Figure 4 FU rule and the queue decision per lane,
+    runs once for every lane: Freq over the full and the resized queue
+    together, the Figure 4 FU rule and the queue decision per lane,
     Power at the chosen frequencies, then the PMAX loop and the retuning
     cycles.  Each lane follows exactly the decision sequence it would
     follow alone.
@@ -518,15 +551,13 @@ def optimize_units_batched(
     spec = spec or env.optimization_spec(cores[0].n_subsystems, cores[0].calib)
 
     full = [meas for meas, _ in pairs]
-    techniques, f = _freq_stage(
-        cores, env, spec, full, mode, bank, queue_full=True
-    )
+    resized = [meas_resized for _, meas_resized in pairs]
+    stages = [(full, True), (resized, False)] if env.queue else [(full, True)]
+    decided = _freq_stage(cores, env, spec, stages, mode, bank)
+    techniques, f = decided[0]
     meas = list(full)
     if env.queue:
-        resized = [meas_resized for _, meas_resized in pairs]
-        techniques_rs, f_rs = _freq_stage(
-            cores, env, spec, resized, mode, bank, queue_full=False
-        )
+        techniques_rs, f_rs = decided[1]
         pe_target = cores[0].calib.pe_max if env.checker else 0.0
         for lane, core in enumerate(cores):
             decision = choose_queue_size(

@@ -60,7 +60,9 @@ _CONVERGENCE_ATOL = 1e-8
 #: Knob-grid cells (Vdd levels x Vbb levels x subsystem rows) one Freq or
 #: Power sweep may hold: about 1 MiB per float64 grid array.  A batched
 #: call runs its lanes in chunks within this budget; a lane is never
-#: split, so an unbatched call is one sweep whatever its size.
+#: split, so an unbatched call is one sweep whatever its size: a lane
+#: that alone exceeds the budget (e.g. a 2,500-sample labelling chunk on
+#: the 9 x 21 ABB grid) counts in ``optimizer.sweeps_over_budget``.
 MAX_SWEEP_CELLS = 2**17
 
 #: The per-lane array fields of :class:`SubsystemArrays`, in declaration
@@ -499,6 +501,7 @@ def freq_algorithm(
     for chunk in _freq_chunks(row_of, max(1, MAX_SWEEP_CELLS // knob_cells)):
         keep = np.unique(row_of[chunk])
         obs.inc("optimizer.candidates", float(knob_cells * keep.size))
+        _count_sweep(knob_cells * keep.size)
         best, iterations[chunk] = _freq_sweep(
             rows._take(keep), np.searchsorted(keep, row_of[chunk]), spec
         )
@@ -516,6 +519,13 @@ def freq_algorithm(
         vbb=vbb_best,
         feasible=feasible,
     )
+
+
+def _count_sweep(cells: int) -> None:
+    """Count a sweep of ``cells`` knob-grid cells if it is over
+    :data:`MAX_SWEEP_CELLS`; touched with 0 otherwise, so every metrics
+    document that sweeps has the same names."""
+    obs.inc("optimizer.sweeps_over_budget", float(cells > MAX_SWEEP_CELLS))
 
 
 def _freq_sweep(
@@ -691,6 +701,7 @@ def power_algorithm(
     outputs = [np.empty((n_lanes, n), dtype=dtype) for dtype in dtypes + (bool,)]
     for start in range(0, n_lanes, per_chunk):
         chunk = slice(start, start + per_chunk)
+        _count_sweep(knob_cells * n * min(per_chunk, n_lanes - start))
         best = _power_sweep(
             lanes._take(chunk), freq[chunk] if freq.ndim == 2 else freq, spec
         )

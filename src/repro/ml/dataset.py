@@ -297,6 +297,12 @@ def generate_training_datasets(
     Freq fixed point stops on its own samples alone, so the labels do
     not depend on which other chunks share a sweep.
 
+    The budget does not bound one chunk: a lane is never split, so a
+    chunk whose samples times knob cells exceed ``MAX_SWEEP_CELLS``
+    (694 samples or more on the 9 x 21 ABB grid, as the default
+    2,500-sample chunks are) is swept alone, over the budget, and
+    counted in ``optimizer.sweeps_over_budget``.
+
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
     tuple per request, in request order; each equals
     :func:`generate_training_data` for that request alone.

@@ -39,6 +39,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     disable,
+    drop_gauge,
     enable,
     enabled,
     inc,
@@ -60,6 +61,7 @@ __all__ = [
     "configure_logging",
     "current_span",
     "disable",
+    "drop_gauge",
     "emit_event",
     "enable",
     "enabled",

@@ -267,3 +267,8 @@ def set_gauge(name: str, value: float) -> None:
     """Set a gauge in the active registry."""
     if _ENABLED:
         _STACK[-1].gauge(name).set(value)
+
+
+def drop_gauge(name: str) -> None:
+    """Forget a gauge in the active registry (no-op if it is absent)."""
+    _STACK[-1].gauges.pop(name, None)

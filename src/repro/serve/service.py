@@ -22,6 +22,11 @@ Server-side policy wins over spec fields: a submitted spec's
 ``parallelism``, ``cache_dir`` and ``use_cache`` are ignored — the
 daemon's worker pool and cache are shared, configured once via
 :class:`repro.config.Settings` (``service_*`` knobs).
+
+Admission costs O(cells of the job), whatever the service's history: a
+cell's ``summary_key`` is memoised, live jobs are counted from their own
+map, and only the last :data:`MAX_FINISHED_JOBS` finished jobs are kept
+for ``status``/``progress``/``result``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import itertools
 import logging
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .. import obs, variation
 from ..config import Settings
@@ -42,6 +48,25 @@ from .jobs import LIVE_STATES, CellFailure, Job, JobState
 from .scheduler import CellScheduler
 
 log = logging.getLogger("repro.serve.service")
+
+#: Finished jobs kept for ``status``/``progress``/``result``, oldest
+#: retired first.  A retired job's id is unknown (:class:`UnknownJobError`)
+#: and its ``serve.job.<id>.*`` gauges are dropped.
+MAX_FINISHED_JOBS = 1024
+
+#: Distinct cells whose ``summary_key`` the service memoises, oldest
+#: evicted first.
+MAX_KEY_MEMO_CELLS = 4096
+
+#: The counter each terminal state increments.
+_FINISH_COUNTERS = {
+    JobState.DONE: "serve.jobs_completed",
+    JobState.FAILED: "serve.jobs_failed",
+    JobState.CANCELLED: "serve.jobs_cancelled",
+}
+
+#: The per-job gauges, under ``serve.job.<id>.``.
+_JOB_GAUGES = ("cells_total", "cells_done", "cells_pending")
 
 
 class ServiceError(RuntimeError):
@@ -68,6 +93,31 @@ class JobFailedError(ServiceError):
 
 class JobCancelledError(ServiceError):
     """The awaited job was cancelled."""
+
+
+class _YieldingLock:
+    """A re-entrant lock whose waiters retry instead of queueing on it.
+
+    A thread blocked in ``RLock.acquire`` is handed the lock on release
+    and must then wait for the GIL, so the releasing thread, coming
+    back for the lock, blocks in turn: two clients then pass the lock
+    through the OS scheduler on every request (a lock convoy), which
+    took a cached read from about 0.05 to 0.2 ms on a 2-vCPU VM.  Here
+    a waiter yields the GIL and retries with a pause that backs off to
+    1 ms, so the lock is only ever taken by a running thread.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+
+    def __enter__(self) -> None:
+        pause = 0.0
+        while not self._lock.acquire(blocking=False):
+            time.sleep(pause)
+            pause = min(2.0 * pause + 1e-5, 1e-3)
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
 
 
 class CampaignService:
@@ -114,9 +164,18 @@ class CampaignService:
             variation.set_store(FactorStore(self.cache))
         self.max_jobs = settings.service_max_jobs
         self.retries = settings.service_retries
-        self._lock = threading.RLock()
+        self._lock = _YieldingLock()
+        #: Every job still known: the live ones and the retained finished.
         self._jobs: Dict[str, Job] = {}
+        self._live: Dict[str, Job] = {}
+        #: Finished job ids, oldest first (at most MAX_FINISHED_JOBS).
+        self._finished: Deque[str] = deque()
+        #: The cells each live job follows (dropped when it finishes).
         self._job_cells: Dict[str, List[CellTask]] = {}
+        #: {(env, mode, workload hashes): summary_key} for the runner
+        #: objects in ``_key_scope``; see :meth:`_summary_key`.
+        self._keys: Dict[tuple, str] = {}
+        self._key_scope: tuple = (None, None, None)
         self._registry = InFlightRegistry()
         self._ids = itertools.count(1)
         self._started = False
@@ -154,9 +213,7 @@ class CampaignService:
         """
         self.start()
         with self._lock:
-            live = sum(
-                1 for job in self._jobs.values() if job.state in LIVE_STATES
-            )
+            live = len(self._live)
             if live >= self.max_jobs:
                 obs.inc("serve.jobs_rejected")
                 raise ServiceBusyError(
@@ -165,14 +222,14 @@ class CampaignService:
             job = Job(
                 job_id=f"job-{next(self._ids)}", spec=spec, priority=priority
             )
-            self._jobs[job.job_id] = job
+            self._jobs[job.job_id] = self._live[job.job_id] = job
             self._job_cells[job.job_id] = []
             obs.inc("serve.jobs_submitted")
             self._admit(job)
-            if job.pending_cells == 0 and job.state in LIVE_STATES:
-                job.finish(JobState.DONE)
-                obs.inc("serve.jobs_completed")
-            self._update_job_gauges(job)
+            if job.pending_cells == 0:
+                self._finish(job, JobState.DONE)
+            else:
+                self._update_job_gauges(job)
             self._update_service_gauges()
             log.info(
                 "%s: %d cells (%d cached, %d coalesced, %d scheduled)",
@@ -226,21 +283,26 @@ class CampaignService:
             job = self._get(job_id)
             if job.state not in LIVE_STATES:
                 return False
-            job.finish(JobState.CANCELLED)
-            obs.inc("serve.jobs_cancelled")
-            self._detach(job)
-            self._update_job_gauges(job)
+            self._finish(job, JobState.CANCELLED)
             self._update_service_gauges()
             return True
 
     def stats(self) -> Dict[str, Any]:
-        """A service-level snapshot (the daemon's ``ping`` payload)."""
+        """A service-level snapshot (the daemon's ``ping`` payload).
+
+        ``jobs`` counts the known jobs by state: the live ones and the
+        retained finished ones (``finished_jobs``, at most
+        ``max_finished_jobs``).
+        """
         with self._lock:
             states = {state.value: 0 for state in JobState}
             for job in self._jobs.values():
                 states[job.state.value] += 1
             return {
                 "jobs": states,
+                "live_jobs": len(self._live),
+                "finished_jobs": len(self._finished),
+                "max_finished_jobs": MAX_FINISHED_JOBS,
                 "queue_depth": self._scheduler.depth(),
                 "inflight_cells": len(self._registry),
                 "max_jobs": self.max_jobs,
@@ -257,6 +319,7 @@ class CampaignService:
             if spec.workloads is not None
             else tuple(runner.workloads)
         )
+        hashes = tuple(workload.content_hash() for workload in workloads)
         seen: set = set()
         for env, mode in spec.pairs():
             cell_id = (env.name, mode.value)
@@ -264,10 +327,7 @@ class CampaignService:
                 continue
             seen.add(cell_id)
             job.cells_total += 1
-            key = summary_key(
-                runner.calib, runner.config, runner.core_config, env, mode,
-                list(workloads),
-            )
+            key = self._summary_key(env, mode, workloads, hashes)
             if self.cache is not None:
                 cached = self.cache.load_summary(key)
                 if cached is not None:
@@ -297,6 +357,30 @@ class CampaignService:
             obs.inc("serve.units_scheduled", len(cell.units))
             for unit in cell.units:
                 self._scheduler.submit(job.priority, (cell, unit))
+
+    def _summary_key(self, env, mode, workloads, hashes) -> str:
+        """``summary_key`` of one cell, memoised (under the service lock).
+
+        The memo holds the runner's ``calib``, ``config`` and
+        ``core_config`` it was filled for, so their ids cannot be reused,
+        and starts over when any of them is a different object (a
+        ``replace()``d config, say).  Within it a cell is its environment,
+        mode and workload content hashes, all of which ``summary_key``
+        covers, so a hit equals a fresh key.
+        """
+        runner = self.runner
+        scope = (runner.calib, runner.config, runner.core_config)
+        if any(new is not old for new, old in zip(scope, self._key_scope)):
+            self._key_scope = scope
+            self._keys.clear()
+        cell = (env, mode, hashes)
+        key = self._keys.get(cell)
+        if key is None:
+            if len(self._keys) >= MAX_KEY_MEMO_CELLS:
+                del self._keys[next(iter(self._keys))]
+            key = summary_key(*scope, env, mode, list(workloads))
+            self._keys[cell] = key
+        return key
 
     # ------------------------------------------------------------------
     # Unit execution and settlement (service threads).
@@ -361,9 +445,9 @@ class CampaignService:
                 job.summaries[cell.cell] = summary
                 job.pending_cells -= 1
                 if job.pending_cells == 0:
-                    job.finish(JobState.DONE)
-                    obs.inc("serve.jobs_completed")
-                self._update_job_gauges(job)
+                    self._finish(job, JobState.DONE)
+                else:
+                    self._update_job_gauges(job)
             cell.followers.clear()
             self._update_service_gauges()
 
@@ -405,10 +489,7 @@ class CampaignService:
                 if job.state not in LIVE_STATES:
                     continue
                 job.failures.append(failure)
-                job.finish(JobState.FAILED)
-                obs.inc("serve.jobs_failed")
-                self._detach(job)
-                self._update_job_gauges(job)
+                self._finish(job, JobState.FAILED)
             cell.followers.clear()
             self._update_service_gauges()
 
@@ -421,9 +502,31 @@ class CampaignService:
             raise UnknownJobError(job_id)
         return job
 
+    def _finish(self, job: Job, state: JobState) -> None:
+        """Move a live job to a terminal state and into the finished table.
+
+        A failed or cancelled job leaves its cells first (see
+        :meth:`_detach`); every finished job drops its cell list.  The
+        oldest finished jobs past :data:`MAX_FINISHED_JOBS` are retired:
+        forgotten, gauges and all.
+        """
+        job.finish(state)
+        obs.inc(_FINISH_COUNTERS[state])
+        del self._live[job.job_id]
+        if state is not JobState.DONE:
+            self._detach(job)
+        del self._job_cells[job.job_id]
+        self._update_job_gauges(job)
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            retired = self._finished.popleft()
+            del self._jobs[retired]
+            for name in _JOB_GAUGES:
+                obs.drop_gauge(f"serve.job.{retired}.{name}")
+
     def _detach(self, job: Job) -> None:
         """Drop a finished job from its cells; abandon now-orphaned ones."""
-        for cell in self._job_cells.get(job.job_id, []):
+        for cell in self._job_cells[job.job_id]:
             if job in cell.followers:
                 cell.followers.remove(job)
             if (
@@ -443,6 +546,5 @@ class CampaignService:
         obs.set_gauge(f"{prefix}.cells_pending", job.pending_cells)
 
     def _update_service_gauges(self) -> None:
-        live = sum(1 for job in self._jobs.values() if job.state in LIVE_STATES)
-        obs.set_gauge("serve.active_jobs", live)
+        obs.set_gauge("serve.active_jobs", len(self._live))
         obs.set_gauge("serve.inflight_cells", len(self._registry))

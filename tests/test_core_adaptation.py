@@ -29,6 +29,7 @@ from repro import obs
 from repro.chip import build_core
 from repro.chip.chip import stackable
 from repro.core.adaptation import (
+    _freq_stage,
     _fuzzy_inputs,
     optimize_units_batched,
     perf_params_from_measurement,
@@ -554,3 +555,44 @@ class TestOptimizePhasesBatched:
             if not was_enabled:
                 obs.disable()
         assert registry.counters["ml.inference_calls"].value == 165
+
+
+class TestFreqStage:
+    @pytest.mark.parametrize("env", [TS_ASV_Q, TS_ASV_Q_FU])
+    @pytest.mark.parametrize(
+        "mode", [AdaptationMode.EXH_DYN, AdaptationMode.FUZZY_DYN]
+    )
+    def test_merged_queue_stages_equal_separate_calls(
+        self, population, core, other_core, fu_measurements,
+        fp_fu_measurements, tiny_bank, monkeypatch, env, mode,
+    ):
+        """Both queue stages in one Freq sweep (or one bank call) decide
+        every lane bit for bit as one call per stage does."""
+        cores = [core, other_core, build_core(population[1], 0)]
+        pairs = [(c, m) for c in cores
+                 for m in (fu_measurements, fp_fu_measurements)]
+        lane_cores = [c for c, _ in pairs]
+        stages = [
+            ([full for _, (full, _) in pairs], True),
+            ([resized for _, (_, resized) in pairs], False),
+        ]
+        spec = env.optimization_spec(core.n_subsystems, core.calib)
+        bank_calls = []
+        predict = tiny_bank.predict_fmax
+
+        def counted(*args, **kwargs):
+            bank_calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(tiny_bank, "predict_fmax", counted)
+        with obs.scoped(MetricsRegistry()) as registry:
+            merged = _freq_stage(lane_cores, env, spec, stages, mode, tiny_bank)
+        if mode is AdaptationMode.FUZZY_DYN:
+            assert len(bank_calls) == 1
+        else:
+            assert registry.counters["optimizer.freq_calls"].value == 1
+        separate = [
+            _freq_stage(lane_cores, env, spec, [stage], mode, tiny_bank)[0]
+            for stage in stages
+        ]
+        assert merged == separate

@@ -551,6 +551,20 @@ class TestSweepBudget:
         power_algorithm(subs, alone.core_frequency(), abb_spec)
         assert len(freq_sweeps) == len(power_sweeps) == 1
 
+    def test_over_budget_lane_is_counted(self, subs, abb_spec, monkeypatch):
+        # Within the budget the counter is touched with 0, so serial and
+        # parallel documents keep the same names.
+        def over_budget(call):
+            _, doc = _run_counted(call)
+            return doc["counters"]["optimizer.sweeps_over_budget"]
+
+        f_core = freq_algorithm(subs, abb_spec).core_frequency()
+        assert over_budget(lambda: freq_algorithm(subs, abb_spec)) == 0
+        assert over_budget(lambda: power_algorithm(subs, f_core, abb_spec)) == 0
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
+        assert over_budget(lambda: freq_algorithm(subs, abb_spec)) == 1
+        assert over_budget(lambda: power_algorithm(subs, f_core, abb_spec)) == 1
+
     @pytest.mark.parametrize("per_lane", [True, False])
     @pytest.mark.parametrize("lanes_per_chunk", [1, 3])
     def test_power_chunked_equals_unchunked(

@@ -6,11 +6,13 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.config import Settings
 from repro.core import BASELINE, NOVAR, TS, TS_ASV, AdaptationMode
 from repro.exps import ExperimentRunner, RunnerConfig, RunSpec
 from repro.exps.engine import UnitExecutionError
 from repro.microarch import spec2000_like_suite
+from repro.obs import MetricsRegistry
 from repro.serve import (
     PROTOCOL_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
@@ -559,3 +561,215 @@ class TestDaemon:
         )
         assert (TS.name, "Exh-Dyn") in ladder.entries
         assert ladder.novar.f_rel == pytest.approx(1.0)
+
+
+def cached_cells(runner, envs, workloads, root):
+    """An artifact cache already holding an Exh-Dyn summary per env."""
+    from repro.exps.cache import ExperimentCache, summary_key
+    from repro.exps.runner import SuiteSummary
+
+    cache = ExperimentCache(root)
+    for env in envs:
+        key = summary_key(
+            runner.calib, runner.config, runner.core_config, env,
+            AdaptationMode.EXH_DYN, list(workloads),
+        )
+        cache.save_summary(key, SuiteSummary(f_rel=0.9, perf_rel=0.8, power=20.0))
+    return cache
+
+
+class TestAdmissionCost:
+    """A cached read costs a key-memo hit and a summary-memo hit."""
+
+    def test_memo_hit_equals_fresh_key(self, runner, two_workloads):
+        from repro.exps.cache import summary_key
+
+        service = CampaignService(runner, workers=1)
+        hashes = tuple(w.content_hash() for w in two_workloads)
+        fresh = summary_key(
+            runner.calib, runner.config, runner.core_config, TS,
+            AdaptationMode.EXH_DYN, list(two_workloads),
+        )
+        for _ in range(2):  # a miss, then a memo hit
+            assert service._summary_key(
+                TS, AdaptationMode.EXH_DYN, two_workloads, hashes
+            ) == fresh
+
+    def test_replaced_config_gets_new_key(self, runner, two_workloads):
+        from dataclasses import replace
+
+        from repro.exps.cache import summary_key
+
+        service = CampaignService(runner, workers=1)
+        hashes = tuple(w.content_hash() for w in two_workloads)
+        old = service._summary_key(
+            TS, AdaptationMode.EXH_DYN, two_workloads, hashes
+        )
+        runner.config = replace(runner.config, seed=runner.config.seed + 1)
+        new = service._summary_key(
+            TS, AdaptationMode.EXH_DYN, two_workloads, hashes
+        )
+        assert new != old
+        assert new == summary_key(
+            runner.calib, runner.config, runner.core_config, TS,
+            AdaptationMode.EXH_DYN, list(two_workloads),
+        )
+
+    def test_summary_key_runs_once_per_distinct_cell(
+        self, runner, two_workloads, tmp_path, monkeypatch
+    ):
+        from repro.serve import service as service_module
+
+        calls = []
+        real = service_module.summary_key
+
+        def counted(*args):
+            calls.append(args[3:5])
+            return real(*args)
+
+        monkeypatch.setattr(service_module, "summary_key", counted)
+        cache = cached_cells(runner, (BASELINE, TS), two_workloads, tmp_path)
+        spec = RunSpec(
+            environments=(BASELINE, TS),
+            modes=(AdaptationMode.EXH_DYN,),
+            workloads=two_workloads,
+        )
+        with obs.scoped(MetricsRegistry()) as registry:
+            with CampaignService(runner, workers=1, cache=cache) as service:
+                for _ in range(100):
+                    job = service.submit(spec)
+                    assert service.result(job, timeout=10).summaries
+                stats = service.stats()
+        assert len(calls) == 2
+        counters = registry.to_dict()["counters"]
+        assert counters["cache.summary.hits"] == 200
+        assert counters["cache.summary.misses"] == 0
+        assert counters["serve.cells_cached"] == 200
+        assert stats["live_jobs"] == 0
+        assert stats["jobs"]["done"] == 100
+
+
+class TestJobRetention:
+    """Finished jobs are kept up to ``MAX_FINISHED_JOBS``, oldest first
+    out; a retired job is unknown and its gauges are gone."""
+
+    @pytest.fixture()
+    def spec(self, two_workloads):
+        return RunSpec(
+            environments=(TS,),
+            modes=(AdaptationMode.EXH_DYN,),
+            workloads=two_workloads,
+        )
+
+    def test_oldest_finished_jobs_are_retired(
+        self, runner, two_workloads, spec, tmp_path, monkeypatch
+    ):
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 2)
+        cache = cached_cells(runner, (TS,), two_workloads, tmp_path)
+        with obs.scoped(MetricsRegistry()) as registry:
+            with CampaignService(runner, workers=1, cache=cache) as service:
+                jobs = [service.submit(spec) for _ in range(4)]
+                for retired in jobs[:2]:
+                    for call in (service.status, service.progress,
+                                 service.result):
+                        with pytest.raises(UnknownJobError):
+                            call(retired)
+                for kept in jobs[2:]:
+                    assert service.status(kept)["state"] == "done"
+                    assert service.progress(kept)["metrics"]["gauges"]
+                    assert service.result(kept, timeout=10).summaries
+                stats = service.stats()
+                assert service._job_cells == {}
+            gauges = registry.to_dict()["gauges"]
+        assert stats["finished_jobs"] == 2
+        assert stats["max_finished_jobs"] == 2
+        assert sum(stats["jobs"].values()) == 2
+        for retired in jobs[:2]:
+            assert not [n for n in gauges if n.startswith(f"serve.job.{retired}.")]
+
+    def test_computed_job_drops_its_cells(self, runner, two_workloads):
+        spec = RunSpec(
+            environments=(NOVAR,),
+            modes=(AdaptationMode.EXH_DYN,),
+            workloads=two_workloads,
+        )
+        with CampaignService(runner, workers=1) as service:
+            job = service.submit(spec)
+            service.result(job, timeout=300)
+            assert service._job_cells == {}
+            assert service.stats()["live_jobs"] == 0
+
+    def test_retired_job_is_unknown_over_the_wire(
+        self, runner, two_workloads, spec, tmp_path, monkeypatch
+    ):
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 1)
+        cache = cached_cells(runner, (TS,), two_workloads, tmp_path)
+        service = CampaignService(runner, workers=1, cache=cache)
+        with ServiceDaemon(service, address="127.0.0.1:0") as daemon:
+            client = ServiceClient(daemon.address)
+            first, second = client.submit(spec), client.submit(spec)
+            for call in (client.status, client.progress, client.result):
+                with pytest.raises(UnknownJobError):
+                    call(first)
+            assert client.status(second)["state"] == "done"
+            ping = client.ping()
+        assert ping["live_jobs"] == 0
+        assert ping["finished_jobs"] == ping["max_finished_jobs"] == 1
+
+
+class TestConcurrentClients:
+    def test_cached_submissions_from_many_threads(
+        self, runner, two_workloads, tmp_path, monkeypatch
+    ):
+        """Six client threads on a shortened switch interval: every job is
+        admitted once, finishes, and the tables stay consistent."""
+        import sys
+
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 50)
+        cache = cached_cells(runner, (BASELINE, TS), two_workloads, tmp_path)
+        specs = [
+            RunSpec(environments=envs, modes=(AdaptationMode.EXH_DYN,),
+                    workloads=two_workloads)
+            for envs in ((BASELINE,), (TS,), (BASELINE, TS))
+        ]
+        done, errors = [], []
+
+        def client(index):
+            try:
+                for round_ in range(40):
+                    spec = specs[(index + round_) % len(specs)]
+                    job = service.submit(spec)
+                    result = service.result(job, timeout=30)
+                    assert len(result.summaries) == len(spec.environments)
+                    done.append(job)
+            except Exception as exc:  # reported below, not lost in a thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.scoped(MetricsRegistry()) as registry:
+                with CampaignService(runner, workers=2, cache=cache) as service:
+                    threads = [threading.Thread(target=client, args=(i,))
+                               for i in range(6)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    assert not any(thread.is_alive() for thread in threads)
+                    stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(done) == len(set(done)) == 240
+        counters = registry.to_dict()["counters"]
+        assert counters["serve.jobs_submitted"] == 240
+        assert counters["serve.jobs_completed"] == 240
+        assert stats["live_jobs"] == 0
+        assert stats["finished_jobs"] == sum(stats["jobs"].values()) == 50
