@@ -575,12 +575,16 @@ def _freq_sweep(
     temp = np.full_like(f, spec.t_heatsink + 5.0)
     rejections = 0
     for iteration in range(_FREQ_MAX_ITERATIONS):
-        period = sub.budget_period_rel(vdd, vbb, temp, z_live) * t_cycle
-        f_pe = 1.0 / period
-        f_new = np.clip(
-            np.minimum(f_pe, f_thermal_live),
-            spec.knob_ranges.f_min,
-            spec.knob_ranges.f_max,
+        # The same operations as f_new = clip(min(1 / (period * t_cycle),
+        # f_thermal)), in one buffer; the previous temperature is dropped
+        # before the thermal solve builds the next.
+        f_new = sub.budget_period_rel(vdd, vbb, temp, z_live)
+        del temp
+        f_new *= t_cycle
+        np.divide(1.0, f_new, out=f_new)
+        np.minimum(f_new, f_thermal_live, out=f_new)
+        np.clip(
+            f_new, spec.knob_ranges.f_min, spec.knob_ranges.f_max, out=f_new
         )
         temp, _ = _thermal_fixed_point(
             sub, vdd, vbb, f_new, spec.t_heatsink, iterations=8
