@@ -10,6 +10,10 @@ Every timed pair is asserted bitwise identical first; the wall-clock
 breakdown and the ``kernel.*`` observability counters are written to
 ``BENCH_kernels.json`` (and into the shared baseline's ``kernels``
 section).
+
+It also times the native trace walk (``repro/microarch/walk.c``) against
+the Python reference walk over the suite, and fails when the native walk
+did not load: a silent fall-back to Python cannot pass.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from _shared import record_bench_section
 from repro import kernels, obs
 from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES
 from repro.circuits.leakage import static_power
+from repro.microarch import generate_trace, native, spec2000_like_suite
+from repro.microarch.pipeline import DEFAULT_CORE_CONFIG, simulate_batch
 from repro.obs import MetricsRegistry
 from tests import kernel_reference
 
@@ -227,3 +233,62 @@ def test_kernel_breakdown(benchmark):
     for name in ("vt_and_static_power", "thermal_step", "timing_error_cdf",
                  "scalar_static_power"):
         assert sections[name]["speedup"] >= 1.0, name
+
+
+#: Trace length of the walk entry: the campaign's measurement length.
+WALK_INSTRUCTIONS = 12000
+
+
+def test_trace_walk(benchmark):
+    """Native vs Python trace walk: 10 suite profiles x default / resized
+    int queue / FU replication x L2 suppression, at 12k instructions."""
+    assert native.library() is not None, (
+        "the native trace walk did not build or load; walks would run in "
+        "Python"
+    )
+    configs = (
+        DEFAULT_CORE_CONFIG,
+        DEFAULT_CORE_CONFIG.with_resized_queue("int"),
+        DEFAULT_CORE_CONFIG.with_fu_replication(),
+    )
+    variants = [(config, suppress) for config in configs
+                for suppress in (False, True)]
+    traces = [generate_trace(profile, WALK_INSTRUCTIONS, 0)
+              for profile in spec2000_like_suite()]
+
+    def walk_all():
+        return [simulate_batch(trace, variants) for trace in traces]
+
+    def python_walk_all():
+        saved = native._loaded[:]
+        native._loaded[:] = [None]
+        try:
+            return walk_all()
+        finally:
+            native._loaded[:] = saved
+
+    registry = MetricsRegistry()
+    with obs.scoped(registry):
+        assert walk_all() == python_walk_all()
+    counters = registry.to_dict()["counters"]
+    walks = len(traces) * len(variants)
+    assert counters["microarch.native_walks"] == walks
+    assert counters["microarch.python_walks"] == walks
+
+    section = {
+        "walks": walks,
+        "instructions": WALK_INSTRUCTIONS,
+        "reference_seconds": _best_of(python_walk_all),
+        "fused_seconds": benchmark.pedantic(
+            lambda: _best_of(walk_all), rounds=1, iterations=1
+        ),
+    }
+    section["speedup"] = _speedup(section)
+    record_bench_section("trace_walk", section)
+    print(
+        f"\ntrace walk ({walks} walks x {WALK_INSTRUCTIONS} instructions):"
+        f" python {section['reference_seconds'] * 1e3:8.1f}ms"
+        f"  native {section['fused_seconds'] * 1e3:8.1f}ms"
+        f"  -> {section['speedup']:.1f}x"
+    )
+    assert section["speedup"] >= 5.0

@@ -26,13 +26,15 @@ memory-boundedness).
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
+from . import native
 from .isa import Uop
 from .trace import SyntheticTrace
 
@@ -190,7 +192,10 @@ def simulate_batch(
 
     The per-instruction trace columns (kind, queue, FU group, dependence
     distances, miss and misprediction flags) are decoded once and shared;
-    each variant then takes its own :func:`_walk` over them.
+    each variant then takes its own walk over them: the native twin of
+    :func:`_walk` (:mod:`repro.microarch.native`) where this platform can
+    build it and the variant fits its int64 range, else :func:`_walk`
+    itself.  Both give the same result bit for bit.
     """
     if not variants:
         return []
@@ -199,23 +204,44 @@ def simulate_batch(
     queues = _QUEUE_OF[kinds]
     misses_l1 = (queues == 2) & trace.l1_miss
     columns = (
-        queues.tolist(),
-        _FU_GROUP[kinds].tolist(),
-        trace.dep1.tolist(),
-        trace.dep2.tolist(),
-        trace.icache_miss.tolist(),
-        misses_l1.tolist(),
-        (misses_l1 & trace.l2_miss).tolist(),
-        ((kinds == int(Uop.BRANCH)) & trace.branch_mispredict).tolist(),
+        queues,
+        _FU_GROUP[kinds],
+        trace.dep1,
+        trace.dep2,
+        trace.icache_miss,
+        misses_l1,
+        misses_l1 & trace.l2_miss,
+        (kinds == int(Uop.BRANCH)) & trace.branch_mispredict,
     )
-    kind_list = kinds.tolist()
-    counts = dict(Counter(kind_list))  # first-appearance order
+    codes, first, tally = np.unique(kinds, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts = dict(zip(codes[order].tolist(), tally[order].tolist()))
+    lib = native.library()
+    walker = None if lib is None else native.NativeTrace(lib, (kinds, *columns))
+    python_columns = None
+    native_walks = 0
+    results = []
     with obs.span("microarch.simulate", variants=len(variants)):
-        results = [
-            _walk(kind_list, columns, config, suppress)
-            for config, suppress in variants
-        ]
+        for config, suppress in variants:
+            result = None
+            if walker is not None:
+                params = _native_params(config, suppress)
+                if params is not None:
+                    result = walker.walk(params)
+            if result is None:
+                if python_columns is None:
+                    python_columns = tuple(
+                        column.tolist() for column in (kinds, *columns)
+                    )
+                result = _walk(
+                    python_columns[0], python_columns[1:], config, suppress
+                )
+            else:
+                native_walks += 1
+            results.append(result)
     obs.inc("microarch.sim_instructions", float(n * len(variants)))
+    obs.inc("microarch.native_walks", float(native_walks))
+    obs.inc("microarch.python_walks", float(len(variants) - native_walks))
     return [
         SimResult(
             instructions=n,
@@ -230,6 +256,44 @@ def simulate_batch(
         for cycles, l1_misses, l2_misses, branch_flushes, int_waits, fp_waits
         in results
     ]
+
+
+def _latencies(config: CoreConfig) -> List[int]:
+    """Execution latency of each uop kind, indexed by Uop code."""
+    latency_of = [0] * len(Uop)
+    for kind, latency in (
+        (Uop.INT_ALU, 1), (Uop.BRANCH, 1), (Uop.INT_MUL, 3),
+        (Uop.FP_ADD, 4), (Uop.FP_MUL, 4), (Uop.STORE, 1),
+        (Uop.LOAD, config.l1_latency),
+    ):
+        latency_of[kind] = latency
+    return latency_of
+
+
+def _native_params(config: CoreConfig, suppress: bool) -> Optional[List[int]]:
+    """The parameter array of ``walk.c`` (its ``P_*`` layout), or ``None``
+    for a config with a non-integer field, which only :func:`_walk` takes.
+
+    ``(i * K) % 1000 < accuracy * 1000`` holds for an integer left side
+    exactly when it is below the ceiling of the right side, so the
+    prefetch cut passes as an integer (0 disables prefetching).
+    """
+    values = (
+        config.fetch_width, config.issue_width, config.retire_width,
+        config.rob_size,
+        config.int_queue_size, config.fp_queue_size, config.mem_queue_size,
+        config.n_int_alu, config.n_int_mul, config.n_fp_add, config.n_fp_mul,
+        config.n_mem_ports,
+        config.frontend_depth + config.extra_exec_stage,
+        config.branch_penalty + config.extra_exec_stage,
+        config.l2_latency, config.mem_latency,
+        math.ceil(config.prefetch_accuracy * 1000), suppress,
+        *_latencies(config),
+    )
+    try:
+        return [operator.index(value) for value in values]
+    except TypeError:
+        return None
 
 
 def _walk(
@@ -256,13 +320,7 @@ def _walk(
     redirect_penalty = config.branch_penalty + config.extra_exec_stage
     prefetch = config.prefetch_accuracy > 0.0
     prefetch_cut = config.prefetch_accuracy * 1000
-    latency_of = [0] * len(Uop)
-    for kind, latency in (
-        (Uop.INT_ALU, 1), (Uop.BRANCH, 1), (Uop.INT_MUL, 3),
-        (Uop.FP_ADD, 4), (Uop.FP_MUL, 4), (Uop.STORE, 1),
-        (Uop.LOAD, config.l1_latency),
-    ):
-        latency_of[kind] = latency
+    latency_of = _latencies(config)
     fu_free = [
         [0] * config.n_int_alu,
         [0] * config.n_int_mul,

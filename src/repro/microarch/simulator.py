@@ -114,8 +114,8 @@ def _cache_get(key: Tuple) -> Optional[WorkloadMeasurement]:
     """LRU lookup; every access touches all three cache counters so the
     serial and parallel engine paths stay structurally comparable.
 
-    It also touches the simulator's instruction counter and its span
-    histogram (with nothing): a forked pool worker inherits the parent's
+    It also touches the simulator's instruction and walk counters and its
+    span histogram (with nothing): a forked pool worker inherits the parent's
     warm LRU and may serve every request without simulating.
     """
     measurement = _CACHE.get(key)
@@ -125,6 +125,8 @@ def _cache_get(key: Tuple) -> Optional[WorkloadMeasurement]:
     obs.inc("microarch.cache.misses", 0.0 if measurement is not None else 1.0)
     obs.inc("microarch.cache.evictions", 0.0)
     obs.inc("microarch.sim_instructions", 0.0)
+    obs.inc("microarch.native_walks", 0.0)
+    obs.inc("microarch.python_walks", 0.0)
     if obs.enabled():
         obs.metrics_registry().histogram("span.microarch.simulate_seconds")
     return measurement

@@ -36,6 +36,19 @@ class SyntheticTrace:
         ):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"trace array {name} has mismatched length")
+        # The walks index their tables by kind and their completion logs
+        # by distance: both must stay inside them.
+        kinds = np.asarray(self.kinds)
+        if n and (kinds.min() < 0 or kinds.max() >= len(Uop)):
+            raise ValueError(f"trace kinds must be Uop codes 0..{len(Uop) - 1}")
+        index = np.arange(n)
+        for name in ("dep1", "dep2"):
+            distance = np.asarray(getattr(self, name))
+            if np.any(distance < 0) or np.any(distance > index):
+                raise ValueError(
+                    f"trace {name} distances must lie in [0, index]: an "
+                    "instruction reads an earlier one or none"
+                )
 
     def __len__(self) -> int:
         return len(self.kinds)

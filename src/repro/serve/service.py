@@ -432,13 +432,20 @@ class CampaignService:
             obs.inc("serve.units_done")
             if cell.pending_units > 0:
                 return
-            # Last unit in: summarise in decomposition order (bit-identical
-            # to the serial engine), persist once, deliver to every follower.
-            summary = summarise(cell.rows_in_order())
+            rows_in_order = cell.rows_in_order()
+        # Last unit in, taken by this thread alone: summarise in
+        # decomposition order (bit-identical to the serial engine) and
+        # persist once, outside the lock, so submits and claims do not
+        # wait on the write.  The cell stays registered meanwhile: a job
+        # admitted now follows it and is delivered below.
+        summary = summarise(rows_in_order)
+        if self.cache is not None:
+            self.cache.save_summary(cell.key, summary)
+        with self._lock:
+            if not cell.live:
+                return  # every follower left during the write
             cell.summary = summary
             self._registry.finish(cell.key)
-            if self.cache is not None:
-                self.cache.save_summary(cell.key, summary)
             for job in cell.followers:
                 if job.state not in LIVE_STATES:
                     continue

@@ -168,9 +168,10 @@ def solve_temperatures_lanes(
     work = np.empty((3, *shape))
     iterations = np.full(n_lanes, max_iter, dtype=int)
     active = np.arange(n_lanes)
+    # The parameters of the live lanes: re-subset only when lanes retire.
+    node = core
     with obs.span("kernel.thermal_fixed_point"):
         for iteration in range(max_iter):
-            node = core.lane_subset(active) if per_lane else core
             live = active.size
             new_temp, delta = thermal_step(
                 node.vt0_leak, vdd_b[active], vbb_b[active], temp[active],
@@ -183,6 +184,8 @@ def solve_temperatures_lanes(
             if np.any(converged):
                 iterations[active[converged]] = iteration + 1
                 active = active[~converged]
+                if per_lane and active.size:
+                    node = core.lane_subset(active)
             if active.size == 0:
                 break
     obs.inc("thermal.solves", float(n_lanes))

@@ -18,6 +18,7 @@ from repro.microarch import (
     spec2000_like_suite,
 )
 from repro.chip import default_floorplan
+from repro.microarch.trace import SyntheticTrace
 from repro.microarch.workloads import PhaseSpec, WorkloadProfile
 
 
@@ -173,6 +174,40 @@ class TestTrace:
     def test_rejects_empty(self, int_workload):
         with pytest.raises(ValueError):
             generate_trace(int_workload, 0)
+
+    @staticmethod
+    def _six(**changes):
+        """A valid six-instruction trace's arrays, with ``changes``."""
+        arrays = dict(
+            kinds=np.array([0, 4, 0, 2, 5, 6], dtype=np.int8),
+            dep1=np.array([0, 1, 1, 2, 3, 1], dtype=np.int32),
+            dep2=np.array([0, 0, 2, 1, 0, 0], dtype=np.int32),
+            branch_mispredict=np.zeros(6, dtype=bool),
+            l1_miss=np.zeros(6, dtype=bool),
+            l2_miss=np.zeros(6, dtype=bool),
+            icache_miss=np.zeros(6, dtype=bool),
+        )
+        for name, (index, value) in changes.items():
+            arrays[name][index] = value
+        return SyntheticTrace(**arrays)
+
+    def test_valid_six_instruction_trace_simulates(self):
+        assert simulate(self._six()).instructions == 6
+
+    def test_rejects_negative_distance(self):
+        # Was accepted: the walk read instruction 1's completion.
+        with pytest.raises(ValueError, match="dep1 distances"):
+            self._six(dep1=(4, -1))
+
+    def test_rejects_distance_before_trace_start(self):
+        # Was a bare IndexError from the walk.
+        with pytest.raises(ValueError, match="dep2 distances"):
+            self._six(dep2=(3, 4))
+
+    def test_rejects_kind_outside_uop(self):
+        # Was a bare IndexError from the decode.
+        with pytest.raises(ValueError, match="Uop codes"):
+            self._six(kinds=(2, 9))
 
 
 class TestPipeline:

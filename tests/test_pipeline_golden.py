@@ -4,7 +4,9 @@
 for the suite profiles x six core configurations x L2 suppression on/off
 at 3k instructions, written by the per-state walk this one replaced (see
 :mod:`tests.golden`).  The model is pure integer arithmetic, so the
-comparison is exact.
+comparison is exact.  Every case runs through both walks: the one this
+platform takes (native, ``walk.c``, wherever it builds) and the Python
+reference it falls back to.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.microarch import generate_trace, spec2000_like_suite
+from repro.microarch import generate_trace, native, spec2000_like_suite
 from repro.microarch.pipeline import (
     DEFAULT_CORE_CONFIG,
     simulate,
@@ -43,6 +45,30 @@ def golden():
     }
 
 
+def _expect_walk(kind):
+    """Run the body on one walk and check afterwards, from the walk
+    counters, that only that walk ran."""
+    with obs.scoped(MetricsRegistry()) as registry:
+        yield
+    counters = registry.to_dict()["counters"]
+    other = "python" if kind == "native" else "native"
+    assert counters[f"microarch.{kind}_walks"] > 0
+    assert counters[f"microarch.{other}_walks"] == 0
+
+
+@pytest.fixture()
+def platform_walk():
+    """The walk this platform takes: the native one wherever it builds."""
+    yield from _expect_walk("native" if native.library() else "python")
+
+
+@pytest.fixture()
+def python_walk(monkeypatch):
+    """The Python reference walk, as on a platform with no compiler."""
+    monkeypatch.setattr(native, "_loaded", [None])
+    yield from _expect_walk("python")
+
+
 @pytest.fixture(scope="module")
 def traces():
     return {
@@ -57,9 +83,7 @@ def test_fixture_covers_suite_configs_and_suppression(golden, traces):
     assert any(result["fp_queue_waits"] for result in golden.values())
 
 
-@pytest.mark.parametrize("profile", [p.name for p in spec2000_like_suite()])
-def test_batched_walk_matches_golden(golden, traces, profile):
-    """One simulate_batch call over all 12 variants of a profile."""
+def _check_batched(golden, traces, profile):
     variants = [
         (label, config, suppress)
         for label, config in pipeline_configs()
@@ -74,13 +98,36 @@ def test_batched_walk_matches_golden(golden, traces, profile):
         )
 
 
-@pytest.mark.parametrize("label,config", pipeline_configs())
-def test_single_walk_matches_golden(golden, traces, label, config):
-    """simulate() is the one-variant call and reproduces the same rows."""
+def _check_single(golden, traces, label, config):
     for profile, trace in traces.items():
         for suppress in (False, True):
             result = simulate(trace, config, suppress_l2_misses=suppress)
             assert sim_result_doc(result) == golden[(profile, label, suppress)]
+
+
+@pytest.mark.parametrize("profile", [p.name for p in spec2000_like_suite()])
+def test_batched_walk_matches_golden(golden, traces, profile, platform_walk):
+    """One simulate_batch call over all 12 variants of a profile."""
+    _check_batched(golden, traces, profile)
+
+
+@pytest.mark.parametrize("profile", [p.name for p in spec2000_like_suite()])
+def test_batched_python_walk_matches_golden(golden, traces, profile,
+                                            python_walk):
+    _check_batched(golden, traces, profile)
+
+
+@pytest.mark.parametrize("label,config", pipeline_configs())
+def test_single_walk_matches_golden(golden, traces, label, config,
+                                    platform_walk):
+    """simulate() is the one-variant call and reproduces the same rows."""
+    _check_single(golden, traces, label, config)
+
+
+@pytest.mark.parametrize("label,config", pipeline_configs())
+def test_single_python_walk_matches_golden(golden, traces, label, config,
+                                           python_walk):
+    _check_single(golden, traces, label, config)
 
 
 def test_kind_counts_keep_first_appearance_order(traces):
@@ -104,6 +151,9 @@ def test_span_and_instruction_counter():
         simulate(trace)
     doc = registry.to_dict()
     assert doc["counters"]["microarch.sim_instructions"] == 500 * 5
+    walks = (doc["counters"]["microarch.native_walks"]
+             + doc["counters"]["microarch.python_walks"])
+    assert walks == 5
     assert doc["histograms"]["span.microarch.simulate_seconds"]["count"] == 2
 
 

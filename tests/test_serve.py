@@ -773,3 +773,55 @@ class TestConcurrentClients:
         assert counters["serve.jobs_completed"] == 240
         assert stats["live_jobs"] == 0
         assert stats["finished_jobs"] == sum(stats["jobs"].values()) == 50
+
+
+class TestSummaryWrite:
+    """A finished cell is summarised and written outside the service
+    lock, and published to its followers under it."""
+
+    def test_cached_submit_does_not_wait_on_a_write(
+        self, runner, two_workloads, tmp_path
+    ):
+        cache = cached_cells(runner, (BASELINE,), two_workloads, tmp_path)
+        writing, release = threading.Event(), threading.Event()
+        save = cache.save_summary
+
+        def blocked_save(key, summary):
+            writing.set()
+            release.wait(60)
+            save(key, summary)
+
+        cache.save_summary = blocked_save
+        computed, cached = (
+            RunSpec(environments=(env,), modes=(AdaptationMode.EXH_DYN,),
+                    workloads=two_workloads)
+            for env in (NOVAR, BASELINE)
+        )
+        with CampaignService(runner, workers=1, cache=cache) as service:
+            try:
+                job = service.submit(computed)
+                assert writing.wait(300)
+                served = []
+                client = threading.Thread(target=lambda: served.append(
+                    service.result(service.submit(cached), timeout=10)
+                ))
+                client.start()
+                client.join(timeout=10)
+                assert not client.is_alive(), "submit waited on the write"
+                assert served[0].summaries
+                # A job arriving during the write follows the cell.
+                follower = service.submit(computed)
+                assert service.status(follower)["cells"]["coalesced"] == 1
+                assert service.status(follower)["state"] != "done"
+            finally:
+                release.set()
+            first = service.result(job, timeout=300)
+            second = service.result(follower, timeout=300)
+        assert first.summaries == second.summaries
+        from repro.exps.cache import summary_key
+
+        key = summary_key(
+            runner.calib, runner.config, runner.core_config, NOVAR,
+            AdaptationMode.EXH_DYN, list(two_workloads),
+        )
+        assert cache.load_summary(key) is not None
