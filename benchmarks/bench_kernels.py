@@ -14,6 +14,12 @@ section).
 It also times the native trace walk (``repro/microarch/walk.c``) against
 the Python reference walk over the suite, and fails when the native walk
 did not load: a silent fall-back to Python cannot pass.
+
+Last, it times the oracle labelling of a TS+ASV+ABB fuzzy bank (Freq,
+then Power) with the optimiser's sweep helper thread in use against the
+same calls forced serial: results and ``optimizer.*`` counters must be
+equal, and with two or more usable CPUs the helper must win by 1.3x, so
+a helper that silently stops sharing the work cannot pass.
 """
 
 from __future__ import annotations
@@ -26,11 +32,20 @@ import numpy as np
 from _shared import record_bench_section
 
 from repro import kernels, obs
+from repro.chip import build_core
 from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES
 from repro.circuits.leakage import static_power
+from repro.core import TS_ASV_ABB, optimizer
+from repro.core.optimizer import SubsystemArrays, freq_algorithm, power_algorithm
 from repro.microarch import generate_trace, native, spec2000_like_suite
 from repro.microarch.pipeline import DEFAULT_CORE_CONFIG, simulate_batch
+from repro.mitigation import (
+    BASE, FU_LOWSLOPE, FU_NORMAL, QUEUE_FULL, QUEUE_RESIZED,
+)
+from repro.ml.bank import _variant_kwargs
+from repro.ml.dataset import TrainingRequest, _draw_request
 from repro.obs import MetricsRegistry
+from repro.variation import DieGrid, VariationModel
 from tests import kernel_reference
 
 SENS = DEFAULT_VT_SENSITIVITIES
@@ -292,3 +307,87 @@ def test_trace_walk(benchmark):
         f"  -> {section['speedup']:.1f}x"
     )
     assert section["speedup"] >= 5.0
+
+
+#: Samples per labelling request: the ``ladder_cold`` bank scale.
+SWEEP_EXAMPLES = 500
+#: The floor the helper must reach with two or more usable CPUs.
+SWEEP_FLOOR = 1.3
+
+
+def _labelling_stack():
+    """The TS+ASV+ABB bank's labelling stack: one 500-sample lane per
+    (subsystem, variant) request, as ``train_controller_bank`` draws it."""
+    chip = VariationModel(grid=DieGrid(nx=24, ny=24)).population(1, seed=7)[0]
+    core = build_core(chip, 0)
+    spec = TS_ASV_ABB.optimization_spec(core.n_subsystems, core.calib)
+    requests = []
+    for index, sub in enumerate(core.floorplan.subsystems):
+        variants = (
+            (QUEUE_FULL, QUEUE_RESIZED) if sub.resizable
+            else (FU_NORMAL, FU_LOWSLOPE) if sub.replicable else (BASE,)
+        )
+        requests.extend(
+            TrainingRequest(index=index, seed=1000 * index + k,
+                            n_examples=SWEEP_EXAMPLES,
+                            **_variant_kwargs(core, variant))
+            for k, variant in enumerate(variants)
+        )
+    chunks = [part for request in requests
+              for part in _draw_request(core, request, SWEEP_EXAMPLES)]
+    stack = SubsystemArrays.stack([arrays for _, arrays, _ in chunks])
+    return stack, np.stack([u for _, _, u in chunks]), spec
+
+
+def test_sweep_helper(benchmark, monkeypatch):
+    stack, f_core_u, spec = _labelling_stack()
+    f_min = spec.knob_ranges.f_min
+
+    def label():
+        freq = freq_algorithm(stack, spec)
+        f_core = np.maximum(f_min + f_core_u * (freq.f_max - f_min), f_min)
+        power = power_algorithm(stack, f_core, spec)
+        return [freq.f_max, freq.vdd, freq.vbb, power.vdd, power.vbb,
+                power.temperature, power.p_dynamic, power.p_static]
+
+    def labelled(cpus):
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+        registry = MetricsRegistry()
+        with obs.scoped(registry):
+            arrays = label()
+        doc = registry.to_dict()
+        counters = {name: value for name, value in doc["counters"].items()
+                    if name.startswith("optimizer.")}
+        iterations = doc["histograms"]["optimizer.freq_iterations"]["values"]
+        return arrays, counters, iterations
+
+    helper, serial = labelled(2), labelled(1)
+    for shared, alone in zip(helper[0], serial[0]):
+        _assert_bitwise(shared, alone)
+    assert helper[1:] == serial[1:]
+
+    monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 1)
+    reference = _best_of(label, repeats=2)
+    monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+    section = {
+        "lanes": stack.batch_size,
+        "samples": stack.n_subsystems,
+        "reference_seconds": reference,
+        "fused_seconds": benchmark.pedantic(
+            lambda: _best_of(label, repeats=2), rounds=1, iterations=1
+        ),
+    }
+    section["speedup"] = _speedup(section)
+    record_bench_section("sweep_helper", section)
+    print(
+        f"\nlabelling sweeps ({stack.batch_size} lanes x "
+        f"{stack.n_subsystems} samples, TS+ASV+ABB):"
+        f" serial {reference * 1e3:8.1f}ms"
+        f"  helper {section['fused_seconds'] * 1e3:8.1f}ms"
+        f"  -> {section['speedup']:.2f}x"
+    )
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        print(f"  {SWEEP_FLOOR}x floor skipped: {cpus} usable CPU")
+        return
+    assert section["speedup"] >= SWEEP_FLOOR

@@ -25,14 +25,20 @@ separate calls.  Freq sweeps each distinct subsystem row of the stack
 once, and converged lanes drop out of its joint fixed point early
 (convergence masking) instead of iterating at the slowest lane's pace;
 Power sweeps the full ``(vdd, vbb, lanes, n)`` grid.  Both run a stack
-in lane chunks whose knob grid fits :data:`MAX_SWEEP_CELLS`, so their
-working memory does not grow with the number of lanes.
+in chunks whose knob grid fits :data:`MAX_SWEEP_CELLS`, so their
+working memory does not grow with the number of lanes.  The chunks are
+independent: on a host with two or more usable CPUs, a call from the
+main thread runs them on itself and one helper thread (see
+:func:`_run_chunks`), each chunk then within half the budget.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,12 +63,15 @@ _FREQ_MAX_ITERATIONS = 30
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_ATOL = 1e-8
 
-#: Knob-grid cells (Vdd levels x Vbb levels x subsystem rows) one Freq or
-#: Power sweep may hold: about 1 MiB per float64 grid array.  A batched
-#: call runs its lanes in chunks within this budget; a lane is never
-#: split, so an unbatched call is one sweep whatever its size: a lane
-#: that alone exceeds the budget (e.g. a 2,500-sample labelling chunk on
-#: the 9 x 21 ABB grid) counts in ``optimizer.sweeps_over_budget``.
+#: Knob-grid cells (Vdd levels x Vbb levels x subsystem rows) the sweeps
+#: in flight may hold: about 1 MiB per float64 grid array.  A batched
+#: call runs in chunks within its share of this budget: all of it, or
+#: half while a second sweep runs beside it on the helper thread
+#: (:func:`_sweep_share`).  Power splits even one lane into column
+#: chunks of entries.  A Freq lane is never split, so a Freq lane that
+#: alone exceeds the budget (e.g. a 2,500-sample labelling chunk on the
+#: 9 x 21 ABB grid) runs with nothing beside it and counts in
+#: ``optimizer.sweeps_over_budget``.
 MAX_SWEEP_CELLS = 2**17
 
 #: The per-lane array fields of :class:`SubsystemArrays`, in declaration
@@ -210,8 +219,9 @@ class SubsystemArrays:
             raise ValueError("lane_subset requires a batched view")
         return self._take(index)
 
-    def _take(self, index: np.ndarray) -> "SubsystemArrays":
-        """Every array field indexed along its leading axis."""
+    def _take(self, index) -> "SubsystemArrays":
+        """Every array field indexed by ``index``: along the leading axis,
+        or a ``(lanes, columns)`` block of a batched view."""
         arrays = {name: getattr(self, name)[index] for name in _ARRAY_FIELDS}
         return SubsystemArrays(**arrays, **self._scalar_fields())
 
@@ -385,6 +395,123 @@ def _thermal_fixed_point(
     return temp, p_dyn
 
 
+# ----------------------------------------------------------------------
+# The chunk runner: a batched call's independent chunks on the calling
+# thread plus one helper thread.  numpy releases the GIL inside its
+# ufuncs, so two sweeps in flight use two CPUs.
+# ----------------------------------------------------------------------
+class _ChunkJob:
+    """A chunk list two threads pull from in turn.
+
+    The first exception (of either thread) stops both from taking
+    another chunk; it is kept for the caller to re-raise.
+    """
+
+    _END = object()
+
+    def __init__(self, run: Callable[[object], None], chunks: Sequence[object]):
+        self._run = run
+        self._chunks = iter(chunks)
+        self._lock = threading.Lock()
+        self.error: Optional[BaseException] = None
+
+    def work(self) -> None:
+        while self.error is None:
+            with self._lock:
+                chunk = next(self._chunks, self._END)
+            if chunk is self._END:
+                return
+            try:
+                self._run(chunk)
+            except BaseException as exc:  # re-raised by the caller
+                with self._lock:
+                    if self.error is None:
+                        self.error = exc
+                return
+
+
+#: The one helper thread, started on first use (``None`` until then and
+#: in a freshly forked child, which has no helper thread).
+_helper: Optional[ThreadPoolExecutor] = None
+#: Set in engine pool workers: their processes already fill the cores.
+_serial_only = False
+
+
+def _forget_helper() -> None:
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def run_sweeps_serially() -> None:
+    """Never use the helper thread in this process (engine pool workers)."""
+    global _serial_only
+    _serial_only = True
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _helper_usable() -> bool:
+    """Whether a sweep called here may run chunks on the helper thread.
+
+    Only the main thread of a process that is not a pool worker uses it,
+    and only with two or more usable CPUs: a service's worker threads
+    already fill the cores.
+    """
+    return (
+        not _serial_only
+        and threading.current_thread() is threading.main_thread()
+        and _usable_cpus() >= 2
+    )
+
+
+def _sweep_share() -> int:
+    """Knob-grid cells one chunk of a sweep called here may hold.
+
+    Half of :data:`MAX_SWEEP_CELLS` where the helper is used, so two
+    chunks in flight hold no more cells than one serial sweep (a Freq
+    lane, which is never split, may still exceed its share).
+    """
+    return MAX_SWEEP_CELLS // 2 if _helper_usable() else MAX_SWEEP_CELLS
+
+
+def _run_chunks(
+    run: Callable[[object], None], chunks: "Sequence[Tuple[object, int]]"
+) -> None:
+    """Call ``run(chunk)`` once for every ``(chunk, cells)`` pair.
+
+    ``run`` writes each chunk's results into that chunk's own slice of
+    the outputs, so chunks may run in any order and on any thread.  Where
+    the helper is usable and at least two chunks fit the budget, a chunk
+    of more than :data:`MAX_SWEEP_CELLS` cells first runs on the caller
+    with nothing beside it; then the caller and the helper thread pull
+    the others from one shared list, and an exception is re-raised here
+    once both threads have stopped.  Otherwise the chunks run in order
+    on the caller.
+    """
+    global _helper
+    beside = [chunk for chunk, cells in chunks if cells <= MAX_SWEEP_CELLS]
+    if len(beside) < 2 or not _helper_usable():
+        for chunk, _ in chunks:
+            run(chunk)
+        return
+    for chunk, cells in chunks:
+        if cells > MAX_SWEEP_CELLS:
+            run(chunk)
+    if _helper is None:
+        _helper = ThreadPoolExecutor(1, thread_name_prefix="repro-sweep-helper")
+    job = _ChunkJob(run, beside)
+    helper_done = _helper.submit(job.work)
+    job.work()
+    helper_done.result()
+    if job.error is not None:
+        raise job.error
+
+
 def _distinct_rows(
     lanes: SubsystemArrays,
 ) -> "Tuple[SubsystemArrays, np.ndarray]":
@@ -478,8 +605,9 @@ def freq_algorithm(
     Each subsystem is solved independently, so a batched ``(B, n)`` input
     sweeps only its *distinct* subsystem rows (see :func:`_distinct_rows`).
     The lanes run in chunks whose ``(vdd, vbb, rows)`` grid holds at most
-    :data:`MAX_SWEEP_CELLS` cells (see :func:`_freq_chunks`), so the
-    sweep's memory does not grow with the number of lanes.  Within a
+    :func:`_sweep_share` cells (see :func:`_freq_chunks` and
+    :func:`_run_chunks`), so the sweep's memory does not grow with the
+    number of lanes.  Within a
     chunk a lane stops when all its rows have converged and is reduced
     to its result at once; a row iterates while any of its lanes is
     active.  The per-lane stopping criterion is exactly the one-lane
@@ -498,8 +626,9 @@ def freq_algorithm(
     vbb_best = np.empty((n_lanes, n), dtype=spec.vbb_levels.dtype)
     feasible = np.empty((n_lanes, n), dtype=bool)
     iterations = np.empty(n_lanes, dtype=int)
-    for chunk in _freq_chunks(row_of, max(1, MAX_SWEEP_CELLS // knob_cells)):
-        keep = np.unique(row_of[chunk])
+
+    def sweep(plan):
+        chunk, keep = plan
         obs.inc("optimizer.candidates", float(knob_cells * keep.size))
         _count_sweep(knob_cells * keep.size)
         best, iterations[chunk] = _freq_sweep(
@@ -507,6 +636,12 @@ def freq_algorithm(
         )
         for out, values in zip((f_max, vdd_best, vbb_best, feasible), best):
             out[chunk] = values
+
+    plans = [
+        (chunk, np.unique(row_of[chunk]))
+        for chunk in _freq_chunks(row_of, max(1, _sweep_share() // knob_cells))
+    ]
+    _run_chunks(sweep, [(plan, knob_cells * plan[1].size) for plan in plans])
     for count in iterations:
         obs.observe("optimizer.freq_iterations", float(count))
 
@@ -668,6 +803,12 @@ def power_algorithm(
     ``f_core`` may be a scalar or per-subsystem ``(n,)`` array for an
     unbatched call; a batched ``(B, n)`` input additionally accepts a
     per-lane ``(B,)`` vector or a full ``(B, n)`` matrix.
+
+    Every entry is independent, so the call runs in chunks within
+    :func:`_sweep_share` cells, bit-identically under any chunking:
+    whole lanes where a lane fits, else each lane in column chunks of
+    entries.  A sweep goes over :data:`MAX_SWEEP_CELLS` only where one
+    entry's knob grid alone does.
     """
     f_core = np.asarray(f_core, dtype=float)
     if np.any(f_core <= 0.0):
@@ -699,18 +840,38 @@ def power_algorithm(
     obs.inc("optimizer.power_calls")
     obs.inc("optimizer.power_lanes", float(n_lanes))
 
-    # Every entry is independent, so any lane chunking is bit-identical.
-    per_chunk = max(1, MAX_SWEEP_CELLS // (knob_cells * n))
+    # Chunks are (lanes, columns) blocks: whole lanes where a lane fits
+    # the share, else one lane's entries in columns that do.
+    share = _sweep_share()
+    if knob_cells * n <= share:
+        per_chunk = share // (knob_cells * n)
+        blocks = [
+            ((slice(start, start + per_chunk), slice(None)),
+             knob_cells * n * min(per_chunk, n_lanes - start))
+            for start in range(0, n_lanes, per_chunk)
+        ]
+    else:
+        # As few column chunks as fit the share, of even width.
+        pieces = -(-n // max(1, share // knob_cells))
+        width = -(-n // pieces)
+        blocks = [
+            ((slice(lane, lane + 1), slice(start, start + width)),
+             knob_cells * min(width, n - start))
+            for lane in range(n_lanes)
+            for start in range(0, n, width)
+        ]
+    freq = np.broadcast_to(freq, (n_lanes, n))
     dtypes = (spec.vdd_levels.dtype, spec.vbb_levels.dtype) + (float,) * 3
     outputs = [np.empty((n_lanes, n), dtype=dtype) for dtype in dtypes + (bool,)]
-    for start in range(0, n_lanes, per_chunk):
-        chunk = slice(start, start + per_chunk)
-        _count_sweep(knob_cells * n * min(per_chunk, n_lanes - start))
-        best = _power_sweep(
-            lanes._take(chunk), freq[chunk] if freq.ndim == 2 else freq, spec
-        )
+
+    def sweep(block):
+        chunk = lanes._take(block)
+        _count_sweep(knob_cells * chunk.batch_size * chunk.n_subsystems)
+        best = _power_sweep(chunk, freq[block], spec)
         for out, values in zip(outputs, best):
-            out[chunk] = values
+            out[block] = values
+
+    _run_chunks(sweep, blocks)
     if not batched:
         outputs = [out[0] for out in outputs]
     vdd_best, vbb_best, temp_best, p_dyn_best, p_sta_best, feasible = outputs

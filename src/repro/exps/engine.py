@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..core.environments import AdaptationMode, Environment
+from ..core.optimizer import run_sweeps_serially
 from ..microarch.workloads import WorkloadProfile
 from .cache import ExperimentCache, summary_key
 
@@ -327,6 +328,8 @@ def _init_worker(
     # Fork-started workers inherit the parent's metric state; start from a
     # clean slate so drained deltas only ever contain this worker's work.
     obs.metrics_registry().clear()
+    # The workers already fill the cores: sweep without the helper thread.
+    run_sweeps_serially()
     if obs_enabled:
         obs.enable()
     else:

@@ -27,9 +27,9 @@ memory-boundedness).
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class CoreConfig:
     prefetch_accuracy: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
+        positive = (
             "fetch_width",
             "issue_width",
             "retire_width",
@@ -80,17 +80,27 @@ class CoreConfig:
             "n_fp_add",
             "n_fp_mul",
             "n_mem_ports",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in (
+        )
+        non_negative = (
             "extra_exec_stage",
             "frontend_depth",
             "branch_penalty",
             "l1_latency",
             "l2_latency",
             "mem_latency",
-        ):
+        )
+        # Widths, sizes and latencies count cycles and slots: integers
+        # only (numpy integers are stored as int; bools and integral
+        # floats such as 160.0 are refused).
+        for name in positive + non_negative:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in positive:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in non_negative:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
         if not 0.0 <= self.prefetch_accuracy <= 1.0:
@@ -225,9 +235,7 @@ def simulate_batch(
         for config, suppress in variants:
             result = None
             if walker is not None:
-                params = _native_params(config, suppress)
-                if params is not None:
-                    result = walker.walk(params)
+                result = walker.walk(_native_params(config, suppress))
             if result is None:
                 if python_columns is None:
                     python_columns = tuple(
@@ -270,15 +278,14 @@ def _latencies(config: CoreConfig) -> List[int]:
     return latency_of
 
 
-def _native_params(config: CoreConfig, suppress: bool) -> Optional[List[int]]:
-    """The parameter array of ``walk.c`` (its ``P_*`` layout), or ``None``
-    for a config with a non-integer field, which only :func:`_walk` takes.
+def _native_params(config: CoreConfig, suppress: bool) -> List[int]:
+    """The parameter array of ``walk.c`` (its ``P_*`` layout).
 
     ``(i * K) % 1000 < accuracy * 1000`` holds for an integer left side
     exactly when it is below the ceiling of the right side, so the
     prefetch cut passes as an integer (0 disables prefetching).
     """
-    values = (
+    return [
         config.fetch_width, config.issue_width, config.retire_width,
         config.rob_size,
         config.int_queue_size, config.fp_queue_size, config.mem_queue_size,
@@ -289,11 +296,7 @@ def _native_params(config: CoreConfig, suppress: bool) -> Optional[List[int]]:
         config.l2_latency, config.mem_latency,
         math.ceil(config.prefetch_accuracy * 1000), suppress,
         *_latencies(config),
-    )
-    try:
-        return [operator.index(value) for value in values]
-    except TypeError:
-        return None
+    ]
 
 
 def _walk(

@@ -290,18 +290,21 @@ def generate_training_datasets(
     Each request draws its own RNG stream in chunks of ``chunk``
     samples; then the chunks of every request that have the same size
     become the lanes of one batched Freq and one batched Power call.
-    The optimiser runs such a stack in lane chunks whose knob grid stays
-    within :data:`~repro.core.optimizer.MAX_SWEEP_CELLS`, so a
-    small-grid bank labels in a few sweeps while a full (Vdd, Vbb)
-    grid's chunks still run one per sweep.  A chunk is one lane whose
-    Freq fixed point stops on its own samples alone, so the labels do
-    not depend on which other chunks share a sweep.
+    The optimiser runs such a stack in chunks whose knob grid stays
+    within its share of :data:`~repro.core.optimizer.MAX_SWEEP_CELLS`,
+    so a small-grid bank labels in a few sweeps while a full (Vdd, Vbb)
+    grid's chunks still run one per sweep, two at a time where the
+    sweep helper thread is in use.  A chunk is one lane whose Freq fixed
+    point stops on its own samples alone, so the labels do not depend on
+    which other chunks share a sweep.
 
-    The budget does not bound one chunk: a lane is never split, so a
-    chunk whose samples times knob cells exceed ``MAX_SWEEP_CELLS``
-    (694 samples or more on the 9 x 21 ABB grid, as the default
-    2,500-sample chunks are) is swept alone, over the budget, and
-    counted in ``optimizer.sweeps_over_budget``.
+    Power splits a lane into column chunks of entries, so its sweeps
+    stay within the budget.  The budget does not bound one Freq lane: a
+    Freq lane is never split, so a chunk whose samples times knob cells
+    exceed ``MAX_SWEEP_CELLS`` (694 samples or more on the 9 x 21 ABB
+    grid, as the default 2,500-sample chunks are) is swept with nothing
+    beside it, over the budget, and counted in
+    ``optimizer.sweeps_over_budget``.
 
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
     tuple per request, in request order; each equals

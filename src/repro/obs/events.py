@@ -14,6 +14,7 @@ small analysis scripts.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Union
@@ -29,13 +30,19 @@ class EventSink:
         else:
             self._file = target
             self._owns_file = False
+        self._lock = threading.Lock()
 
     def emit(self, kind: str, **fields: Any) -> None:
-        """Write one event line; ``kind`` names the event type."""
+        """Write one event line; ``kind`` names the event type.
+
+        Threads may emit at once: each line is written whole.
+        """
         record: Dict[str, Any] = {"event": kind, "ts": time.time()}
         record.update(fields)
-        self._file.write(json.dumps(record) + "\n")
-        self._file.flush()
+        line = json.dumps(record) + "\n"
+        with self._lock:
+            self._file.write(line)
+            self._file.flush()
 
     def close(self) -> None:
         if self._owns_file:

@@ -4,10 +4,11 @@
 the active registry's ``span.<name>_seconds`` histogram; when an event
 sink is installed it also emits a ``span`` event carrying the nesting
 context (depth and enclosing span name).  Nesting is tracked on a
-process-local stack, but deliberately *not* encoded into the metric
-name: a unit of work timed inside a pool worker (no enclosing span) and
-the same unit timed inside the serial loop (under ``engine.execute``)
-must land in the same histogram, so serial and parallel runs report a
+per-thread stack (two threads with open spans never see each other's
+names), but deliberately *not* encoded into the metric name: a unit of
+work timed inside a pool worker (no enclosing span) and the same unit
+timed inside the serial loop (under ``engine.execute``) must land in
+the same histogram, so serial and parallel runs report a
 structurally identical metrics document.
 
 When observability is disabled, :func:`span` returns a shared do-nothing
@@ -17,13 +18,22 @@ reads, which is what keeps instrumented runs within noise of bare ones.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Dict, List, Optional
 
 from . import metrics
 from .events import emit_event, get_event_sink
 
-_SPAN_STACK: List[str] = []
+
+class _SpanStack(threading.local):
+    """The names of this thread's open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+
+
+_SPAN_STACK = _SpanStack()
 
 
 class Span:
@@ -37,21 +47,22 @@ class Span:
         self._start = 0.0
 
     def __enter__(self) -> "Span":
-        _SPAN_STACK.append(self.name)
+        _SPAN_STACK.names.append(self.name)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         elapsed = time.perf_counter() - self._start
-        _SPAN_STACK.pop()
+        stack = _SPAN_STACK.names
+        stack.pop()
         metrics.observe(f"span.{self.name}_seconds", elapsed)
         if get_event_sink() is not None:
             emit_event(
                 "span",
                 name=self.name,
                 seconds=elapsed,
-                depth=len(_SPAN_STACK),
-                parent=_SPAN_STACK[-1] if _SPAN_STACK else None,
+                depth=len(stack),
+                parent=stack[-1] if stack else None,
                 **self.fields,
             )
 
@@ -83,5 +94,6 @@ def span(name: str, **fields: Any):
 
 
 def current_span() -> Optional[str]:
-    """Name of the innermost open span, if any (used by tests)."""
-    return _SPAN_STACK[-1] if _SPAN_STACK else None
+    """Name of this thread's innermost open span, if any (used by tests)."""
+    stack = _SPAN_STACK.names
+    return stack[-1] if stack else None

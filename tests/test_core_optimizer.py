@@ -1,6 +1,7 @@
 """The Freq and Power algorithms (Sections 4.2 / 4.3.1)."""
 
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core.optimizer import _ARRAY_FIELDS, SubsystemArrays, _distinct_rows
 from repro.exps.runner import ExperimentRunner, RunnerConfig
 from repro.microarch import spec2000_like_suite
 from repro.mitigation import TechniqueState
+from repro.ml.dataset import TrainingRequest, _draw_request
 from repro.obs import MetricsRegistry
 from repro.timing import StageModifiers
 
@@ -458,6 +460,23 @@ def _twin_stack(cores, measurements, scales=(1.0,)):
     return stack, len(pairs)
 
 
+@contextmanager
+def _sweep_helper(in_use):
+    """Sweeps with the helper thread in use (two usable CPUs) or forced
+    off (one); yields the monkeypatch, undone on exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_usable_cpus", lambda: 2 if in_use else 1)
+        yield patch
+
+
+def _power_sweep_count(n_lanes, n, knobs, share):
+    """Power's sweeps under a share: whole lanes where a lane's grid
+    fits, else each lane in column chunks of entries."""
+    if knobs * n <= share:
+        return -(-n_lanes // (share // (knobs * n)))
+    return n_lanes * -(-n // max(1, share // knobs))
+
+
 def _run_counted(call):
     """``call()``'s result and the metrics document it wrote."""
     with obs.scoped(MetricsRegistry()) as registry:
@@ -518,8 +537,9 @@ class TestSweepBudget:
         )
 
     def test_fu_twins_share_a_chunk(self, twins, abb_spec, core):
-        # A budget of one twin pair's rows (n + 1): every chunk is a lane
-        # and its low-slope twin, and no row is swept twice.
+        # A share of one twin pair's rows (n + 1): every chunk is a lane
+        # and its low-slope twin, and no row is swept twice.  The share is
+        # the whole budget serially and half of it beside the helper.
         stack, n_pairs = twins
         rows, row_of = _distinct_rows(stack)
         chunks = optimizer._freq_chunks(row_of, core.n_subsystems + 1)
@@ -528,28 +548,59 @@ class TestSweepBudget:
         ]
         knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
         whole, whole_doc = _run_counted(lambda: freq_algorithm(stack, abb_spec))
-        with pytest.MonkeyPatch.context() as patch:
+        candidates = knobs * rows.n_subsystems
+        assert whole_doc["counters"]["optimizer.candidates"] == candidates
+        for in_use, budget_pairs in ((False, 1), (True, 2)):
+            with _sweep_helper(in_use) as patch:
+                patch.setattr(
+                    optimizer, "MAX_SWEEP_CELLS",
+                    budget_pairs * knobs * (core.n_subsystems + 1),
+                )
+                sweeps = self._sweeps(patch, "_freq_sweep")
+                parts, parts_doc = _run_counted(
+                    lambda: freq_algorithm(stack, abb_spec)
+                )
+            assert_array_equal(parts.f_max, whole.f_max)
+            assert parts_doc["counters"]["optimizer.candidates"] == candidates
+            assert len(sweeps) == n_pairs
+        # Beside the helper, a budget of one pair leaves each lane alone
+        # in its chunk: 2 * n_pairs sweeps, the shared rows swept twice.
+        with _sweep_helper(True) as patch:
             patch.setattr(
                 optimizer, "MAX_SWEEP_CELLS", knobs * (core.n_subsystems + 1)
             )
+            sweeps = self._sweeps(patch, "_freq_sweep")
             parts, parts_doc = _run_counted(
                 lambda: freq_algorithm(stack, abb_spec)
             )
         assert_array_equal(parts.f_max, whole.f_max)
-        candidates = knobs * rows.n_subsystems
-        assert whole_doc["counters"]["optimizer.candidates"] == candidates
-        assert parts_doc["counters"]["optimizer.candidates"] == candidates
+        assert len(sweeps) == 2 * n_pairs
+        assert parts_doc["counters"]["optimizer.candidates"] == knobs * sum(
+            np.unique(lane_rows).size for lane_rows in row_of
+        )
 
     def test_a_lane_is_never_split(self, subs, abb_spec, monkeypatch):
-        # An unbatched call is one lane: one sweep whatever the budget.
+        # An unbatched call is one lane: one Freq sweep whatever the
+        # budget.  Power's entries are independent: over budget, the lane
+        # runs in one-entry column chunks, bit for bit as one sweep.
         whole = freq_algorithm(subs, abb_spec)
+        f_core = whole.core_frequency()
+        power_whole = power_algorithm(subs, f_core, abb_spec)
         monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
-        freq_sweeps = self._sweeps(monkeypatch, "_freq_sweep")
-        power_sweeps = self._sweeps(monkeypatch, "_power_sweep")
-        alone = freq_algorithm(subs, abb_spec)
-        assert_array_equal(alone.f_max, whole.f_max)
-        power_algorithm(subs, alone.core_frequency(), abb_spec)
-        assert len(freq_sweeps) == len(power_sweeps) == 1
+        for in_use in (False, True):
+            with _sweep_helper(in_use) as patch:
+                freq_sweeps = self._sweeps(patch, "_freq_sweep")
+                power_sweeps = self._sweeps(patch, "_power_sweep")
+                alone = freq_algorithm(subs, abb_spec)
+                power = power_algorithm(subs, f_core, abb_spec)
+            assert_array_equal(alone.f_max, whole.f_max)
+            for field in ("vdd", "vbb", "temperature", "p_dynamic",
+                          "p_static", "feasible"):
+                assert_array_equal(
+                    getattr(power, field), getattr(power_whole, field)
+                )
+            assert len(freq_sweeps) == 1
+            assert len(power_sweeps) == subs.n_subsystems
 
     def test_over_budget_lane_is_counted(self, subs, abb_spec, monkeypatch):
         # Within the budget the counter is touched with 0, so serial and
@@ -563,7 +614,10 @@ class TestSweepBudget:
         assert over_budget(lambda: power_algorithm(subs, f_core, abb_spec)) == 0
         monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
         assert over_budget(lambda: freq_algorithm(subs, abb_spec)) == 1
-        assert over_budget(lambda: power_algorithm(subs, f_core, abb_spec)) == 1
+        # Power runs one entry per sweep, each entry's grid over 1 cell.
+        assert over_budget(
+            lambda: power_algorithm(subs, f_core, abb_spec)
+        ) == subs.n_subsystems
 
     @pytest.mark.parametrize("per_lane", [True, False])
     @pytest.mark.parametrize("lanes_per_chunk", [1, 3])
@@ -577,28 +631,76 @@ class TestSweepBudget:
             lambda: power_algorithm(stack, f_core, abb_spec)
         )
         knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
-        monkeypatch.setattr(
-            optimizer, "MAX_SWEEP_CELLS",
-            knobs * stack.n_subsystems * lanes_per_chunk,
-        )
-        sweeps = self._sweeps(monkeypatch, "_power_sweep")
-        parts, parts_doc = _run_counted(
-            lambda: power_algorithm(stack, f_core, abb_spec)
-        )
-        assert len(sweeps) == -(-stack.batch_size // lanes_per_chunk)
-        for field in ("vdd", "vbb", "temperature", "p_dynamic", "p_static",
-                      "feasible"):
-            assert_array_equal(getattr(parts, field), getattr(whole, field))
+        budget = knobs * stack.n_subsystems * lanes_per_chunk
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", budget)
+
         # Power has no shared rows: its counters are chunking-invariant.
         def optimizer_counters(doc):
             return {name: value for name, value in doc["counters"].items()
                     if name.startswith("optimizer.")}
 
-        assert optimizer_counters(parts_doc) == optimizer_counters(whole_doc)
-        assert parts_doc["counters"]["optimizer.power_calls"] == 1
-        assert parts_doc["counters"]["optimizer.candidates"] == (
-            knobs * stack.batch_size * stack.n_subsystems
+        for in_use, share in ((False, budget), (True, budget // 2)):
+            with _sweep_helper(in_use) as patch:
+                sweeps = self._sweeps(patch, "_power_sweep")
+                parts, parts_doc = _run_counted(
+                    lambda: power_algorithm(stack, f_core, abb_spec)
+                )
+            assert len(sweeps) == _power_sweep_count(
+                stack.batch_size, stack.n_subsystems, knobs, share
+            )
+            if not in_use:
+                assert len(sweeps) == -(-stack.batch_size // lanes_per_chunk)
+            for field in ("vdd", "vbb", "temperature", "p_dynamic",
+                          "p_static", "feasible"):
+                assert_array_equal(
+                    getattr(parts, field), getattr(whole, field)
+                )
+            assert optimizer_counters(parts_doc) == (
+                optimizer_counters(whole_doc)
+            )
+            assert parts_doc["counters"]["optimizer.power_calls"] == 1
+            assert parts_doc["counters"]["optimizer.candidates"] == (
+                knobs * stack.batch_size * stack.n_subsystems
+            )
+
+    def test_labelling_power_lane_is_split_within_budget(
+        self, core, abb_spec, monkeypatch
+    ):
+        # One 2,500-sample labelling lane on the 9 x 21 ABB grid is
+        # 472,500 cells, 3.6 budgets: Power sweeps it in column chunks.
+        (_, lane, f_core_u), = _draw_request(
+            core, TrainingRequest(index=3, seed=11, n_examples=2500), 2500
         )
+        knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
+        assert knobs * lane.n_subsystems == 472_500
+        f_max = freq_algorithm(lane, abb_spec).f_max
+        f_core = np.maximum(
+            abb_spec.knob_ranges.f_min
+            + f_core_u * (f_max - abb_spec.knob_ranges.f_min),
+            abb_spec.knob_ranges.f_min,
+        )
+        cells = []
+        real = optimizer._power_sweep
+
+        def counted(lanes, freq, spec):
+            cells.append(knobs * lanes.batch_size * lanes.n_subsystems)
+            return real(lanes, freq, spec)
+
+        monkeypatch.setattr(optimizer, "_power_sweep", counted)
+        split, doc = _run_counted(
+            lambda: power_algorithm(lane, f_core, abb_spec)
+        )
+        assert len(cells) >= 4
+        assert max(cells) <= optimizer.MAX_SWEEP_CELLS
+        assert sum(cells) == 472_500
+        assert doc["counters"]["optimizer.sweeps_over_budget"] == 0
+        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 10**9)
+        split_sweeps = len(cells)
+        whole = power_algorithm(lane, f_core, abb_spec)
+        assert cells[split_sweeps:] == [472_500]
+        for field in ("vdd", "vbb", "temperature", "p_dynamic", "p_static",
+                      "feasible"):
+            assert_array_equal(getattr(split, field), getattr(whole, field))
 
     def test_static_block_rows_unchanged(self, monkeypatch):
         runner = ExperimentRunner(

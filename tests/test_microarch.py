@@ -278,6 +278,32 @@ class TestPipeline:
         assert queue_of(Uop.LOAD) == "mem"
 
 
+class TestCoreConfigIntegrality:
+    """Widths, sizes and latencies are integers: anything else fails at
+    construction with a ValueError naming the field."""
+
+    def test_fractional_latency_refused(self):
+        # Accepted, it simulated to fractional cycles (677.5 on gzip*).
+        with pytest.raises(ValueError, match="l2_latency must be an integer"):
+            CoreConfig(l2_latency=12.5)
+
+    def test_integral_float_refused(self):
+        # Accepted, it failed later in the walk with a bare TypeError.
+        with pytest.raises(ValueError, match="rob_size must be an integer"):
+            CoreConfig(rob_size=160.0)
+
+    def test_bool_refused(self):
+        with pytest.raises(ValueError, match="issue_width must be an integer"):
+            CoreConfig(issue_width=True)
+
+    def test_numpy_integers_accepted_as_int(self):
+        config = CoreConfig(rob_size=np.int64(160), l2_latency=np.int32(12))
+        assert type(config.rob_size) is int and type(config.l2_latency) is int
+        assert config == DEFAULT_CORE_CONFIG
+        trace = generate_trace(by_name("gzip*"), 500, seed=0)
+        assert simulate(trace, config) == simulate(trace)
+
+
 class TestMeasurement:
     def test_cached(self, int_workload):
         a = measure_workload(int_workload, DEFAULT_CORE_CONFIG, 5000, seed=0)

@@ -1,6 +1,8 @@
 """The repro.obs observability layer: metrics, spans, events, engine wiring."""
 
 import json
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,6 +19,7 @@ from repro.obs import (
     set_event_sink,
     span,
 )
+from repro.obs.metrics import RESERVOIR_SIZE
 
 OBS_CONFIG = RunnerConfig(
     n_chips=2,
@@ -196,6 +199,76 @@ class TestSpans:
         assert set(reg.histograms) == {
             "span.outer_seconds", "span.inner_seconds",
         }
+
+
+class TestThreads:
+    def test_span_stack_is_per_thread(self, tmp_path):
+        # Both threads hold an open outer span while the other opens and
+        # closes its inner one; each event names its own thread's parent.
+        path = tmp_path / "events.jsonl"
+        barrier = threading.Barrier(2)
+
+        def nest(tag):
+            with span(f"outer.{tag}"):
+                barrier.wait(timeout=30)
+                with span(f"inner.{tag}"):
+                    barrier.wait(timeout=30)
+                barrier.wait(timeout=30)
+
+        with EventSink(path) as sink:
+            set_event_sink(sink)
+            threads = [threading.Thread(target=nest, args=(tag,))
+                       for tag in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            set_event_sink(None)
+        events = {event["name"]: event for event in read_events(path)}
+        assert len(events) == 4
+        for tag in "ab":
+            assert events[f"inner.{tag}"]["parent"] == f"outer.{tag}"
+            assert events[f"inner.{tag}"]["depth"] == 1
+            assert events[f"outer.{tag}"]["parent"] is None
+            assert events[f"outer.{tag}"]["depth"] == 0
+        assert obs.current_span() is None
+
+    def test_concurrent_updates_are_exact(self):
+        # Counts, sums and the reservoir bound stay exact, and threads
+        # that create one metric at once all get the same object.
+        reg = MetricsRegistry()
+        threads, per_thread = 8, 10_000
+        start = threading.Barrier(threads)
+
+        def hammer():
+            start.wait(timeout=30)
+            for i in range(per_thread):
+                obs.inc("c")
+                obs.inc(f"fresh.{i % 1000}")
+                obs.observe("h", 1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.scoped(reg):
+                workers = [threading.Thread(target=hammer)
+                           for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+                    assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert reg.counters["c"].value == threads * per_thread
+        assert all(
+            reg.counters[f"fresh.{i}"].value == threads * per_thread / 1000
+            for i in range(1000)
+        )
+        assert reg.histograms["h"].count == threads * per_thread
+        assert reg.histograms["h"].total == threads * per_thread
+        assert len(reg.histograms["h"].values) == RESERVOIR_SIZE
 
 
 class TestEventSink:
