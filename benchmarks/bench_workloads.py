@@ -1,14 +1,9 @@
-"""Perf smoke: the workload subsystem's two hot paths.
+"""Perf smoke: the workload subsystem's hot path.
 
-* **ingestion throughput** — instructions/second through the streaming
-  JSONL reader + windowed phase detector (the cost of turning a real
-  trace into a profile), with a determinism check: ingesting the same
-  trace twice yields the same content hash.
-* **evolve cache reuse** — the genetic loop against a tiny in-process
-  campaign service; from generation 2 onward elites re-score through the
-  content-hash memo instead of resubmitting, so the loop's cache-hit
-  rate is the headline number (and a warm second run must be cheaper in
-  submissions than the cold first).
+Ingestion throughput: instructions/second through the streaming JSONL
+reader + windowed phase detector (the cost of turning a real trace into
+a profile), with a determinism check: ingesting the same trace twice
+yields the same content hash.
 
 Results land in ``BENCH_workloads.json``
 (``$EVAL_REPRO_BENCH_WORKLOADS_OUT``) for CI to upload next to
@@ -19,30 +14,13 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 from repro import __version__
-from repro.exps.runner import ExperimentRunner, RunnerConfig
 from repro.microarch.trace import generate_trace
 from repro.microarch.workloads import spec2000_like_suite
-from repro.workloads import (
-    EvolveConfig,
-    evolve,
-    family_by_name,
-    ingest_trace,
-    trace_records,
-    write_jsonl_trace,
-)
+from repro.workloads import ingest_trace, trace_records, write_jsonl_trace
 
 N_INSTRUCTIONS = int(os.environ.get("EVAL_REPRO_BENCH_TRACE", "60000"))
-
-EVOLVE_RUNNER = RunnerConfig(
-    n_chips=2,
-    cores_per_chip=1,
-    n_instructions=3000,
-    fuzzy_examples=300,
-    fuzzy_epochs=1,
-)
 
 
 def _write_baseline(sections) -> str:
@@ -87,42 +65,6 @@ def test_workloads_front_end(benchmark, tmp_path):
     print(
         f"\ningest ({N_INSTRUCTIONS} instr): {ingest_s:.3f}s "
         f"-> {throughput / 1e3:.0f}k instr/s"
-    )
-
-    # -- evolve-loop cache reuse ----------------------------------------
-    runner = ExperimentRunner(EVOLVE_RUNNER)
-    seeds = family_by_name("bursty").generate(size=3, seed=42)
-    config = EvolveConfig(
-        generations=3, population=4, elite=2, seed=7, objective="power"
-    )
-    cold_start = time.perf_counter()
-    cold = evolve(seeds, config=config, runner=runner)
-    cold_s = time.perf_counter() - cold_start
-
-    # Same loop against the same (warm) runner: every candidate the cold
-    # run scored is already in the runner's artifact layer.
-    warm_start = time.perf_counter()
-    warm = evolve(seeds, config=config, runner=runner)
-    warm_s = time.perf_counter() - warm_start
-
-    assert warm.winner_hash == cold.winner_hash  # pinned-seed determinism
-    assert cold.evals_cached > 0  # elites memo-hit from generation 2 on
-    total = cold.evals_submitted + cold.evals_cached
-    hit_rate = cold.evals_cached / total
-    sections["evolve"] = {
-        "generations": config.generations,
-        "population": config.population,
-        "evals_submitted": cold.evals_submitted,
-        "evals_cached": cold.evals_cached,
-        "memo_hit_rate": hit_rate,
-        "cold_seconds": cold_s,
-        "warm_seconds": warm_s,
-        "warm_speedup": cold_s / max(warm_s, 1e-9),
-    }
-    print(
-        f"evolve ({config.generations}x{config.population}): "
-        f"{cold.evals_submitted} submitted, {cold.evals_cached} memo-served "
-        f"({hit_rate:.0%}); cold {cold_s:.2f}s, warm {warm_s:.2f}s"
     )
 
     path = _write_baseline(sections)

@@ -5,22 +5,20 @@ MICRO 2008).
 Layer map (see DESIGN.md for the full inventory):
 
 * :mod:`repro.variation` — VARIUS-style within-die variation maps.
-* :mod:`repro.circuits` — alpha-power delay, leakage, dynamic power,
-  ABB/ASV knobs.
+* :mod:`repro.circuits` — alpha-power delay, leakage, ABB/ASV knobs.
 * :mod:`repro.chip` — the Figure 7(b) floorplan and per-core constants.
 * :mod:`repro.timing` — VATS error model and timing speculation (Eq 4-5).
-* :mod:`repro.thermal` — the Eq 6-9 steady-state solver and sensors.
+* :mod:`repro.thermal` — the Eq 6-9 steady-state solver.
 * :mod:`repro.microarch` — trace-driven OoO core, workloads, phases.
 * :mod:`repro.mitigation` — tilt / shift / reshape techniques + area.
 * :mod:`repro.ml` — the Appendix A fuzzy controllers.
 * :mod:`repro.core` — environments, Freq/Power optimisation,
-  high-dimensional dynamic adaptation, retuning, the runtime timeline.
+  high-dimensional dynamic adaptation, retuning.
 * :mod:`repro.exps` — one experiment module per paper table/figure.
 * :mod:`repro.exps.dse` — declarative design-space sweeps: SweepSpec →
   campaign service → Pareto/sensitivity analytics.
-* :mod:`repro.workloads` — workload sources: trace ingestion,
-  parameterized generation, adversarial evolution
-  (``python -m repro.workloads``).
+* :mod:`repro.workloads` — workload sources: trace ingestion and
+  parameterized generation (``python -m repro.workloads``).
 * :mod:`repro.obs` — metrics registry, span timers, JSONL event sink.
 * :mod:`repro.serve` — the async campaign service (coalescing, retries,
   JSON-lines daemon; ``python -m repro.serve``).
@@ -46,7 +44,7 @@ Observability::
 from . import obs
 from .calibration import DEFAULT_CALIBRATION, Calibration
 from .config import Settings
-from .chip import build_chip_cores, build_core, build_novar_core, default_floorplan
+from .chip import build_core, build_novar_core, default_floorplan
 from .core import (
     ADAPTIVE_ENVIRONMENTS,
     BASELINE,
@@ -66,9 +64,7 @@ from .exps.runner import ExperimentRunner, RunnerConfig
 from .microarch import measure_workload, spec2000_like_suite
 from .mitigation import TechniqueState, area_budget
 from .workloads import (
-    EvolveConfig,
     WorkloadFamily,
-    evolve,
     family_by_name,
     family_names,
     ingest_trace,
@@ -94,7 +90,6 @@ __all__ = [
     "DEFAULT_CALIBRATION",
     "Environment",
     "EventSink",
-    "EvolveConfig",
     "ExperimentRunner",
     "MetricsRegistry",
     "NOVAR",
@@ -110,12 +105,10 @@ __all__ = [
     "VariationModel",
     "WorkloadFamily",
     "area_budget",
-    "build_chip_cores",
     "build_core",
     "build_novar_core",
     "configure_logging",
     "default_floorplan",
-    "evolve",
     "family_by_name",
     "family_names",
     "ingest_trace",

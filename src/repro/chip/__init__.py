@@ -1,7 +1,6 @@
 """Chip model: floorplan, subsystems, per-core parameters (Figure 7)."""
 
-from .chip import CORE_QUADRANTS, Core, build_chip_cores, build_core, build_novar_core
-from .cmp import CMP, ScheduleResult, schedule_applications
+from .chip import CORE_QUADRANTS, Core, build_core, build_novar_core
 from .floorplan import Floorplan, L2Spec, default_floorplan
 from .subsystem import (
     FP_DOMAIN,
@@ -15,7 +14,6 @@ from .subsystem import (
 )
 
 __all__ = [
-    "CMP",
     "CORE_QUADRANTS",
     "Core",
     "FP_DOMAIN",
@@ -27,11 +25,8 @@ __all__ = [
     "MIXED",
     "Rect",
     "SHARED_DOMAIN",
-    "ScheduleResult",
     "SubsystemSpec",
-    "build_chip_cores",
     "build_core",
     "build_novar_core",
     "default_floorplan",
-    "schedule_applications",
 ]

@@ -32,8 +32,8 @@ CORE_QUADRANTS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 class Core:
     """One core of the CMP with all per-subsystem model parameters.
 
-    Build instances with :func:`build_core` (or :func:`build_chip_cores`);
-    the constructor only stores pre-computed arrays.
+    Build instances with :func:`build_core`; the constructor only stores
+    pre-computed arrays.
     """
 
     floorplan: Floorplan
@@ -573,17 +573,3 @@ def build_novar_core(
     )
     calib_novar = dc_replace(calib, random_delay_gain=0.0)
     return build_core(chip, 0, floorplan, calib_novar, delay_params, vt_sens)
-
-
-def build_chip_cores(
-    chip: ChipSample,
-    floorplan: Optional[Floorplan] = None,
-    calib: Calibration = DEFAULT_CALIBRATION,
-    delay_params: DelayParams = DEFAULT_DELAY_PARAMS,
-    vt_sens: VtSensitivities = DEFAULT_VT_SENSITIVITIES,
-) -> List[Core]:
-    """Build all four cores of a chip (the paper runs every app on each)."""
-    return [
-        build_core(chip, core_index, floorplan, calib, delay_params, vt_sens)
-        for core_index in range(len(CORE_QUADRANTS))
-    ]

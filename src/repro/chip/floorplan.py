@@ -13,7 +13,7 @@ totals match :class:`repro.calibration.Calibration`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .subsystem import (
     FP_DOMAIN,
@@ -21,7 +21,6 @@ from .subsystem import (
     LOGIC,
     MEMORY,
     MIXED,
-    SHARED_DOMAIN,
     Rect,
     SubsystemSpec,
 )
@@ -196,13 +195,6 @@ class Floorplan:
     def by_name(self, name: str) -> SubsystemSpec:
         """Return the spec of subsystem ``name``."""
         return self.subsystems[self.index_of(name)]
-
-    def indices_by_domain(self) -> Dict[str, List[int]]:
-        """Group subsystem indices by int/fp/shared domain."""
-        groups: Dict[str, List[int]] = {INT_DOMAIN: [], FP_DOMAIN: [], SHARED_DOMAIN: []}
-        for i, spec in enumerate(self.subsystems):
-            groups[spec.domain].append(i)
-        return groups
 
 
 def default_floorplan() -> Floorplan:

@@ -9,7 +9,6 @@ from .delay import (
     DEFAULT_DELAY_PARAMS,
     DelayParams,
     delay_factor,
-    delay_vt_sensitivity,
     gate_delay,
 )
 from .knobs import (
@@ -21,8 +20,7 @@ from .knobs import (
     VtSensitivities,
     threshold_voltage,
 )
-from .leakage import IDEALITY_FACTOR, static_power, vt0_from_leakage
-from .power import dynamic_power
+from .leakage import IDEALITY_FACTOR, static_power
 
 __all__ = [
     "DEFAULT_DELAY_PARAMS",
@@ -35,10 +33,7 @@ __all__ = [
     "OperatingPoint",
     "VtSensitivities",
     "delay_factor",
-    "delay_vt_sensitivity",
-    "dynamic_power",
     "gate_delay",
     "static_power",
     "threshold_voltage",
-    "vt0_from_leakage",
 ]

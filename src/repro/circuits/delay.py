@@ -97,17 +97,3 @@ def delay_factor(
     """
     nominal = gate_delay(vdd_nom, vt_nom, leff_nom, temp_nom, params)
     return gate_delay(vdd, vt, leff, temp, params) / nominal
-
-
-def delay_vt_sensitivity(
-    vdd: float, vt: float, params: DelayParams = DEFAULT_DELAY_PARAMS
-) -> float:
-    """Return ``d ln(Tg) / d Vt`` in 1/volt at the given operating point.
-
-    Useful for converting a threshold-voltage sigma into a relative delay
-    sigma analytically (the variation model does this for the random
-    component, which is too fine-grained to represent spatially).
-    """
-    if vdd <= vt:
-        raise ValueError("requires Vdd > Vt")
-    return params.alpha / (vdd - vt)

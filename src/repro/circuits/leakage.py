@@ -8,10 +8,6 @@ We add the standard subthreshold ideality factor ``n`` (the paper folds it
 into the proportionality constant): the exponential becomes
 ``exp(-q*Vt / (n*k*T))``.  Without it, a realistic ``Vt`` spread produces
 unphysically extreme leakage ratios.
-
-The same expression is inverted by :func:`vt0_from_leakage` to emulate the
-manufacturer tester flow of Section 4.1: ``Vt0`` is *measured* by powering a
-subsystem at a known temperature and reading the leakage current.
 """
 
 from __future__ import annotations
@@ -54,26 +50,3 @@ def static_power(ksta, vdd, temp, vt, ideality: float = IDEALITY_FACTOR):
     vt = np.asarray(vt, dtype=float)
     exponent = -Q_OVER_K * vt / (ideality * temp)
     return ksta * vdd * temp**2 * np.exp(exponent)
-
-
-def vt0_from_leakage(
-    power: float,
-    ksta: float,
-    vdd: float,
-    temp: float,
-    ideality: float = IDEALITY_FACTOR,
-) -> float:
-    """Invert Eq. 8 to recover ``Vt`` from a measured leakage power.
-
-    This is the tester-side measurement of Section 4.1: with clocks
-    suspended, each subsystem is powered individually, the inflowing
-    current (== static power) is read, and ``Vt0`` is solved for.
-    """
-    if power <= 0.0:
-        raise ValueError("leakage power must be positive")
-    if ksta <= 0.0 or vdd <= 0.0 or temp <= 0.0:
-        raise ValueError("ksta, vdd and temp must be positive")
-    ratio = power / (ksta * vdd * temp**2)
-    if ratio >= 1.0:
-        raise ValueError("measured leakage exceeds the Vt=0 bound of Eq. 8")
-    return -np.log(ratio) * ideality * temp / Q_OVER_K

@@ -92,7 +92,12 @@ class Settings:
 
         def integer(name: str, fallback: int) -> int:
             raw = env.get(name)
-            return int(raw) if raw not in (None, "") else fallback
+            if raw in (None, ""):
+                return fallback
+            try:
+                return int(raw)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
         def flag(name: str, fallback: bool) -> bool:
             raw = env.get(name)

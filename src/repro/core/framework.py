@@ -10,8 +10,8 @@ technique is a transform of the error-rate-vs-frequency curve.
 * :func:`shift` — Figure 2(c): move the whole curve right (queue
   downsizing).
 * :func:`reshape` — Figure 2(d): push the bottom right and the top left
-  (per-subsystem ASV/ABB under the Freq/Power algorithms); see
-  :mod:`repro.mitigation.reshape` for the physical version.
+  (per-subsystem ASV/ABB under the Freq/Power algorithms of
+  :mod:`repro.core.optimizer`).
 * *adapt* — Figure 2(e): re-run the choice as the application's curve
   moves between phases; that is the whole of Section 4
   (:mod:`repro.core.adaptation`).

@@ -68,47 +68,6 @@ class RetuningResult:
         return self.config.f_core
 
 
-def retune(
-    core: Core,
-    config: Configuration,
-    activity: np.ndarray,
-    rho: np.ndarray,
-    *,
-    pe_max: float,
-    checker: bool = True,
-    knob_ranges: KnobRanges = DEFAULT_KNOB_RANGES,
-    t_heatsink: Optional[float] = None,
-    max_adjustments: int = 64,
-) -> RetuningResult:
-    """Run the Section 4.3.3 retuning cycles to a safe, maximal frequency.
-
-    The one-lane :func:`retune_batched` call.
-
-    Args:
-        core: The physical core.
-        config: The controller's chosen configuration.
-        activity: Per-subsystem activity factors of the running phase.
-        rho: Per-subsystem error exposures.
-        pe_max: The error constraint (``PEMAX``; effectively zero for
-            environments without a checker).
-        checker: Whether checker power is charged.
-        knob_ranges: Legal frequency grid (100 MHz steps).
-        t_heatsink: Heat-sink temperature.
-        max_adjustments: Safety bound on total steps.
-    """
-    return retune_batched(
-        [core],
-        [config],
-        [activity],
-        [rho],
-        pe_max=pe_max,
-        checker=checker,
-        knob_ranges=knob_ranges,
-        t_heatsink=t_heatsink,
-        max_adjustments=max_adjustments,
-    )[0]
-
-
 def retune_batched(
     cores: Sequence[Core],
     configs: Sequence[Configuration],

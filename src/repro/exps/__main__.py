@@ -74,7 +74,11 @@ def main(argv=None) -> int:
         from .dse.cli import main as dse_main
 
         return dse_main(argv[1:])
-    env_defaults = Settings.from_env()
+    try:
+        env_defaults = Settings.from_env()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="python -m repro.exps",
         description="Regenerate EVAL paper figures/tables.",

@@ -79,7 +79,11 @@ def _print_analysis(rows, objectives) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    env_defaults = Settings.from_env()
+    try:
+        env_defaults = Settings.from_env()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="python -m repro.exps dse",
         description="Design-space-exploration sweeps through the "

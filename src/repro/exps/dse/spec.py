@@ -328,12 +328,6 @@ class SweepSpec:
             names.extend(group.params)
         return names
 
-    def n_points(self) -> int:
-        count = 1
-        for group in self.axes:
-            count *= len(group.bindings())
-        return count
-
     def expand(self) -> List[SweepPoint]:
         """The ordered point stream (product over groups, last fastest)."""
         points: List[SweepPoint] = []

@@ -103,6 +103,8 @@ class RunnerConfig:
             raise ValueError("phi must be positive")
         if self.n_instructions < 1:
             raise ValueError("n_instructions must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # Each FC seeds one rule per example before it trains (App. A).
         if self.fuzzy_examples < DEFAULT_N_RULES:
             raise ValueError(f"fuzzy_examples must be >= {DEFAULT_N_RULES}")

@@ -1,16 +1,14 @@
 """Micro-architecture substrate: OoO core model, workloads, phases."""
 
 from .activity import accesses_per_instruction, activity_factors, rho_vector
-from .isa import BASE_LATENCY, Uop, queue_of
+from .isa import BASE_LATENCY, Uop
 from .phases import (
     COUNTER_MAX,
     N_BUCKETS,
     DetectedPhase,
     PhaseDetector,
-    PhaseInstance,
-    generate_phase_stream,
 )
-from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, SimResult, simulate
+from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, SimResult
 from .simulator import (
     WorkloadMeasurement,
     clear_measurement_cache,
@@ -29,7 +27,6 @@ __all__ = [
     "INT",
     "N_BUCKETS",
     "PhaseDetector",
-    "PhaseInstance",
     "PhaseSpec",
     "SimResult",
     "SyntheticTrace",
@@ -40,11 +37,8 @@ __all__ = [
     "activity_factors",
     "by_name",
     "clear_measurement_cache",
-    "generate_phase_stream",
     "generate_trace",
     "measure_workload",
-    "queue_of",
     "rho_vector",
-    "simulate",
     "spec2000_like_suite",
 ]

@@ -23,13 +23,6 @@ class Uop(IntEnum):
     BRANCH = 6
 
 
-#: Uops dispatched to the integer issue queue.
-INT_QUEUE_UOPS = frozenset({Uop.INT_ALU, Uop.INT_MUL, Uop.BRANCH})
-#: Uops dispatched to the FP issue queue.
-FP_QUEUE_UOPS = frozenset({Uop.FP_ADD, Uop.FP_MUL})
-#: Uops dispatched to the load/store queue.
-MEM_QUEUE_UOPS = frozenset({Uop.LOAD, Uop.STORE})
-
 #: Execution latency in cycles (L1-hit latency for loads; misses add more).
 BASE_LATENCY = {
     Uop.INT_ALU: 1,
@@ -40,12 +33,3 @@ BASE_LATENCY = {
     Uop.STORE: 1,
     Uop.BRANCH: 1,
 }
-
-
-def queue_of(kind: int) -> str:
-    """Return which issue queue ('int', 'fp', 'mem') a uop kind uses."""
-    if kind in (Uop.INT_ALU, Uop.INT_MUL, Uop.BRANCH):
-        return "int"
-    if kind in (Uop.FP_ADD, Uop.FP_MUL):
-        return "fp"
-    return "mem"

@@ -176,30 +176,15 @@ _QUEUE_OF = np.array([_GROUP_AND_QUEUE[kind][1] for kind in Uop])
 _EMPTY_SLOT = -(1 << 62)
 
 
-def simulate(
-    trace: SyntheticTrace,
-    config: CoreConfig = DEFAULT_CORE_CONFIG,
-    *,
-    suppress_l2_misses: bool = False,
-) -> SimResult:
-    """Run the timing model over a trace and return aggregate results.
-
-    Args:
-        trace: The synthetic instruction trace.
-        config: Core configuration.
-        suppress_l2_misses: Treat L2 misses as L2 hits.  Running the model
-            twice (with and without) separates ``CPIcomp`` from the memory
-            stall term of Eq 5.
-    """
-    return simulate_batch(trace, [(config, suppress_l2_misses)])[0]
-
-
 def simulate_batch(
     trace: SyntheticTrace,
     variants: Sequence[Tuple[CoreConfig, bool]],
 ) -> List[SimResult]:
     """Run K independent ``(config, suppress_l2_misses)`` variants.
 
+    ``suppress_l2_misses`` treats L2 misses as L2 hits: the walks with
+    and without it separate ``CPIcomp`` from the memory stall term of
+    Eq 5.
     The per-instruction trace columns (kind, queue, FU group, dependence
     distances, miss and misprediction flags) are decoded once and shared;
     each variant then takes its own walk over them: the native twin of

@@ -10,7 +10,7 @@ the 100-chip Monte Carlo population.
 
 The in-process cache is a bounded LRU keyed on the profile's canonical
 :meth:`~repro.microarch.workloads.WorkloadProfile.content_hash`, so
-structurally identical profiles — suite members, inline specs, evolved
+structurally identical profiles — suite members, inline specs, generated
 workloads — share entries regardless of how they were constructed, and a
 long campaign over generated workloads cannot grow the cache without
 bound.  ``microarch.cache.{hits,misses,evictions}`` counters expose its

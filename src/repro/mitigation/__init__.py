@@ -1,4 +1,5 @@
-"""Error-mitigation techniques: tilt, shift, reshape (paper Section 3.3)."""
+"""Error-mitigation techniques of paper Section 3.3: tilt (FU replication),
+shift (queue resizing), retiming, and their area cost."""
 
 from .area import (
     ABB_AREA_FRACTION,
@@ -14,11 +15,9 @@ from .base import (
     QUEUE_FULL,
     QUEUE_RESIZED,
     TechniqueState,
-    technique_choices,
 )
 from .fu_replication import ReplicaDecision, choose_fu_implementation
 from .queue_resize import QueueDecision, choose_queue_size
-from .reshape import ReshapeResult, reshape_curve
 from .retiming import DEFAULT_LOOPS, RetimingResult, retime
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "PHASE_DETECTOR_AREA_FRACTION",
     "QueueDecision",
     "ReplicaDecision",
-    "ReshapeResult",
     "RetimingResult",
     "DEFAULT_LOOPS",
     "SENSOR_AREA_FRACTION",
@@ -40,7 +38,5 @@ __all__ = [
     "area_budget",
     "choose_fu_implementation",
     "choose_queue_size",
-    "reshape_curve",
     "retime",
-    "technique_choices",
 ]

@@ -111,16 +111,3 @@ class TechniqueState:
         if not self.queue_full:
             config = config.with_resized_queue(self.domain)
         return config
-
-
-def technique_choices(
-    resize_available: bool, replication_available: bool, domain: str
-) -> list:
-    """Enumerate the legal :class:`TechniqueState` values for a domain."""
-    queue_options = [True, False] if resize_available else [True]
-    fu_options = [False, True] if replication_available else [False]
-    return [
-        TechniqueState(queue_full=q, lowslope=s, domain=domain)
-        for q in queue_options
-        for s in fu_options
-    ]

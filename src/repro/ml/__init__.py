@@ -13,7 +13,6 @@ from .dataset import (
     FREQ_INPUT_NAMES,
     POWER_INPUT_NAMES,
     SampledInputs,
-    generate_training_data,
     sample_inputs,
 )
 from .fuzzy import FuzzyController
@@ -22,7 +21,6 @@ from .training import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_N_RULES,
     TrainingReport,
-    train_fuzzy_controller,
     train_fuzzy_controllers,
 )
 
@@ -40,11 +38,9 @@ __all__ = [
     "QUEUE_RESIZED",
     "SampledInputs",
     "TrainingReport",
-    "generate_training_data",
     "load_bank",
     "sample_inputs",
     "save_bank",
     "train_controller_bank",
-    "train_fuzzy_controller",
     "train_fuzzy_controllers",
 ]

@@ -190,8 +190,7 @@ class TrainingRequest:
     """One (subsystem, configuration-variant) oracle-labelling job.
 
     ``delay_scale`` / ``sigma_scale`` / ``power_factor`` carry the
-    technique-variant transforms (resized queue, low-slope FU) exactly
-    as the keyword arguments of :func:`generate_training_data` do.
+    technique-variant transforms (resized queue, low-slope FU).
     """
 
     index: int
@@ -307,8 +306,8 @@ def generate_training_datasets(
     ``optimizer.sweeps_over_budget``.
 
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
-    tuple per request, in request order; each equals
-    :func:`generate_training_data` for that request alone.
+    tuple per request, in request order; each equals the tuple the
+    request gets when it is labelled alone.
     """
     drawn = [_draw_request(core, request, chunk) for request in requests]
     labels = iter(_label_chunks(
@@ -327,35 +326,3 @@ def generate_training_datasets(
             np.concatenate([part[4] for part in mine]),
         ))
     return datasets
-
-
-def generate_training_data(
-    core: Core,
-    index: int,
-    spec: OptimizationSpec,
-    n_examples: int = 10000,
-    seed: int = 0,
-    *,
-    delay_scale: float = 1.0,
-    sigma_scale: float = 1.0,
-    power_factor: float = 1.0,
-    chunk: int = 2500,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Generate one subsystem's Exhaustive-labelled training set.
-
-    A single-request convenience wrapper over
-    :func:`generate_training_datasets` (same outputs, same RNG stream).
-
-    Returns:
-        ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)`` with columns
-        per :data:`FREQ_INPUT_NAMES` / :data:`POWER_INPUT_NAMES`.
-    """
-    request = TrainingRequest(
-        index=index,
-        seed=seed,
-        n_examples=n_examples,
-        delay_scale=delay_scale,
-        sigma_scale=sigma_scale,
-        power_factor=power_factor,
-    )
-    return generate_training_datasets(core, spec, [request], chunk=chunk)[0]

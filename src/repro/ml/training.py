@@ -38,33 +38,6 @@ class TrainingReport:
     final_rmse: float  # over the training set after the last epoch
 
 
-def train_fuzzy_controller(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    n_rules: int = DEFAULT_N_RULES,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    epochs: int = 1,
-    seed: int = 0,
-) -> "tuple[FuzzyController, TrainingReport]":
-    """Train a fuzzy controller on (input, output) examples.
-
-    Args:
-        inputs: Raw input vectors, shape ``(n_examples, n_inputs)``.
-        targets: Desired outputs, shape ``(n_examples,)``.
-        n_rules: Number of fuzzy rules (paper: 25).
-        learning_rate: Gradient step size (paper: 0.04).
-        epochs: Passes over the data (the paper's single online pass is
-            ``epochs=1``; more passes tighten the fit).
-        seed: RNG seed for the sigma initialisation.
-
-    Returns:
-        The trained controller and a :class:`TrainingReport`.
-    """
-    return train_fuzzy_controllers(
-        [(inputs, targets)], n_rules, learning_rate, epochs, seeds=[seed]
-    )[0]
-
-
 def train_fuzzy_controllers(
     datasets: Sequence[Tuple[np.ndarray, np.ndarray]],
     n_rules: int = DEFAULT_N_RULES,

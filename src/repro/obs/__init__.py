@@ -29,7 +29,6 @@ from .events import (
     EventSink,
     emit_event,
     get_event_sink,
-    read_events,
     set_event_sink,
 )
 from .logsetup import JsonLogFormatter, configure_logging
@@ -69,7 +68,6 @@ __all__ = [
     "inc",
     "metrics_registry",
     "observe",
-    "read_events",
     "scoped",
     "set_event_sink",
     "set_gauge",

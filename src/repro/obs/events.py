@@ -7,8 +7,7 @@ through a process-global sink.  With no sink installed (the default)
 nothing; installing an :class:`EventSink` turns the stream on.
 
 The format is deliberately plain JSONL so any log shipper or ``jq`` can
-consume it; :func:`read_events` is the matching reader used by tests and
-small analysis scripts.
+consume it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, Optional, Union
 
 
 class EventSink:
@@ -53,15 +52,6 @@ class EventSink:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a JSONL event file back into dicts (blank lines skipped)."""
-    events = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            events.append(json.loads(line))
-    return events
 
 
 _SINK: Optional[EventSink] = None

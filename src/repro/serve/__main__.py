@@ -67,11 +67,11 @@ def _run_daemon(args: argparse.Namespace, env_defaults: Settings) -> int:
 
     try:
         settings = Settings.from_args(args, base=env_defaults)
+        runner = ExperimentRunner.from_settings(settings)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     settings.configure()
-    runner = ExperimentRunner.from_settings(settings)
     service = CampaignService(runner, settings=settings)
     daemon = ServiceDaemon(service, address=args.addr)
     print(f"campaign service listening on {daemon.address}", flush=True)
@@ -90,7 +90,11 @@ def _run_daemon(args: argparse.Namespace, env_defaults: Settings) -> int:
 
 
 def main(argv=None) -> int:
-    env_defaults = Settings.from_env()
+    try:
+        env_defaults = Settings.from_env()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     default_addr = env_defaults.service_addr or DEFAULT_ADDRESS
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",

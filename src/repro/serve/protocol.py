@@ -10,8 +10,8 @@ One request, one response, one line of JSON each::
 Specs cross the wire by *name*: environments by their Table 1 names
 (:func:`repro.core.environments.by_name`), modes by their
 :class:`~repro.core.environments.AdaptationMode` values, suite workloads
-by their suite names.  Non-suite workloads — generated families, ingested
-traces, evolved adversaries (:mod:`repro.workloads`) — ride *inline* as
+by their suite names.  Non-suite workloads — generated families and
+ingested traces (:mod:`repro.workloads`) — ride *inline* as
 their canonical :meth:`WorkloadProfile.to_wire` documents, so a daemon
 rebuilds them bit-identically and the content-addressed cache keys still
 hold.  Custom in-memory :class:`Environment` objects cannot be submitted

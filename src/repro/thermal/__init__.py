@@ -1,6 +1,5 @@
-"""Thermal substrate: Eq 6-9 steady-state solver and sensor models."""
+"""Thermal substrate: the Eq 6-9 steady-state solver."""
 
-from .sensors import SensorSpec, SensorSuite
 from .solver import (
     T_RUNAWAY,
     ThermalSolution,
@@ -9,8 +8,6 @@ from .solver import (
 )
 
 __all__ = [
-    "SensorSpec",
-    "SensorSuite",
     "T_RUNAWAY",
     "ThermalSolution",
     "solve_temperatures",

@@ -3,13 +3,10 @@
 from .errors import (
     NEGLIGIBLE_PE,
     error_free_frequency,
-    frequency_at_stage_budget,
-    max_frequency_under_budget,
     processor_error_rate,
     stage_error_rates,
 )
 from .paths import StageDelays, StageModifiers, stage_delays
-from .sampling import PathEnsemble, fit_stage_model, wall_ensemble
 from .speculation import (
     CheckerConfig,
     PerfParams,
@@ -22,19 +19,14 @@ from .speculation import (
 __all__ = [
     "CheckerConfig",
     "NEGLIGIBLE_PE",
-    "PathEnsemble",
     "PerfParams",
     "StageDelays",
     "StageModifiers",
     "effective_cpi",
     "error_free_frequency",
-    "fit_stage_model",
-    "frequency_at_stage_budget",
-    "max_frequency_under_budget",
     "miss_penalty_cycles",
     "optimal_on_curve",
     "performance",
     "processor_error_rate",
     "stage_delays",
-    "wall_ensemble",
 ]

@@ -31,11 +31,6 @@ def celsius_to_kelvin(temp_c: float) -> float:
     return temp_c + KELVIN_OFFSET
 
 
-def kelvin_to_celsius(temp_k: float) -> float:
-    """Convert a temperature from kelvin to Celsius."""
-    return temp_k - KELVIN_OFFSET
-
-
 def ghz(value: float) -> float:
     """Return ``value`` gigahertz expressed in hertz."""
     return value * GHZ

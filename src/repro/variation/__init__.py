@@ -1,10 +1,6 @@
 """Within-die process-variation model (VARIUS-style, paper Section 2.1)."""
 
-from .correlation import (
-    correlated_normal_factor,
-    correlation_matrix,
-    spherical_correlation,
-)
+from .correlation import correlated_normal_factor, correlation_matrix
 from .factors import (
     DEFAULT_JITTER,
     clear_factor_memo,
@@ -18,7 +14,6 @@ from .grid import DieGrid
 from .maps import (
     DEFAULT_VARIATION_PARAMS,
     ChipSample,
-    RegionStats,
     VariationParams,
 )
 from .population import VariationModel
@@ -28,7 +23,6 @@ __all__ = [
     "DEFAULT_JITTER",
     "DEFAULT_VARIATION_PARAMS",
     "DieGrid",
-    "RegionStats",
     "VariationModel",
     "VariationParams",
     "clear_factor_memo",
@@ -39,5 +33,4 @@ __all__ = [
     "get_store",
     "memo_size",
     "set_store",
-    "spherical_correlation",
 ]

@@ -18,27 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def spherical_correlation(distance, phi: float):
-    """Return the spherical correlogram ``rho(distance)``.
-
-    Args:
-        distance: Euclidean distance(s), in die-width units. Scalars and
-            arrays are both accepted.
-        phi: Correlation range in die-width units; at distances >= ``phi``
-            the correlation is exactly zero.
-
-    Raises:
-        ValueError: If ``phi`` is not positive or any distance is negative.
-    """
-    if phi <= 0.0:
-        raise ValueError("correlation range phi must be positive")
-    r = np.array(distance, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("distances cannot be negative")
-    # ``[()]`` hands a scalar input back as a scalar, not a 0-d array.
-    return _correlogram_inplace(r, phi, np.empty_like(r))[()]
-
-
 def _correlogram_inplace(r: np.ndarray, phi: float, scratch: np.ndarray):
     """Overwrite the distances ``r`` with ``rho(r)``; ``scratch`` is spare.
 

@@ -127,30 +127,3 @@ class ChipSample:
     def leff_cells(self) -> np.ndarray:
         """Per-cell relative ``Leff`` (1.0 = nominal)."""
         return 1.0 + self.leff_sys
-
-    def region_vt0(self, cell_indices: np.ndarray) -> "RegionStats":
-        """Summarise ``Vt0`` over a set of cells (a subsystem footprint)."""
-        values = self.vt0_cells[np.asarray(cell_indices)]
-        return RegionStats(
-            mean=float(values.mean()),
-            worst_slow=float(values.max()),  # high Vt = slow
-            worst_leaky=float(values.min()),  # low Vt = leaky
-        )
-
-    def region_leff(self, cell_indices: np.ndarray) -> "RegionStats":
-        """Summarise relative ``Leff`` over a set of cells."""
-        values = self.leff_cells[np.asarray(cell_indices)]
-        return RegionStats(
-            mean=float(values.mean()),
-            worst_slow=float(values.max()),  # long Leff = slow
-            worst_leaky=float(values.min()),
-        )
-
-
-@dataclass(frozen=True)
-class RegionStats:
-    """Mean / extreme statistics of a parameter over a die region."""
-
-    mean: float
-    worst_slow: float
-    worst_leaky: float

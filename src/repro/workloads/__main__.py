@@ -5,15 +5,10 @@ Usage::
     python -m repro.workloads ingest trace.jsonl --name web-tier \\
         --out profiles.json
     python -m repro.workloads generate bursty:4:42 --out family.json
-    python -m repro.workloads evolve --family bursty:3:42 \\
-        --generations 4 --population 6 --objective error-frac \\
-        --out winner.json
 
 ``ingest`` measures :class:`~repro.microarch.workloads.WorkloadProfile`
 objects out of instruction traces; ``generate`` emits a deterministic
-parameterized family; ``evolve`` runs the adversarial genetic loop
-against a fitness oracle — in-process by default, or a running campaign
-daemon via ``--service HOST:PORT`` (candidates cross the wire inline).
+parameterized family.
 
 Profile files written by ``--out`` are the :func:`~repro.workloads.
 ingest.save_profiles` format and feed straight into
@@ -29,14 +24,13 @@ import sys
 from .. import __version__, obs
 from ..config import Settings
 from ..exps.reporting import format_table
-from .evolve import OBJECTIVES, EvolveConfig, evolve
 from .families import (
     DEFAULT_SEED,
     DEFAULT_SIZE,
     family_names,
     parse_family_ref,
 )
-from .ingest import DEFAULT_WINDOW, ingest_trace, load_profiles, save_profiles
+from .ingest import DEFAULT_WINDOW, ingest_trace, save_profiles
 
 
 def _profile_rows(profiles):
@@ -112,69 +106,15 @@ def _run_generate(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def _run_evolve(args: argparse.Namespace, settings: Settings) -> int:
-    seeds = []
-    if args.family:
-        try:
-            family, size, seed = parse_family_ref(args.family)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        seeds.extend(family.generate(size=size, seed=seed))
-    if args.profiles:
-        try:
-            seeds.extend(load_profiles(args.profiles))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {args.profiles}: {exc}",
-                  file=sys.stderr)
-            return 1
-    if not seeds:
-        print("error: no seed profiles (use --family and/or --profiles)",
-              file=sys.stderr)
-        return 2
+def main(argv=None) -> int:
     try:
-        config = EvolveConfig(
-            environment=args.environment,
-            mode=args.mode,
-            objective=args.objective,
-            generations=args.generations,
-            population=args.population,
-            elite=args.elite,
-            mutation_scale=args.mutation_scale,
-            seed=args.evolve_seed,
-        )
-    except (KeyError, ValueError) as exc:
+        env_defaults = Settings.from_env()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = evolve(
-        seeds,
-        config=config,
-        settings=settings,
-        service=settings.service_addr or None,
-    )
-    print(format_table(
-        f"evolve ({config.objective}, seed {config.seed})",
-        ["Generation", "Best", "Mean"],
-        [
-            [f"{entry['generation']:.0f}", f"{entry['best']:.6f}",
-             f"{entry['mean']:.6f}"]
-            for entry in result.history
-        ],
-    ))
-    print(f"winner: {result.winner.name}  fitness={result.fitness:.6f}  "
-          f"hash={result.winner_hash}")
-    print(f"evaluations: {result.evals_submitted} submitted, "
-          f"{result.evals_cached} served from the evolve memo")
-    _maybe_save([profile for profile, _ in result.ranking], args.out)
-    return 0
-
-
-def main(argv=None) -> int:
-    env_defaults = Settings.from_env()
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
-        description="Workload profiles: ingest traces, generate families, "
-                    "evolve adversaries.",
+        description="Workload profiles: ingest traces, generate families.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -216,44 +156,6 @@ def main(argv=None) -> int:
     )
     generate_p.add_argument("--out", default=None, metavar="FILE")
 
-    evolve_p = sub.add_parser(
-        "evolve", help="adversarial search against the campaign service"
-    )
-    evolve_p.add_argument(
-        "--family", default=None, metavar="NAME[:SIZE[:SEED]]",
-        help="seed the gene pool from a generated family",
-    )
-    evolve_p.add_argument(
-        "--profiles", default=None, metavar="FILE",
-        help="seed the gene pool from a saved profile file",
-    )
-    evolve_p.add_argument(
-        "--objective", default="error-frac", choices=sorted(OBJECTIVES),
-    )
-    evolve_p.add_argument("--environment", default="TS", metavar="NAME")
-    evolve_p.add_argument("--mode", default="Exh-Dyn", metavar="MODE")
-    evolve_p.add_argument("--generations", type=int, default=4)
-    evolve_p.add_argument("--population", type=int, default=6)
-    evolve_p.add_argument("--elite", type=int, default=2)
-    evolve_p.add_argument("--mutation-scale", type=float, default=0.25)
-    evolve_p.add_argument(
-        "--evolve-seed", type=int, default=0, metavar="SEED",
-        help="genetic-loop RNG seed (--seed stays the physics seed)",
-    )
-    evolve_p.add_argument(
-        "--service", default=None, metavar="HOST:PORT",
-        help="score candidates on a running campaign daemon instead of "
-             "in-process",
-    )
-    evolve_p.add_argument("--out", default=None, metavar="FILE")
-    evolve_p.add_argument("--chips", type=int, default=env_defaults.chips)
-    evolve_p.add_argument("--cores", type=int, default=env_defaults.cores)
-    evolve_p.add_argument(
-        "--fc-examples", type=int, default=env_defaults.fc_examples
-    )
-    evolve_p.add_argument("--seed", type=int, default=env_defaults.seed)
-    Settings.add_cli_arguments(evolve_p, env_defaults)
-
     args = parser.parse_args(argv)
     try:
         settings = Settings.from_args(args, base=env_defaults)
@@ -266,8 +168,6 @@ def main(argv=None) -> int:
             return _run_ingest(args, settings)
         if args.command == "generate":
             return _run_generate(args, settings)
-        if args.command == "evolve":
-            return _run_evolve(args, settings)
         raise AssertionError(f"unhandled command {args.command}")
     finally:
         _dump_metrics(settings)

@@ -25,7 +25,7 @@ Family references are compact strings — ``"bursty:6:42"`` is preset
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -312,11 +312,3 @@ def generate_family_ref(ref: str) -> Tuple[WorkloadProfile, ...]:
     """Generate the fleet a ``name[:size[:seed]]`` ref describes."""
     family, size, seed = parse_family_ref(ref)
     return family.generate(size, seed)
-
-
-def register_family(name: str, family: WorkloadFamily) -> None:
-    """Register a custom family under ``name`` for refs and the CLI."""
-    if not name:
-        raise ValueError("family name must be non-empty")
-    named = family if family.name == name else replace(family, name=name)
-    _PRESETS[name] = lambda: named

@@ -72,8 +72,6 @@ DEFAULT_WINDOW = 1000
 _MEM_KINDS = (Uop.LOAD, Uop.STORE)
 _FP_KINDS = (Uop.FP_ADD, Uop.FP_MUL)
 
-_FLAG_FIELDS = ("branch_miss", "l1_miss", "l2_miss", "icache_miss")
-
 _TRUE_STRINGS = frozenset(("1", "true", "yes", "t"))
 
 

@@ -4,12 +4,11 @@ the adaptation pipeline.
 The fixtures under ``tests/data/`` were written by the code *before* a
 refactor replaced the implementation they pin: the SimResult and bank
 fixtures predate the locals-only trace walk and the lockstep fuzzy
-trainer, and the adaptation fixture (ladder rows, unit-level
-``optimize_phase`` results with retuning on and off, and one core's
-``run_timeline`` events) predates the single lane pipeline that replaced
-the scalar, phase-batched and population-batched adaptation paths.  The
-golden tests therefore check the current code against the old one rather
-than only against itself.
+trainer, and the adaptation fixture (ladder rows and unit-level
+``optimize_phase`` results with retuning on and off) predates the single
+lane pipeline that replaced the scalar, phase-batched and
+population-batched adaptation paths.  The golden tests therefore check
+the current code against the old one rather than only against itself.
 
 Regenerate (only in a change that deliberately alters the model's
 semantics, and say so in its notes) from the repository root with::
@@ -87,14 +86,14 @@ def sim_result_doc(result) -> Dict:
 def pipeline_cases() -> List[Dict]:
     """Simulate every (suite profile, config, suppress) fixture case."""
     from repro.microarch import generate_trace, spec2000_like_suite
-    from repro.microarch.pipeline import simulate
+    from repro.microarch.pipeline import simulate_batch
 
     cases = []
     for profile in spec2000_like_suite():
         trace = generate_trace(profile, TRACE_INSTRUCTIONS, TRACE_SEED)
         for label, config in pipeline_configs():
             for suppress in (False, True):
-                result = simulate(trace, config, suppress_l2_misses=suppress)
+                result = simulate_batch(trace, [(config, suppress)])[0]
                 cases.append({
                     "profile": profile.name,
                     "config": label,
@@ -127,13 +126,13 @@ def controllers_digest(controllers) -> str:
 
 
 def train_trainer_cases_alone():
-    """Each trainer case through :func:`train_fuzzy_controller` on its own."""
-    from repro.ml import train_fuzzy_controller
+    """Each trainer case through :func:`train_fuzzy_controllers` on its own."""
+    from repro.ml import train_fuzzy_controllers
 
     return [
-        train_fuzzy_controller(
-            inputs, targets, epochs=TRAINER_EPOCHS, seed=case[2]
-        )
+        train_fuzzy_controllers(
+            [(inputs, targets)], epochs=TRAINER_EPOCHS, seeds=[case[2]]
+        )[0]
         for case, (inputs, targets) in zip(TRAINER_CASES, trainer_datasets())
     ]
 
@@ -198,9 +197,6 @@ LADDER_SCALE = dict(
 #: Workload phases of the unit-level cases: (workload index, phase index)
 #: into the suite, one integer and one floating-point phase.
 UNIT_PHASES = ((0, 0), (5, 1))
-
-#: The phase stream of the timeline case (workload index, length, seed).
-TIMELINE_STREAM = (5, 1200.0, 5)
 
 
 def ladder_runner():
@@ -303,22 +299,6 @@ def adaptation_cases(runner) -> List[Dict]:
     return cases
 
 
-def timeline_events(runner) -> List[Dict]:
-    """One core's ``run_timeline`` events on TS+ASV+Q (queue resizing)."""
-    from dataclasses import asdict
-
-    from repro.core.environments import TS_ASV_Q
-    from repro.core.timeline import run_timeline
-    from repro.microarch import generate_phase_stream
-
-    workload, total_ms, seed = TIMELINE_STREAM
-    stream = generate_phase_stream(
-        runner.workloads[workload], total_ms=total_ms, seed=seed
-    )
-    result = run_timeline(runner.core(0, 0), TS_ASV_Q, stream, seed=seed)
-    return [asdict(event) for event in result.events]
-
-
 def adaptation_fixture() -> Dict:
     """Everything :data:`ADAPTATION_FIXTURE` pins, computed now."""
     runner = ladder_runner()
@@ -327,7 +307,6 @@ def adaptation_fixture() -> Dict:
         "scale": LADDER_SCALE,
         "ladder": ladder_cells(runner),
         "units": adaptation_cases(runner),
-        "timeline": timeline_events(runner),
     }
 
 

@@ -90,7 +90,9 @@ class TestFloorplan:
 
     def test_domains(self):
         fp = default_floorplan()
-        groups = fp.indices_by_domain()
+        groups = {}
+        for i, spec in enumerate(fp.subsystems):
+            groups.setdefault(spec.domain, []).append(i)
         assert fp.index_of("IntALU") in groups[INT_DOMAIN]
         assert fp.index_of("FPQ") in groups[FP_DOMAIN]
         assert len(groups[INT_DOMAIN]) == 4

@@ -11,12 +11,9 @@ from repro.circuits import (
     OperatingPoint,
     VtSensitivities,
     delay_factor,
-    delay_vt_sensitivity,
-    dynamic_power,
     gate_delay,
     static_power,
     threshold_voltage,
-    vt0_from_leakage,
 )
 
 
@@ -50,15 +47,6 @@ class TestGateDelay:
         )
         assert factor == pytest.approx(1.0)
 
-    def test_vt_sensitivity_positive_and_grows_near_threshold(self):
-        low = delay_vt_sensitivity(1.0, 0.1)
-        high = delay_vt_sensitivity(1.0, 0.5)
-        assert 0 < low < high
-
-    def test_vt_sensitivity_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            delay_vt_sensitivity(0.5, 0.6)
-
 
 class TestLeakage:
     def test_exponential_in_vt(self):
@@ -76,33 +64,18 @@ class TestLeakage:
             1.0, 1.0, 350.0, 0.15
         )
 
-    def test_vt0_from_leakage_round_trip(self):
-        power = float(static_power(2.0, 1.0, 360.0, 0.17))
-        recovered = vt0_from_leakage(power, 2.0, 1.0, 360.0)
-        assert recovered == pytest.approx(0.17, abs=1e-9)
-
-    def test_vt0_from_leakage_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            vt0_from_leakage(0.0, 1.0, 1.0, 350.0)
-
-    def test_vt0_from_leakage_rejects_excessive_power(self):
-        with pytest.raises(ValueError, match="bound"):
-            vt0_from_leakage(1e12, 1.0, 1.0, 350.0)
-
 
 class TestDynamicPower:
-    def test_linear_in_frequency_and_activity(self):
-        base = dynamic_power(1e-10, 0.5, 1.0, 4e9)
-        assert dynamic_power(1e-10, 1.0, 1.0, 4e9) == pytest.approx(2 * base)
-        assert dynamic_power(1e-10, 0.5, 1.0, 8e9) == pytest.approx(2 * base)
+    """Eq 7 as the core model evaluates it, per subsystem."""
 
-    def test_quadratic_in_vdd(self):
-        base = dynamic_power(1e-10, 0.5, 1.0, 4e9)
-        assert dynamic_power(1e-10, 0.5, 2.0, 4e9) == pytest.approx(4 * base)
+    def test_linear_in_frequency_and_activity(self, core):
+        base = core.subsystem_dynamic_power(1.0, 4e9, 0.5)
+        assert np.allclose(core.subsystem_dynamic_power(1.0, 4e9, 1.0), 2 * base)
+        assert np.allclose(core.subsystem_dynamic_power(1.0, 8e9, 0.5), 2 * base)
 
-    def test_rejects_negative_activity(self):
-        with pytest.raises(ValueError):
-            dynamic_power(1e-10, -0.1, 1.0, 4e9)
+    def test_quadratic_in_vdd(self, core):
+        base = core.subsystem_dynamic_power(1.0, 4e9, 0.5)
+        assert np.allclose(core.subsystem_dynamic_power(2.0, 4e9, 0.5), 4 * base)
 
 
 class TestThresholdVoltage:

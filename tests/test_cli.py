@@ -40,6 +40,47 @@ class TestCLI:
         assert "fuzzy_examples must be >= 25" in captured.err
         assert "=== fig10 ===" not in captured.out
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_rejects_negative_seed_before_compute(self, source, capsys,
+                                                  monkeypatch):
+        argv = ["fig10", "--chips", "1", "--fc-examples", "25", "--no-cache"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("EVAL_REPRO_SEED", "-4")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err
+        assert "=== fig10 ===" not in captured.out
+
+
+class TestMalformedEnvironment:
+    """A malformed integer variable is a usage error in every CLI."""
+
+    @pytest.mark.parametrize("cli,argv", [
+        ("exps", ["area"]),
+        ("dse", ["dse", "expand", "--spec", "sweep.json"]),
+        ("serve", ["ping"]),
+        ("workloads", ["generate", "bursty"]),
+    ])
+    @pytest.mark.parametrize("name,raw", [
+        ("EVAL_REPRO_JOBS", "abc"),
+        ("EVAL_REPRO_FC_EXAMPLES", "1e3"),
+    ])
+    def test_usage_error_names_the_variable(self, cli, argv, name, raw,
+                                            capsys, monkeypatch):
+        from repro.serve.__main__ import main as serve_main
+        from repro.workloads.__main__ import main as workloads_main
+
+        entry = {"serve": serve_main, "workloads": workloads_main}.get(
+            cli, main
+        )
+        monkeypatch.setenv(name, raw)
+        assert entry(argv) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+
 
 class TestCLISettings:
     def test_metrics_out_writes_valid_json(self, tmp_path, capsys):

@@ -49,6 +49,16 @@ class TestFromEnv:
     def test_empty_env_keeps_defaults(self):
         assert Settings.from_env({}) == Settings()
 
+    @pytest.mark.parametrize("name,raw", [
+        ("EVAL_REPRO_JOBS", "abc"),
+        ("EVAL_REPRO_FC_EXAMPLES", "1e3"),
+    ])
+    def test_malformed_integer_names_the_variable(self, name, raw):
+        with pytest.raises(
+            ValueError, match=f"{name} must be an integer, got '{raw}'"
+        ):
+            Settings.from_env({name: raw})
+
     def test_no_cache_variable(self):
         assert not Settings.from_env({"EVAL_REPRO_NO_CACHE": "1"}).cache_enabled
         assert Settings.from_env({}).cache_enabled

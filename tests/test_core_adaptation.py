@@ -23,7 +23,6 @@ from repro.core import (
     evaluate_configurations,
     optimize_phase,
     optimize_phases_batched,
-    retune,
 )
 from repro import obs
 from repro.chip import build_core
@@ -34,6 +33,7 @@ from repro.core.adaptation import (
     optimize_units_batched,
     perf_params_from_measurement,
 )
+from repro.core.retuning import retune_batched
 from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
 from repro.mitigation import TechniqueState
 from repro.obs import MetricsRegistry
@@ -279,8 +279,8 @@ class TestRetuning:
             vbb=np.zeros(n),
             technique=TechniqueState(),
         )
-        result = retune(
-            core, config, int_measurement.activity, int_measurement.rho,
+        [result] = retune_batched(
+            [core], [config], [int_measurement.activity], [int_measurement.rho],
             pe_max=core.calib.pe_max,
         )
         assert result.outcome in (Outcome.ERROR, Outcome.TEMP, Outcome.POWER)
@@ -295,8 +295,8 @@ class TestRetuning:
             vbb=np.zeros(n),
             technique=TechniqueState(),
         )
-        result = retune(
-            core, config, int_measurement.activity, int_measurement.rho,
+        [result] = retune_batched(
+            [core], [config], [int_measurement.activity], [int_measurement.rho],
             pe_max=core.calib.pe_max,
         )
         assert result.outcome is Outcome.LOW_FREQ
@@ -305,18 +305,18 @@ class TestRetuning:
     def test_near_optimal_is_no_change(self, core, int_measurement):
         # First find the converged frequency, then re-run from it.
         n = core.n_subsystems
-        probe = retune(
-            core,
-            Configuration(3.0e9, np.full(n, 1.0), np.zeros(n), TechniqueState()),
-            int_measurement.activity,
-            int_measurement.rho,
+        [probe] = retune_batched(
+            [core],
+            [Configuration(3.0e9, np.full(n, 1.0), np.zeros(n), TechniqueState())],
+            [int_measurement.activity],
+            [int_measurement.rho],
             pe_max=core.calib.pe_max,
         )
-        again = retune(
-            core,
-            probe.config,
-            int_measurement.activity,
-            int_measurement.rho,
+        [again] = retune_batched(
+            [core],
+            [probe.config],
+            [int_measurement.activity],
+            [int_measurement.rho],
             pe_max=core.calib.pe_max,
         )
         assert again.outcome is Outcome.NO_CHANGE

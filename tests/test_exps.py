@@ -70,6 +70,7 @@ class TestRunner:
         ("fuzzy_examples", 24, "fuzzy_examples must be >= 25"),
         ("fuzzy_epochs", 0, "fuzzy_epochs must be >= 1"),
         ("n_instructions", 0, "n_instructions must be >= 1"),
+        ("seed", -1, "seed must be >= 0"),
     ])
     def test_scale_validation(self, field, value, message):
         """A bad training or trace scale fails at construction, not at

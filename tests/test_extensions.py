@@ -1,21 +1,13 @@
-"""Extension features: bank persistence, CMP scheduling, path sampling,
-checker throughput, variation-severity sensitivity."""
+"""Extension features: bank persistence, checker throughput,
+variation-severity sensitivity, retiming."""
 
 import numpy as np
 import pytest
 
-from repro.chip import CMP, schedule_applications
 from repro.chip.chip import CoreLanes
-from repro.core import TS_ASV, optimize_phase
 from repro.exps import run_sensitivity
-from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
 from repro.ml import load_bank, save_bank
-from repro.timing import (
-    CheckerConfig,
-    fit_stage_model,
-    stage_error_rates,
-    wall_ensemble,
-)
+from repro.timing import CheckerConfig
 from repro.variation import DieGrid
 
 
@@ -69,104 +61,6 @@ class TestBankPersistence:
         assert np.allclose(loaded.spec.vdd_levels, tiny_bank.spec.vdd_levels)
         assert loaded.spec.pe_budget == pytest.approx(tiny_bank.spec.pe_budget)
         assert loaded.freq_rmse == pytest.approx(tiny_bank.freq_rmse)
-
-
-class TestCMPScheduling:
-    @pytest.fixture(scope="class")
-    def cmp_chip(self, population):
-        return CMP.from_chip(population[0])
-
-    def test_four_cores(self, cmp_chip):
-        assert len(cmp_chip) == 4
-        # Cores sample different quadrants: variation differs.
-        assert not np.allclose(
-            cmp_chip.cores[0].vt0_timing, cmp_chip.cores[1].vt0_timing
-        )
-
-    def test_schedule_beats_or_matches_naive(self, cmp_chip, suite):
-        measurements = [
-            measure_workload(w, DEFAULT_CORE_CONFIG, 5000) for w in suite[:4]
-        ]
-
-        def evaluate(core, app):
-            return optimize_phase(core, TS_ASV, measurements[app]).performance_ips
-
-        result = schedule_applications(cmp_chip, evaluate)
-        assert result.throughput >= result.naive_throughput - 1e-9
-        assert result.gain >= 0.0
-        assert sorted(result.assignment) == [0, 1, 2, 3]
-
-    def test_schedule_with_fewer_apps(self, cmp_chip):
-        perf_matrix = {(0, c): 1.0 + 0.1 * c for c in range(4)}
-
-        def evaluate(core, app):
-            return perf_matrix[(app, core.core_index)]
-
-        result = schedule_applications(cmp_chip, evaluate, n_apps=1)
-        assert result.assignment == (3,)  # the fastest core
-
-    def test_rejects_too_many_apps(self, cmp_chip):
-        with pytest.raises(ValueError):
-            schedule_applications(cmp_chip, lambda c, a: 1.0, n_apps=5)
-
-
-class TestPathSampling:
-    def test_ensemble_validation(self):
-        with pytest.raises(ValueError):
-            wall_ensemble(250e-12, n_paths=10, exercise_count=12).__class__(
-                nominal_delays=np.array([-1.0]), random_sigma=0.0
-            )
-
-    def test_static_delays_frozen(self):
-        ensemble = wall_ensemble(250e-12, seed=4)
-        assert np.array_equal(ensemble.static_delays(), ensemble.static_delays())
-
-    def test_empirical_error_rate_monotone(self):
-        ensemble = wall_ensemble(250e-12, seed=4)
-        slow = ensemble.empirical_error_rate(3.0e9)
-        fast = ensemble.empirical_error_rate(4.6e9)
-        assert slow <= fast
-
-    def test_error_free_below_all_paths(self):
-        ensemble = wall_ensemble(250e-12, seed=4)
-        slowest = ensemble.static_delays().max()
-        assert ensemble.empirical_error_rate(0.9 / slowest) == 0.0
-
-    def test_analytic_fit_matches_monte_carlo(self):
-        """The normal VATS abstraction tracks the microscopic ensemble in
-        the PE regime that matters (1e-3..0.5 per access)."""
-        ensemble = wall_ensemble(250e-12, seed=7)
-        model = fit_stage_model(ensemble, z_free=6.5)
-        rho = np.array([1.0])
-        for freq in (4.1e9, 4.3e9, 4.5e9):
-            empirical = ensemble.empirical_error_rate(freq, n_accesses=60000)
-            analytic = float(stage_error_rates(freq, model, rho)[0])
-            if empirical > 1e-3:
-                assert analytic == pytest.approx(empirical, rel=0.6, abs=2e-3)
-
-    def test_empirical_error_rate_accepts_frequency_arrays(self):
-        ensemble = wall_ensemble(250e-12, seed=4)
-        freqs = np.linspace(3.0e9, 4.8e9, 7)
-        vector = ensemble.empirical_error_rate(freqs)
-        assert vector.shape == freqs.shape
-        # One shared Monte-Carlo draw: each point equals the scalar call.
-        for i, freq in enumerate(freqs):
-            assert vector[i] == ensemble.empirical_error_rate(float(freq))
-
-    def test_empirical_error_rate_scalar_returns_float(self):
-        ensemble = wall_ensemble(250e-12, seed=4)
-        assert isinstance(ensemble.empirical_error_rate(4.0e9), float)
-
-    def test_empirical_error_rate_rejects_nonpositive_array(self):
-        ensemble = wall_ensemble(250e-12, seed=4)
-        with pytest.raises(ValueError):
-            ensemble.empirical_error_rate(np.array([4.0e9, 0.0]))
-
-    def test_wall_shape(self):
-        ensemble = wall_ensemble(250e-12, wall_fraction=0.4, seed=1)
-        delays = ensemble.nominal_delays
-        near_wall = np.mean(delays > 0.95 * 250e-12)
-        assert near_wall >= 0.35  # the critical-path wall exists
 
 
 class TestCheckerThroughput:

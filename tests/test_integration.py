@@ -3,14 +3,9 @@
 import pytest
 
 import repro
-from repro.core import (
-    TS_ASV,
-    AdaptationMode,
-    run_timeline,
-)
+from repro.core import TS_ASV, AdaptationMode
 from repro.exps import run_table2, run_fig13
 from repro.exps.runner import ExperimentRunner, RunnerConfig
-from repro.microarch import generate_phase_stream
 
 from tests.conftest import run_env
 
@@ -88,12 +83,3 @@ class TestControllerStudies:
             assert env == "TS"
             assert sum(frac.values()) == pytest.approx(1.0)
         assert len(result.fractions) == 4  # the four opt configs
-
-
-class TestTimelineIntegration:
-    def test_full_phase_execution(self, core, fp_workload):
-        stream = generate_phase_stream(fp_workload, total_ms=600, seed=9)
-        result = run_timeline(core, TS_ASV, stream)
-        assert result.controller_runs <= len(stream)
-        assert 0.0 <= result.reuse_fraction <= 1.0
-        assert result.mean_overhead_fraction < 0.01

@@ -12,14 +12,18 @@ from repro.microarch import (
     by_name,
     generate_trace,
     measure_workload,
-    queue_of,
     rho_vector,
-    simulate,
     spec2000_like_suite,
 )
 from repro.chip import default_floorplan
+from repro.microarch.pipeline import _QUEUE_OF, simulate_batch
 from repro.microarch.trace import SyntheticTrace
 from repro.microarch.workloads import PhaseSpec, WorkloadProfile
+
+
+def simulate(trace, config=DEFAULT_CORE_CONFIG, *, suppress_l2_misses=False):
+    """One variant of :func:`simulate_batch`."""
+    return simulate_batch(trace, [(config, suppress_l2_misses)])[0]
 
 
 class TestWorkloads:
@@ -273,9 +277,10 @@ class TestPipeline:
         assert cfg_fp.fp_queue_size == int(DEFAULT_CORE_CONFIG.fp_queue_size * 0.75)
 
     def test_queue_of(self):
-        assert queue_of(Uop.INT_ALU) == "int"
-        assert queue_of(Uop.FP_MUL) == "fp"
-        assert queue_of(Uop.LOAD) == "mem"
+        # The pipeline's uop -> issue queue table: 0 int, 1 FP, 2 memory.
+        assert _QUEUE_OF[Uop.INT_ALU] == _QUEUE_OF[Uop.BRANCH] == 0
+        assert _QUEUE_OF[Uop.FP_MUL] == 1
+        assert _QUEUE_OF[Uop.LOAD] == _QUEUE_OF[Uop.STORE] == 2
 
 
 class TestCoreConfigIntegrality:

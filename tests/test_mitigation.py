@@ -1,4 +1,4 @@
-"""Mitigation techniques: tilt, shift, reshape, decisions, area."""
+"""Mitigation techniques: tilt, shift, decisions, area."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.mitigation import (
     area_budget,
     choose_fu_implementation,
     choose_queue_size,
-    reshape_curve,
-    technique_choices,
 )
 from repro.timing import PerfParams
 
@@ -73,13 +71,6 @@ class TestTechniqueState:
         cfg = state.core_config(DEFAULT_CORE_CONFIG, replication_built=True)
         assert cfg.extra_exec_stage == 1
 
-    def test_technique_choices_enumeration(self):
-        both = technique_choices(True, True, "int")
-        assert len(both) == 4
-        neither = technique_choices(False, False, "fp")
-        assert len(neither) == 1
-        assert neither[0].queue_full and not neither[0].lowslope
-
 
 class TestFUDecision:
     def test_enable_lowslope_when_fu_is_bottleneck(self):
@@ -125,35 +116,6 @@ class TestQueueDecision:
         )
         expected = d.perf_resized if not d.use_full else d.perf_full
         assert d.performance == expected
-
-
-class TestReshape:
-    def test_reshape_lowers_pe_at_mid_frequencies(self, core, int_measurement):
-        n = core.n_subsystems
-        calib = core.calib
-        freqs = np.linspace(0.85, 1.0, 12) * calib.f_nominal
-        # Boost everything mildly: all stages speed up.
-        result = reshape_curve(
-            core,
-            np.full(n, 1.1),
-            np.zeros(n),
-            freqs,
-            int_measurement.activity,
-            int_measurement.rho,
-            calib.t_heatsink_max,
-        )
-        assert np.all(result.pe_after <= result.pe_before + 1e-30)
-
-    def test_reshape_returns_both_delay_sets(self, core, int_measurement):
-        n = core.n_subsystems
-        calib = core.calib
-        freqs = np.linspace(0.9, 1.0, 4) * calib.f_nominal
-        result = reshape_curve(
-            core, np.full(n, 1.15), np.zeros(n), freqs,
-            int_measurement.activity, int_measurement.rho,
-            calib.t_heatsink_max,
-        )
-        assert np.all(result.delays_after.mean < result.delays_before.mean)
 
 
 class TestAreaBudget:

@@ -9,9 +9,7 @@ import pytest
 from repro.chip.chip import CoreLanes
 from repro.ml import (
     FuzzyController,
-    generate_training_data,
     sample_inputs,
-    train_fuzzy_controller,
     train_fuzzy_controllers,
 )
 from repro.ml.dataset import (
@@ -99,41 +97,41 @@ class TestTraining:
     def test_learns_linear_function(self, rng):
         X = rng.uniform(-1, 1, size=(2000, 3))
         y = 2.0 * X[:, 0] - X[:, 1]
-        fc, report = train_fuzzy_controller(X, y, epochs=2, seed=0)
+        [(fc, report)] = train_fuzzy_controllers([(X, y)], epochs=2, seeds=[0])
         assert report.final_rmse < 0.3 * y.std()
 
     def test_learns_nonlinear_function(self, rng):
         X = rng.uniform(-1, 1, size=(4000, 2))
         y = np.sin(2 * X[:, 0]) + X[:, 1] ** 2
-        fc, report = train_fuzzy_controller(X, y, epochs=3, seed=0)
+        [(fc, report)] = train_fuzzy_controllers([(X, y)], epochs=3, seeds=[0])
         assert report.final_rmse < 0.35 * y.std()
 
     def test_more_epochs_do_not_hurt(self, rng):
         X = rng.uniform(-1, 1, size=(3000, 2))
         y = X[:, 0] * X[:, 1]
-        _, r1 = train_fuzzy_controller(X, y, epochs=1, seed=0)
-        _, r3 = train_fuzzy_controller(X, y, epochs=4, seed=0)
+        [(_, r1)] = train_fuzzy_controllers([(X, y)], epochs=1, seeds=[0])
+        [(_, r3)] = train_fuzzy_controllers([(X, y)], epochs=4, seeds=[0])
         assert r3.final_rmse <= r1.final_rmse * 1.05
 
     def test_rule_count_respected(self, rng):
         X = rng.uniform(-1, 1, size=(500, 2))
-        fc, _ = train_fuzzy_controller(X, X[:, 0], n_rules=10, seed=0)
+        [(fc, _)] = train_fuzzy_controllers([(X, X[:, 0])], n_rules=10, seeds=[0])
         assert fc.n_rules == 10
 
     def test_requires_enough_examples(self, rng):
         X = rng.uniform(-1, 1, size=(10, 2))
         with pytest.raises(ValueError):
-            train_fuzzy_controller(X, X[:, 0], n_rules=25)
+            train_fuzzy_controllers([(X, X[:, 0])], n_rules=25, seeds=[0])
 
     def test_rejects_mismatched_lengths(self, rng):
         with pytest.raises(ValueError):
-            train_fuzzy_controller(np.zeros((50, 2)), np.zeros(40))
+            train_fuzzy_controllers([(np.zeros((50, 2)), np.zeros(40))], seeds=[0])
 
     def test_training_is_deterministic(self, rng):
         X = rng.uniform(-1, 1, size=(600, 2))
         y = X[:, 0]
-        a, _ = train_fuzzy_controller(X, y, seed=7)
-        b, _ = train_fuzzy_controller(X, y, seed=7)
+        [(a, _)] = train_fuzzy_controllers([(X, y)], seeds=[7])
+        [(b, _)] = train_fuzzy_controllers([(X, y)], seeds=[7])
         assert np.array_equal(a.mu, b.mu)
         assert np.array_equal(a.y, b.y)
 
@@ -147,8 +145,8 @@ class TestDataset:
         assert np.all(samples.th <= core.calib.t_heatsink_max)
 
     def test_generated_targets_within_knob_range(self, core, asv_spec):
-        fx, fy, px, vdd, vbb = generate_training_data(
-            core, 0, asv_spec, n_examples=300, seed=1
+        [(fx, fy, px, vdd, vbb)] = generate_training_datasets(
+            core, asv_spec, [TrainingRequest(index=0, seed=1, n_examples=300)]
         )
         kr = asv_spec.knob_ranges
         assert np.all(fy * 1e9 >= kr.f_min - 1e-6)
@@ -188,16 +186,8 @@ class TestDataset:
         )
         assert len(joint) == len(requests)
         for request, got in zip(requests, joint):
-            want = generate_training_data(
-                core,
-                request.index,
-                asv_spec,
-                n_examples=request.n_examples,
-                seed=request.seed,
-                delay_scale=request.delay_scale,
-                sigma_scale=request.sigma_scale,
-                power_factor=request.power_factor,
-                chunk=200,
+            [want] = generate_training_datasets(
+                core, asv_spec, [request], chunk=200
             )
             assert len(got) == len(want) == 5
             for got_part, want_part in zip(got, want):
@@ -428,11 +418,11 @@ class TestLockstepTraining:
     def test_validation(self):
         X = np.zeros((40, 2))
         with pytest.raises(ValueError, match="epochs"):
-            train_fuzzy_controller(X, X[:, 0], epochs=0)
+            train_fuzzy_controllers([(X, X[:, 0])], epochs=0, seeds=[0])
         with pytest.raises(ValueError, match="one seed per dataset"):
             train_fuzzy_controllers([(X, X[:, 0])], seeds=[1, 2])
         assert train_fuzzy_controllers([], seeds=[]) == []
-        _, report = train_fuzzy_controller(X, X[:, 0], epochs=3)
+        [(_, report)] = train_fuzzy_controllers([(X, X[:, 0])], epochs=3, seeds=[0])
         assert report.epochs == 3
 
     def test_counters_and_span(self):

@@ -20,7 +20,7 @@ from repro.exps.dse import Axis, SweepSpec, ZipAxes
 from repro.exps.runner import PhaseResult, SuiteSummary
 from repro.microarch import DEFAULT_CORE_CONFIG, spec2000_like_suite
 from repro.microarch.isa import Uop
-from repro.microarch.pipeline import simulate
+from repro.microarch.pipeline import simulate_batch
 from repro.microarch.simulator import measure_workload
 from repro.microarch.trace import generate_trace
 from repro.microarch.workloads import PhaseSpec, WorkloadProfile
@@ -43,7 +43,8 @@ QUEUE_FRACTIONS = (1.0, 0.875, 0.75, 0.625, 0.5, 0.375, 0.25)
 
 def _cycles(name, seed, **config):
     trace = generate_trace(SUITE[name], TRACE_INSTRUCTIONS, seed)
-    return simulate(trace, dataclasses.replace(DEFAULT_CORE_CONFIG, **config))
+    config = dataclasses.replace(DEFAULT_CORE_CONFIG, **config)
+    return simulate_batch(trace, [(config, False)])[0]
 
 
 @settings(max_examples=15, deadline=None)

@@ -15,11 +15,17 @@ from repro.microarch import spec2000_like_suite
 from repro.obs import (
     EventSink,
     MetricsRegistry,
-    read_events,
     set_event_sink,
     span,
 )
 from repro.obs.metrics import RESERVOIR_SIZE
+
+
+def read_events(path):
+    """Parse a JSONL event file back into dicts (blank lines skipped)."""
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
 
 OBS_CONFIG = RunnerConfig(
     n_chips=2,

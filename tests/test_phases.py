@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.microarch import (
-    COUNTER_MAX,
-    N_BUCKETS,
-    PhaseDetector,
-    generate_phase_stream,
-)
+from repro.microarch import COUNTER_MAX, N_BUCKETS, PhaseDetector
+
+from tests.phase_stream import generate_phase_stream
 
 
 class TestPhaseStream:

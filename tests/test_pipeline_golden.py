@@ -18,11 +18,7 @@ import pytest
 
 from repro import obs
 from repro.microarch import generate_trace, native, spec2000_like_suite
-from repro.microarch.pipeline import (
-    DEFAULT_CORE_CONFIG,
-    simulate,
-    simulate_batch,
-)
+from repro.microarch.pipeline import DEFAULT_CORE_CONFIG, simulate_batch
 from repro.obs import MetricsRegistry
 
 from tests.golden import (
@@ -101,7 +97,7 @@ def _check_batched(golden, traces, profile):
 def _check_single(golden, traces, label, config):
     for profile, trace in traces.items():
         for suppress in (False, True):
-            result = simulate(trace, config, suppress_l2_misses=suppress)
+            result = simulate_batch(trace, [(config, suppress)])[0]
             assert sim_result_doc(result) == golden[(profile, label, suppress)]
 
 
@@ -120,7 +116,7 @@ def test_batched_python_walk_matches_golden(golden, traces, profile,
 @pytest.mark.parametrize("label,config", pipeline_configs())
 def test_single_walk_matches_golden(golden, traces, label, config,
                                     platform_walk):
-    """simulate() is the one-variant call and reproduces the same rows."""
+    """A one-variant simulate_batch call reproduces the same rows."""
     _check_single(golden, traces, label, config)
 
 
@@ -132,7 +128,7 @@ def test_single_python_walk_matches_golden(golden, traces, label, config,
 
 def test_kind_counts_keep_first_appearance_order(traces):
     trace = traces["gzip*"]
-    result = simulate(trace)
+    [result] = simulate_batch(trace, [(DEFAULT_CORE_CONFIG, False)])
     first_seen = list(dict.fromkeys(trace.kinds.tolist()))
     assert list(result.kind_counts) == first_seen
     assert all(type(k) is int for k in result.kind_counts)
@@ -148,7 +144,7 @@ def test_span_and_instruction_counter():
     configs = [config for _, config in pipeline_configs()[:2]]
     with obs.scoped(MetricsRegistry()) as registry:
         simulate_batch(trace, [(c, s) for c in configs for s in (False, True)])
-        simulate(trace)
+        simulate_batch(trace, [(DEFAULT_CORE_CONFIG, False)])
     doc = registry.to_dict()
     assert doc["counters"]["microarch.sim_instructions"] == 500 * 5
     walks = (doc["counters"]["microarch.native_walks"]

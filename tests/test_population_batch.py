@@ -4,9 +4,7 @@ Every program that stacks many lanes must give each lane exactly what a
 one-lane call gives it:
 
 * ``measure_suite_batched`` over many requests vs one request at a time,
-* ``retune_batched`` over many cores vs ``retune`` per core,
-* ``run_timelines_batched`` over many cores vs ``run_timeline`` per core
-  (RNG streams included),
+* ``retune_batched`` over many cores vs one core per call,
 * ``optimize_units_batched`` over a population vs one call per unit,
   including a population whose cores cannot share lanes,
 * ``ExperimentRunner.run_units_batched`` over a block vs ``run_unit``
@@ -26,11 +24,9 @@ from repro.chip.chip import CoreLanes, build_core, build_novar_core
 from repro.core import TS, TS_ASV, TS_ASV_Q_FU, AdaptationMode
 from repro.core.adaptation import optimize_units_batched
 from repro.core.optimizer import core_subsystem_arrays
-from repro.core.retuning import retune, retune_batched
+from repro.core.retuning import retune_batched
 from repro.core.state import Configuration
-from repro.core.timeline import run_timeline, run_timelines_batched
 from repro.exps.runner import ExperimentRunner, RunnerConfig
-from repro.microarch.phases import PhaseDetector, generate_phase_stream
 from repro.microarch.pipeline import DEFAULT_CORE_CONFIG
 from repro.microarch.simulator import (
     clear_measurement_cache,
@@ -128,10 +124,10 @@ class TestRetuneBatchedParity:
             specs.append(spec)
         pe_max = cores[0].calib.pe_max
         serial = [
-            retune(
-                core, config, meas.activity, meas.rho,
+            retune_batched(
+                [core], [config], [meas.activity], [meas.rho],
                 pe_max=pe_max, checker=True,
-            )
+            )[0]
             for core, config, meas in zip(cores, configs, measurements)
         ]
         batched = retune_batched(
@@ -146,8 +142,8 @@ class TestRetuneBatchedParity:
     def test_shared_core_fast_path(self, core, int_measurement):
         config, spec = self._entry(core, int_measurement)
         pe_max = core.calib.pe_max
-        serial = retune(
-            core, config, int_measurement.activity, int_measurement.rho,
+        [serial] = retune_batched(
+            [core], [config], [int_measurement.activity], [int_measurement.rho],
             pe_max=pe_max, checker=True,
         )
         batched = retune_batched(
@@ -157,44 +153,6 @@ class TestRetuneBatchedParity:
         )
         for many in batched:
             self._assert_same(serial, many)
-
-
-class TestTimelineBatchedParity:
-    def test_detectors_must_match_lanes(self, population, suite):
-        cores = [build_core(chip, 0) for chip in population[:2]]
-        stream = generate_phase_stream(suite[0], total_ms=300.0, seed=3)
-        for detectors in ([PhaseDetector()], [None, None, None]):
-            with pytest.raises(ValueError, match="one detector per core"):
-                run_timelines_batched(cores, TS, stream, detectors=detectors)
-
-    def test_lockstep_rng_streams(self, population, suite):
-        cores = [build_core(chip, 0) for chip in population[:3]]
-        stream = generate_phase_stream(suite[0], total_ms=700.0, seed=11)
-        serial = [
-            run_timeline(core, TS_ASV_Q_FU, stream,
-                         mode=AdaptationMode.EXH_DYN, seed=5)
-            for core in cores
-        ]
-        batched = run_timelines_batched(
-            cores, TS_ASV_Q_FU, stream,
-            mode=AdaptationMode.EXH_DYN, seed=5,
-        )
-        for one, many in zip(serial, batched):
-            assert one.events == many.events
-
-    def test_per_lane_seeds(self, population, suite):
-        cores = [build_core(chip, 0) for chip in population[:2]]
-        stream = generate_phase_stream(suite[1], total_ms=500.0, seed=3)
-        serial = [
-            run_timeline(core, TS, stream, mode=AdaptationMode.EXH_DYN,
-                         seed=seed)
-            for core, seed in zip(cores, (5, 9))
-        ]
-        batched = run_timelines_batched(
-            cores, TS, stream, mode=AdaptationMode.EXH_DYN, seed=[5, 9],
-        )
-        for one, many in zip(serial, batched):
-            assert one.events == many.events
 
 
 class TestOptimizeUnitsBatched:

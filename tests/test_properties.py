@@ -11,7 +11,7 @@ from repro.ml.fuzzy import FuzzyController
 from repro.timing.paths import StageDelays
 from repro.timing.errors import processor_error_rate, stage_error_rates
 from repro.timing.speculation import PerfParams, effective_cpi
-from repro.variation import spherical_correlation
+from repro.variation import correlation_matrix
 
 voltages = st.floats(min_value=0.8, max_value=1.3)
 thresholds = st.floats(min_value=0.05, max_value=0.4)
@@ -53,7 +53,7 @@ def test_vt_law_is_affine_in_vbb(vt0, temp, vdd, vbb):
 
 @given(r=st.floats(min_value=0.0, max_value=5.0), phi=st.floats(min_value=0.05, max_value=2.0))
 def test_spherical_correlation_in_unit_interval(r, phi):
-    rho = float(spherical_correlation(r, phi))
+    rho = float(correlation_matrix(np.array([[0.0, 0.0], [r, 0.0]]), phi)[0, 1])
     assert 0.0 <= rho <= 1.0
 
 

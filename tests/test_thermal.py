@@ -1,4 +1,4 @@
-"""Thermal solver (Eqs 6-9) and sensor models."""
+"""Thermal solver (Eqs 6-9)."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from repro.core.optimizer import _thermal_fixed_point
 from repro.obs import MetricsRegistry
 from repro.thermal import (
     T_RUNAWAY,
-    SensorSpec,
-    SensorSuite,
     solve_temperatures,
     solve_temperatures_lanes,
 )
@@ -232,37 +230,3 @@ class TestTemperatureBounds:
         )
         assert temp.shape == (len(vdd), len(vbb), len(cores), stack.n_subsystems)
         assert _within_bounds(temp, t_heatsink)
-
-
-class TestSensors:
-    def test_ideal_sensors_pass_through(self):
-        suite = SensorSuite.ideal()
-        assert suite.read_heatsink(343.15) == pytest.approx(343.15)
-        assert suite.read_power(25.0) == pytest.approx(25.0)
-
-    def test_quantisation(self):
-        spec = SensorSpec(quantum=0.5)
-        assert spec.read(343.26) == pytest.approx(343.5)
-
-    def test_noise_requires_rng(self):
-        spec = SensorSpec(noise_sigma=1.0)
-        with pytest.raises(ValueError):
-            spec.read(300.0)
-
-    def test_noisy_sensor_is_reproducible_per_seed(self):
-        a = SensorSuite.realistic(seed=5)
-        b = SensorSuite.realistic(seed=5)
-        assert a.read_thermal(np.full(4, 350.0)) == pytest.approx(
-            b.read_thermal(np.full(4, 350.0))
-        )
-
-    def test_realistic_noise_is_bounded(self, rng):
-        suite = SensorSuite.realistic(seed=1)
-        readings = np.array([suite.read_heatsink(343.15) for _ in range(200)])
-        assert abs(readings.mean() - 343.15) < 0.5
-        assert readings.std() < 2.0
-
-    def test_activity_reading_never_negative(self):
-        suite = SensorSuite.realistic(seed=2)
-        values = suite.read_activity(np.full(100, 0.005))
-        assert np.all(values >= 0.0)

@@ -9,8 +9,6 @@ from repro.timing import (
     StageModifiers,
     effective_cpi,
     error_free_frequency,
-    frequency_at_stage_budget,
-    max_frequency_under_budget,
     miss_penalty_cycles,
     optimal_on_curve,
     performance,
@@ -31,6 +29,19 @@ def delays(core):
 @pytest.fixture(scope="module")
 def rho(core):
     return core.rho_ref
+
+
+def _frequency_at_pe(delays, rho, pe):
+    """Highest frequency whose Eq 4 processor error rate is <= ``pe``."""
+    lo = error_free_frequency(delays)
+    hi = 3.0 * lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if processor_error_rate(mid, delays, rho) <= pe:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestNormSf:
@@ -143,29 +154,19 @@ class TestErrorRates:
 
     def test_budget_frequency_above_error_free(self, delays, rho):
         f_var = error_free_frequency(delays)
-        f_budget = max_frequency_under_budget(delays, rho, 1e-4 / 15)
+        f_budget = _frequency_at_pe(delays, rho, 1e-4)
         assert f_budget > f_var
 
-    def test_budget_frequency_meets_budget(self, delays, rho):
-        budget = 1e-4 / 15
-        f = frequency_at_stage_budget(delays, rho, budget)
-        pe = stage_error_rates(f.min(), delays, rho)
-        assert np.all(pe <= budget * (1 + 1e-6))
-
     def test_tighter_budget_means_lower_frequency(self, delays, rho):
-        loose = max_frequency_under_budget(delays, rho, 1e-3)
-        tight = max_frequency_under_budget(delays, rho, 1e-7)
+        loose = _frequency_at_pe(delays, rho, 1e-3)
+        tight = _frequency_at_pe(delays, rho, 1e-7)
         assert tight < loose
 
     def test_pe_cliff_is_steep(self, delays, rho):
         # Section 4.1: f range between PE=1e-4 and PE=1e-1 is minuscule.
-        f4 = max_frequency_under_budget(delays, rho, 1e-4 / 15)
-        f1 = max_frequency_under_budget(delays, rho, 1e-1 / 15)
+        f4 = _frequency_at_pe(delays, rho, 1e-4)
+        f1 = _frequency_at_pe(delays, rho, 1e-1)
         assert (f1 - f4) / f4 < 0.12
-
-    def test_budget_rejects_nonpositive(self, delays, rho):
-        with pytest.raises(ValueError):
-            frequency_at_stage_budget(delays, rho, 0.0)
 
 
 class TestPerformanceModel:

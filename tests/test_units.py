@@ -6,14 +6,9 @@ from repro.units import (
     Q_OVER_K,
     celsius_to_kelvin,
     ghz,
-    kelvin_to_celsius,
     mhz,
     millivolts,
 )
-
-
-def test_celsius_kelvin_round_trip():
-    assert kelvin_to_celsius(celsius_to_kelvin(85.0)) == pytest.approx(85.0)
 
 
 def test_celsius_to_kelvin_known_points():

@@ -19,30 +19,36 @@ from repro.variation import (
     get_factor,
     memo_size,
     set_store,
-    spherical_correlation,
 )
+
+
+def _pair_correlation(distance, phi):
+    """The correlogram at ``distance``: two points that far apart."""
+    points = np.array([[0.0, 0.0], [distance, 0.0]])
+    return correlation_matrix(points, phi)[0, 1]
 
 
 class TestSphericalCorrelation:
     def test_unity_at_zero_distance(self):
-        assert spherical_correlation(0.0, 0.5) == pytest.approx(1.0)
+        assert _pair_correlation(0.0, 0.5) == pytest.approx(1.0)
 
     def test_zero_at_and_beyond_range(self):
-        assert spherical_correlation(0.5, 0.5) == pytest.approx(0.0)
-        assert spherical_correlation(2.0, 0.5) == pytest.approx(0.0)
+        assert _pair_correlation(0.5, 0.5) == pytest.approx(0.0)
+        assert _pair_correlation(2.0, 0.5) == pytest.approx(0.0)
 
     def test_monotone_decreasing(self):
         r = np.linspace(0.0, 0.5, 50)
-        rho = spherical_correlation(r, 0.5)
+        points = np.column_stack([r, np.zeros_like(r)])
+        rho = correlation_matrix(points, 0.5)[0]
         assert np.all(np.diff(rho) <= 1e-12)
 
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
-            spherical_correlation(0.1, 0.0)
+            correlation_matrix(np.zeros((2, 2)), 0.0)
 
-    def test_rejects_negative_distance(self):
+    def test_rejects_malformed_points(self):
         with pytest.raises(ValueError):
-            spherical_correlation(-0.1, 0.5)
+            correlation_matrix(np.zeros((2, 3)), 0.5)
 
     def test_correlation_matrix_is_symmetric_with_unit_diagonal(self):
         points = np.random.default_rng(0).random((10, 2))
@@ -69,11 +75,6 @@ class TestSphericalCorrelation:
         dy = np.subtract.outer(points[:, 1], points[:, 1])
         want = self._unfused(np.hypot(dx, dy), phi)
         assert correlation_matrix(points, phi).tobytes() == want.tobytes()
-        r = np.random.default_rng(3).random((7, 5))
-        assert spherical_correlation(r, phi).tobytes() == (
-            self._unfused(r, phi).tobytes()
-        )
-        assert spherical_correlation(0.3, phi) == self._unfused(0.3, phi)
 
     def test_matrix_peak_is_two_dense_buffers(self):
         # The unfused formula holds about six (n, n) temporaries at once;
@@ -179,12 +180,6 @@ class TestChipSample:
         )
         assert near > 0.8
         assert near > far + 0.2
-
-    def test_region_stats_ordering(self, population):
-        chip = population[0]
-        cells = chip.grid.cells_in_rect(0.0, 0.0, 0.4, 0.4)
-        stats = chip.region_vt0(cells)
-        assert stats.worst_leaky <= stats.mean <= stats.worst_slow
 
     def test_shape_validation(self):
         grid = DieGrid(nx=3, ny=3)

@@ -1,17 +1,15 @@
-"""The ``repro.workloads`` subsystem: ingest, generate, evolve.
+"""The ``repro.workloads`` subsystem: ingest and generate.
 
 Covers the profile wire format and content hashes, trace ingestion
 accuracy against known synthetic sources, deterministic family
-generation, the genetic loop's reproducibility and cache reuse, the
-inline-profile protocol path (including a daemon over real TCP),
-and the ``workload_family`` DSE axis.
+generation, the inline-profile protocol path (including a daemon over
+real TCP), and the ``workload_family`` DSE axis.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -34,16 +32,12 @@ from repro.serve import (
     workloads_to_wire,
 )
 from repro.workloads import (
-    EvolveConfig,
     canonical_family_ref,
-    crossover_profiles,
-    evolve,
     family_by_name,
     family_names,
     ingest_trace,
     iter_trace,
     load_profiles,
-    mutate_profile,
     parse_family_ref,
     register_trace_adapter,
     save_profiles,
@@ -243,75 +237,6 @@ class TestFamilies:
             parse_family_ref("nonesuch:2:1")
         with pytest.raises(ValueError):
             parse_family_ref("bursty:0:1")
-
-
-# ----------------------------------------------------------------------
-# Genome operators + loop config.
-# ----------------------------------------------------------------------
-class TestEvolveOperators:
-    def test_mutation_preserves_validity(self, suite):
-        rng = np.random.default_rng(3)
-        for profile in suite[:4]:
-            child = mutate_profile(profile, rng, scale=0.6, name="kid")
-            assert child.name == "kid"
-            assert sum(child.mix.values()) == pytest.approx(1.0, abs=1e-12)
-            assert sum(p.weight for p in child.phases) == pytest.approx(
-                1.0, abs=1e-9
-            )
-            assert child.content_hash() != profile.content_hash()
-
-    def test_mutation_is_seed_deterministic(self, suite):
-        a = mutate_profile(suite[0], np.random.default_rng(5), name="m")
-        b = mutate_profile(suite[0], np.random.default_rng(5), name="m")
-        assert a.content_hash() == b.content_hash()
-
-    def test_crossover_same_and_cross_domain(self, suite):
-        rng = np.random.default_rng(1)
-        int_a, int_b = suite[0], suite[1]
-        child = crossover_profiles(int_a, int_b, rng, name="x")
-        assert child.name == "x"
-        assert sum(child.mix.values()) == pytest.approx(1.0, abs=1e-12)
-        fp = next(p for p in suite if p.domain != int_a.domain)
-        fallback = crossover_profiles(int_a, fp, rng, name="y")
-        assert fallback.mix == int_a.mix
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="objective"):
-            EvolveConfig(objective="nope")
-        with pytest.raises(ValueError):
-            EvolveConfig(population=1)
-        with pytest.raises(ValueError):
-            EvolveConfig(elite=6, population=6)
-        with pytest.raises(KeyError):
-            EvolveConfig(environment="nope")
-
-
-# ----------------------------------------------------------------------
-# The evolve loop against a real (tiny) runner.
-# ----------------------------------------------------------------------
-class TestEvolveLoop:
-    def test_deterministic_and_cache_served(self, metrics):
-        runner = ExperimentRunner(TINY_CONFIG)
-        seeds = family_by_name("bursty").generate(size=3, seed=42)
-        config = EvolveConfig(
-            generations=3, population=4, elite=2, seed=7, objective="power"
-        )
-        first = evolve(seeds, config=config, runner=runner)
-        second = evolve(seeds, config=config, runner=runner)
-        assert first.winner_hash == second.winner_hash
-        assert first.fitness == second.fitness
-        assert [e["best"] for e in first.history] == [
-            e["best"] for e in second.history
-        ]
-        # Elites re-scored from generation 2 onward hit the memo.
-        assert first.evals_cached > 0
-        assert first.evals_submitted + first.evals_cached >= (
-            config.generations * config.population
-        ) - first.evals_cached
-        counters = metrics.to_dict()["counters"]
-        assert counters["workloads.generations"] == 2 * config.generations
-        assert counters["workloads.evals_cached"] >= 2.0
-        assert counters["workloads.evals"] >= 2.0
 
 
 # ----------------------------------------------------------------------
