@@ -4,8 +4,7 @@ Times each fused kernel of :mod:`repro.kernels` (``vt_and_static_power``,
 ``thermal_step``, ``timing_error_cdf``) against its oracle in
 ``tests/kernel_reference.py`` — the plain chain of leaf ufuncs — on an
 optimiser-shaped grid, plus the
-full thermal fixed point (the hottest loop in the phase optimiser) and
-the all-scalar fast path of :func:`repro.circuits.leakage.static_power`.
+full thermal fixed point (the hottest loop in the phase optimiser).
 Every timed pair is asserted bitwise identical first; the wall-clock
 breakdown and the ``kernel.*`` observability counters are written to
 ``BENCH_kernels.json`` (and into the shared baseline's ``kernels``
@@ -34,7 +33,6 @@ from _shared import record_bench_section
 from repro import kernels, obs
 from repro.chip import build_core
 from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES
-from repro.circuits.leakage import static_power
 from repro.core import TS_ASV_ABB, optimizer
 from repro.core.optimizer import SubsystemArrays, freq_algorithm, power_algorithm
 from repro.microarch import generate_trace, native, spec2000_like_suite
@@ -182,23 +180,6 @@ def test_kernel_breakdown(benchmark):
         lambda fn: fn(ops["freq"], ops["mean"], ops["sigma"], ops["rho"]),
     )
 
-    # --- the all-scalar fast path in the leaf function ---------------
-    # 0-d ndarray operands are not Python floats, so they force the
-    # seed's asarray path; plain floats take the new scalar path.
-    scalars = (1.7, 1.05, 381.5, 0.143)
-    boxed = tuple(np.asarray(value)[...] for value in scalars)
-    assert float(static_power(*scalars)) == float(static_power(*boxed))
-    calls = 200
-    sections["scalar_static_power"] = {
-        "calls": calls,
-        "fused_seconds": _best_of(
-            lambda: [static_power(*scalars) for _ in range(calls)]
-        ),
-        "reference_seconds": _best_of(
-            lambda: [static_power(*boxed) for _ in range(calls)]
-        ),
-    }
-
     # --- per-kernel observability counters ---------------------------
     registry = MetricsRegistry()
     with obs.scoped(registry):
@@ -245,8 +226,7 @@ def test_kernel_breakdown(benchmark):
     # Floors: fused paths must never lose to the seed compositions.
     # The fixed point is the headline (ISSUE target: >= 1.5x).
     assert sections["thermal_fixed_point"]["speedup"] >= 1.0
-    for name in ("vt_and_static_power", "thermal_step", "timing_error_cdf",
-                 "scalar_static_power"):
+    for name in ("vt_and_static_power", "thermal_step", "timing_error_cdf"):
         assert sections[name]["speedup"] >= 1.0, name
 
 

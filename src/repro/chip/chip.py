@@ -28,8 +28,102 @@ from .floorplan import Floorplan, default_floorplan
 CORE_QUADRANTS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 
 
+#: Per-subsystem arrays of a :class:`Core`, stacked along the lane axis
+#: in :class:`CoreLanes`.
+_LANE_FIELDS = (
+    "vt0_timing",
+    "leff_timing",
+    "vt0_leak",
+    "rth",
+    "kdyn",
+    "ksta",
+    "stage_mean_rel",
+    "stage_sigma_rel",
+    "tail_rel",
+    "alpha_ref",
+    "rho_ref",
+)
+
+
+class _CoreModel:
+    """The physics :class:`Core` and :class:`CoreLanes` share.
+
+    Every formula is elementwise over the subsystem axis, so the same
+    code serves one core's ``(n,)`` parameter arrays and a population's
+    ``(B, n)`` lane stack: lane ``i`` of a :class:`CoreLanes` result is
+    bit-identical to the same call on ``cores[i]`` alone.  The inputs
+    broadcast against the parameter arrays.
+    """
+
+    # ------------------------------------------------------------------
+    # Convenience views.
+    # ------------------------------------------------------------------
+    @property
+    def n_subsystems(self) -> int:
+        """Number of adapted subsystems (15 in the paper)."""
+        return len(self.floorplan)
+
+    @property
+    def names(self) -> List[str]:
+        """Subsystem names in canonical order."""
+        return self.floorplan.names
+
+    # ------------------------------------------------------------------
+    # Physical models, vectorised over subsystems.
+    # ------------------------------------------------------------------
+    def effective_vt(self, vdd, vbb, temp, *, for_timing: bool = True):
+        """Per-subsystem effective ``Vt`` at an operating point (Eq 9)."""
+        vt0 = self.vt0_timing if for_timing else self.vt0_leak
+        return threshold_voltage(vt0, temp, vdd, vbb, self.vt_sens)
+
+    def delay_factor(self, vdd, vbb, temp):
+        """Per-subsystem gate-delay factor relative to the nominal design.
+
+        1.0 means "as fast as the no-variation design at its design
+        temperature"; larger is slower.
+        """
+        vt = self.effective_vt(vdd, vbb, temp, for_timing=True)
+        delay = gate_delay(vdd, vt, self.leff_timing, temp, self.delay_params)
+        return delay / self._nominal_gate_delay
+
+    def subsystem_static_power(self, vdd, vbb, temp):
+        """Per-subsystem leakage power in watts at an operating point.
+
+        Routed through the fused ``vt_and_static_power`` kernel (Eq 9 +
+        Eq 8 in one pass, bit-identical to the leaf composition).
+        """
+        _, p_sta = vt_and_static_power(
+            self.vt0_leak, vdd, vbb, temp, self.ksta, self.vt_sens
+        )
+        return p_sta
+
+    def subsystem_dynamic_power(self, vdd, freq, activity):
+        """Per-subsystem dynamic power in watts (Eq 7)."""
+        return self.kdyn * np.asarray(activity, dtype=float) * (
+            np.asarray(vdd, dtype=float) ** 2
+        ) * freq
+
+    def l2_power(self, freq, activity: float = 1.0):
+        """L2 power (dynamic + static) at nominal supply; power-only block.
+
+        One value per lane of ``freq`` (and, for a :class:`CoreLanes`,
+        per stacked core).
+        """
+        pdyn = self.l2_kdyn * activity * self.calib.vdd_nominal**2 * np.asarray(
+            freq, dtype=float
+        )
+        psta = static_power(
+            self.l2_ksta,
+            self.calib.vdd_nominal,
+            self.calib.t_design,
+            self.vt_mean
+            + self.vt_sens.k1 * (self.calib.t_design - self.vt_sens.t_ref),
+        )
+        return pdyn + psta
+
+
 @dataclass
-class Core:
+class Core(_CoreModel):
     """One core of the CMP with all per-subsystem model parameters.
 
     Build instances with :func:`build_core`; the constructor only stores
@@ -61,19 +155,7 @@ class Core:
 
     def __post_init__(self) -> None:
         n = len(self.floorplan)
-        for name in (
-            "vt0_timing",
-            "leff_timing",
-            "vt0_leak",
-            "rth",
-            "kdyn",
-            "ksta",
-            "stage_mean_rel",
-            "stage_sigma_rel",
-            "tail_rel",
-            "alpha_ref",
-            "rho_ref",
-        ):
+        for name in _LANE_FIELDS:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -81,7 +163,7 @@ class Core:
             gate_delay(
                 self.calib.vdd_nominal,
                 threshold_voltage(
-                    self.floorplan_vt_mean(),
+                    self.vt_mean,
                     self.calib.t_design,
                     self.calib.vdd_nominal,
                     0.0,
@@ -93,81 +175,15 @@ class Core:
             )
         )
 
-    # ------------------------------------------------------------------
-    # Convenience views.
-    # ------------------------------------------------------------------
-    @property
-    def n_subsystems(self) -> int:
-        """Number of adapted subsystems (15 in the paper)."""
-        return len(self.floorplan)
-
-    @property
-    def names(self) -> List[str]:
-        """Subsystem names in canonical order."""
-        return self.floorplan.names
-
     @property
     def kinds(self) -> List[str]:
         """Subsystem kinds (memory/mixed/logic) in canonical order."""
         return [spec.kind for spec in self.floorplan.subsystems]
 
-    def floorplan_vt_mean(self) -> float:
-        """Process-nominal ``Vt`` mean used as the design reference."""
-        return self.vt_mean
-
-    # ------------------------------------------------------------------
-    # Physical models, vectorised over subsystems.
-    # ------------------------------------------------------------------
-    def effective_vt(self, vdd, vbb, temp, *, for_timing: bool = True):
-        """Per-subsystem effective ``Vt`` at an operating point (Eq 9).
-
-        ``vdd``/``vbb``/``temp`` broadcast against the subsystem axis
-        (last axis of length ``n_subsystems``).
-        """
-        vt0 = self.vt0_timing if for_timing else self.vt0_leak
-        return threshold_voltage(vt0, temp, vdd, vbb, self.vt_sens)
-
-    def delay_factor(self, vdd, vbb, temp):
-        """Per-subsystem gate-delay factor relative to the nominal design.
-
-        1.0 means "as fast as the no-variation design at its design
-        temperature"; larger is slower.  Broadcasts like
-        :meth:`effective_vt`.
-        """
-        vt = self.effective_vt(vdd, vbb, temp, for_timing=True)
-        delay = gate_delay(vdd, vt, self.leff_timing, temp, self.delay_params)
-        return delay / self._nominal_gate_delay
-
-    def subsystem_static_power(self, vdd, vbb, temp):
-        """Per-subsystem leakage power in watts at an operating point.
-
-        Routed through the fused ``vt_and_static_power`` kernel (Eq 9 +
-        Eq 8 in one pass, bit-identical to the leaf composition).
-        """
-        _, p_sta = vt_and_static_power(
-            self.vt0_leak, vdd, vbb, temp, self.ksta, self.vt_sens
-        )
-        return p_sta
-
-    def subsystem_dynamic_power(self, vdd, freq, activity):
-        """Per-subsystem dynamic power in watts (Eq 7)."""
-        return self.kdyn * np.asarray(activity, dtype=float) * (
-            np.asarray(vdd, dtype=float) ** 2
-        ) * freq
-
-    def l2_power(self, freq: float, activity: float = 1.0) -> float:
-        """L2 power (dynamic + static) at nominal supply; power-only block."""
-        pdyn = self.l2_kdyn * activity * self.calib.vdd_nominal**2 * freq
-        psta = float(
-            static_power(
-                self.l2_ksta,
-                self.calib.vdd_nominal,
-                self.calib.t_design,
-                self.vt_mean
-                + self.vt_sens.k1 * (self.calib.t_design - self.vt_sens.t_ref),
-            )
-        )
-        return pdyn + psta
+    def lane_subset(self, index) -> "Core":
+        """The core itself: its ``(n,)`` arrays broadcast over any lane
+        subset, so one core serves every lane without a per-lane copy."""
+        return self
 
 
 def stackable(cores: Sequence[Core]) -> bool:
@@ -194,34 +210,17 @@ def stackable(cores: Sequence[Core]) -> bool:
     )
 
 
-#: Per-subsystem arrays stacked along the lane axis in :class:`CoreLanes`.
-_LANE_FIELDS = (
-    "vt0_timing",
-    "leff_timing",
-    "vt0_leak",
-    "rth",
-    "kdyn",
-    "ksta",
-    "stage_mean_rel",
-    "stage_sigma_rel",
-    "tail_rel",
-    "alpha_ref",
-    "rho_ref",
-)
-
-
 @dataclass
-class CoreLanes:
+class CoreLanes(_CoreModel):
     """A population of cores as one ``(B, n_subsystems)`` tensor program.
 
     This is the :class:`Core` analogue of the optimiser's
     ``SubsystemArrays`` lane axis, one tier up: every per-subsystem
     parameter array of ``B`` cores stacked along a leading lane axis, so
     the thermal solver, the timing model and the retuner evaluate a whole
-    (chip, core) population in a handful of array ops.  The physics
-    methods are the same elementwise formulas as :class:`Core`, so lane
-    ``i`` of any result is bit-identical to calling the same method on
-    ``cores[i]`` alone.
+    (chip, core) population in a handful of array ops.  It shares
+    :class:`Core`'s physics code, so lane ``i`` of any result is
+    bit-identical to calling the same method on ``cores[i]`` alone.
 
     Only cores that are :func:`stackable` together may share a stack.
     """
@@ -289,24 +288,21 @@ class CoreLanes:
         lanes._nominal_gate_delay = first._nominal_gate_delay
         return lanes
 
-    # ------------------------------------------------------------------
-    # Views.
-    # ------------------------------------------------------------------
-    @property
-    def batch_size(self) -> int:
-        """Number of stacked cores (the lane-axis length ``B``)."""
-        return self.vt0_timing.shape[0]
+    @classmethod
+    def gather(cls, cores: Sequence[Core]) -> "Core | CoreLanes":
+        """The lane model of ``cores``, one lane per entry.
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.floorplan)
-
-    @property
-    def names(self) -> List[str]:
-        return self.floorplan.names
-
-    def floorplan_vt_mean(self) -> float:
-        return self.vt_mean
+        Lanes that all share one core get that core itself, whose
+        ``(n,)`` arrays broadcast over any lane axis; otherwise each
+        distinct core is stacked once and its row gathered per lane.
+        Either way ``lane_subset`` selects lanes.
+        """
+        distinct = list({id(core): core for core in cores}.values())
+        if len(distinct) == 1:
+            return distinct[0]
+        slot = {id(core): i for i, core in enumerate(distinct)}
+        index = np.array([slot[id(core)] for core in cores], dtype=np.intp)
+        return cls.stack(distinct).lane_subset(index)
 
     def lane_subset(self, index) -> "CoreLanes":
         """A view restricted to the lanes selected by ``index``.
@@ -330,43 +326,6 @@ class CoreLanes:
         )
         subset._nominal_gate_delay = self._nominal_gate_delay
         return subset
-
-    # ------------------------------------------------------------------
-    # Physics — identical elementwise formulas to :class:`Core`.
-    # ------------------------------------------------------------------
-    def effective_vt(self, vdd, vbb, temp, *, for_timing: bool = True):
-        vt0 = self.vt0_timing if for_timing else self.vt0_leak
-        return threshold_voltage(vt0, temp, vdd, vbb, self.vt_sens)
-
-    def delay_factor(self, vdd, vbb, temp):
-        vt = self.effective_vt(vdd, vbb, temp, for_timing=True)
-        delay = gate_delay(vdd, vt, self.leff_timing, temp, self.delay_params)
-        return delay / self._nominal_gate_delay
-
-    def subsystem_static_power(self, vdd, vbb, temp):
-        _, p_sta = vt_and_static_power(
-            self.vt0_leak, vdd, vbb, temp, self.ksta, self.vt_sens
-        )
-        return p_sta
-
-    def subsystem_dynamic_power(self, vdd, freq, activity):
-        return self.kdyn * np.asarray(activity, dtype=float) * (
-            np.asarray(vdd, dtype=float) ** 2
-        ) * freq
-
-    def l2_power(self, freq, activity: float = 1.0) -> np.ndarray:
-        """Per-lane L2 power; lane ``i`` equals ``cores[i].l2_power``."""
-        pdyn = self.l2_kdyn * activity * self.calib.vdd_nominal**2 * np.asarray(
-            freq, dtype=float
-        )
-        psta = static_power(
-            self.l2_ksta,
-            self.calib.vdd_nominal,
-            self.calib.t_design,
-            self.vt_mean
-            + self.vt_sens.k1 * (self.calib.t_design - self.vt_sens.t_ref),
-        )
-        return pdyn + psta
 
 
 def _effective_leak_vt0(vt0_cells: np.ndarray, temp: float) -> float:

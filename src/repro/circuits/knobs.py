@@ -62,21 +62,6 @@ def threshold_voltage(
         vbb: Body-bias voltage in volts (positive = forward bias).
         sens: Sensitivity coefficients.
     """
-    if (
-        isinstance(vt0, float)
-        and isinstance(temp, float)
-        and isinstance(vdd, float)
-        and isinstance(vbb, float)
-    ):
-        # All-scalar fast path (the serial per-phase call shape): pure
-        # IEEE double arithmetic, bit-identical to the array path,
-        # without the four asarray round-trips.
-        return (
-            vt0
-            + sens.k1 * (temp - sens.t_ref)
-            + sens.k2 * (vdd - sens.vdd_ref)
-            + sens.k3 * vbb
-        )
     vt0 = np.asarray(vt0, dtype=float)
     temp = np.asarray(temp, dtype=float)
     vdd = np.asarray(vdd, dtype=float)
@@ -103,11 +88,6 @@ class KnobRanges:
     vbb_max: float = millivolts(500)
     vbb_step: float = millivolts(50)
 
-    def frequencies(self) -> np.ndarray:
-        """Return the legal frequency grid in hertz (ascending)."""
-        count = int(round((self.f_max - self.f_min) / self.f_step)) + 1
-        return self.f_min + self.f_step * np.arange(count)
-
     def vdd_levels(self) -> np.ndarray:
         """Return the legal supply-voltage grid in volts (ascending)."""
         count = int(round((self.vdd_max - self.vdd_min) / self.vdd_step)) + 1
@@ -124,13 +104,6 @@ class KnobRanges:
             return self.f_min
         steps = int(np.floor((freq - self.f_min) / self.f_step + 1e-9))
         return min(self.f_min + steps * self.f_step, self.f_max)
-
-    def clamp_frequencies(self, freqs) -> np.ndarray:
-        """Vectorised :meth:`clamp_frequency` (bit-identical per element)."""
-        freqs = np.asarray(freqs, dtype=float)
-        steps = np.floor((freqs - self.f_min) / self.f_step + 1e-9)
-        snapped = np.minimum(self.f_min + steps * self.f_step, self.f_max)
-        return np.where(freqs <= self.f_min, self.f_min, snapped)
 
 
 DEFAULT_KNOB_RANGES = KnobRanges()

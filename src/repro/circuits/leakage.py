@@ -31,20 +31,6 @@ def static_power(ksta, vdd, temp, vt, ideality: float = IDEALITY_FACTOR):
         vt: Threshold voltage in volts.
         ideality: Subthreshold ideality factor ``n``.
     """
-    if (
-        isinstance(ksta, float)
-        and isinstance(vdd, float)
-        and isinstance(temp, float)
-        and isinstance(vt, float)
-    ):
-        # All-scalar fast path (the serial per-phase call shape): same
-        # IEEE operations in the same order as the array path — numpy's
-        # float power ``x**2`` is exactly ``x*x`` and the scalar
-        # ``np.exp`` matches the ufunc bit-for-bit — without the four
-        # asarray round-trips.
-        return ksta * vdd * (temp * temp) * np.exp(
-            -Q_OVER_K * vt / (ideality * temp)
-        )
     vdd = np.asarray(vdd, dtype=float)
     temp = np.asarray(temp, dtype=float)
     vt = np.asarray(vt, dtype=float)

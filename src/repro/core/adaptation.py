@@ -38,6 +38,7 @@ from ..mitigation.base import (
 )
 from ..mitigation.fu_replication import choose_fu_implementation
 from ..mitigation.queue_resize import choose_queue_size
+from ..timing.paths import tilt_shift
 from ..timing.speculation import CheckerConfig, PerfParams, performance
 from .environments import AdaptationMode, Environment
 from .optimizer import (
@@ -110,9 +111,10 @@ def _fuzzy_variant(
 def _distinct(items: Sequence, key=id) -> "Tuple[list, np.ndarray]":
     """The distinct items, in first-seen order, and each item's slot.
 
-    A unit block repeats each core across its phases and each
-    (technique, measurement) across its units, so per-lane tables are
-    built once per distinct entry and gathered through the slots.
+    A unit block repeats each technique and measurement across its
+    units, so per-lane tables are built once per distinct entry and
+    gathered through the slots (cores go through
+    :meth:`~repro.chip.chip.CoreLanes.gather`).
     """
     slots: Dict = {}
     distinct: list = []
@@ -130,11 +132,10 @@ def _fuzzy_inputs(
     env: Environment,
     techniques: Sequence[TechniqueState],
     measurements: Sequence[WorkloadMeasurement],
-) -> "Tuple[CoreLanes, np.ndarray, np.ndarray, np.ndarray]":
-    """The bank's lane inputs: the core stack and ``(lanes, n)`` variant,
-    activity and rho arrays."""
-    distinct_cores, core_index = _distinct(cores)
-    lanes = CoreLanes.stack(distinct_cores).lane_subset(core_index)
+) -> "Tuple[Core | CoreLanes, np.ndarray, np.ndarray, np.ndarray]":
+    """The bank's lane inputs: the lane model of the cores and
+    ``(lanes, n)`` variant, activity and rho arrays."""
+    lanes = CoreLanes.gather(cores)
     floorplan = lanes.floorplan
     distinct_techniques, tech_index = _distinct(
         techniques, key=lambda technique: technique
@@ -334,8 +335,7 @@ def _finish(
     knobs = spec.knob_ranges
     step = knobs.f_step
     n_lanes = len(cores)
-    shared = all(c is cores[0] for c in cores)
-    lanes_view = None if shared else CoreLanes.stack(list(cores))
+    population = CoreLanes.gather(cores)
 
     def configuration(i: int) -> Configuration:
         return Configuration(
@@ -343,13 +343,8 @@ def _finish(
         )
 
     def check(lanes: List[int]) -> List[EvaluatedState]:
-        node = (
-            cores[0]
-            if shared
-            else lanes_view.lane_subset(np.asarray(lanes, dtype=int))
-        )
         return evaluate_configurations(
-            node,
+            population.lane_subset(np.asarray(lanes, dtype=int)),
             [configuration(i) for i in lanes],
             [meas[i].activity for i in lanes],
             [meas[i].rho for i in lanes],
@@ -422,7 +417,7 @@ def _finish(
     return results
 
 
-#: Core array fields copied straight into a :class:`SubsystemArrays`
+#: Core array fields passed straight into a :class:`SubsystemArrays`
 #: lane stack (everything except the technique-scaled mean/sigma).
 _CORE_PASSTHROUGH_FIELDS = (
     "vt0_timing",
@@ -443,33 +438,32 @@ def _stacked_phase_arrays(
 
     Bit-identical to stacking one
     :func:`~repro.core.optimizer.core_subsystem_arrays` view per lane:
-    gathering rows through distinct-object tables copies
-    exactly the values ``np.stack`` would have copied, and the
-    technique scaling below runs the same elementwise operations in the
-    same order as :func:`~repro.core.optimizer.core_subsystem_arrays`,
-    just on the gathered ``(B, n)`` operands.  What it skips is the
-    per-lane Python: a unit block repeats each core across its phases
-    and each (technique, measurement) across its units, so the distinct
-    tables stay tiny while lanes number in the hundreds — this
-    construction is what lets the population-tier batch amortise
-    instead of paying O(lanes) object assembly.
+    the lane model of :meth:`~repro.chip.chip.CoreLanes.gather` holds
+    exactly the values ``np.stack`` would have copied, and
+    :func:`~repro.timing.paths.tilt_shift` applies the technique
+    scaling to the ``(B, n)`` operands.  What it skips is the per-lane
+    Python: a unit block repeats each core across its phases and each
+    (technique, measurement) across its units, so the distinct tables
+    stay tiny while lanes number in the hundreds — this construction is
+    what lets the population-tier batch amortise instead of paying
+    O(lanes) object assembly.
     """
     first = cores[0]
     calib = first.calib
-
-    distinct_cores, core_index = _distinct(cores)
-    if not stackable(distinct_cores):
-        raise ValueError("stacked batches must share calibration and parameters")
+    lanes = CoreLanes.gather(cores)
+    shape = (len(cores), lanes.n_subsystems)
 
     def gather(field: str) -> np.ndarray:
-        table = np.stack([getattr(core, field) for core in distinct_cores])
-        return table[core_index]
+        # Contiguous (B, n) rows even when one core serves every lane: on
+        # a stride-0 lane axis numpy runs one n-long inner loop per lane,
+        # and the Freq/Power sweeps of a 30-lane block took ~35% longer.
+        return np.ascontiguousarray(np.broadcast_to(getattr(lanes, field), shape))
 
     alpha, rho = _lane_measurements(measurements)
 
     # Technique modifiers depend only on the floorplan and calibration,
-    # which the stackability checks above pin as shared — one build per
-    # distinct state covers every lane using it.
+    # which every stacked core shares (``CoreLanes.stack`` refuses
+    # others) — one build per distinct state covers every lane using it.
     distinct_techniques, tech_index = _distinct(
         techniques, key=lambda technique: technique
     )
@@ -478,13 +472,13 @@ def _stacked_phase_arrays(
     sigma_scale = np.stack([m.sigma_scale for m in modifiers])[tech_index]
     power_rows = [t.power_factors(first) for t in distinct_techniques]
 
-    mean = gather("stage_mean_rel") + gather("tail_rel")
-    sigma = gather("stage_sigma_rel")
-    free = mean + calib.z_free * sigma
-    sigma = sigma * sigma_scale
-    mean = free - calib.z_free * sigma
-    mean = mean * delay_scale
-    sigma = sigma * delay_scale
+    mean, sigma = tilt_shift(
+        gather("stage_mean_rel") + gather("tail_rel"),
+        gather("stage_sigma_rel"),
+        calib.z_free,
+        sigma_scale,
+        delay_scale,
+    )
 
     arrays = {name: gather(name) for name in _CORE_PASSTHROUGH_FIELDS}
     return SubsystemArrays(
@@ -695,14 +689,8 @@ def evaluate_at_fixed_config(
     cores = [core for core, _ in units for _ in measurements]
     configs = [config for _, config in units for _ in measurements]
     meas = measurements * len(units)
-    distinct, index = _distinct(cores)
-    node = (
-        distinct[0]
-        if len(distinct) == 1
-        else CoreLanes.stack(distinct).lane_subset(index)
-    )
     states = evaluate_configurations(
-        node,
+        CoreLanes.gather(cores),
         configs,
         [m.activity for m in meas],
         [m.rho for m in meas],

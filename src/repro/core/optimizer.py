@@ -55,7 +55,7 @@ from ..circuits.knobs import (
 )
 from ..chip.chip import Core
 from ..kernels import T_RUNAWAY, thermal_step, vt_and_static_power
-from ..timing.paths import StageModifiers
+from ..timing.paths import StageModifiers, tilt_shift
 
 #: Iteration caps of the joint (f, T) fixed point and the inner thermal
 #: solve; the convergence tolerances mirror ``np.allclose`` defaults.
@@ -272,11 +272,10 @@ def core_subsystem_arrays(
     mean = core.stage_mean_rel + core.tail_rel
     sigma = core.stage_sigma_rel.copy()
     if modifiers is not None:
-        free = mean + core.calib.z_free * sigma
-        sigma = sigma * modifiers.sigma_scale
-        mean = free - core.calib.z_free * sigma
-        mean = mean * modifiers.delay_scale
-        sigma = sigma * modifiers.delay_scale
+        mean, sigma = tilt_shift(
+            mean, sigma, core.calib.z_free, modifiers.sigma_scale,
+            modifiers.delay_scale,
+        )
     return SubsystemArrays(
         vt0_timing=core.vt0_timing,
         leff_timing=core.leff_timing,
@@ -349,22 +348,9 @@ class FreqResult:
     def core_frequency(self, knob_ranges: KnobRanges = DEFAULT_KNOB_RANGES) -> float:
         """MIN over subsystems, snapped down to the 100 MHz step grid."""
         if self.f_max.ndim != 1:
-            raise ValueError("batched result: use core_frequencies()")
+            raise ValueError("batched result: reduce f_max per lane")
         return knob_ranges.clamp_frequency(float(self.f_max.min()))
 
-    def core_frequencies(
-        self, knob_ranges: KnobRanges = DEFAULT_KNOB_RANGES
-    ) -> np.ndarray:
-        """Per-lane MIN over subsystems, snapped to the step grid."""
-        return knob_ranges.clamp_frequencies(self.f_max.min(axis=-1))
-
-    def min_rest(self, index: int) -> float:
-        """``Min(f)_rest``: bottleneck excluding subsystem ``index``."""
-        if self.f_max.ndim != 1:
-            raise ValueError("min_rest applies to single-phase results")
-        mask = np.ones(len(self.f_max), dtype=bool)
-        mask[index] = False
-        return float(self.f_max[mask].min())
 
 
 def _thermal_fixed_point(
@@ -772,17 +758,6 @@ class PowerResult:
     p_dynamic: np.ndarray
     p_static: np.ndarray
     feasible: np.ndarray  # False where no setting met both constraints
-
-    @property
-    def p_total(self) -> np.ndarray:
-        """Per-subsystem total power in watts."""
-        return self.p_dynamic + self.p_static
-
-    def core_power(self) -> float:
-        """Sum of subsystem powers in watts (excl. L2/checker)."""
-        if self.vdd.ndim != 1:
-            raise ValueError("batched result: reduce p_total per lane")
-        return float(self.p_total.sum())
 
     def max_temperature(self) -> float:
         """Hottest subsystem temperature in kelvin."""

@@ -62,11 +62,6 @@ class RetuningResult:
     f_initial: float
     steps: int  # total frequency adjustments performed
 
-    @property
-    def f_final(self) -> float:
-        """The converged core frequency in hertz."""
-        return self.config.f_core
-
 
 def retune_batched(
     cores: Sequence[Core],
@@ -90,10 +85,9 @@ def retune_batched(
     one :func:`~repro.core.state.evaluate_configurations` call, and a
     lane retires from each loop exactly when it would alone.
 
-    All lanes may share one core (pass ``[core] * n``, the phase-matrix
-    case) or carry distinct cores of one population (the unit-batched
-    case, which stacks them into a
-    :class:`~repro.chip.chip.CoreLanes` tensor once).
+    All lanes may share one core (pass ``[core] * n``) or carry distinct
+    cores of one population; :meth:`~repro.chip.chip.CoreLanes.gather`
+    builds their lane model once.
     """
     n_lanes = len(configs)
     cores = list(cores)
@@ -101,20 +95,14 @@ def retune_batched(
         raise ValueError("need one core per configuration lane")
     if n_lanes == 0:
         return []
-    shared = all(core is cores[0] for core in cores)
-    lanes_view = None if shared else CoreLanes.stack(cores)
+    population = CoreLanes.gather(cores)
 
     step = knob_ranges.f_step
     f_min, f_max = knob_ranges.f_min, knob_ranges.f_max
 
     def check(lanes, freqs) -> List[EvaluatedState]:
-        node = (
-            cores[0]
-            if shared
-            else lanes_view.lane_subset(np.asarray(lanes, dtype=int))
-        )
         return evaluate_configurations(
-            node,
+            population.lane_subset(np.asarray(lanes, dtype=int)),
             [configs[i].with_frequency(freq) for i, freq in zip(lanes, freqs)],
             [activities[i] for i in lanes],
             [rhos[i] for i in lanes],

@@ -19,9 +19,12 @@ import numpy as np
 from ..chip.chip import Core
 from ..kernels import timing_error_cdf
 from ..mitigation.base import TechniqueState
-from ..thermal.solver import solve_temperatures, solve_temperatures_lanes
-from ..timing.errors import stage_error_rates
+from ..thermal.solver import solve_temperatures
 from ..timing.paths import StageDelays, StageModifiers, stage_delays
+
+# Not called here: the perfbench tracer binds its ``thermal.solve``
+# group to this name in this module as well as to ``solve_temperatures``.
+solve_temperatures_lanes = solve_temperatures
 
 
 class Violation(Enum):
@@ -103,57 +106,6 @@ class EvaluatedState:
         return Violation.NONE
 
 
-def evaluate_configuration(
-    core: Core,
-    config: Configuration,
-    activity: np.ndarray,
-    rho: np.ndarray,
-    t_heatsink: Optional[float] = None,
-    *,
-    checker: bool = True,
-) -> EvaluatedState:
-    """Settle the physics for a configuration and workload activity.
-
-    Args:
-        core: The physical core.
-        config: Frequency, voltages and technique state to apply.
-        activity: Per-subsystem activity factors (accesses/cycle).
-        rho: Per-subsystem exercises/instruction (Eq 4 weights).
-        t_heatsink: Heat-sink temperature (defaults to the calibrated
-            ``TH_MAX``).
-        checker: Whether the Diva-like checker is present (its power is
-            charged to the core); False for Baseline/NoVar.
-    """
-    calib = core.calib
-    th = calib.t_heatsink_max if t_heatsink is None else t_heatsink
-    power_factors = config.technique.power_factors(core)
-    modifiers = config.technique.stage_modifiers(core)
-
-    activity = np.asarray(activity, dtype=float) * power_factors
-    solution = solve_temperatures(
-        core, config.vdd, config.vbb, config.f_core, activity, th
-    )
-    # Leakage also scales with the enabled replica's extra devices.
-    p_static = solution.p_static * power_factors
-
-    delays = stage_delays(
-        core, config.vdd, config.vbb, solution.temperature, modifiers
-    )
-    pe = stage_error_rates(config.f_core, delays, rho)
-
-    p_dyn_total = float(solution.p_dynamic.sum())
-    return EvaluatedState(
-        config=config,
-        temperature=solution.temperature,
-        p_dynamic=solution.p_dynamic,
-        p_static=p_static,
-        pe_per_subsystem=pe,
-        l2_power=core.l2_power(config.f_core),
-        checker_power=calib.checker_power_fraction * p_dyn_total if checker else 0.0,
-        delays=delays,
-    )
-
-
 def evaluate_configurations(
     core: Core,
     configs: Sequence[Configuration],
@@ -163,19 +115,26 @@ def evaluate_configurations(
     *,
     checker: bool = True,
 ) -> List[EvaluatedState]:
-    """Lane-batched :func:`evaluate_configuration` (bit-identical per lane).
+    """Settle the physics of many (configuration, workload) lanes.
 
-    Stacks many independent (configuration, workload) lanes along axis 0
-    and settles them all with one vectorised physics pass: one
-    lane-masked thermal solve, one delay-model evaluation, one
-    error-rate evaluation.  The physics is elementwise per subsystem, so
-    each returned :class:`EvaluatedState` equals what
-    :func:`evaluate_configuration` computes for that lane alone.
+    Stacks the lanes along axis 0 and settles them all with one
+    vectorised physics pass: one lane-masked thermal solve, one
+    delay-model evaluation, one error-rate evaluation.  The physics is
+    elementwise per subsystem, so each returned :class:`EvaluatedState`
+    equals what a one-lane call computes for that lane alone.
 
-    ``core`` may be a single :class:`Core` (all lanes share its physics)
-    or a :class:`~repro.chip.chip.CoreLanes` population whose lane axis
-    matches ``configs`` — the adaptation pipeline uses the latter to
-    settle every (chip, core) unit of a block in one pass.
+    Args:
+        core: A single :class:`Core` (all lanes share its physics) or a
+            :class:`~repro.chip.chip.CoreLanes` population whose lane
+            axis matches ``configs`` (see
+            :meth:`~repro.chip.chip.CoreLanes.gather`).
+        configs: Frequency, voltages and technique state per lane.
+        activities: Per-subsystem activity factors (accesses/cycle).
+        rhos: Per-subsystem exercises/instruction (Eq 4 weights).
+        t_heatsink: Heat-sink temperature (defaults to the calibrated
+            ``TH_MAX``).
+        checker: Whether the Diva-like checker is present (its power is
+            charged to the core); False for Baseline/NoVar.
     """
     calib = core.calib
     th = calib.t_heatsink_max if t_heatsink is None else t_heatsink
@@ -207,14 +166,13 @@ def evaluate_configurations(
     vdd = np.stack([config.vdd for config in configs])
     vbb = np.stack([config.vbb for config in configs])
 
-    solution = solve_temperatures_lanes(core, vdd, vbb, freq, activity, th)
+    solution = solve_temperatures(core, vdd, vbb, freq, activity, th)
     p_static = solution.p_static * power_factors
     delays = stage_delays(
         core, vdd, vbb, solution.temperature, stacked_modifiers
     )
-    # Configuration guarantees positive frequencies, so the batched path
-    # can call the fused kernel directly, skipping the re-validation
-    # inside stage_error_rates.
+    # Configuration guarantees positive frequencies, so the fused kernel
+    # runs directly, skipping the re-validation inside stage_error_rates.
     pe = timing_error_cdf(freq, delays.mean, delays.sigma, rho)
     p_dyn_lane = solution.p_dynamic.sum(axis=-1)
     l2 = core.l2_power(freq[:, 0])

@@ -176,14 +176,18 @@ def main(argv=None) -> int:
             print(format_table("area overhead (%)", ["Source", "%"],
                                area_rows(run_area_table())))
         elif target == "retiming":
-            result = run_retiming_comparison(n_chips=settings.chips)
+            result = run_retiming_comparison(
+                n_chips=settings.chips, seed=settings.seed
+            )
             print(format_table(
                 "EVAL vs dynamic retiming",
                 ["scheme", "f_rel", "gain"],
                 result.rows(),
             ))
         elif target == "sensitivity":
-            result = run_sensitivity(n_chips=max(2, settings.chips // 3))
+            result = run_sensitivity(
+                n_chips=max(2, settings.chips // 3), seed=settings.seed
+            )
             print(format_table(
                 "variation severity sweep",
                 ["sigma/mu", "phi", "Baseline", "EVAL", "recovered"],

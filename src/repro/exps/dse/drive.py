@@ -42,7 +42,7 @@ from ...core.environments import AdaptationMode, by_name
 from ...microarch.workloads import spec2000_like_suite
 from ..engine import RunSpec
 from ..runner import ExperimentRunner, RunnerConfig, SuiteSummary
-from .pareto import DEFAULT_OBJECTIVES, Objective, pareto_front, sensitivity
+from .pareto import DEFAULT_OBJECTIVES, Objective, pareto_front
 from .spec import SweepPoint, SweepSpec, dedupe_points
 
 log = logging.getLogger("repro.exps.dse")
@@ -114,12 +114,6 @@ class SweepResult:
         from .report import swept_columns
 
         return swept_columns(self.rows)
-
-    def sensitivity(
-        self, objectives: Sequence[Objective] = DEFAULT_OBJECTIVES
-    ) -> Dict[str, Dict[str, Any]]:
-        """Per-axis main effects (see :func:`~.pareto.sensitivity`)."""
-        return sensitivity(self.rows, self.swept_params(), objectives)
 
 
 # ----------------------------------------------------------------------

@@ -273,9 +273,6 @@ class SweepPoint:
     point_id: str
     params: Mapping[str, Any]
 
-    def cell_params(self) -> Dict[str, Any]:
-        return {k: v for k, v in self.params.items() if k in CELL_PARAMS}
-
     def runner_params(self) -> Dict[str, Any]:
         return {k: v for k, v in self.params.items() if k in RUNNER_PARAMS}
 

@@ -49,7 +49,7 @@ from ..core.environments import (
     AdaptationMode,
     Environment,
 )
-from ..core.state import Configuration, evaluate_configuration
+from ..core.state import Configuration, evaluate_configurations
 from ..core.adaptation import perf_params_from_measurement
 from ..microarch.pipeline import DEFAULT_CORE_CONFIG, CoreConfig
 from ..microarch.simulator import (
@@ -467,8 +467,8 @@ class ExperimentRunner:
             vbb=np.zeros(n),
             technique=TechniqueState(domain=meas.domain),
         )
-        state = evaluate_configuration(
-            self._novar, config, meas.activity, meas.rho, checker=False
+        (state,) = evaluate_configurations(
+            self._novar, [config], [meas.activity], [meas.rho], checker=False
         )
         return state.total_power
 

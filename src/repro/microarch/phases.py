@@ -60,16 +60,6 @@ class PhaseDetector:
             return 0.0
         return float(np.abs(a - b).sum() / denominator)
 
-    @property
-    def current_phase(self) -> Optional[int]:
-        """ID of the phase the detector believes it is in (None at start)."""
-        return self._current
-
-    @property
-    def table_size(self) -> int:
-        """Number of distinct phases seen so far."""
-        return len(self._table)
-
     def observe(self, bbv: np.ndarray) -> DetectedPhase:
         """Feed one interval's BBV; classify it against the phase table."""
         bbv = np.asarray(bbv)

@@ -46,11 +46,6 @@ class RetimingResult:
     limiting_loop: Tuple[str, ...]  # the loop that bounds the retimed clock
     loop_periods: Dict[Tuple[str, ...], float]
 
-    @property
-    def gain(self) -> float:
-        """Relative frequency gain of retiming over the rigid clock."""
-        return self.f_retimed / self.f_baseline - 1.0
-
 
 def retime(
     core: Core,

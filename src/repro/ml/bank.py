@@ -75,7 +75,7 @@ class ControllerBank:
 
     def predict_fmax(
         self,
-        lanes: CoreLanes,
+        lanes: "Core | CoreLanes",
         variants: np.ndarray,
         th: float,
         alpha: np.ndarray,
@@ -83,8 +83,10 @@ class ControllerBank:
     ) -> np.ndarray:
         """Freq-FC estimates of every lane's per-subsystem max frequency.
 
-        ``variants``, ``alpha`` and ``rho`` are ``(lanes, subsystems)``
-        arrays over the lane stack; returns hertz in the same shape.
+        ``lanes`` is a lane model from
+        :meth:`~repro.chip.chip.CoreLanes.gather` (one core broadcasts
+        over every lane); ``variants``, ``alpha`` and ``rho`` are
+        ``(lanes, subsystems)`` arrays; returns hertz in the same shape.
         Each ``(subsystem, variant)`` FC runs once, over the lanes that
         use it, and every entry equals the one-lane, one-subsystem
         estimate.
@@ -95,8 +97,9 @@ class ControllerBank:
         )
         slowness = self.demand(
             lanes, variants, th, rho,
-            np.full(lanes.batch_size, lanes.calib.f_nominal),
+            np.full(len(variants), lanes.calib.f_nominal),
         )
+        vt0_leak = np.broadcast_to(lanes.vt0_leak, variants.shape)
         ghz = np.empty(variants.shape)
         for index, variant, rows in _fc_groups(variants):
             inputs = np.column_stack([
@@ -104,7 +107,7 @@ class ControllerBank:
                 alpha[rows, index],
                 rho[rows, index],
                 np.full(len(rows), th),
-                lanes.vt0_leak[rows, index],
+                vt0_leak[rows, index],
             ])
             fc = self._fc(self.freq_fcs, index, variant)
             bias = self.optimism * self.freq_rmse.get((index, variant), 0.0)
@@ -117,7 +120,7 @@ class ControllerBank:
 
     def demand(
         self,
-        lanes: CoreLanes,
+        lanes: "Core | CoreLanes",
         variants: np.ndarray,
         th: float,
         rho: np.ndarray,
@@ -159,7 +162,7 @@ class ControllerBank:
 
     def predict_voltages(
         self,
-        lanes: CoreLanes,
+        lanes: "Core | CoreLanes",
         variants: np.ndarray,
         th: float,
         alpha: np.ndarray,
@@ -231,16 +234,19 @@ def _snap(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 def _lane_arrays(
-    lanes: CoreLanes, **arrays: np.ndarray
+    lanes: "Core | CoreLanes", **arrays: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
-    """The named inputs as arrays, checked against the lane stack.
+    """The named inputs as arrays, checked against the lane model.
 
+    A :class:`CoreLanes` stack fixes the lane count; a single
+    :class:`Core` serves as many lanes as ``variants`` has rows.
     ``f_core`` is per lane; every other input is ``(lanes, subsystems)``.
     """
+    lane_shape = lanes.vt0_leak.shape[:-1] or np.shape(arrays["variants"])[:1]
     checked = []
     for name, value in arrays.items():
         value = np.asarray(value)
-        expected = (lanes.batch_size,)
+        expected = lane_shape
         if name != "f_core":
             expected += (lanes.n_subsystems,)
         if value.shape != expected:

@@ -40,6 +40,7 @@ from ..core.optimizer import (
     freq_algorithm,
     power_algorithm,
 )
+from ..timing.paths import tilt_shift
 from ..units import celsius_to_kelvin
 
 #: Column order of the FC input vectors.
@@ -63,13 +64,6 @@ class SampledInputs:
     vt0_leak: np.ndarray
     leff: np.ndarray
     tail: np.ndarray  # final (criticality-scaled) tail, like Core.tail_rel
-
-    def matrix(self) -> np.ndarray:
-        """Stack into the (n, 7) Freq-FC input matrix."""
-        return np.column_stack(
-            [self.th, self.alpha, self.rho, self.vt0_timing, self.vt0_leak,
-             self.leff, self.tail]
-        )
 
 
 def sample_inputs(
@@ -139,11 +133,9 @@ def _batch_arrays(
     n = len(samples.th)
     sigma_base = calib.stage_sigma[spec.kind] * spec.criticality
     mean_base = calib.stage_mean(spec.kind) * spec.criticality + samples.tail
-    # Tilt preserves the error-free point; then shift scales everything.
-    free = mean_base + calib.z_free * sigma_base
-    sigma = sigma_base * sigma_scale
-    mean = (free - calib.z_free * sigma) * delay_scale
-    sigma = sigma * delay_scale
+    mean, sigma = tilt_shift(
+        mean_base, sigma_base, calib.z_free, sigma_scale, delay_scale
+    )
     return SubsystemArrays(
         vt0_timing=samples.vt0_timing,
         leff_timing=samples.leff,

@@ -76,19 +76,6 @@ class FuzzyController:
         w = np.exp(-(((x_std - self.mu) / self.sigma) ** 2))
         return w.prod(axis=-1)
 
-    def predict(self, x: np.ndarray) -> float:
-        """Eq 12: the defuzzified output for one raw input vector.
-
-        The one-row call of :meth:`predict_rows`, the one inference
-        formula.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_inputs,):
-            raise ValueError(
-                f"input must have shape ({self.n_inputs},), got {x.shape}"
-            )
-        return float(self.predict_rows(x[None])[0])
-
     def predict_rows(self, xs: np.ndarray) -> np.ndarray:
         """Eqs 10-12 for every row of ``xs``, shape ``(n, n_inputs)``.
 

@@ -7,7 +7,8 @@ Each subsystem is a thermal node above the common heat sink::
 Static power rises with temperature (Eq 8) and the threshold voltage falls
 (Eq 9), so the system is a feedback loop that the paper solves "by
 iterating until convergence" — exactly what :func:`solve_temperatures`
-does, fully vectorised over subsystems and operating-point grids.
+does, fully vectorised over subsystems and lanes of operating points,
+each lane stopping at its own tolerance.
 
 Each iteration is one ``thermal_step`` fused-kernel call (see
 :mod:`repro.kernels`): both power terms, the clamped temperature update
@@ -43,15 +44,6 @@ class ThermalSolution:
     p_static: np.ndarray  # watts
     converged: np.ndarray  # bool; False marks thermal runaway
 
-    @property
-    def p_total(self) -> np.ndarray:
-        """Per-subsystem total power in watts."""
-        return self.p_dynamic + self.p_static
-
-    def core_power(self) -> np.ndarray:
-        """Total power of the 15 subsystems (excl. L2/checker) in watts."""
-        return self.p_total.sum(axis=-1)
-
     def max_temperature(self) -> np.ndarray:
         """Hottest subsystem temperature in kelvin."""
         return self.temperature.max(axis=-1)
@@ -69,11 +61,20 @@ def solve_temperatures(
 ) -> ThermalSolution:
     """Solve the Eq 6-9 feedback loop for steady-state temperatures.
 
+    The trailing axis of the inputs indexes subsystems and every leading
+    axis indexes independent lanes (operating points, workload phases);
+    a 1-D input is one lane.  Each lane retires from the iteration the
+    moment its own update falls below ``tol``, so every lane's iterate
+    sequence, and therefore its solution, is bit-identical to solving
+    that lane alone.  One ``thermal.solves`` count and one
+    ``thermal.iterations`` observation is recorded per lane.
+
     Args:
         core: Core model providing ``Rth``, ``Kdyn``, ``Ksta`` and the
-            leakage law.
-        vdd: Per-subsystem supply voltage(s); the trailing axis must
-            broadcast against the subsystem axis.
+            leakage law: a :class:`Core`, whose ``(n,)`` arrays broadcast
+            over every lane, or a :class:`~repro.chip.chip.CoreLanes`
+            whose lane axis matches axis 0 of a 2-D input.
+        vdd: Per-subsystem supply voltage(s).
         vbb: Per-subsystem body bias(es).
         freq: Core frequency in hertz (scalar or broadcastable).
         activity: Per-subsystem activity factors (accesses/cycle).
@@ -92,83 +93,22 @@ def solve_temperatures(
 
     p_dyn = core.subsystem_dynamic_power(vdd, freq, activity)
     shape = np.broadcast_shapes(p_dyn.shape, vbb.shape)
-    p_dyn = np.broadcast_to(p_dyn, shape).copy()
+    # Iterate over one flat lane axis; the solution takes ``shape`` back.
+    flat = (-1, shape[-1])
+    p_dyn = np.broadcast_to(p_dyn, shape).reshape(flat).copy()
+    vdd_b = np.broadcast_to(vdd, shape).reshape(flat)
+    vbb_b = np.broadcast_to(vbb, shape).reshape(flat)
+    n_lanes = p_dyn.shape[0]
 
-    temp = np.full(shape, t_heatsink + 5.0)
-    scratch = np.empty(shape)
-    work = np.empty((3, *shape))
-    iterations = max_iter
-    with obs.span("kernel.thermal_fixed_point"):
-        for iteration in range(max_iter):
-            new_temp, delta = thermal_step(
-                core.vt0_leak, vdd, vbb, temp, core.ksta, core.rth,
-                p_dyn, t_heatsink, core.vt_sens,
-                t_runaway=T_RUNAWAY, compute_delta=True, out=scratch,
-                work=work,
-            )
-            temp, scratch = new_temp, temp
-            if float(np.max(delta)) < tol:
-                iterations = iteration + 1
-                break
-    obs.inc("thermal.solves")
-    obs.observe("thermal.iterations", iterations)
-    p_sta = core.subsystem_static_power(vdd, vbb, temp)
-    converged = temp < T_RUNAWAY - tol
-    return ThermalSolution(
-        temperature=temp, p_dynamic=p_dyn, p_static=p_sta, converged=converged
-    )
-
-
-def solve_temperatures_lanes(
-    core: Core,
-    vdd,
-    vbb,
-    freq,
-    activity,
-    t_heatsink: float,
-    max_iter: int = 60,
-    tol: float = 1e-3,
-) -> ThermalSolution:
-    """Lane-batched :func:`solve_temperatures` with convergence masking.
-
-    Axis 0 indexes independent lanes (e.g. one workload phase each), the
-    trailing axis subsystems.  Each lane retires from the iteration the
-    moment its own update falls below ``tol`` — exactly the stopping rule
-    a per-lane serial solve applies — so every lane's iterate sequence,
-    and therefore the returned solution, is bit-identical to solving that
-    lane alone.  One ``thermal.solves`` count and one
-    ``thermal.iterations`` observation is recorded per lane, keeping the
-    metrics comparable with the serial path.
-
-    ``core`` may also be a :class:`~repro.chip.chip.CoreLanes` whose lane
-    axis matches axis 0: each lane then evaluates against its own core's
-    parameters (the masked iterations subset the lanes view alongside the
-    state arrays).
-    """
-    vdd = np.asarray(vdd, dtype=float)
-    vbb = np.asarray(vbb, dtype=float)
-    freq = np.asarray(freq, dtype=float)
-    activity = np.asarray(activity, dtype=float)
-
-    p_dyn = core.subsystem_dynamic_power(vdd, freq, activity)
-    shape = np.broadcast_shapes(p_dyn.shape, vbb.shape)
-    p_dyn = np.broadcast_to(p_dyn, shape).copy()
-    n_lanes = shape[0]
-    vdd_b = np.broadcast_to(vdd, shape)
-    vbb_b = np.broadcast_to(vbb, shape)
-
-    # A CoreLanes population subsets its parameter arrays alongside the
-    # masked state; a single Core broadcasts its (n,) arrays as before.
-    per_lane = hasattr(core, "lane_subset")
-
-    temp = np.full(shape, t_heatsink + 5.0)
+    temp = np.full(p_dyn.shape, t_heatsink + 5.0)
     # The live lanes' update and the kernel's scratch: the leading
     # ``active.size`` lanes of each buffer, allocated once per solve.
-    scratch = np.empty(shape)
-    work = np.empty((3, *shape))
+    scratch = np.empty(p_dyn.shape)
+    work = np.empty((3, *p_dyn.shape))
     iterations = np.full(n_lanes, max_iter, dtype=int)
     active = np.arange(n_lanes)
-    # The parameters of the live lanes: re-subset only when lanes retire.
+    # The parameters of the live lanes: re-subset only when lanes retire
+    # (a single Core is its own subset).
     node = core
     with obs.span("kernel.thermal_fixed_point"):
         for iteration in range(max_iter):
@@ -180,11 +120,11 @@ def solve_temperatures_lanes(
                 out=scratch[:live], work=work[:, :live],
             )
             temp[active] = new_temp
-            converged = delta < tol
-            if np.any(converged):
-                iterations[active[converged]] = iteration + 1
-                active = active[~converged]
-                if per_lane and active.size:
+            settled = delta < tol
+            if np.any(settled):
+                iterations[active[settled]] = iteration + 1
+                active = active[~settled]
+                if active.size:
                     node = core.lane_subset(active)
             if active.size == 0:
                 break
@@ -192,7 +132,10 @@ def solve_temperatures_lanes(
     for count in iterations:
         obs.observe("thermal.iterations", float(count))
     p_sta = core.subsystem_static_power(vdd_b, vbb_b, temp)
-    converged = temp < T_RUNAWAY - tol
+    temp = temp.reshape(shape)
     return ThermalSolution(
-        temperature=temp, p_dynamic=p_dyn, p_static=p_sta, converged=converged
+        temperature=temp,
+        p_dynamic=p_dyn.reshape(shape),
+        p_static=p_sta.reshape(shape),
+        converged=temp < T_RUNAWAY - tol,
     )

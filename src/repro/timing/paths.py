@@ -49,11 +49,6 @@ class StageModifiers:
     delay_scale: np.ndarray
     sigma_scale: np.ndarray
 
-    @classmethod
-    def identity(cls, n: int) -> "StageModifiers":
-        """Return modifiers that change nothing (all-ones)."""
-        return cls(delay_scale=np.ones(n), sigma_scale=np.ones(n))
-
     def __post_init__(self) -> None:
         if self.delay_scale.shape != self.sigma_scale.shape:
             raise ValueError("modifier arrays must have matching shapes")
@@ -104,10 +99,24 @@ def stage_delays(
     mean = t_cycle * d * (core.stage_mean_rel + core.tail_rel)
     sigma = t_cycle * d * core.stage_sigma_rel
     if modifiers is not None:
-        # Tilt first (preserves the error-free point), then shift.
-        free = mean + calib.z_free * sigma
-        sigma = sigma * modifiers.sigma_scale
-        mean = free - calib.z_free * sigma
-        mean = mean * modifiers.delay_scale
-        sigma = sigma * modifiers.delay_scale
+        mean, sigma = tilt_shift(
+            mean, sigma, calib.z_free, modifiers.sigma_scale,
+            modifiers.delay_scale,
+        )
     return StageDelays(mean=mean, sigma=sigma, z_free=calib.z_free)
+
+
+def tilt_shift(mean, sigma, z_free: float, sigma_scale, delay_scale):
+    """Apply a Tilt, then a Shift, to delay-distribution parameters.
+
+    The Tilt multiplies ``sigma`` by ``sigma_scale`` while holding the
+    error-free point ``mean + z_free * sigma`` fixed; the Shift then
+    multiplies both by ``delay_scale``.  Every technique transform of
+    the library (the delay model, the optimiser views and the training
+    batches) goes through this one order of operations, so they agree
+    bit for bit.  Returns ``(mean, sigma)``.
+    """
+    free = mean + z_free * sigma
+    sigma = sigma * sigma_scale
+    mean = free - z_free * sigma
+    return mean * delay_scale, sigma * delay_scale

@@ -117,13 +117,3 @@ class ChipSample:
             )
         if np.any(1.0 + self.leff_sys <= 0.0):
             raise ValueError("sampled Leff must remain positive")
-
-    @property
-    def vt0_cells(self) -> np.ndarray:
-        """Absolute per-cell ``Vt0`` in volts (at the Vt reference temp)."""
-        return self.params.vt_mean + self.vt_sys
-
-    @property
-    def leff_cells(self) -> np.ndarray:
-        """Per-cell relative ``Leff`` (1.0 = nominal)."""
-        return 1.0 + self.leff_sys

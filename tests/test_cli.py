@@ -23,6 +23,28 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "=== area ===" in out and "=== fig2 ===" in out
 
+    @pytest.mark.parametrize("target, function", [
+        ("retiming", "run_retiming_comparison"),
+        ("sensitivity", "run_sensitivity"),
+    ])
+    def test_seed_reaches_the_target(self, target, function, capsys,
+                                     monkeypatch):
+        import repro.exps.__main__ as cli
+
+        calls = []
+
+        class Result:
+            def rows(self):
+                return []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return Result()
+
+        monkeypatch.setattr(cli, function, record)
+        assert main([target, "--seed", "3"]) == 0
+        assert [call["seed"] for call in calls] == [3]
+
     def test_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             main(["fig99"])

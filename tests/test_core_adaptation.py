@@ -19,7 +19,6 @@ from repro.core import (
     aggregate_static_measurement,
     by_name,
     evaluate_at_fixed_config,
-    evaluate_configuration,
     evaluate_configurations,
     optimize_phase,
     optimize_phases_batched,
@@ -38,6 +37,15 @@ from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
 from repro.mitigation import TechniqueState
 from repro.obs import MetricsRegistry
 from repro.timing.speculation import performance
+
+
+def _evaluate_one(core, config, activity, rho, t_heatsink=None, *,
+                  checker=True):
+    """The one-lane ``evaluate_configurations`` call."""
+    (state,) = evaluate_configurations(
+        core, [config], [activity], [rho], t_heatsink, checker=checker
+    )
+    return state
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +120,7 @@ class TestEvaluateConfiguration:
 
     def test_state_consistency(self, core, int_measurement):
         config = self.make_config(core)
-        state = evaluate_configuration(
+        state = _evaluate_one(
             core, config, int_measurement.activity, int_measurement.rho
         )
         assert state.total_power == pytest.approx(
@@ -122,11 +130,11 @@ class TestEvaluateConfiguration:
 
     def test_checker_power_flag(self, core, int_measurement):
         config = self.make_config(core)
-        with_checker = evaluate_configuration(
+        with_checker = _evaluate_one(
             core, config, int_measurement.activity, int_measurement.rho,
             checker=True,
         )
-        without = evaluate_configuration(
+        without = _evaluate_one(
             core, config, int_measurement.activity, int_measurement.rho,
             checker=False,
         )
@@ -135,14 +143,14 @@ class TestEvaluateConfiguration:
 
     def test_violation_priority_error_first(self, core, int_measurement):
         config = self.make_config(core, f=5.5e9)  # absurdly fast
-        state = evaluate_configuration(
+        state = _evaluate_one(
             core, config, int_measurement.activity, int_measurement.rho
         )
         assert state.violation(core) is Violation.ERROR
 
     def test_no_violation_at_conservative_point(self, core, int_measurement):
         config = self.make_config(core, f=2.4e9)
-        state = evaluate_configuration(
+        state = _evaluate_one(
             core, config, int_measurement.activity, int_measurement.rho
         )
         assert state.violation(core) is Violation.NONE
@@ -161,7 +169,7 @@ class TestEvaluateConfiguration:
             [m.rho for m in workloads],
         )
         for config, meas, got in zip(configs, workloads, batched):
-            want = evaluate_configuration(
+            want = _evaluate_one(
                 core, config, meas.activity, meas.rho
             )
             assert np.array_equal(got.temperature, want.temperature)
@@ -194,17 +202,17 @@ class TestEvaluateConfiguration:
             vbb=base.vbb,
             technique=TechniqueState(lowslope=True, domain="int"),
         )
-        p_base = evaluate_configuration(
+        p_base = _evaluate_one(
             core, base, int_measurement.activity, int_measurement.rho
         ).total_power
-        p_ls = evaluate_configuration(
+        p_ls = _evaluate_one(
             core, ls, int_measurement.activity, int_measurement.rho
         ).total_power
         assert p_ls > p_base
 
 
 class TestEvaluateAtFixedConfig:
-    """Static's lane evaluation equals one scalar evaluation per phase."""
+    """Static's lane evaluation equals one one-lane evaluation per phase."""
 
     @staticmethod
     def _assert_equals_per_phase(units, env, measurements):
@@ -213,7 +221,7 @@ class TestEvaluateAtFixedConfig:
         for (core, config), results in zip(units, got):
             assert len(results) == len(measurements)
             for meas, result in zip(measurements, results):
-                want = evaluate_configuration(
+                want = _evaluate_one(
                     core, config, meas.activity, meas.rho,
                     core.calib.t_heatsink_max, checker=env.checker,
                 )
@@ -284,7 +292,7 @@ class TestRetuning:
             pe_max=core.calib.pe_max,
         )
         assert result.outcome in (Outcome.ERROR, Outcome.TEMP, Outcome.POWER)
-        assert result.f_final < 5.2e9
+        assert result.config.f_core < 5.2e9
         assert result.state.violation(core) is Violation.NONE
 
     def test_undershoot_ramps_up(self, core, int_measurement):
@@ -300,7 +308,7 @@ class TestRetuning:
             pe_max=core.calib.pe_max,
         )
         assert result.outcome is Outcome.LOW_FREQ
-        assert result.f_final > 2.4e9
+        assert result.config.f_core > 2.4e9
 
     def test_near_optimal_is_no_change(self, core, int_measurement):
         # First find the converged frequency, then re-run from it.
@@ -320,7 +328,7 @@ class TestRetuning:
             pe_max=core.calib.pe_max,
         )
         assert again.outcome is Outcome.NO_CHANGE
-        assert again.f_final == pytest.approx(probe.f_final)
+        assert again.config.f_core == pytest.approx(probe.config.f_core)
 
 
 class TestOptimizePhase:

@@ -5,8 +5,8 @@ must produce results bitwise equal to its ``reference`` oracle, the
 plain leaf-function composition in ``tests/kernel_reference.py``, at the
 kernel level, the solver level, and the full ``run_unit`` row level.
 Plus the satellite coverage: loop-owned ``work=`` scratch, the
-per-kernel counters, thermal-runaway lane isolation, and the all-scalar fast paths
-in the leaf functions themselves.
+per-kernel counters, thermal-runaway lane isolation, and scalar
+arguments to the leaf functions themselves.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.exps.runner import ExperimentRunner, RunnerConfig
 from repro.obs import MetricsRegistry
-from repro.thermal import solve_temperatures, solve_temperatures_lanes
+from repro.thermal import solve_temperatures
 from repro.thermal.solver import T_RUNAWAY
 from repro.units import Q_OVER_K
 
@@ -416,7 +416,7 @@ class TestSolverParity:
 
         def solve(with_impl):
             with _pipeline_on(with_impl):
-                return solve_temperatures_lanes(
+                return solve_temperatures(
                     lanes, vdd, vbb, 4.0e9, activity, 343.15
                 )
 
@@ -522,7 +522,7 @@ class TestThermalRunaway:
         vbb = np.zeros((2, n))
         activity = np.stack([alpha[0], alpha[1] * self.BLOWUP])
 
-        batched = solve_temperatures_lanes(
+        batched = solve_temperatures(
             node, vdd, vbb, 4.0e9, activity, 343.15
         )
         assert batched.converged[0].all()
@@ -540,7 +540,7 @@ class TestThermalRunaway:
 
 
 # ----------------------------------------------------------------------
-# Satellite: all-scalar fast paths in the leaf functions.
+# Scalar arguments to the leaf functions give the array path's bits.
 # ----------------------------------------------------------------------
 class TestScalarFastPaths:
     KSTA, VDD, TEMP, VT = 1.7, 1.05, 381.5, 0.143
@@ -548,8 +548,6 @@ class TestScalarFastPaths:
 
     def test_static_power_scalar_matches_array_path(self):
         fast = static_power(self.KSTA, self.VDD, self.TEMP, self.VT)
-        # 0-d ndarray operands force the asarray path (they are not
-        # instances of float); numpy reduces them back to a np.float64.
         slow = static_power(
             self.KSTA, np.asarray(self.VDD)[...], np.asarray(self.TEMP)[...],
             np.full((1,), self.VT),
@@ -567,16 +565,6 @@ class TestScalarFastPaths:
             * np.exp(exponent)
         )
         assert float(fast) == float(expected)
-
-    def test_static_power_numpy_scalars_take_the_fast_path(self):
-        fast = static_power(
-            np.float64(self.KSTA), np.float64(self.VDD),
-            np.float64(self.TEMP), np.float64(self.VT),
-        )
-        assert isinstance(fast, float)
-        assert float(fast) == float(
-            static_power(self.KSTA, self.VDD, self.TEMP, self.VT)
-        )
 
     def test_static_power_arrays_still_return_arrays(self):
         result = static_power(
@@ -607,8 +595,7 @@ class TestScalarFastPaths:
         ).all()
 
     def test_int_arguments_use_the_array_path(self):
-        # Ints are not floats: they fall through to the asarray path —
-        # the fast path never changes behaviour for the seed's int calls.
+        # Ints convert to float on the way in.
         result = threshold_voltage(self.VT0, 373, 1, 0)
         expected = threshold_voltage(self.VT0, 373.0, 1.0, 0.0)
         assert float(result) == float(expected)

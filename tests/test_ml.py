@@ -31,38 +31,43 @@ def _simple_fc():
     )
 
 
+def _predict_one(fc, x):
+    """Eq 12 for one raw input vector: the one-row ``predict_rows`` call."""
+    return float(fc.predict_rows(np.asarray(x, dtype=float)[None])[0])
+
+
 class TestFuzzyInference:
     def test_output_at_rule_centre(self):
         fc = _simple_fc()
-        assert fc.predict(np.array([0.0, 0.0])) == pytest.approx(0.0, abs=0.01)
-        assert fc.predict(np.array([1.0, 1.0])) == pytest.approx(10.0, abs=0.01)
+        assert _predict_one(fc, [0.0, 0.0]) == pytest.approx(0.0, abs=0.01)
+        assert _predict_one(fc, [1.0, 1.0]) == pytest.approx(10.0, abs=0.01)
 
     def test_interpolates_between_rules(self):
         fc = _simple_fc()
-        mid = fc.predict(np.array([0.5, 0.5]))
+        mid = _predict_one(fc, [0.5, 0.5])
         assert 4.0 < mid < 6.0
 
     def test_far_input_falls_back_to_nearest_rule(self):
         fc = _simple_fc()
-        assert fc.predict(np.array([100.0, 100.0])) == pytest.approx(10.0)
+        assert _predict_one(fc, [100.0, 100.0]) == pytest.approx(10.0)
 
     def test_batch_matches_scalar(self, rng):
         fc = _simple_fc()
         xs = rng.normal(0.5, 0.4, size=(20, 2))
         batch = fc.predict_batch(xs)
-        scalar = np.array([fc.predict(x) for x in xs])
+        scalar = np.array([_predict_one(fc, x) for x in xs])
         assert np.allclose(batch, scalar)
 
     def test_rows_equal_one_row_calls(self, rng):
-        """predict_rows is the inference formula: each row equals the
-        one-row predict() exactly, fallback rows included."""
+        """predict_rows is the inference formula: each row equals its
+        one-row call exactly, fallback rows included."""
         fc = _simple_fc()
         xs = np.vstack([
             rng.normal(0.5, 0.4, size=(20, 2)),
             [[100.0, 100.0], [-80.0, 3.0]],  # no rule fires
         ])
         np.testing.assert_array_equal(
-            fc.predict_rows(xs), [fc.predict(x) for x in xs]
+            fc.predict_rows(xs), [_predict_one(fc, x) for x in xs]
         )
 
     def test_output_bounded_by_rule_outputs(self, rng):
@@ -76,7 +81,7 @@ class TestFuzzyInference:
     def test_shape_validation(self):
         fc = _simple_fc()
         with pytest.raises(ValueError):
-            fc.predict(np.zeros(3))
+            _predict_one(fc, np.zeros(3))
         with pytest.raises(ValueError):
             fc.predict_batch(np.zeros((4, 3)))
         with pytest.raises(ValueError, match=r"\(n, 2\), got \(4, 3\)"):

@@ -308,7 +308,7 @@ class TestCoreLanes:
     def test_stack_matches_per_core_physics(self, population):
         cores = [build_core(chip, 0) for chip in population[:3]]
         lanes = CoreLanes.stack(cores)
-        assert lanes.batch_size == 3
+        assert lanes.vt0_timing.shape == (3, lanes.n_subsystems)
         vdd = np.full((3, lanes.n_subsystems), 1.0)
         temp = np.full((3, lanes.n_subsystems), 345.0)
         vbb = np.zeros((3, lanes.n_subsystems))
@@ -329,9 +329,19 @@ class TestCoreLanes:
         cores = [build_core(chip, 0) for chip in population[:4]]
         lanes = CoreLanes.stack(cores)
         subset = lanes.lane_subset(np.array([2, 0]))
-        assert subset.batch_size == 2
+        assert subset.vt0_timing.shape == (2, lanes.n_subsystems)
         assert np.array_equal(subset.vt0_timing[0], lanes.vt0_timing[2])
         assert np.array_equal(subset.vt0_timing[1], lanes.vt0_timing[0])
+        assert cores[0].lane_subset(np.array([2, 0])) is cores[0]
+
+    def test_gather_stacks_distinct_cores_once(self, population):
+        a, b = (build_core(chip, 0) for chip in population[:2])
+        # Lanes that all share one core get that core, which broadcasts.
+        assert CoreLanes.gather([a, a, a]) is a
+        lanes = CoreLanes.gather([b, a, b, a, a])
+        expected = CoreLanes.stack([b, a, b, a, a])
+        for name in ("vt0_timing", "ksta", "tail_rel", "l2_ksta"):
+            assert np.array_equal(getattr(lanes, name), getattr(expected, name))
 
     def test_novar_core_refuses_to_stack_with_variation(self, population):
         cores = [build_core(population[0], 0), build_novar_core()]

@@ -118,7 +118,7 @@ def test_fuzzy_output_within_rule_output_range(data, x):
         input_mean=np.zeros(3),
         input_std=np.ones(3),
     )
-    out = fc.predict(x)
+    out = fc.predict_rows(x[None])[0]
     assert -1.0 - 1e-9 <= out <= 1.0 + 1e-9
 
 

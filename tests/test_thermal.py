@@ -1,7 +1,6 @@
 """Thermal solver (Eqs 6-9)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +10,7 @@ from repro.circuits import DEFAULT_KNOB_RANGES
 from repro.core import SubsystemArrays, core_subsystem_arrays
 from repro.core.optimizer import _thermal_fixed_point
 from repro.obs import MetricsRegistry
-from repro.thermal import (
-    T_RUNAWAY,
-    solve_temperatures,
-    solve_temperatures_lanes,
-)
+from repro.thermal import T_RUNAWAY, solve_temperatures
 
 
 class TestSolver:
@@ -39,7 +34,9 @@ class TestSolver:
         cold = self.solve(core, freq=2.4e9)
         hot = self.solve(core, freq=4.8e9)
         assert np.all(hot.temperature >= cold.temperature)
-        assert hot.core_power() > cold.core_power()
+        assert (hot.p_dynamic + hot.p_static).sum() > (
+            cold.p_dynamic + cold.p_static
+        ).sum()
 
     def test_higher_vdd_is_hotter(self, core):
         low = self.solve(core, vdd=0.9)
@@ -61,14 +58,8 @@ class TestSolver:
     def test_fixed_point_consistency(self, core):
         # At convergence, T == TH + Rth * P must hold.
         sol = self.solve(core)
-        reconstructed = 343.15 + core.rth * sol.p_total
+        reconstructed = 343.15 + core.rth * (sol.p_dynamic + sol.p_static)
         assert np.allclose(sol.temperature, reconstructed, atol=0.01)
-
-    def test_total_power_is_sum(self, core):
-        sol = self.solve(core)
-        assert sol.core_power() == pytest.approx(
-            float(sol.p_dynamic.sum() + sol.p_static.sum())
-        )
 
     def test_broadcast_over_knob_grid(self, core):
         n = core.n_subsystems
@@ -78,6 +69,14 @@ class TestSolver:
         )
         assert sol.temperature.shape == (3, n)
         assert np.all(np.diff(sol.temperature, axis=0) > 0)
+        # Every leading axis is a lane: a 2-D grid of lanes solves each
+        # point exactly as its own call does.
+        grid = solve_temperatures(
+            core, vdd[:, None], np.zeros(n), np.array([3e9, 4e9])[:, None],
+            core.alpha_ref, 343.15,
+        )
+        assert grid.temperature.shape == (3, 2, n)
+        assert np.array_equal(grid.temperature[:, 1], sol.temperature)
 
 
 class TestLaneSolver:
@@ -93,8 +92,9 @@ class TestLaneSolver:
         return vdd, vbb, freq, activity
 
     def test_matches_serial_per_lane(self, core):
+        # A batch of lanes equals one one-lane (1-D) call per lane.
         vdd, vbb, freq, activity = self.lane_inputs(core)
-        batched = solve_temperatures_lanes(
+        batched = solve_temperatures(
             core, vdd, vbb, freq, activity, 343.15
         )
         for lane in range(3):
@@ -140,7 +140,7 @@ class TestLaneSolver:
             assert solves == 1
             serial_values.extend(values)
         solves, batched_values = iteration_values(
-            lambda: solve_temperatures_lanes(
+            lambda: solve_temperatures(
                 core, vdd, vbb, freq, activity, 343.15
             )
         )
@@ -194,7 +194,7 @@ class TestTemperatureBounds:
         lanes = CoreLanes.stack(cores)
         n_lanes, n = len(cores), lanes.n_subsystems
         lane = np.arange(n_lanes)
-        solution = solve_temperatures_lanes(
+        solution = solve_temperatures(
             lanes,
             np.repeat(np.take(vdd, lane, mode="wrap")[:, None], n, axis=1),
             np.repeat(np.take(vbb, lane, mode="wrap")[:, None], n, axis=1),
