@@ -36,11 +36,6 @@ class Rect:
         if not (0.0 <= self.x0 < self.x1 <= 1.0 and 0.0 <= self.y0 < self.y1 <= 1.0):
             raise ValueError(f"invalid rectangle {self}")
 
-    @property
-    def area(self) -> float:
-        """Rectangle area in core-relative units."""
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 @dataclass(frozen=True)
 class SubsystemSpec:

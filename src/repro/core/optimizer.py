@@ -22,14 +22,15 @@ batch of training samples.  A batch may additionally carry a leading
 independent phases at once.  Because every physical relation is
 elementwise per grid cell, batched results are bit-identical to B
 separate calls.  Freq sweeps each distinct subsystem row of the stack
-once, and converged lanes drop out of its joint fixed point early
-(convergence masking) instead of iterating at the slowest lane's pace;
-Power sweeps the full ``(vdd, vbb, lanes, n)`` grid.  Both run a stack
-in chunks whose knob grid fits :data:`MAX_SWEEP_CELLS`, so their
-working memory does not grow with the number of lanes.  The chunks are
-independent: on a host with two or more usable CPUs, a call from the
-main thread runs them on itself and one helper thread (see
-:func:`_run_chunks`), each chunk then within half the budget.
+once, and each row leaves its joint fixed point as soon as its own
+iterate converges (convergence masking), so its result is a function
+of that row alone; Power sweeps every ``(lane, subsystem)`` entry.
+Both cut their items (Freq's rows, Power's flattened ``(B·n,)``
+entries) into slices whose knob grid fits :func:`_sweep_share`, so
+their working memory does not grow with the number of lanes.  The
+slices are independent: on a host with two or more usable CPUs, a call
+from the main thread runs them on itself and one helper thread (see
+:func:`_run_chunks`), each slice then within half the budget.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -64,14 +65,10 @@ _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_ATOL = 1e-8
 
 #: Knob-grid cells (Vdd levels x Vbb levels x subsystem rows) the sweeps
-#: in flight may hold: about 1 MiB per float64 grid array.  A batched
-#: call runs in chunks within its share of this budget: all of it, or
-#: half while a second sweep runs beside it on the helper thread
-#: (:func:`_sweep_share`).  Power splits even one lane into column
-#: chunks of entries.  A Freq lane is never split, so a Freq lane that
-#: alone exceeds the budget (e.g. a 2,500-sample labelling chunk on the
-#: 9 x 21 ABB grid) runs with nothing beside it and counts in
-#: ``optimizer.sweeps_over_budget``.
+#: in flight may hold: about 1 MiB per float64 grid array.  A call runs
+#: in slices within its share of this budget: all of it, or half while a
+#: second slice runs beside it on the helper thread (:func:`_sweep_share`).
+#: Only a budget smaller than one row's knob grid is exceeded, by one row.
 MAX_SWEEP_CELLS = 2**17
 
 #: The per-lane array fields of :class:`SubsystemArrays`, in declaration
@@ -181,13 +178,28 @@ class SubsystemArrays:
         All members must share the calibration, delay/Vt parameters and
         subsystem count — one kernel sweep solves the whole stack.
         """
+        return cls._join(batches, np.stack, equal_lengths=True)
+
+    @classmethod
+    def concatenate(
+        cls, batches: "Sequence[SubsystemArrays]"
+    ) -> "SubsystemArrays":
+        """Join unbatched views end to end into one unbatched view.
+
+        All members must share the calibration and delay/Vt parameters;
+        their lengths may differ.
+        """
+        return cls._join(batches, np.concatenate, equal_lengths=False)
+
+    @classmethod
+    def _join(cls, batches, join, equal_lengths: bool) -> "SubsystemArrays":
         if not batches:
-            raise ValueError("need at least one batch to stack")
+            raise ValueError("need at least one batch to join")
         first = batches[0]
         for member in batches:
             if member.is_batched:
-                raise ValueError("can only stack unbatched (n,) views")
-            if len(member) != len(first):
+                raise ValueError("can only join unbatched (n,) views")
+            if equal_lengths and len(member) != len(first):
                 raise ValueError("all stacked batches need equal n_subsystems")
             if (
                 member.calib is not first.calib
@@ -196,10 +208,10 @@ class SubsystemArrays:
                 or member.vt_mean != first.vt_mean
             ):
                 raise ValueError(
-                    "stacked batches must share calibration and parameters"
+                    "joined batches must share calibration and parameters"
                 )
         arrays = {
-            name: np.stack([getattr(member, name) for member in batches])
+            name: join([getattr(member, name) for member in batches])
             for name in _ARRAY_FIELDS
         }
         return cls(**arrays, **first._scalar_fields())
@@ -220,8 +232,7 @@ class SubsystemArrays:
         return self._take(index)
 
     def _take(self, index) -> "SubsystemArrays":
-        """Every array field indexed by ``index``: along the leading axis,
-        or a ``(lanes, columns)`` block of a batched view."""
+        """Every array field indexed by ``index`` along its leading axis."""
         arrays = {name: getattr(self, name)[index] for name in _ARRAY_FIELDS}
         return SubsystemArrays(**arrays, **self._scalar_fields())
 
@@ -456,41 +467,38 @@ def _helper_usable() -> bool:
 
 
 def _sweep_share() -> int:
-    """Knob-grid cells one chunk of a sweep called here may hold.
+    """Knob-grid cells one slice of a sweep called here may hold.
 
     Half of :data:`MAX_SWEEP_CELLS` where the helper is used, so two
-    chunks in flight hold no more cells than one serial sweep (a Freq
-    lane, which is never split, may still exceed its share).
+    slices in flight hold no more cells than one serial sweep.
     """
     return MAX_SWEEP_CELLS // 2 if _helper_usable() else MAX_SWEEP_CELLS
 
 
 def _run_chunks(
-    run: Callable[[object], None], chunks: "Sequence[Tuple[object, int]]"
+    run: Callable[[slice], None], n_items: int, item_cells: int
 ) -> None:
-    """Call ``run(chunk)`` once for every ``(chunk, cells)`` pair.
+    """Call ``run(part)`` for slices ``part`` covering ``range(n_items)``.
 
-    ``run`` writes each chunk's results into that chunk's own slice of
-    the outputs, so chunks may run in any order and on any thread.  Where
-    the helper is usable and at least two chunks fit the budget, a chunk
-    of more than :data:`MAX_SWEEP_CELLS` cells first runs on the caller
-    with nothing beside it; then the caller and the helper thread pull
-    the others from one shared list, and an exception is re-raised here
-    once both threads have stopped.  Otherwise the chunks run in order
-    on the caller.
+    Each slice holds as many items of ``item_cells`` knob-grid cells as
+    fit :func:`_sweep_share` (at least one).  ``run`` writes each slice's
+    results into that slice of the outputs, so slices may run in any
+    order and on any thread.  Where the helper is usable and there are
+    two or more slices, the caller and the helper thread pull them from
+    one shared list, and an exception is re-raised here once both
+    threads have stopped.  Otherwise the slices run in order on the
+    caller.
     """
     global _helper
-    beside = [chunk for chunk, cells in chunks if cells <= MAX_SWEEP_CELLS]
-    if len(beside) < 2 or not _helper_usable():
-        for chunk, _ in chunks:
+    size = max(1, _sweep_share() // item_cells)
+    chunks = [slice(start, start + size) for start in range(0, n_items, size)]
+    if len(chunks) < 2 or not _helper_usable():
+        for chunk in chunks:
             run(chunk)
         return
-    for chunk, cells in chunks:
-        if cells > MAX_SWEEP_CELLS:
-            run(chunk)
     if _helper is None:
         _helper = ThreadPoolExecutor(1, thread_name_prefix="repro-sweep-helper")
-    job = _ChunkJob(run, beside)
+    job = _ChunkJob(run, chunks)
     helper_done = _helper.submit(job.work)
     job.work()
     helper_done.result()
@@ -556,28 +564,6 @@ def _best_knobs(f, temp, spec: OptimizationSpec):
     return f_max, spec.vdd_levels[iv], spec.vbb_levels[ib], feasible
 
 
-def _freq_chunks(row_of: np.ndarray, max_rows: int) -> "List[np.ndarray]":
-    """Lane chunks of a ``(B, n)`` row map, each needing at most ``max_rows``.
-
-    Lanes are taken in a stable order of their first subsystem's row, so
-    lanes that share rows (a lane and its low-slope FU twin) sit next to
-    each other and land in one chunk.  A lane is never split: one lane
-    needing more than ``max_rows`` rows is a chunk of its own.
-    """
-    chunks: "List[np.ndarray]" = []
-    current: "List[int]" = []
-    needed: set = set()
-    for lane in np.argsort(row_of[:, 0], kind="stable"):
-        lane_rows = set(row_of[lane].tolist())
-        if current and len(needed) + len(lane_rows - needed) > max_rows:
-            chunks.append(np.array(current))
-            current, needed = [], set()
-        needed |= lane_rows
-        current.append(int(lane))
-    chunks.append(np.array(current))
-    return chunks
-
-
 def freq_algorithm(
     subsystems: SubsystemArrays, spec: OptimizationSpec
 ) -> FreqResult:
@@ -588,52 +574,39 @@ def freq_algorithm(
     on temperature, which depends on frequency); the subsystem's
     ``f_max`` is the best feasible combination.
 
-    Each subsystem is solved independently, so a batched ``(B, n)`` input
-    sweeps only its *distinct* subsystem rows (see :func:`_distinct_rows`).
-    The lanes run in chunks whose ``(vdd, vbb, rows)`` grid holds at most
-    :func:`_sweep_share` cells (see :func:`_freq_chunks` and
-    :func:`_run_chunks`), so the sweep's memory does not grow with the
-    number of lanes.  Within a
-    chunk a lane stops when all its rows have converged and is reduced
-    to its result at once; a row iterates while any of its lanes is
-    active.  The per-lane stopping criterion is exactly the one-lane
-    one, so results stay bit-identical to B separate calls.
+    Each subsystem is solved independently: a batched ``(B, n)`` input
+    sweeps only its *distinct* subsystem rows (see :func:`_distinct_rows`),
+    in slices of rows within :func:`_sweep_share` cells (see
+    :func:`_run_chunks`), and every row stops at its own convergence (see
+    :func:`_freq_sweep`).  A row's result is therefore the same, bit for
+    bit, whatever lane, stack or slice it is swept in.  A lane's
+    ``optimizer.freq_iterations`` value is the most any of its rows took.
     """
     batched = subsystems.is_batched
-    lanes = subsystems.lanes()
-    n_lanes, n = lanes.batch_size, lanes.n_subsystems
-    rows, row_of = _distinct_rows(lanes)
+    rows, row_of = _distinct_rows(subsystems.lanes())
     knob_cells = len(spec.vdd_levels) * len(spec.vbb_levels)
     obs.inc("optimizer.freq_calls")
-    obs.inc("optimizer.freq_lanes", float(n_lanes))
+    obs.inc("optimizer.freq_lanes", float(row_of.shape[0]))
 
-    f_max = np.empty((n_lanes, n))
-    vdd_best = np.empty((n_lanes, n), dtype=spec.vdd_levels.dtype)
-    vbb_best = np.empty((n_lanes, n), dtype=spec.vbb_levels.dtype)
-    feasible = np.empty((n_lanes, n), dtype=bool)
-    iterations = np.empty(n_lanes, dtype=int)
+    n_rows = rows.n_subsystems
+    outputs = (
+        np.empty(n_rows),
+        np.empty(n_rows, dtype=spec.vdd_levels.dtype),
+        np.empty(n_rows, dtype=spec.vbb_levels.dtype),
+        np.empty(n_rows, dtype=bool),
+        np.empty(n_rows, dtype=int),
+    )
 
-    def sweep(plan):
-        chunk, keep = plan
-        obs.inc("optimizer.candidates", float(knob_cells * keep.size))
-        _count_sweep(knob_cells * keep.size)
-        best, iterations[chunk] = _freq_sweep(
-            rows._take(keep), np.searchsorted(keep, row_of[chunk]), spec
-        )
-        for out, values in zip((f_max, vdd_best, vbb_best, feasible), best):
-            out[chunk] = values
+    def sweep(part):
+        for out, values in zip(outputs, _freq_sweep(rows._take(part), spec)):
+            out[part] = values
 
-    plans = [
-        (chunk, np.unique(row_of[chunk]))
-        for chunk in _freq_chunks(row_of, max(1, _sweep_share() // knob_cells))
-    ]
-    _run_chunks(sweep, [(plan, knob_cells * plan[1].size) for plan in plans])
-    for count in iterations:
+    _run_chunks(sweep, n_rows, knob_cells)
+    for count in outputs[4][row_of].max(axis=1):
         obs.observe("optimizer.freq_iterations", float(count))
-
-    if not batched:
-        f_max, vdd_best = f_max[0], vdd_best[0]
-        vbb_best, feasible = vbb_best[0], feasible[0]
+    f_max, vdd_best, vbb_best, feasible = (
+        out[row_of] if batched else out[row_of[0]] for out in outputs[:4]
+    )
     return FreqResult(
         f_max=f_max,
         vdd=vdd_best,
@@ -642,24 +615,14 @@ def freq_algorithm(
     )
 
 
-def _count_sweep(cells: int) -> None:
-    """Count a sweep of ``cells`` knob-grid cells if it is over
-    :data:`MAX_SWEEP_CELLS`; touched with 0 otherwise, so every metrics
-    document that sweeps has the same names."""
-    obs.inc("optimizer.sweeps_over_budget", float(cells > MAX_SWEEP_CELLS))
+def _freq_sweep(rows: SubsystemArrays, spec: OptimizationSpec):
+    """The joint (f, T) fixed point of an unbatched ``(R,)`` row view.
 
-
-def _freq_sweep(
-    rows: SubsystemArrays, row_of: np.ndarray, spec: OptimizationSpec
-):
-    """The joint (f, T) fixed point of one chunk over its distinct rows.
-
-    ``rows`` is the chunk's unbatched ``(R,)`` row view and ``row_of``
-    its ``(B, n)`` entry-to-row map.  Returns the ``(f_max, vdd, vbb,
-    feasible)`` arrays of shape ``(B, n)`` and each lane's iteration
-    count.
+    A row retires at the first iterate whose knob grid has converged
+    (``_CONVERGENCE_RTOL``/``ATOL``, as ``np.allclose``) and is reduced
+    to its result then.  Returns the ``(f_max, vdd, vbb, feasible)``
+    arrays and each row's iteration count, all of shape ``(R,)``.
     """
-    n_lanes, n = row_of.shape
     vdd = spec.vdd_levels[:, None, None]
     vbb = spec.vbb_levels[None, :, None]
     t_cycle = 1.0 / rows.calib.f_nominal
@@ -670,31 +633,29 @@ def _freq_sweep(
     # only on the row and the knob grid, never on the iterated (f, T).
     z = budget_z(rows, spec.pe_budget)
     f_thermal = _thermal_frequency_cap(rows, vdd, vbb, spec)
+    obs.inc("optimizer.candidates", float(f_thermal.size))
 
-    f_max = np.empty((n_lanes, n))
-    vdd_best = np.empty((n_lanes, n), dtype=spec.vdd_levels.dtype)
-    vbb_best = np.empty((n_lanes, n), dtype=spec.vbb_levels.dtype)
-    feasible = np.empty((n_lanes, n), dtype=bool)
+    n_rows = rows.n_subsystems
+    f_max = np.empty(n_rows)
+    vdd_best = np.empty(n_rows, dtype=spec.vdd_levels.dtype)
+    vbb_best = np.empty(n_rows, dtype=spec.vbb_levels.dtype)
+    feasible = np.empty(n_rows, dtype=bool)
+    iterations = np.full(n_rows, _FREQ_MAX_ITERATIONS, dtype=int)
+    rejections = 0
 
-    def settle(done, f, temp, slot):
-        # Entries sharing a row share its result: reduce each needed
-        # live column once, then gather per entry.
-        columns, back = np.unique(slot[row_of[done]], return_inverse=True)
-        back = back.reshape(len(done), n)
-        best = _best_knobs(f[:, :, columns], temp[:, :, columns], spec)
+    def retire(index, f, temp):
+        nonlocal rejections
+        best = _best_knobs(f, temp, spec)
         for out, values in zip((f_max, vdd_best, vbb_best, feasible), best):
-            out[done] = values[back]
+            out[index] = values
+        rejections += int((~(temp <= t_limit)).sum())
 
     # Joint fixed point over (f, T) on the live rows: alternate the
     # PE-budget frequency, the thermal cap and the temperature solution.
-    # ``slot`` maps a row index to its column in the live grid.
-    active = np.arange(n_lanes)
-    iterations = np.full(n_lanes, _FREQ_MAX_ITERATIONS, dtype=int)
-    slot = np.arange(rows.n_subsystems)
+    live = np.arange(n_rows)
     sub, z_live, f_thermal_live = rows, z, f_thermal
     f = np.full(f_thermal.shape, spec.knob_ranges.f_min)
     temp = np.full_like(f, spec.t_heatsink + 5.0)
-    rejections = 0
     for iteration in range(_FREQ_MAX_ITERATIONS):
         # The same operations as f_new = clip(min(1 / (period * t_cycle),
         # f_thermal)), in one buffer; the previous temperature is dropped
@@ -710,39 +671,27 @@ def _freq_sweep(
         temp, _ = _thermal_fixed_point(
             sub, vdd, vbb, f_new, spec.t_heatsink, iterations=8
         )
-        row_converged = np.all(
+        converged = np.all(
             np.abs(f_new - f) <= _CONVERGENCE_ATOL + _CONVERGENCE_RTOL * np.abs(f),
             axis=(0, 1),
         )
         f = f_new
-        converged = row_converged[slot[row_of[active]]].all(axis=1)
         if not converged.any():
             continue
-        done = active[converged]
+        done = live[converged]
         iterations[done] = iteration + 1
-        settle(done, f, temp, slot)
-        active = active[~converged]
-        if active.size == 0:
+        retire(done, f[:, :, converged], temp[:, :, converged])
+        going = ~converged
+        live, f, temp = live[going], f[:, :, going], temp[:, :, going]
+        if live.size == 0:
             break
-        keep = np.unique(row_of[active])
-        columns = slot[keep]
-        if columns.size < f.shape[2]:
-            # Rows no active lane needs retire at their final iterate;
-            # their infeasible cells are counted once, here.
-            retired = np.ones(f.shape[2], dtype=bool)
-            retired[columns] = False
-            rejections += int((~(temp[:, :, retired] <= t_limit)).sum())
-            f, temp = f[:, :, columns], temp[:, :, columns]
-            sub = rows._take(keep)
-            z_live, f_thermal_live = z[keep], f_thermal[:, :, keep]
-            slot[keep] = np.arange(keep.size)
-    if active.size:
-        settle(active, f, temp, slot)
-    rejections += int((~(temp <= t_limit)).sum())
-    obs.inc("optimizer.freq_exhausted", float(active.size))
+        sub = rows._take(live)
+        z_live, f_thermal_live = z[live], f_thermal[:, :, live]
+    if live.size:
+        retire(live, f, temp)
+    obs.inc("optimizer.freq_exhausted", float(live.size))
     obs.inc("optimizer.constraint_rejections", float(rejections))
-
-    return (f_max, vdd_best, vbb_best, feasible), iterations
+    return f_max, vdd_best, vbb_best, feasible, iterations
 
 
 @dataclass(frozen=True)
@@ -779,11 +728,9 @@ def power_algorithm(
     unbatched call; a batched ``(B, n)`` input additionally accepts a
     per-lane ``(B,)`` vector or a full ``(B, n)`` matrix.
 
-    Every entry is independent, so the call runs in chunks within
-    :func:`_sweep_share` cells, bit-identically under any chunking:
-    whole lanes where a lane fits, else each lane in column chunks of
-    entries.  A sweep goes over :data:`MAX_SWEEP_CELLS` only where one
-    entry's knob grid alone does.
+    Every entry is independent, so the call flattens the ``(B, n)``
+    entries and sweeps them in slices within :func:`_sweep_share` cells
+    (see :func:`_run_chunks`), bit-identically under any slicing.
     """
     f_core = np.asarray(f_core, dtype=float)
     if np.any(f_core <= 0.0):
@@ -792,61 +739,36 @@ def power_algorithm(
     lanes = subsystems.lanes()
     n = lanes.n_subsystems
     n_lanes = lanes.batch_size
-    if batched:
-        if f_core.ndim == 1:
-            if f_core.shape != (n_lanes,):
-                raise ValueError(
-                    f"per-lane f_core must have shape ({n_lanes},), got "
-                    f"{f_core.shape}"
-                )
-            freq = f_core[:, None]
-        elif f_core.ndim == 2:
-            if f_core.shape != (n_lanes, n):
-                raise ValueError(
-                    f"f_core must have shape ({n_lanes}, {n}), got "
-                    f"{f_core.shape}"
-                )
-            freq = f_core
-        else:
-            freq = f_core
-    else:
-        freq = f_core[None, :] if f_core.ndim == 1 else f_core
+    if batched and f_core.ndim == 1:
+        if f_core.shape != (n_lanes,):
+            raise ValueError(
+                f"per-lane f_core must have shape ({n_lanes},), got "
+                f"{f_core.shape}"
+            )
+        f_core = f_core[:, None]
+    elif batched and f_core.ndim == 2 and f_core.shape != (n_lanes, n):
+        raise ValueError(
+            f"f_core must have shape ({n_lanes}, {n}), got {f_core.shape}"
+        )
     knob_cells = len(spec.vdd_levels) * len(spec.vbb_levels)
     obs.inc("optimizer.power_calls")
     obs.inc("optimizer.power_lanes", float(n_lanes))
 
-    # Chunks are (lanes, columns) blocks: whole lanes where a lane fits
-    # the share, else one lane's entries in columns that do.
-    share = _sweep_share()
-    if knob_cells * n <= share:
-        per_chunk = share // (knob_cells * n)
-        blocks = [
-            ((slice(start, start + per_chunk), slice(None)),
-             knob_cells * n * min(per_chunk, n_lanes - start))
-            for start in range(0, n_lanes, per_chunk)
-        ]
-    else:
-        # As few column chunks as fit the share, of even width.
-        pieces = -(-n // max(1, share // knob_cells))
-        width = -(-n // pieces)
-        blocks = [
-            ((slice(lane, lane + 1), slice(start, start + width)),
-             knob_cells * min(width, n - start))
-            for lane in range(n_lanes)
-            for start in range(0, n, width)
-        ]
-    freq = np.broadcast_to(freq, (n_lanes, n))
+    entries = SubsystemArrays(
+        **{name: getattr(lanes, name).reshape(-1) for name in _ARRAY_FIELDS},
+        **lanes._scalar_fields(),
+    )
+    freq = np.broadcast_to(f_core, (n_lanes, n)).reshape(-1)
     dtypes = (spec.vdd_levels.dtype, spec.vbb_levels.dtype) + (float,) * 3
-    outputs = [np.empty((n_lanes, n), dtype=dtype) for dtype in dtypes + (bool,)]
+    outputs = [np.empty(n_lanes * n, dtype=dtype) for dtype in dtypes + (bool,)]
 
-    def sweep(block):
-        chunk = lanes._take(block)
-        _count_sweep(knob_cells * chunk.batch_size * chunk.n_subsystems)
-        best = _power_sweep(chunk, freq[block], spec)
+    def sweep(part):
+        best = _power_sweep(entries._take(part), freq[part], spec)
         for out, values in zip(outputs, best):
-            out[block] = values
+            out[part] = values
 
-    _run_chunks(sweep, blocks)
+    _run_chunks(sweep, n_lanes * n, knob_cells)
+    outputs = [out.reshape(n_lanes, n) for out in outputs]
     if not batched:
         outputs = [out[0] for out in outputs]
     vdd_best, vbb_best, temp_best, p_dyn_best, p_sta_best, feasible = outputs
@@ -860,25 +782,25 @@ def power_algorithm(
     )
 
 
-def _power_sweep(lanes: SubsystemArrays, freq, spec: OptimizationSpec):
-    """One chunk's full ``(vdd, vbb, lanes, n)`` Power grid, reduced.
+def _power_sweep(entries: SubsystemArrays, freq, spec: OptimizationSpec):
+    """One slice's full ``(vdd, vbb, m)`` Power grid, reduced.
 
-    ``freq`` broadcasts against the chunk's ``(lanes, n)`` entries.
-    Returns the ``(vdd, vbb, temperature, p_dynamic, p_static,
-    feasible)`` arrays of the cheapest feasible setting per entry.
+    ``entries`` is an unbatched ``(m,)`` view and ``freq`` its ``(m,)``
+    core frequencies.  Returns the ``(vdd, vbb, temperature, p_dynamic,
+    p_static, feasible)`` arrays of the cheapest feasible setting per
+    entry.
     """
-    n_lanes, n = lanes.batch_size, lanes.n_subsystems
-    calib = lanes.calib
-    vdd = spec.vdd_levels[:, None, None, None]
-    vbb = spec.vbb_levels[None, :, None, None]
-    z = budget_z(lanes, spec.pe_budget)[None, None, :, :]
-    t_cycle = 1.0 / calib.f_nominal
-    grid_shape = (len(spec.vdd_levels), len(spec.vbb_levels), n_lanes, n)
+    m = entries.n_subsystems
+    vdd = spec.vdd_levels[:, None, None]
+    vbb = spec.vbb_levels[None, :, None]
+    z = budget_z(entries, spec.pe_budget)
+    t_cycle = 1.0 / entries.calib.f_nominal
+    grid_shape = (len(spec.vdd_levels), len(spec.vbb_levels), m)
 
-    temp, p_dyn = _thermal_fixed_point(lanes, vdd, vbb, freq, spec.t_heatsink)
-    p_sta = lanes.p_static(vdd, vbb, temp)
+    temp, p_dyn = _thermal_fixed_point(entries, vdd, vbb, freq, spec.t_heatsink)
+    p_sta = entries.p_static(vdd, vbb, temp)
     period_needed = 1.0 / freq
-    period_have = lanes.budget_period_rel(vdd, vbb, temp, z) * t_cycle
+    period_have = entries.budget_period_rel(vdd, vbb, temp, z) * t_cycle
     ok = (temp <= spec.t_max + 0.05) & (period_have <= period_needed * (1 + 1e-9))
     obs.inc("optimizer.candidates", float(ok.size))
     obs.inc("optimizer.constraint_rejections", float((~ok).sum()))
@@ -891,15 +813,13 @@ def _power_sweep(lanes: SubsystemArrays, freq, spec: OptimizationSpec):
     p_dyn = np.broadcast_to(p_dyn, grid_shape)
     temp = np.broadcast_to(temp, grid_shape)
     p_sta = np.broadcast_to(p_sta, grid_shape)
-    flat = cost.reshape(-1, n_lanes, n)
-    best = np.argmin(flat, axis=0)  # (B, n)
+    flat = cost.reshape(-1, m)
+    best = np.argmin(flat, axis=0)  # (m,)
     iv, ib = np.unravel_index(best, grid_shape[:2])
-    pick = best[None, :, :]
+    pick = best[None, :]
 
     def select(grid):
-        return np.take_along_axis(
-            grid.reshape(-1, n_lanes, n), pick, axis=0
-        )[0]
+        return np.take_along_axis(grid.reshape(-1, m), pick, axis=0)[0]
 
     feasible = np.isfinite(np.take_along_axis(flat, pick, axis=0)[0])
     return (

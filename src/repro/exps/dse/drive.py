@@ -42,7 +42,6 @@ from ...core.environments import AdaptationMode, by_name
 from ...microarch.workloads import spec2000_like_suite
 from ..engine import RunSpec
 from ..runner import ExperimentRunner, RunnerConfig, SuiteSummary
-from .pareto import DEFAULT_OBJECTIVES, Objective, pareto_front
 from .spec import SweepPoint, SweepSpec, dedupe_points
 
 log = logging.getLogger("repro.exps.dse")
@@ -102,12 +101,6 @@ class SweepResult:
     rows: List[Dict[str, Any]]
     summaries: Dict[str, SuiteSummary] = field(repr=False)
     stats: Dict[str, int] = field(default_factory=dict)
-
-    def pareto(
-        self, objectives: Sequence[Objective] = DEFAULT_OBJECTIVES
-    ) -> List[Dict[str, Any]]:
-        """The Pareto-optimal rows (see :func:`~.pareto.pareto_front`)."""
-        return pareto_front(self.rows, objectives)
 
     def swept_params(self) -> List[str]:
         """Parameter columns that actually take more than one value."""

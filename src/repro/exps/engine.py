@@ -162,8 +162,8 @@ def _chunk_units(
 
 
 #: Most (chip, core) units one block advances through one batched
-#: program.  The optimizer's ``MAX_SWEEP_CELLS`` bounds the knob-grid
-#: sweeps, but a block's per-lane state outside them (stacked inputs,
+#: program.  The optimizer's ``MAX_SWEEP_CELLS`` bounds every Freq and
+#: Power sweep, but a block's per-lane state outside them (stacked inputs,
 #: thermal lanes, retuning, rows) grows with its units, so a paper-scale
 #: cell (100 chips x 4 cores) runs as several blocks.
 MAX_BLOCK_UNITS = 32

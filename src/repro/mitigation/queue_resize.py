@@ -32,11 +32,6 @@ class QueueDecision:
         """Frequency of the winning configuration."""
         return self.f_full if self.use_full else self.f_resized
 
-    @property
-    def performance(self) -> float:
-        """Estimated performance (IPS) of the winning configuration."""
-        return self.perf_full if self.use_full else self.perf_resized
-
 
 def choose_queue_size(
     f_full: float,

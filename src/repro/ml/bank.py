@@ -313,8 +313,8 @@ def train_controller_bank(
         elif include_variants and sub.replicable:
             variants = [FU_NORMAL, FU_LOWSLOPE]
         jobs.extend((index, variant) for variant in variants)
-    # Label every (subsystem, variant) job through the oracle: same-size
-    # sample chunks share batched Freq and Power calls, whose sweeps the
+    # Label every (subsystem, variant) job through the oracle: all their
+    # samples share one Freq and one Power call, whose sweeps the
     # optimiser keeps within its knob-grid budget.
     requests = [
         TrainingRequest(

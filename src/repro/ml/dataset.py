@@ -222,53 +222,6 @@ def _draw_request(
     return chunks
 
 
-def _label_chunks(
-    chunks: "Sequence[Tuple[SampledInputs, SubsystemArrays, np.ndarray]]",
-    spec: OptimizationSpec,
-    calib_f_nominal: float,
-) -> "List[Tuple[np.ndarray, ...]]":
-    """Label chunks, stacking same-size chunks as lanes of one sweep.
-
-    Each group of equal-sized chunks is one batched Freq call and one
-    batched Power call; the optimiser splits the stack into lane chunks
-    within its knob-grid budget.  Returns each chunk's ``(freq_inputs,
-    f_max_ghz, power_inputs, vdd, vbb)`` in input order.
-    """
-    by_size: "dict[int, List[int]]" = {}
-    for position, (samples, _, _) in enumerate(chunks):
-        by_size.setdefault(len(samples.th), []).append(position)
-    labels: "List[Tuple[np.ndarray, ...]]" = [()] * len(chunks)
-    for members in by_size.values():
-        stack = SubsystemArrays.stack([chunks[i][1] for i in members])
-        f_core_u = np.stack([chunks[i][2] for i in members])
-        freq_result = freq_algorithm(stack, spec)
-        f_core = spec.knob_ranges.f_min + f_core_u * (
-            freq_result.f_max - spec.knob_ranges.f_min
-        )
-        f_core = np.maximum(f_core, spec.knob_ranges.f_min)
-        power_result = power_algorithm(stack, f_core, spec)
-        for lane, position in enumerate(members):
-            samples, arrays, _ = chunks[position]
-            slowness = demand_feature(
-                arrays, calib_f_nominal, samples.th, spec.pe_budget
-            )
-            ok = power_result.feasible[lane]
-            demand = demand_feature(
-                arrays, f_core[lane], samples.th, spec.pe_budget
-            )
-            labels[position] = (
-                np.column_stack([
-                    slowness, samples.alpha, samples.rho, samples.th,
-                    samples.vt0_leak,
-                ]),
-                freq_result.f_max[lane] / 1e9,
-                np.column_stack([demand[ok], samples.alpha[ok]]),
-                power_result.vdd[lane][ok],
-                power_result.vbb[lane][ok],
-            )
-    return labels
-
-
 def generate_training_datasets(
     core: Core,
     spec: OptimizationSpec,
@@ -276,45 +229,51 @@ def generate_training_datasets(
     *,
     chunk: int = 2500,
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Label many (subsystem, variant) training sets in stacked sweeps.
+    """Label many (subsystem, variant) training sets in one oracle pass.
 
     Each request draws its own RNG stream in chunks of ``chunk``
-    samples; then the chunks of every request that have the same size
-    become the lanes of one batched Freq and one batched Power call.
-    The optimiser runs such a stack in chunks whose knob grid stays
-    within its share of :data:`~repro.core.optimizer.MAX_SWEEP_CELLS`,
-    so a small-grid bank labels in a few sweeps while a full (Vdd, Vbb)
-    grid's chunks still run one per sweep, two at a time where the
-    sweep helper thread is in use.  A chunk is one lane whose Freq fixed
-    point stops on its own samples alone, so the labels do not depend on
-    which other chunks share a sweep.
-
-    Power splits a lane into column chunks of entries, so its sweeps
-    stay within the budget.  The budget does not bound one Freq lane: a
-    Freq lane is never split, so a chunk whose samples times knob cells
-    exceed ``MAX_SWEEP_CELLS`` (694 samples or more on the 9 x 21 ABB
-    grid, as the default 2,500-sample chunks are) is swept with nothing
-    beside it, over the budget, and counted in
-    ``optimizer.sweeps_over_budget``.
+    samples; then every drawn sample of every request is labelled by one
+    Freq call and one Power call on the joined batch.  The optimiser
+    sweeps that batch in slices within its share of
+    :data:`~repro.core.optimizer.MAX_SWEEP_CELLS`, and every sample's
+    labels are a function of that sample alone, so they do not depend
+    on which other samples or requests share the call.
 
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
     tuple per request, in request order; each equals the tuple the
     request gets when it is labelled alone.
     """
-    drawn = [_draw_request(core, request, chunk) for request in requests]
-    labels = iter(_label_chunks(
-        [part for parts in drawn for part in parts],
-        spec,
-        core.calib.f_nominal,
-    ))
+    parts = [
+        part for request in requests
+        for part in _draw_request(core, request, chunk)
+    ]
+    batch = SubsystemArrays.concatenate([arrays for _, arrays, _ in parts])
+    th = np.concatenate([samples.th for samples, _, _ in parts])
+    f_core_u = np.concatenate([u for _, _, u in parts])
+
+    freq_result = freq_algorithm(batch, spec)
+    f_min = spec.knob_ranges.f_min
+    f_core = np.maximum(f_min + f_core_u * (freq_result.f_max - f_min), f_min)
+    power_result = power_algorithm(batch, f_core, spec)
+
+    slowness = demand_feature(batch, core.calib.f_nominal, th, spec.pe_budget)
+    freq_inputs = np.column_stack(
+        [slowness, batch.alpha, batch.rho, th, batch.vt0_leak]
+    )
+    demand = demand_feature(batch, f_core, th, spec.pe_budget)
+    power_inputs = np.column_stack([demand, batch.alpha])
+
     datasets = []
-    for parts in drawn:
-        mine = [next(labels) for _ in parts]
+    end = 0
+    for request in requests:
+        mine = slice(end, end + request.n_examples)
+        end = mine.stop
+        ok = power_result.feasible[mine]
         datasets.append((
-            np.vstack([part[0] for part in mine]),
-            np.concatenate([part[1] for part in mine]),
-            np.vstack([part[2] for part in mine]),
-            np.concatenate([part[3] for part in mine]),
-            np.concatenate([part[4] for part in mine]),
+            freq_inputs[mine],
+            freq_result.f_max[mine] / 1e9,
+            power_inputs[mine][ok],
+            power_result.vdd[mine][ok],
+            power_result.vbb[mine][ok],
         ))
     return datasets

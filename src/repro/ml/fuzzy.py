@@ -54,11 +54,6 @@ class FuzzyController:
             raise ValueError("input_std entries must be positive")
 
     @property
-    def n_rules(self) -> int:
-        """Number of fuzzy rules."""
-        return self.mu.shape[0]
-
-    @property
     def n_inputs(self) -> int:
         """Number of input variables."""
         return self.mu.shape[1]

@@ -25,8 +25,9 @@ daemon's worker pool and cache are shared, configured once via
 
 Admission costs O(cells of the job), whatever the service's history: a
 cell's ``summary_key`` is memoised, live jobs are counted from their own
-map, and only the last :data:`MAX_FINISHED_JOBS` finished jobs are kept
-for ``status``/``progress``/``result``.
+map, and at most :data:`MAX_FINISHED_JOBS` finished jobs are kept for
+``status``/``progress``/``result``, those whose result was read retiring
+first.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import itertools
 import logging
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs, variation
 from ..config import Settings
@@ -49,9 +49,12 @@ from .scheduler import CellScheduler
 
 log = logging.getLogger("repro.serve.service")
 
-#: Finished jobs kept for ``status``/``progress``/``result``, oldest
-#: retired first.  A retired job's id is unknown (:class:`UnknownJobError`)
-#: and its ``serve.job.<id>.*`` gauges are dropped.
+#: Finished jobs kept for ``status``/``progress``/``result``.  Jobs whose
+#: result a client has read retire first, oldest first; a job whose result
+#: no client has read yet retires only when more than this many such
+#: unread jobs are held.  A retired job's id is unknown
+#: (:class:`UnknownJobError`) and its ``serve.job.<id>.*`` gauges are
+#: dropped.
 MAX_FINISHED_JOBS = 1024
 
 #: Distinct cells whose ``summary_key`` the service memoises, oldest
@@ -168,8 +171,11 @@ class CampaignService:
         #: Every job still known: the live ones and the retained finished.
         self._jobs: Dict[str, Job] = {}
         self._live: Dict[str, Job] = {}
-        #: Finished job ids, oldest first (at most MAX_FINISHED_JOBS).
-        self._finished: Deque[str] = deque()
+        #: Finished job ids, oldest first, whose result no client has
+        #: read yet, and those it has; together at most
+        #: MAX_FINISHED_JOBS.
+        self._unread: Dict[str, None] = {}
+        self._read: Dict[str, None] = {}
         #: The cells each live job follows (dropped when it finishes).
         self._job_cells: Dict[str, List[CellTask]] = {}
         #: {(env, mode, workload hashes): summary_key} for the runner
@@ -261,12 +267,18 @@ class CampaignService:
         Raises :class:`TimeoutError` if the job is still running after
         ``timeout`` seconds, :class:`JobFailedError` with the structured
         cell reports if it hit a poisoned cell, and
-        :class:`JobCancelledError` if it was withdrawn.
+        :class:`JobCancelledError` if it was withdrawn.  Once a finished
+        job's outcome has been read here, it retires before every unread
+        one (see :data:`MAX_FINISHED_JOBS`).
         """
         with self._lock:
             job = self._get(job_id)
         if not job.done_event.wait(timeout):
             raise TimeoutError(f"{job_id} still {job.state.value}")
+        with self._lock:
+            if job_id in self._unread:
+                del self._unread[job_id]
+                self._read[job_id] = None
         if job.state is JobState.DONE:
             return RunResult(spec=job.spec, summaries=dict(job.summaries))
         if job.state is JobState.FAILED:
@@ -301,7 +313,7 @@ class CampaignService:
             return {
                 "jobs": states,
                 "live_jobs": len(self._live),
-                "finished_jobs": len(self._finished),
+                "finished_jobs": len(self._unread) + len(self._read),
                 "max_finished_jobs": MAX_FINISHED_JOBS,
                 "queue_depth": self._scheduler.depth(),
                 "inflight_cells": len(self._registry),
@@ -514,8 +526,8 @@ class CampaignService:
 
         A failed or cancelled job leaves its cells first (see
         :meth:`_detach`); every finished job drops its cell list.  The
-        oldest finished jobs past :data:`MAX_FINISHED_JOBS` are retired:
-        forgotten, gauges and all.
+        finished jobs past :data:`MAX_FINISHED_JOBS` are retired (read
+        ones first, oldest first): forgotten, gauges and all.
         """
         job.finish(state)
         obs.inc(_FINISH_COUNTERS[state])
@@ -524,9 +536,11 @@ class CampaignService:
             self._detach(job)
         del self._job_cells[job.job_id]
         self._update_job_gauges(job)
-        self._finished.append(job.job_id)
-        while len(self._finished) > MAX_FINISHED_JOBS:
-            retired = self._finished.popleft()
+        self._unread[job.job_id] = None
+        while len(self._unread) + len(self._read) > MAX_FINISHED_JOBS:
+            table = self._read or self._unread
+            retired = next(iter(table))
+            del table[retired]
             del self._jobs[retired]
             for name in _JOB_GAUGES:
                 obs.drop_gauge(f"serve.job.{retired}.{name}")

@@ -16,11 +16,17 @@ from repro.chip import (
     default_floorplan,
 )
 from repro.chip.chip import CORE_QUADRANTS
+from repro.variation import DieGrid
 
 
 class TestRect:
     def test_area(self):
-        assert Rect(0.0, 0.0, 0.5, 0.4).area == pytest.approx(0.2)
+        # A rectangle covers the share of die cells its area is: the
+        # cells build_core samples a subsystem's variation from.
+        grid = DieGrid(nx=10, ny=10)
+        rect = Rect(0.0, 0.0, 0.5, 0.4)
+        cells = grid.cells_in_rect(rect.x0, rect.y0, rect.x1, rect.y1)
+        assert cells.size == pytest.approx(0.2 * 100)
 
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):

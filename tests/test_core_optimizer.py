@@ -382,6 +382,40 @@ class TestDistinctRows:
         )
 
 
+class TestRowIndependence:
+    """Freq solves each subsystem on its own (Section 4.3.1): its result
+    is a function of its row alone, not of the lane it sits in."""
+
+    @pytest.mark.parametrize("env", [TS, TS_ASV, TS_ASV_ABB],
+                             ids=lambda env: env.name)
+    def test_subsystem_alone_equals_it_in_its_lane(self, population, env):
+        # 3 chips x 4 random (activity, rho) draws: 180 subsystems.
+        rng = np.random.default_rng(0)
+        differ = 0
+        for chip in population[:3]:
+            core = build_core(chip, 0)
+            n = core.n_subsystems
+            spec = env.optimization_spec(n, core.calib)
+            for _ in range(4):
+                subs = core_subsystem_arrays(
+                    core, rng.uniform(0.05, 1.0, n), rng.uniform(0.05, 1.0, n)
+                )
+                lane, [lane_count] = _freq_iteration_values(subs, spec)
+                counts = []
+                for k in range(n):
+                    alone, [count] = _freq_iteration_values(
+                        subs._take(slice(k, k + 1)), spec
+                    )
+                    counts.append(count)
+                    differ += any(
+                        getattr(alone, field)[0] != getattr(lane, field)[k]
+                        for field in ("f_max", "vdd", "vbb", "feasible")
+                    )
+                # A lane's iteration count is the most any row took.
+                assert lane_count == max(counts)
+        assert differ == 0
+
+
 class TestBatchedPowerAlgorithm:
     def test_bit_identical_to_serial(self, lanes, asv_spec):
         stack = SubsystemArrays.stack(lanes)
@@ -453,12 +487,9 @@ def _sweep_helper(in_use):
         yield patch
 
 
-def _power_sweep_count(n_lanes, n, knobs, share):
-    """Power's sweeps under a share: whole lanes where a lane's grid
-    fits, else each lane in column chunks of entries."""
-    if knobs * n <= share:
-        return -(-n_lanes // (share // (knobs * n)))
-    return n_lanes * -(-n // max(1, share // knobs))
+def _slice_count(n_items, knobs, share):
+    """Sweeps of ``n_items`` rows or entries under a share of cells."""
+    return -(-n_items // max(1, share // knobs))
 
 
 def _run_counted(call):
@@ -469,9 +500,15 @@ def _run_counted(call):
     return result, doc
 
 
+def _optimizer_counters(doc):
+    """The ``optimizer.*`` counters of a metrics document."""
+    return {name: value for name, value in doc["counters"].items()
+            if name.startswith("optimizer.")}
+
+
 class TestSweepBudget:
-    """``MAX_SWEEP_CELLS`` splits a batched sweep into lane chunks
-    without moving a bit of any lane's result."""
+    """``MAX_SWEEP_CELLS`` splits a call into slices of Freq rows or
+    Power entries without moving a bit of any result."""
 
     @pytest.fixture(scope="class")
     def twins(self, population, core, other_core, int_measurement,
@@ -485,13 +522,13 @@ class TestSweepBudget:
 
     @staticmethod
     def _sweeps(monkeypatch, name):
-        """Count the calls of one private sweep function."""
+        """Record the item count of every call of a private sweep."""
         calls = []
         real = getattr(optimizer, name)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(items, *args, **kwargs):
+            calls.append(items.n_subsystems)
+            return real(items, *args, **kwargs)
 
         monkeypatch.setattr(optimizer, name, counted)
         return calls
@@ -513,63 +550,46 @@ class TestSweepBudget:
         assert parts_doc["histograms"][iterations]["values"] == (
             whole_doc["histograms"][iterations]["values"]
         )
-        for name in ("optimizer.freq_calls", "optimizer.freq_lanes"):
-            assert parts_doc["counters"][name] == whole_doc["counters"][name]
-        assert parts_doc["counters"]["optimizer.freq_calls"] == 1
-        assert parts_doc["counters"]["optimizer.candidates"] >= (
-            whole_doc["counters"]["optimizer.candidates"]
+        # Every row is swept exactly once, whatever the slicing.
+        assert _optimizer_counters(parts_doc) == (
+            _optimizer_counters(whole_doc)
         )
+        assert parts_doc["counters"]["optimizer.freq_calls"] == 1
 
-    def test_fu_twins_share_a_chunk(self, twins, abb_spec, core):
-        # A share of one twin pair's rows (n + 1): every chunk is a lane
-        # and its low-slope twin, and no row is swept twice.  The share is
-        # the whole budget serially and half of it beside the helper.
+    def test_each_row_is_swept_once(self, twins, abb_spec, core):
+        # FU twins share every row but the FU column: the rows are
+        # sliced globally, so no shared row is swept twice, with the
+        # helper in use (half the budget per slice) or not.
         stack, n_pairs = twins
-        rows, row_of = _distinct_rows(stack)
-        chunks = optimizer._freq_chunks(row_of, core.n_subsystems + 1)
-        assert sorted(sorted(c.tolist()) for c in chunks) == [
-            [lane, lane + n_pairs] for lane in range(n_pairs)
-        ]
+        rows, _ = _distinct_rows(stack)
+        assert rows.n_subsystems == n_pairs * (core.n_subsystems + 1)
         knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
-        whole, whole_doc = _run_counted(lambda: freq_algorithm(stack, abb_spec))
-        candidates = knobs * rows.n_subsystems
-        assert whole_doc["counters"]["optimizer.candidates"] == candidates
-        for in_use, budget_pairs in ((False, 1), (True, 2)):
+        whole = freq_algorithm(stack, abb_spec)
+        budget = knobs * (core.n_subsystems + 1)
+        for in_use, share in ((False, budget), (True, budget // 2)):
             with _sweep_helper(in_use) as patch:
-                patch.setattr(
-                    optimizer, "MAX_SWEEP_CELLS",
-                    budget_pairs * knobs * (core.n_subsystems + 1),
-                )
+                patch.setattr(optimizer, "MAX_SWEEP_CELLS", budget)
                 sweeps = self._sweeps(patch, "_freq_sweep")
-                parts, parts_doc = _run_counted(
+                parts, doc = _run_counted(
                     lambda: freq_algorithm(stack, abb_spec)
                 )
             assert_array_equal(parts.f_max, whole.f_max)
-            assert parts_doc["counters"]["optimizer.candidates"] == candidates
-            assert len(sweeps) == n_pairs
-        # Beside the helper, a budget of one pair leaves each lane alone
-        # in its chunk: 2 * n_pairs sweeps, the shared rows swept twice.
-        with _sweep_helper(True) as patch:
-            patch.setattr(
-                optimizer, "MAX_SWEEP_CELLS", knobs * (core.n_subsystems + 1)
+            assert sum(sweeps) == rows.n_subsystems
+            assert len(sweeps) == _slice_count(
+                rows.n_subsystems, knobs, share
             )
-            sweeps = self._sweeps(patch, "_freq_sweep")
-            parts, parts_doc = _run_counted(
-                lambda: freq_algorithm(stack, abb_spec)
+            assert max(sweeps) * knobs <= share
+            assert doc["counters"]["optimizer.candidates"] == (
+                knobs * rows.n_subsystems
             )
-        assert_array_equal(parts.f_max, whole.f_max)
-        assert len(sweeps) == 2 * n_pairs
-        assert parts_doc["counters"]["optimizer.candidates"] == knobs * sum(
-            np.unique(lane_rows).size for lane_rows in row_of
-        )
 
-    def test_a_lane_is_never_split(self, subs, abb_spec, monkeypatch):
-        # An unbatched call is one lane: one Freq sweep whatever the
-        # budget.  Power's entries are independent: over budget, the lane
-        # runs in one-entry column chunks, bit for bit as one sweep.
+    def test_one_lane_splits_into_rows(self, subs, abb_spec, monkeypatch):
+        # Below one row's knob grid, an unbatched call (one lane) runs
+        # one row or entry per sweep, bit for bit as one sweep.
         whole = freq_algorithm(subs, abb_spec)
         f_core = whole.core_frequency()
         power_whole = power_algorithm(subs, f_core, abb_spec)
+        n_rows = _distinct_rows(subs.lanes())[0].n_subsystems
         monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
         for in_use in (False, True):
             with _sweep_helper(in_use) as patch:
@@ -577,31 +597,17 @@ class TestSweepBudget:
                 power_sweeps = self._sweeps(patch, "_power_sweep")
                 alone = freq_algorithm(subs, abb_spec)
                 power = power_algorithm(subs, f_core, abb_spec)
-            assert_array_equal(alone.f_max, whole.f_max)
+            for field in ("f_max", "vdd", "vbb", "feasible"):
+                assert_array_equal(
+                    getattr(alone, field), getattr(whole, field)
+                )
             for field in ("vdd", "vbb", "temperature", "p_dynamic",
                           "p_static", "feasible"):
                 assert_array_equal(
                     getattr(power, field), getattr(power_whole, field)
                 )
-            assert len(freq_sweeps) == 1
-            assert len(power_sweeps) == subs.n_subsystems
-
-    def test_over_budget_lane_is_counted(self, subs, abb_spec, monkeypatch):
-        # Within the budget the counter is touched with 0, so serial and
-        # parallel documents keep the same names.
-        def over_budget(call):
-            _, doc = _run_counted(call)
-            return doc["counters"]["optimizer.sweeps_over_budget"]
-
-        f_core = freq_algorithm(subs, abb_spec).core_frequency()
-        assert over_budget(lambda: freq_algorithm(subs, abb_spec)) == 0
-        assert over_budget(lambda: power_algorithm(subs, f_core, abb_spec)) == 0
-        monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 1)
-        assert over_budget(lambda: freq_algorithm(subs, abb_spec)) == 1
-        # Power runs one entry per sweep, each entry's grid over 1 cell.
-        assert over_budget(
-            lambda: power_algorithm(subs, f_core, abb_spec)
-        ) == subs.n_subsystems
+            assert freq_sweeps == [1] * n_rows
+            assert power_sweeps == [1] * subs.n_subsystems
 
     @pytest.mark.parametrize("per_lane", [True, False])
     @pytest.mark.parametrize("lanes_per_chunk", [1, 3])
@@ -617,11 +623,7 @@ class TestSweepBudget:
         knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
         budget = knobs * stack.n_subsystems * lanes_per_chunk
         monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", budget)
-
-        # Power has no shared rows: its counters are chunking-invariant.
-        def optimizer_counters(doc):
-            return {name: value for name, value in doc["counters"].items()
-                    if name.startswith("optimizer.")}
+        entries = stack.batch_size * stack.n_subsystems
 
         for in_use, share in ((False, budget), (True, budget // 2)):
             with _sweep_helper(in_use) as patch:
@@ -629,62 +631,60 @@ class TestSweepBudget:
                 parts, parts_doc = _run_counted(
                     lambda: power_algorithm(stack, f_core, abb_spec)
                 )
-            assert len(sweeps) == _power_sweep_count(
-                stack.batch_size, stack.n_subsystems, knobs, share
-            )
-            if not in_use:
-                assert len(sweeps) == -(-stack.batch_size // lanes_per_chunk)
+            assert len(sweeps) == _slice_count(entries, knobs, share)
+            assert max(sweeps) * knobs <= share
             for field in ("vdd", "vbb", "temperature", "p_dynamic",
                           "p_static", "feasible"):
                 assert_array_equal(
                     getattr(parts, field), getattr(whole, field)
                 )
-            assert optimizer_counters(parts_doc) == (
-                optimizer_counters(whole_doc)
+            assert _optimizer_counters(parts_doc) == (
+                _optimizer_counters(whole_doc)
             )
             assert parts_doc["counters"]["optimizer.power_calls"] == 1
             assert parts_doc["counters"]["optimizer.candidates"] == (
-                knobs * stack.batch_size * stack.n_subsystems
+                knobs * entries
             )
 
-    def test_labelling_power_lane_is_split_within_budget(
+    def test_labelling_chunk_sweeps_within_share(
         self, core, abb_spec, monkeypatch
     ):
-        # One 2,500-sample labelling lane on the 9 x 21 ABB grid is
-        # 472,500 cells, 3.6 budgets: Power sweeps it in column chunks.
+        # One 2,500-sample labelling chunk on the 9 x 21 ABB grid is
+        # 472,500 cells, 3.6 budgets: both sweeps cut it into slices
+        # within the share, helper in use or not.
         (_, lane, f_core_u), = _draw_request(
             core, TrainingRequest(index=3, seed=11, n_examples=2500), 2500
         )
         knobs = len(abb_spec.vdd_levels) * len(abb_spec.vbb_levels)
         assert knobs * lane.n_subsystems == 472_500
-        f_max = freq_algorithm(lane, abb_spec).f_max
-        f_core = np.maximum(
-            abb_spec.knob_ranges.f_min
-            + f_core_u * (f_max - abb_spec.knob_ranges.f_min),
-            abb_spec.knob_ranges.f_min,
-        )
-        cells = []
-        real = optimizer._power_sweep
+        f_min = abb_spec.knob_ranges.f_min
 
-        def counted(lanes, freq, spec):
-            cells.append(knobs * lanes.batch_size * lanes.n_subsystems)
-            return real(lanes, freq, spec)
+        def label():
+            freq = freq_algorithm(lane, abb_spec)
+            f_core = np.maximum(f_min + f_core_u * (freq.f_max - f_min), f_min)
+            power = power_algorithm(lane, f_core, abb_spec)
+            return [freq.f_max, freq.vdd, freq.vbb, freq.feasible, power.vdd,
+                    power.vbb, power.temperature, power.p_dynamic,
+                    power.p_static, power.feasible]
 
-        monkeypatch.setattr(optimizer, "_power_sweep", counted)
-        split, doc = _run_counted(
-            lambda: power_algorithm(lane, f_core, abb_spec)
-        )
-        assert len(cells) >= 4
-        assert max(cells) <= optimizer.MAX_SWEEP_CELLS
-        assert sum(cells) == 472_500
-        assert doc["counters"]["optimizer.sweeps_over_budget"] == 0
+        labelled = {}
+        for in_use in (False, True):
+            with _sweep_helper(in_use) as patch:
+                share = optimizer._sweep_share()
+                freq_sweeps = self._sweeps(patch, "_freq_sweep")
+                power_sweeps = self._sweeps(patch, "_power_sweep")
+                labelled[in_use] = label()
+            assert sum(freq_sweeps) == sum(power_sweeps) == 2500
+            assert len(freq_sweeps) >= 4 and len(power_sweeps) >= 4
+            assert max(freq_sweeps + power_sweeps) * knobs <= share
         monkeypatch.setattr(optimizer, "MAX_SWEEP_CELLS", 10**9)
-        split_sweeps = len(cells)
-        whole = power_algorithm(lane, f_core, abb_spec)
-        assert cells[split_sweeps:] == [472_500]
-        for field in ("vdd", "vbb", "temperature", "p_dynamic", "p_static",
-                      "feasible"):
-            assert_array_equal(getattr(split, field), getattr(whole, field))
+        freq_sweeps = self._sweeps(monkeypatch, "_freq_sweep")
+        power_sweeps = self._sweeps(monkeypatch, "_power_sweep")
+        whole = label()
+        assert freq_sweeps == power_sweeps == [2500]
+        for in_use in (False, True):
+            for got, want in zip(labelled[in_use], whole):
+                assert_array_equal(got, want)
 
     def test_static_block_rows_unchanged(self, monkeypatch):
         runner = ExperimentRunner(

@@ -321,7 +321,7 @@ class TestRunSweep:
         serial = run_sweep(spec, Settings(cache_enabled=False, jobs=1))
         threaded = run_sweep(spec, Settings(cache_enabled=False, jobs=2))
         assert serial.rows == threaded.rows
-        assert serial.pareto() == threaded.pareto()
+        assert pareto_front(serial.rows) == pareto_front(threaded.rows)
 
     def test_remote_sweep_rejects_runner_tier_axes(self):
         spec = SweepSpec(

@@ -11,7 +11,7 @@ from repro.mitigation import (
     choose_fu_implementation,
     choose_queue_size,
 )
-from repro.timing import PerfParams
+from repro.timing import PerfParams, performance
 
 
 class TestTechniqueState:
@@ -114,8 +114,12 @@ class TestQueueDecision:
         d = choose_queue_size(
             4.0e9, self.make_params(1.0), 4.3e9, self.make_params(1.05), 1e-4
         )
-        expected = d.perf_resized if not d.use_full else d.perf_full
-        assert d.performance == expected
+        # The winner is the configuration with the higher Eq 5 estimate.
+        assert d.perf_full == performance(4.0e9, 1e-4, self.make_params(1.0))
+        assert d.perf_resized == performance(
+            4.3e9, 1e-4, self.make_params(1.05)
+        )
+        assert d.use_full == (d.perf_full >= d.perf_resized)
 
 
 class TestAreaBudget:

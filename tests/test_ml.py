@@ -121,7 +121,7 @@ class TestTraining:
     def test_rule_count_respected(self, rng):
         X = rng.uniform(-1, 1, size=(500, 2))
         [(fc, _)] = train_fuzzy_controllers([(X, X[:, 0])], n_rules=10, seeds=[0])
-        assert fc.n_rules == 10
+        assert fc.mu.shape[0] == fc.y.shape[0] == 10
 
     def test_requires_enough_examples(self, rng):
         X = rng.uniform(-1, 1, size=(10, 2))

@@ -689,6 +689,30 @@ class TestJobRetention:
         for retired in jobs[:2]:
             assert not [n for n in gauges if n.startswith(f"serve.job.{retired}.")]
 
+    def test_unread_job_outlives_read_ones(
+        self, runner, two_workloads, spec, tmp_path, monkeypatch
+    ):
+        # A client preempted between submit and result still gets its
+        # result: twice the cap of read jobs finish after it, and the
+        # read ones retire first.
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_JOBS", 3)
+        cache = cached_cells(runner, (TS,), two_workloads, tmp_path)
+        with CampaignService(runner, workers=1, cache=cache) as service:
+            unread = service.submit(spec)
+            read = []
+            for _ in range(6):
+                read.append(service.submit(spec))
+                assert service.result(read[-1], timeout=10).summaries
+            assert service.result(unread, timeout=10).summaries
+            for retired in read[:4]:
+                with pytest.raises(UnknownJobError):
+                    service.status(retired)
+            for kept in read[4:]:
+                assert service.status(kept)["state"] == "done"
+            assert service.stats()["finished_jobs"] == 3
+
     def test_computed_job_drops_its_cells(self, runner, two_workloads):
         spec = RunSpec(
             environments=(NOVAR,),
